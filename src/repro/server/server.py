@@ -115,7 +115,15 @@ class ReproServer:
         self._stopping.set()
         listener, self._listener = self._listener, None
         if listener is not None:
+            # On Linux close() alone does not wake a thread blocked in
+            # accept(); shutdown() does, so the accept loop exits at once.
+            _shutdown_quietly(listener)
             _close_quietly(listener)
+        # Join the accept loop first: once it is gone no new handler can
+        # register behind the snapshot below.
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=timeout)
+            self._accept_thread = None
         with self._handlers_mutex:
             handlers = dict(self._handlers)
         for thread, (sock, slot) in handlers.items():
@@ -125,9 +133,6 @@ class ReproServer:
             _shutdown_quietly(sock)
         for thread in handlers:
             thread.join(timeout=timeout)
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=timeout)
-            self._accept_thread = None
 
     def __enter__(self) -> "ReproServer":
         if self._listener is None:
@@ -146,7 +151,7 @@ class ReproServer:
             try:
                 client, _addr = listener.accept()
             except OSError:
-                break  # listener closed by shutdown()
+                break  # listener shut down by shutdown()
             client.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             slot: Dict[str, Any] = {}
             thread = threading.Thread(

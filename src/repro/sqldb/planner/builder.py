@@ -14,7 +14,9 @@ statistics exist (see :mod:`repro.sqldb.planner.cost`):
    key or a secondary index turn scans into point lookups; range conjuncts
    (``BETWEEN``/``<``/``>``) over an ordered (B-tree) index become
    :class:`~repro.sqldb.planner.nodes.IndexRangeScan` interval walks, unless
-   statistics say the interval is too wide to beat a sequential scan.
+   statistics say the interval is too wide to beat a sequential scan.  For
+   ``$n``-bound intervals that width check runs per execution, on the bound
+   values, so one cached plan serves narrow and wide bindings alike.
 5. **Join order** - comma-joins of plain tables are reordered greedily by
    estimated cardinality when every table has statistics; a
    :class:`~repro.sqldb.planner.nodes.JoinOrderRestore` re-sorts the output
@@ -78,10 +80,6 @@ from repro.sqldb.planner.predicates import (
     split_conjuncts,
 )
 from repro.sqldb.types import SqlType
-
-#: Estimated range fraction above which a sequential scan beats the B-tree
-#: walk (index gives no locality here: positions are re-sorted anyway).
-RANGE_SCAN_THRESHOLD = 0.3
 
 #: Hash the left input instead when it is estimated this much smaller.
 BUILD_FLIP_RATIO = 0.8
@@ -325,8 +323,12 @@ def choose_range_index(
     Returns ``(index_name, column, lower, upper, consumed_conjuncts)`` - at
     most one bound per side is consumed (extra range conjuncts stay in the
     residual filter) - or None when no B-tree index matches, or statistics
-    say the interval keeps more than :data:`RANGE_SCAN_THRESHOLD` of the
-    table (a sequential scan is then cheaper than walk-plus-resort).
+    say the literal interval keeps more than
+    :data:`~repro.sqldb.planner.cost.RANGE_SCAN_THRESHOLD` of the table (a
+    sequential scan is then cheaper than walk-plus-resort).  A bound that
+    is not a plan-time literal (``$n``, a cast) keeps the index: the
+    :class:`~repro.sqldb.planner.nodes.IndexRangeScan` then applies the
+    width rule to the bound values on each execution.
     """
     best = None
     for index in table.indexes.values():
@@ -366,12 +368,14 @@ def choose_range_index(
         return None
     _score, index_name, indexed_column, lower, upper, consumed = best
 
-    if table.stats is not None:
-        bounds = [bound for bound in (lower, upper) if bound is not None]
+    bounds = [bound for bound in (lower, upper) if bound is not None]
+    if table.stats is not None and all(
+        cost.literal_value(bound.expr)[1] for bound in bounds
+    ):
         fraction = cost.range_fraction(
             table.stats, ColumnRef(name=indexed_column), bounds, label
         )
-        if fraction > RANGE_SCAN_THRESHOLD:
+        if fraction > cost.RANGE_SCAN_THRESHOLD:
             return None
     return index_name, indexed_column, lower, upper, consumed
 

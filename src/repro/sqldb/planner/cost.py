@@ -7,7 +7,8 @@ per-column statistics :class:`~repro.sqldb.stats.TableStats` collects):
 * ``col IN (k items)``       -> ``k / n_distinct``
 * ``col IS [NOT] NULL``      -> null fraction (or its complement)
 * range over ``[min, max]``  -> clipped interval fraction when the bounds
-  are plan-time literals over a numeric column, else 1/3
+  are plan-time literals over a numeric column, else 1/3 (a ``$n`` bound is
+  re-estimated from its value when the statement executes)
 * anything else              -> 1/2
 * equi-join                  -> ``|L| * |R| / max(ndv(l), ndv(r))``
 
@@ -40,6 +41,11 @@ from repro.sqldb.planner.predicates import (
 EQ_DEFAULT = 0.1
 RANGE_DEFAULT = 1.0 / 3.0
 OTHER_DEFAULT = 0.5
+
+#: Estimated range fraction above which a sequential scan beats the B-tree
+#: walk (index gives no locality here: positions are re-sorted anyway).
+#: The planner applies it to literal bounds, the executor to bound values.
+RANGE_SCAN_THRESHOLD = 0.3
 
 
 def literal_value(expr: Expression) -> Tuple[object, bool]:
@@ -76,10 +82,30 @@ def range_fraction(
 ) -> float:
     """Estimated fraction of rows inside a range predicate's interval.
 
-    Exact interval arithmetic needs numeric plan-time bounds *and* numeric
-    min/max statistics; anything else falls back to :data:`RANGE_DEFAULT`.
+    Only plan-time literal bounds are estimated; a ``$n``, cast or other
+    bound known only at execution falls back to :data:`RANGE_DEFAULT` here,
+    and the executor re-estimates it with :func:`interval_fraction` once its
+    value is known.
     """
-    column_stats = _column_stats(stats, column, label)
+    low = high = None
+    for bound in bounds:
+        value, known = literal_value(bound.expr)
+        if not known or value is None:
+            return RANGE_DEFAULT
+        if bound.side == "lower":
+            low = value
+        else:
+            high = value
+    return interval_fraction(_column_stats(stats, column, label), low, high)
+
+
+def interval_fraction(column_stats, low: object, high: object) -> float:
+    """Fraction of a column's ``[min, max]`` statistics span inside ``[low, high]``.
+
+    ``None`` leaves a side open.  Exact interval arithmetic needs numeric
+    bounds *and* numeric min/max statistics; anything else falls back to
+    :data:`RANGE_DEFAULT`.
+    """
     if column_stats is None:
         return RANGE_DEFAULT
     lo_stat = _numeric(column_stats.min_value)
@@ -87,23 +113,24 @@ def range_fraction(
     if lo_stat is None or hi_stat is None:
         return RANGE_DEFAULT
 
-    low, high = lo_stat, hi_stat
-    for bound in bounds:
-        value, known = literal_value(bound.expr)
-        number = _numeric(value) if known else None
+    lower, upper = lo_stat, hi_stat
+    if low is not None:
+        number = _numeric(low)
         if number is None:
             return RANGE_DEFAULT
-        if bound.side == "lower":
-            low = max(low, number)
-        else:
-            high = min(high, number)
+        lower = max(lower, number)
+    if high is not None:
+        number = _numeric(high)
+        if number is None:
+            return RANGE_DEFAULT
+        upper = min(upper, number)
 
-    if high < low:
+    if upper < lower:
         return 0.0
     width = hi_stat - lo_stat
     if width <= 0:
         return 1.0  # single-valued column: the interval either hits or missed
-    return max(0.0, min(1.0, (high - low) / width))
+    return max(0.0, min(1.0, (upper - lower) / width))
 
 
 def conjunct_selectivity(stats, conjunct: Expression, label: str) -> float:

@@ -32,6 +32,7 @@ from repro.sqldb.ast_nodes import (
     SelectStatement,
 )
 from repro.sqldb.expressions import EvalContext, evaluate
+from repro.sqldb.planner import cost
 from repro.sqldb.planner.render import render_expression
 from repro.sqldb.rows import make_row, merge_rows
 from repro.sqldb.table import _key_of
@@ -390,6 +391,15 @@ class IndexRangeScan(PlanNode):
     be matched against the index degrades to a full scan under
     ``full_predicate`` (re-sorted when ``ordered``), and a bound that can
     never admit rows returns the empty result.
+
+    An unordered walk is re-sized on every execution: the planner's width
+    rule (:data:`~repro.sqldb.planner.cost.RANGE_SCAN_THRESHOLD`) is applied
+    to the bound values and the table's current statistics, and a too-wide
+    interval takes the same full-scan fallback.  This is what sizes ``$n``
+    bounds, which the planner cannot; literal bounds already passed the rule
+    at plan time.  An ordered walk never falls back by width: it replaces
+    a sort at any width, and a wide literal range is served the same way
+    (a walk over all rows with the range as residual filter).
     """
 
     table_name: str
@@ -485,6 +495,16 @@ class IndexRangeScan(PlanNode):
                     high_value = part
             if empty:
                 return columns, []
+            if (
+                mode == "range"
+                and self.ordered is None
+                and table.stats is not None
+                and cost.interval_fraction(
+                    table.stats.column(self.column), low_value, high_value
+                )
+                > cost.RANGE_SCAN_THRESHOLD
+            ):
+                mode = "scan"
 
         if mode == "scan":
             rows = _scan_rows(label, names, raw)

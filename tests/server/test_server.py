@@ -310,6 +310,21 @@ class TestShutdown:
         with pytest.raises((ConnectionError, OSError, ServerError)):
             repro.client.connect("repro://127.0.0.1:%d" % 1, connect_timeout=0.5)
 
+    def test_shutdown_is_prompt_and_leaves_no_threads(self):
+        # Regression: close() alone never woke the blocked accept(), so every
+        # shutdown waited out its full join timeout and leaked the thread.
+        server = serve()
+        idle = repro.client.connect(server.url)
+        assert idle.execute("SELECT 1").fetchone() == [1]
+        started = time.perf_counter()
+        server.shutdown()
+        assert time.perf_counter() - started < 0.5
+        leftover = [
+            t.name for t in threading.enumerate() if t.name.startswith("repro-server-")
+        ]
+        assert leftover == []
+        idle.close()
+
     def test_context_manager_serves_and_shuts_down(self):
         with ReproServer(Database()) as srv:
             with repro.client.connect(srv.url) as c:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from repro.errors import SqlCatalogError
 from repro.sqldb import Database, connect
+from repro.sqldb.planner.nodes import IndexRangeScan
+from repro.sqldb.storage.btree import OrderedIndex
 
 
 @pytest.fixture()
@@ -428,6 +431,34 @@ CORPUS_TEMPLATES = [
 
 CORPUS_CITIES = ["aalborg", "aarhus", "odense", "esbjerg", "ribe"]
 
+#: Numeric template placeholders; the ``$n``-bound corpus binds each one.
+_NUMERIC_PLACEHOLDER = re.compile(r"\{(n|m|k|o|d1|d2)\}")
+
+
+def _parameterized(template: str, values: dict):
+    """The template with every numeric placeholder bound as the next ``$n``."""
+    params = []
+
+    def bind(match):
+        params.append(values[match.group(1)])
+        return f"${len(params)}"
+
+    return _NUMERIC_PLACEHOLDER.sub(bind, template).format(**values), params
+
+
+@pytest.fixture()
+def index_walks(monkeypatch):
+    """Names of the B-tree indexes each range walk used, in call order."""
+    walks = []
+    original = OrderedIndex.range_positions
+
+    def counting(self, *args, **kwargs):
+        walks.append(self.name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(OrderedIndex, "range_positions", counting)
+    return walks
+
 
 def _build_corpus_db(seed: int, stats_mode: str) -> Database:
     """People/cities/visits with btree + hash indexes and 10% NULL ages.
@@ -514,7 +545,7 @@ class TestRandomizedCorpus:
         db = _build_corpus_db(seed, stats_mode)
         rng = random.Random(0xDECADE + seed)
         for template in CORPUS_TEMPLATES:
-            sql = template.format(
+            values = dict(
                 n=rng.randint(18, 40),
                 m=rng.randint(30, 50),
                 k=rng.randint(1, 9),
@@ -523,16 +554,61 @@ class TestRandomizedCorpus:
                 d2=rng.randint(5, 14),
                 city=rng.choice(CORPUS_CITIES + ["ghosttown"]),
             )
+            sql = template.format(**values)
             planned, naive = _run_both(db, sql)
             assert planned == naive, f"seed={seed} stats={stats_mode}: {sql}"
 
-    @pytest.mark.parametrize("stats_mode", ["none", "fresh"])
+            # The same query with its numbers bound as $n: bounds unknown
+            # at plan time, so range walks decide their width per execution.
+            param_sql, params = _parameterized(template, values)
+            if params:
+                bound_planned, bound_naive = _run_both(db, param_sql, params)
+                assert bound_planned == bound_naive, (
+                    f"seed={seed} stats={stats_mode}: {param_sql} {params}"
+                )
+                assert bound_planned == planned, f"{param_sql} {params} vs {sql}"
+
+    @pytest.mark.parametrize("stats_mode", ["none", "fresh", "stale"])
     def test_parameterized_range_bounds_match_naive(self, stats_mode):
         db = _build_corpus_db(99, stats_mode)
         sql = "SELECT * FROM people WHERE age BETWEEN $1 AND $2 ORDER BY age, id"
         for params in ([20, 30], [30, 20], [None, 40], [18, None], [25.5, 25.5]):
             planned, naive = _run_both(db, sql, params)
             assert planned == naive, params
+
+    @pytest.mark.parametrize("stats_mode", ["none", "fresh", "stale"])
+    def test_one_cached_plan_crosses_walk_and_scan(self, stats_mode, index_walks):
+        """One statement text, bindings on both sides of the width threshold.
+
+        Ages span 18..45, so [20, 22] keeps ~7% of the range (walk) and
+        [18, 45] all of it (sequential scan).  Under statistics the cached
+        plan must switch access path per execution and back; without them
+        it always walks.  Every result, row order included, equals the
+        naive pipeline's.
+        """
+        db = _build_corpus_db(5, stats_mode)
+        sql = "SELECT * FROM people WHERE age BETWEEN $1 AND $2"
+        statement = db._parse_cached(sql)
+        sequence = [
+            ("narrow", [20, 22]),
+            ("wide", [18, 45]),
+            ("narrow", [20, 22]),
+            ("null", [None, 30]),
+            ("reversed", [30, 20]),
+            ("text", ["20", "30"]),
+        ]
+        plans = set()
+        walked = {}
+        for label, params in sequence:
+            before = len(index_walks)
+            planned, naive = _run_both(db, sql, params)
+            assert planned == naive, (stats_mode, label, params)
+            plans.add(id(db.plan_select(statement)))
+            walked.setdefault(label, []).append(len(index_walks) > before)
+        assert len(plans) == 1  # one cached plan served every binding
+        assert walked["narrow"] == [True, True]
+        assert walked["wide"] == [stats_mode == "none"]
+        assert walked["null"] == walked["text"] == [False]
 
     def test_dml_between_queries_keeps_equivalence(self):
         """Interleaved DML (index maintenance) must never desync the index."""
@@ -597,6 +673,9 @@ GOLDEN_JOIN_SQL = (
     "SELECT name, region, day FROM visits, people, cities "
     "WHERE people.city = cities.city AND visits.pid = people.id AND day < 3"
 )
+GOLDEN_PARAM_RANGE_SQL = "SELECT * FROM people WHERE age BETWEEN $1 AND $2"
+GOLDEN_WIDE_RANGE_SQL = "SELECT * FROM people WHERE age BETWEEN 18 AND 35"
+GOLDEN_PARAM_TOPK_SQL = "SELECT * FROM people WHERE age > $1 ORDER BY age LIMIT 3"
 
 
 class TestExplainGolden:
@@ -645,6 +724,64 @@ class TestExplainGolden:
             "      ->  Scan people (rows=40)\n"
             "    ->  IndexRangeScan visits USING idx_visits_day (day < 3) (rows=28)"
         )
+
+    def test_parameterized_range_snapshot(self, analyzed_db):
+        # $n bounds are unknown at plan time: the walk is planned and each
+        # execution checks the interval width (estimate uses the 1/3 default).
+        assert plan_text(analyzed_db, GOLDEN_PARAM_RANGE_SQL) == (
+            "Project (*)\n"
+            "->  IndexRangeScan people USING idx_people_age "
+            "(age >= $1 AND age <= $2) (rows=13)"
+        )
+
+    def test_wide_literal_range_stays_a_scan(self, analyzed_db):
+        assert plan_text(analyzed_db, GOLDEN_WIDE_RANGE_SQL) == (
+            "Project (*)\n"
+            "->  Scan people (rows=36) (filter: age BETWEEN 18 AND 35)"
+        )
+
+    def test_drop_index_sends_cached_plan_to_scan(self, analyzed_db):
+        sql = GOLDEN_PARAM_RANGE_SQL
+        expected = analyzed_db.execute(sql, [20, 22]).rows
+        statement = analyzed_db._parse_cached(sql)
+        cached = analyzed_db.plan_select(statement)
+        analyzed_db.execute("DROP INDEX idx_people_age")
+        assert plan_text(analyzed_db, sql) == (
+            "Project (*)\n"
+            "->  Scan people (rows=13) (filter: age BETWEEN $1 AND $2)"
+        )
+        # A plan built before the drop still runs: the missing index sends
+        # it to the full-scan fallback with identical rows.
+        statement.plan_cache_entry = (analyzed_db, analyzed_db.catalog_version, cached)
+        assert analyzed_db.plan_select(statement) is cached
+        assert analyzed_db.execute(sql, [20, 22]).rows == expected
+        planned, naive = _run_both(analyzed_db, sql, [20, 22])
+        assert planned == naive
+
+    def test_parameterized_topk_keeps_early_exit(
+        self, analyzed_db, monkeypatch, index_walks
+    ):
+        assert plan_text(analyzed_db, GOLDEN_PARAM_TOPK_SQL) == (
+            "Limit (limit=3)\n"
+            "->  Project (*)\n"
+            "  ->  IndexRangeScan people USING idx_people_age (age > $1) "
+            "ORDER BY age ASC (top-k) (rows=13)"
+        )
+        emitted = []
+        original = IndexRangeScan.execute
+
+        def counting(self, rt, outer_row=None):
+            columns, rows = original(self, rt, outer_row)
+            emitted.append(len(rows))
+            return columns, rows
+
+        monkeypatch.setattr(IndexRangeScan, "execute", counting)
+        # age > 18 keeps 38 of 40 rows - far past the width threshold - yet
+        # the ordered walk is kept and stops after the top 3.
+        planned, naive = _run_both(analyzed_db, GOLDEN_PARAM_TOPK_SQL, [18])
+        assert planned == naive
+        assert index_walks == ["idx_people_age"]
+        assert emitted == [3]
 
 
 class TestStatsMissingFallback:
