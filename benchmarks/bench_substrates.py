@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import PgFmu
+from repro.core import Session
 from repro.data import generate_hp1_dataset, load_dataset
 from repro.estimation import Estimation
 from repro.fmi import load_fmu
@@ -90,7 +90,7 @@ def test_global_search_cost_dominates_local(benchmark):
 
 def test_fmu_create_catalogue_cost(benchmark):
     """Cost of registering a model instance in the catalogue (fmu_create)."""
-    session = PgFmu(register_ml=False)
+    session = Session(register_ml=False)
     dataset = generate_hp1_dataset(hours=24, seed=9)
     load_dataset(session.database, dataset, table_name="measurements")
     counter = {"next": 0}

@@ -6,7 +6,7 @@ scaling roadmap plugs into - async sessions, multi-backend, caching):
 1. **Driver layer** - :func:`repro.connect` returns a PEP-249-style
    :class:`~repro.sqldb.connection.Connection` with cursors, parameter
    binding, ``executemany``, and transactions, all delegated to the SQL
-   engine.  :meth:`PgFmu.sql` is a deprecated shim over this layer.
+   engine; :meth:`Session.execute` is the one-call shortcut.
 2. **Object layer** - :meth:`Session.create` returns a fluent
    :class:`~repro.core.handles.InstanceHandle`
    (``inst.set_initial(...).set_bounds(...).simulate(...)``), and
@@ -19,16 +19,14 @@ scaling roadmap plugs into - async sessions, multi-backend, caching):
    :meth:`~repro.sqldb.database.Database.install_extension` and listed by
    the ``fmu_extensions()`` set-returning function.
 
-:class:`Session` is the modern surface.  :class:`PgFmu` extends it with the
-original stringly-typed methods, kept as thin deprecated shims (each warns
-once per session) so the paper's scripts and the seed tests run unchanged.
+:class:`Session` is the one Python surface: the paper harness, the
+workflows and the tests all build on it, its handles and
+:meth:`~repro.sqldb.database.Database.install_extension`.
 """
 
 from __future__ import annotations
 
-import functools
-import warnings
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.catalog import ModelCatalog
 from repro.core.handles import InstanceHandle, ModelHandle
@@ -94,7 +92,6 @@ class Session:
         seed: int = 1,
         register_ml: bool = True,
     ):
-        self._warned_shims: set = set()
         self.database = database if database is not None else Database()
         self.catalog = ModelCatalog(self.database, storage_dir=storage_dir)
         self.instances = InstanceManager(self.catalog)
@@ -250,108 +247,3 @@ class Session:
     def extensions(self) -> List[str]:
         """Names of the extensions installed on the session's database."""
         return [ext.name for ext in self.database.extensions()]
-
-
-def _deprecated_shim(replacement: str) -> Callable:
-    """Mark a :class:`PgFmu` method as a shim over the layered API.
-
-    The first call per session emits a :class:`DeprecationWarning` naming the
-    replacement; the shim then delegates, so results stay identical to the
-    new API.
-    """
-
-    def decorator(method: Callable) -> Callable:
-        name = method.__name__
-
-        @functools.wraps(method)
-        def wrapper(self, *args, **kwargs):
-            if name not in self._warned_shims:
-                self._warned_shims.add(name)
-                warnings.warn(
-                    f"PgFmu.{name}() is deprecated; use {replacement} instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            return method(self, *args, **kwargs)
-
-        wrapper.__deprecated_replacement__ = replacement
-        return wrapper
-
-    return decorator
-
-
-class PgFmu(Session):
-    """The original monolithic facade, kept as deprecated shims.
-
-    Every method below delegates to the layered API (driver connection or
-    instance/model handles) and emits a :class:`DeprecationWarning` once per
-    session.  Because handles subclass :class:`str`, each shim returns a
-    value equal to what the pre-redesign facade returned.
-    """
-
-    # ------------------------------------------------------------------ #
-    # SQL passthrough (driver layer shim)
-    # ------------------------------------------------------------------ #
-    @_deprecated_shim("Session.execute() or repro.connect()/Cursor")
-    def sql(self, query: str, params: Optional[Sequence[Any]] = None) -> ResultSet:
-        """Execute a SQL statement against the session's database."""
-        return self.execute(query, params)
-
-    # ------------------------------------------------------------------ #
-    # Model / instance management (object layer shims)
-    # ------------------------------------------------------------------ #
-    @_deprecated_shim("InstanceHandle.copy()")
-    def copy(self, instance_id: str, new_instance_id: Optional[str] = None) -> str:
-        """``fmu_copy``: duplicate an instance including its values."""
-        return self.instance(instance_id).copy(new_instance_id)
-
-    @_deprecated_shim("InstanceHandle.delete()")
-    def delete_instance(self, instance_id: str) -> str:
-        """``fmu_delete_instance``."""
-        return self.instance(instance_id).delete()
-
-    @_deprecated_shim("ModelHandle.delete()")
-    def delete_model(self, model_id: str) -> str:
-        """``fmu_delete_model`` (cascades to all instances)."""
-        return self.model(model_id).delete()
-
-    @_deprecated_shim("InstanceHandle.variables()")
-    def variables(self, instance_id: str) -> List[Dict[str, Any]]:
-        """``fmu_variables`` as a list of dict rows."""
-        return self.instance(instance_id).variables()
-
-    @_deprecated_shim("InstanceHandle.get()")
-    def get(self, instance_id: str, var_name: str) -> Dict[str, Any]:
-        """``fmu_get``: initial/min/max values of one variable."""
-        return self.instance(instance_id).get(var_name)
-
-    @_deprecated_shim("InstanceHandle.set_initial()")
-    def set_initial(self, instance_id: str, var_name: str, value: Any) -> str:
-        """``fmu_set_initial``."""
-        return self.instance(instance_id).set_initial(var_name, value)
-
-    @_deprecated_shim("InstanceHandle.set_minimum()")
-    def set_minimum(self, instance_id: str, var_name: str, value: Any) -> str:
-        """``fmu_set_minimum``."""
-        return self.instance(instance_id).set_minimum(var_name, value)
-
-    @_deprecated_shim("InstanceHandle.set_maximum()")
-    def set_maximum(self, instance_id: str, var_name: str, value: Any) -> str:
-        """``fmu_set_maximum``."""
-        return self.instance(instance_id).set_maximum(var_name, value)
-
-    @_deprecated_shim("InstanceHandle.reset()")
-    def reset(self, instance_id: str) -> str:
-        """``fmu_reset``: restore the model's initial values for an instance."""
-        return self.instance(instance_id).reset()
-
-    @_deprecated_shim("InstanceHandle.simulate_rows() or Session.simulate_many()")
-    def simulate_rows(
-        self,
-        instance_id: str,
-        input_sql: Optional[str] = None,
-        time_from: Optional[float] = None,
-        time_to: Optional[float] = None,
-    ) -> List[List[Any]]:
-        """``fmu_simulate`` returning long-format rows (the SQL UDF shape)."""
-        return self.instance(instance_id).simulate_rows(input_sql, time_from, time_to)

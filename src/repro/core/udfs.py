@@ -31,7 +31,6 @@ series for every instance instead of re-running it N times.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, List, Optional
 
 from repro.errors import PgFmuError, SqlTypeError
@@ -285,19 +284,3 @@ def _pgfmu_factory(database, **options) -> Extension:
 
 
 register_extension_factory("pgfmu", _pgfmu_factory)
-
-
-def register_pgfmu_udfs(session) -> None:
-    """Deprecated: install the ``pgfmu`` extension instead.
-
-    Kept as a thin shim so pre-extension callers keep working::
-
-        session.database.install_extension(pgfmu_extension(session))
-    """
-    warnings.warn(
-        "register_pgfmu_udfs() is deprecated; use "
-        "database.install_extension(pgfmu_extension(session)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    session.database.install_extension(pgfmu_extension(session))

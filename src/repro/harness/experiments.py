@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.baseline.code_metrics import code_lines_table, totals
-from repro.core.session import PgFmu
+from repro.core.session import Session
 from repro.data.classroom import generate_classroom_dataset
 from repro.data.generators import generate_dataset_for
 from repro.data.loaders import load_dataset
@@ -113,7 +113,7 @@ def table2_feature_matrix() -> ExperimentResult:
 # --------------------------------------------------------------------------- #
 def table3_variables_example() -> ExperimentResult:
     """``fmu_variables`` output for the running-example heat pump instance."""
-    session = PgFmu(register_ml=False)
+    session = Session(register_ml=False)
     session.create(heat_pump_abcde_source(), "HP1Instance1")
     result = session.execute(
         "SELECT * FROM fmu_variables('HP1Instance1') AS f WHERE f.vartype = 'parameter'"
@@ -129,7 +129,7 @@ def table3_variables_example() -> ExperimentResult:
 
 def table4_simulate_example(hours: float = 48.0) -> ExperimentResult:
     """``fmu_simulate`` long-format output for the running-example instance."""
-    session = PgFmu(register_ml=False)
+    session = Session(register_ml=False)
     dataset = generate_hp1_dataset(hours=int(hours))
     load_dataset(session.database, dataset, table_name="measurements")
     archive_path = session.catalog.storage_dir / "hp1_table4.fmu"
@@ -294,7 +294,7 @@ def figure6_threshold_sweep(
     ga_options = ga_options or {"population_size": 16, "generations": 10}
     local_options = local_options or {"max_iterations": 40}
 
-    session = PgFmu(ga_options=ga_options, local_options=local_options, seed=seed)
+    session = Session(ga_options=ga_options, local_options=local_options, seed=seed)
     base = generate_dataset_for("HP1", hours=hours, seed=seed + 100)
     load_dataset(session.database, base, table_name="measurements_ref")
     archive_path = session.catalog.storage_dir / "hp1_fig6.fmu"
@@ -449,7 +449,7 @@ def madlib_occupancy_experiment(
     """ARIMA-predicted occupancy improves the Classroom FMU's accuracy."""
     spec = get_model_spec("Classroom")
     ga_options = ga_options or {"population_size": 16, "generations": 8}
-    session = PgFmu(ga_options=ga_options, seed=seed)
+    session = Session(ga_options=ga_options, seed=seed)
     dataset = generate_classroom_dataset(hours=hours, seed=seed + 10)
     load_dataset(session.database, dataset, table_name="classroom")
 
@@ -527,7 +527,7 @@ def madlib_occupancy_experiment(
 def madlib_damper_experiment(hours: float = 168.0, seed: int = 6) -> ExperimentResult:
     """The FMU-simulated indoor temperature improves the damper classifier."""
     spec = get_model_spec("Classroom")
-    session = PgFmu(seed=seed)
+    session = Session(seed=seed)
     dataset = generate_classroom_dataset(hours=hours, seed=seed + 20)
     load_dataset(session.database, dataset, table_name="classroom")
 
@@ -595,7 +595,7 @@ def madlib_damper_experiment(hours: float = 168.0, seed: int = 6) -> ExperimentR
     )
 
 
-def _train_and_score(session: PgFmu, model_table: str, features: str) -> float:
+def _train_and_score(session: Session, model_table: str, features: str) -> float:
     session.execute(
         "SELECT logregr_train('damper_train', $1, 'damper_open', $2)",
         [model_table, features],

@@ -26,7 +26,7 @@ algorithms from scratch and exposes them through the same kind of SQL UDFs:
 from repro.ml.arima import ArimaModel, ArimaOrder
 from repro.ml.linear import LinearRegression
 from repro.ml.logistic import LogisticRegression
-from repro.ml.udfs import MADLIB_EXTENSION, register_ml_udfs
+from repro.ml.udfs import MADLIB_EXTENSION
 
 __all__ = [
     "ArimaModel",
@@ -34,5 +34,4 @@ __all__ = [
     "LinearRegression",
     "LogisticRegression",
     "MADLIB_EXTENSION",
-    "register_ml_udfs",
 ]

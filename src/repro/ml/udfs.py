@@ -4,8 +4,7 @@ The routines are packaged as the ``"madlib"`` extension
 (:data:`MADLIB_EXTENSION`) and installed with
 ``database.install_extension("madlib")`` - exactly how a PostgreSQL
 deployment would ``CREATE EXTENSION madlib``.  ``Session(register_ml=True)``
-is shimmed onto that call, and the legacy :func:`register_ml_udfs` is a
-deprecated alias for it.
+makes that same call.
 
 Registered functions (all callable from plain SQL):
 
@@ -32,7 +31,6 @@ model catalogue remains inspectable with plain SQL, mirroring MADlib.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -318,13 +316,3 @@ def _madlib_factory(database: Database, **options: Any) -> Extension:
 
 
 register_extension_factory("madlib", _madlib_factory)
-
-
-def register_ml_udfs(database: Database) -> None:
-    """Deprecated: use ``database.install_extension("madlib")`` instead."""
-    warnings.warn(
-        'register_ml_udfs() is deprecated; use database.install_extension("madlib") instead',
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    database.install_extension("madlib")

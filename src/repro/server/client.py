@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import repro.errors as _errors
 from repro.errors import ProtocolError, ReproError, ServerError
 from repro.server import protocol
+from repro.sqldb.connection import BaseCursor
 
 #: PEP-249 module attributes, matching the in-process driver.
 apilevel = "2.0"
@@ -261,44 +262,17 @@ class RemoteConnection:
         return f"RemoteConnection({state}, repro://{self._host}:{self._port}, session={self.session_id})"
 
 
-class RemoteCursor:
+class RemoteCursor(BaseCursor):
     """A DB-API-style cursor over a :class:`RemoteConnection`.
 
     The full result of each statement arrives with the response, so the
-    fetch family and iteration walk a local buffer - semantics match the
-    in-process :class:`~repro.sqldb.connection.Cursor` exactly.
+    fetch family and iteration (shared with the in-process
+    :class:`~repro.sqldb.connection.Cursor` through
+    :class:`~repro.sqldb.connection.BaseCursor`) walk the response's rows.
     """
 
-    def __init__(self, connection: RemoteConnection):
-        self._connection = connection
-        self._columns: List[str] = []
-        self._rows: Optional[List[List[Any]]] = None
-        self._position = 0
-        self._rowcount = -1
-        self._closed = False
-        self.arraysize = 1
+    _error = ServerError
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def connection(self) -> RemoteConnection:
-        return self._connection
-
-    @property
-    def description(self) -> Optional[List[Tuple]]:
-        """PEP-249 column descriptions (name first, remaining fields None)."""
-        if self._rows is None or not self._columns:
-            return None
-        return [(name, None, None, None, None, None, None) for name in self._columns]
-
-    @property
-    def rowcount(self) -> int:
-        return self._rowcount
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
     def execute(self, sql: str, params: Optional[Sequence[Any]] = None) -> "RemoteCursor":
         """Execute one statement on the session; returns the cursor."""
         self._check_open()
@@ -333,72 +307,12 @@ class RemoteCursor:
         session (see :meth:`RemoteConnection.cancel`)."""
         self._connection.cancel()
 
-    def _clear(self) -> None:
-        self._columns = []
-        self._rows = None
-        self._position = 0
-        self._rowcount = -1
-
     def _load(self, response: Dict[str, Any]) -> None:
-        self._columns = list(response.get("columns") or [])
-        self._rows = list(response.get("rows") or [])
-        self._rowcount = response.get("rowcount", -1)
-
-    # ------------------------------------------------------------------ #
-    # Fetching
-    # ------------------------------------------------------------------ #
-    def fetchone(self) -> Optional[List[Any]]:
-        self._check_result()
-        if self._position >= len(self._rows):
-            return None
-        row = self._rows[self._position]
-        self._position += 1
-        return row
-
-    def fetchmany(self, size: Optional[int] = None) -> List[List[Any]]:
-        self._check_result()
-        count = self.arraysize if size is None else int(size)
-        rows = self._rows[self._position : self._position + count]
-        self._position += len(rows)
-        return rows
-
-    def fetchall(self) -> List[List[Any]]:
-        self._check_result()
-        rows = self._rows[self._position :]
-        self._position = len(self._rows)
-        return rows
-
-    def __iter__(self) -> Iterator[List[Any]]:
-        return self
-
-    def __next__(self) -> List[Any]:
-        row = self.fetchone()
-        if row is None:
-            raise StopIteration
-        return row
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        self._closed = True
-        self._rows = None
-
-    def __enter__(self) -> "RemoteCursor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServerError("cursor is closed")
-        self._connection._check_open()
-
-    def _check_result(self) -> None:
-        self._check_open()
-        if self._rows is None:
-            raise ServerError("no query has been executed on this cursor")
+        self._set_result(
+            response.get("columns") or [],
+            response.get("rows") or [],
+            response.get("rowcount", -1),
+        )
 
 
 # --------------------------------------------------------------------------- #

@@ -71,12 +71,17 @@ def _object_hook(obj: Dict[str, Any]) -> Any:
     kind = obj.get(_TAG)
     if kind is None:
         return obj
-    if kind == "bytes":
-        return base64.b64decode(obj["b64"])
-    if kind == "timestamp":
-        return datetime.datetime.fromisoformat(obj["iso"])
-    if kind == "variant":
-        return Variant(obj["value"], SqlType(obj["type"]))
+    try:
+        if kind == "bytes":
+            return base64.b64decode(obj["b64"], validate=True)
+        if kind == "timestamp":
+            return datetime.datetime.fromisoformat(obj["iso"])
+        if kind == "variant":
+            return Variant(obj["value"], SqlType(obj["type"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        # A missing field, a wrongly typed one, bad base64, a malformed
+        # timestamp or an unknown SqlType: all one malformed message.
+        raise ProtocolError(f"malformed tagged {kind!r} value: {exc!r}") from exc
     raise ProtocolError(f"unknown tagged value kind {kind!r}")
 
 

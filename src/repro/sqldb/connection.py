@@ -48,7 +48,127 @@ paramstyle = "numeric_dollar"  # positional placeholders, PostgreSQL-style: $1, 
 _UNSET = object()
 
 
-class Cursor:
+class BaseCursor:
+    """The PEP-249 cursor surface both drivers share.
+
+    Holds the last statement's columns, rows and ``rowcount`` and serves the
+    ``fetchone``/``fetchmany``/``fetchall`` family, iteration,
+    ``description``, ``close`` and the context-manager protocol over them.
+    Subclasses implement ``execute``/``executemany``/``cancel``, load each
+    result with :meth:`_set_result`, and name the driver's typed error in
+    :attr:`_error`: :class:`Cursor` (in process) raises
+    :class:`~repro.errors.SqlExecutionError`,
+    :class:`~repro.server.client.RemoteCursor` (over TCP) raises
+    :class:`~repro.errors.ServerError`.
+    """
+
+    _error: type
+
+    def __init__(self, connection: Any):
+        self._connection = connection
+        self._columns: List[str] = []
+        self._rows: Optional[List[List[Any]]] = None
+        self._position = 0
+        self._rowcount = -1
+        self._closed = False
+        self.arraysize = 1
+
+    # ------------------------------------------------------------------ #
+    # Introspection
+    # ------------------------------------------------------------------ #
+    @property
+    def connection(self) -> Any:
+        return self._connection
+
+    @property
+    def description(self) -> Optional[List[Tuple]]:
+        """PEP-249 column descriptions (name first, remaining fields None)."""
+        if self._rows is None or not self._columns:
+            return None
+        return [(name, None, None, None, None, None, None) for name in self._columns]
+
+    @property
+    def rowcount(self) -> int:
+        return self._rowcount
+
+    # ------------------------------------------------------------------ #
+    # Result state (subclasses call these from execute/executemany)
+    # ------------------------------------------------------------------ #
+    def _clear(self) -> None:
+        """Forget the previous result.  Runs before every statement, so a
+        failing one leaves the cursor empty instead of silently serving the
+        prior statement's rows."""
+        self._columns = []
+        self._rows = None
+        self._position = 0
+        self._rowcount = -1
+
+    def _set_result(self, columns: List[str], rows: List[List[Any]], rowcount: int) -> None:
+        self._columns = columns
+        self._rows = rows
+        self._position = 0
+        self._rowcount = rowcount
+
+    # ------------------------------------------------------------------ #
+    # Fetching
+    # ------------------------------------------------------------------ #
+    def fetchone(self) -> Optional[List[Any]]:
+        self._check_result()
+        if self._position >= len(self._rows):
+            return None
+        row = self._rows[self._position]
+        self._position += 1
+        return row
+
+    def fetchmany(self, size: Optional[int] = None) -> List[List[Any]]:
+        self._check_result()
+        count = self.arraysize if size is None else int(size)
+        if count < 0:
+            raise self._error(f"fetchmany size must be non-negative, got {count}")
+        rows = self._rows[self._position : self._position + count]
+        self._position += len(rows)
+        return rows
+
+    def fetchall(self) -> List[List[Any]]:
+        self._check_result()
+        rows = self._rows[self._position :]
+        self._position = len(self._rows)
+        return rows
+
+    def __iter__(self) -> Iterator[List[Any]]:
+        return self
+
+    def __next__(self) -> List[Any]:
+        row = self.fetchone()
+        if row is None:
+            raise StopIteration
+        return row
+
+    # ------------------------------------------------------------------ #
+    # Lifecycle
+    # ------------------------------------------------------------------ #
+    def close(self) -> None:
+        self._closed = True
+        self._clear()
+
+    def __enter__(self) -> "BaseCursor":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise self._error("cursor is closed")
+        self._connection._check_open()
+
+    def _check_result(self) -> None:
+        self._check_open()
+        if self._rows is None:
+            raise self._error("no query has been executed on this cursor")
+
+
+class Cursor(BaseCursor):
     """A DB-API-style cursor bound to a :class:`Connection`.
 
     Supports ``execute``/``executemany``, the ``fetchone``/``fetchmany``/
@@ -69,36 +189,14 @@ class Cursor:
     ``scalar()``).
     """
 
-    def __init__(self, connection: "Connection"):
-        self._connection = connection
-        self._result: Optional[ResultSet] = None
-        self._position = 0
-        self._rowcount = -1
-        self._closed = False
-        self.arraysize = 1
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-    @property
-    def connection(self) -> "Connection":
-        return self._connection
-
-    @property
-    def description(self) -> Optional[List[Tuple]]:
-        """PEP-249 column descriptions (name first, remaining fields None)."""
-        if self._result is None or not self._result.columns:
-            return None
-        return [(name, None, None, None, None, None, None) for name in self._result.columns]
-
-    @property
-    def rowcount(self) -> int:
-        return self._rowcount
+    _error = SqlExecutionError
+    _result: Optional[ResultSet] = None
 
     @property
     def result(self) -> Optional[ResultSet]:
-        """The :class:`ResultSet` of the last ``execute`` (driver extension)."""
-        return self._result
+        """The :class:`ResultSet` of the last ``execute`` (driver extension);
+        None once the cursor is cleared by a failed statement or ``close``."""
+        return None if self._rows is None else self._result
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -106,13 +204,9 @@ class Cursor:
     def execute(self, sql: str, params: Optional[Sequence[Any]] = None) -> "Cursor":
         """Execute one statement; returns the cursor for chaining."""
         self._check_open()
-        # Drop the previous result first: a failing statement must leave the
-        # cursor empty, not silently serving the prior query's rows.
-        self._result = None
-        self._position = 0
-        self._rowcount = -1
-        self._result = self._connection._execute(sql, params)
-        self._rowcount = self._result.rowcount
+        self._clear()
+        self._result = result = self._connection._execute(sql, params)
+        self._set_result(result.columns, result.rows, result.rowcount)
         return self
 
     def cancel(self) -> None:
@@ -144,86 +238,28 @@ class Cursor:
         decides their fate).
         """
         self._check_open()
-        connection = self._connection
+        self._clear()
+        database = self._connection.database
+        result = ResultSet([], [], rowcount=0)
         total = 0
-        self._result = ResultSet([], [], rowcount=0)
-        self._position = 0
-        self._rowcount = 0
-        implicit = not connection.database.in_transaction
+        implicit = not database.in_transaction
         if implicit:
-            connection.database.begin()
+            database.begin()
         try:
             for params in seq_of_params:
-                self._result = connection._execute(sql, params)
-                total += self._result.rowcount
-                self._rowcount = total
+                result = self._connection._execute(sql, params)
+                total += result.rowcount
             if implicit:
-                connection.database.commit()
+                database.commit()
         except BaseException:
-            # Same invariant as execute(): a failure leaves the cursor empty
-            # - and, under the implicit transaction, the table unchanged.
-            if implicit and connection.database.in_transaction:
-                connection.database.rollback()
-            self._result = None
-            self._rowcount = -1
+            # Under the implicit transaction a failure leaves the table
+            # unchanged, just as it leaves the cursor empty.
+            if implicit and database.in_transaction:
+                database.rollback()
             raise
+        self._result = result
+        self._set_result(result.columns, result.rows, total)
         return self
-
-    # ------------------------------------------------------------------ #
-    # Fetching
-    # ------------------------------------------------------------------ #
-    def fetchone(self) -> Optional[List[Any]]:
-        self._check_result()
-        if self._position >= len(self._result.rows):
-            return None
-        row = self._result.rows[self._position]
-        self._position += 1
-        return row
-
-    def fetchmany(self, size: Optional[int] = None) -> List[List[Any]]:
-        self._check_result()
-        count = self.arraysize if size is None else int(size)
-        rows = self._result.rows[self._position : self._position + count]
-        self._position += len(rows)
-        return rows
-
-    def fetchall(self) -> List[List[Any]]:
-        self._check_result()
-        rows = self._result.rows[self._position :]
-        self._position = len(self._result.rows)
-        return rows
-
-    def __iter__(self) -> Iterator[List[Any]]:
-        return self
-
-    def __next__(self) -> List[Any]:
-        row = self.fetchone()
-        if row is None:
-            raise StopIteration
-        return row
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        self._closed = True
-        self._result = None
-
-    def __enter__(self) -> "Cursor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise SqlExecutionError("cursor is closed")
-        self._connection._check_open()
-
-    def _check_result(self) -> None:
-        self._check_open()
-        if self._result is None:
-            raise SqlExecutionError("no query has been executed on this cursor")
 
 
 class Connection:

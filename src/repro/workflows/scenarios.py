@@ -27,7 +27,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.baseline.workflow import PythonWorkflow, WorkflowResult
-from repro.core.session import PgFmu
+from repro.core.session import Session
 from repro.data.generators import generate_dataset_for
 from repro.data.loaders import load_dataset
 from repro.data.synthetic import synthetic_family
@@ -134,7 +134,7 @@ def run_si_scenario(settings: Optional[ScenarioSettings] = None) -> SiScenarioRe
     # pgFMU- and pgFMU+ configurations.
     pgfmu_results = {}
     for use_mi, label in ((False, "pgfmu-"), (True, "pgfmu+")):
-        session = PgFmu(
+        session = Session(
             ga_options=settings.ga_options,
             local_options=settings.local_options,
             seed=settings.seed,
@@ -212,7 +212,7 @@ def run_mi_scenario(settings: Optional[ScenarioSettings] = None) -> MiScenarioRe
     # ---------------- pgFMU- and pgFMU+ ---------------- #
     mi_hits = 0
     for use_mi, label in ((False, "pgfmu-"), (True, "pgfmu+")):
-        session = PgFmu(
+        session = Session(
             ga_options=settings.ga_options,
             local_options=settings.local_options,
             seed=settings.seed,

@@ -1,15 +1,13 @@
 """Tests for the layered public API: driver round-trips, fluent handles,
-the extension registry, deprecated PgFmu shims, and batch simulation."""
+the extension registry, and batch simulation."""
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core import InstanceHandle, ModelHandle, PgFmu, Session
+from repro.core import InstanceHandle, ModelHandle, Session
 from repro.core.udfs import parse_parest_arguments
 from repro.errors import PgFmuError, UnknownInstanceError
 from repro.data.loaders import load_dataset
@@ -253,14 +251,6 @@ class TestExtensions:
         assert db.udfs.table("arima_forecast") is not None
         assert db.has_extension("madlib")
 
-    def test_register_ml_shim_delegates_to_install_extension(self):
-        from repro.ml import register_ml_udfs
-
-        db = Database()
-        with pytest.warns(DeprecationWarning):
-            register_ml_udfs(db)
-        assert db.has_extension("madlib")
-
     def test_session_register_ml_flag_is_shimmed_onto_install(self, tmp_path):
         with_ml = Session(storage_dir=str(tmp_path / "a"), register_ml=True)
         without_ml = Session(storage_dir=str(tmp_path / "b"), register_ml=False)
@@ -403,97 +393,3 @@ class TestParestValidation:
     def test_matched_lengths_pass_through(self):
         ids, queries = parse_parest_arguments("{A, B}", '{"SELECT 1", "SELECT 2"}')
         assert queries == ["SELECT 1", "SELECT 2"]
-
-
-# --------------------------------------------------------------------------- #
-# Deprecated PgFmu shims
-# --------------------------------------------------------------------------- #
-class TestDeprecatedShims:
-    @staticmethod
-    def _one_warning(session_method, *args, **kwargs):
-        """Call a shim twice; return (result, warning messages emitted)."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = session_method(*args, **kwargs)
-            session_method(*args, **kwargs)
-        return result, [
-            str(w.message) for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_sql_shim_warns_once_and_matches_execute(self, session_with_data):
-        result, messages = self._one_warning(session_with_data.sql, "SELECT count(*) FROM measurements")
-        assert len(messages) == 1 and "PgFmu.sql()" in messages[0]
-        assert result.scalar() == session_with_data.execute("SELECT count(*) FROM measurements").scalar()
-
-    def test_readonly_shims_warn_once_and_match_handles(self, session_with_data):
-        inst = session_with_data.instance("HP1Instance1")
-        for shim, args, modern in [
-            (session_with_data.variables, ("HP1Instance1",), inst.variables),
-            (session_with_data.get, ("HP1Instance1", "Cp"), lambda: inst.get("Cp")),
-            (
-                session_with_data.simulate_rows,
-                ("HP1Instance1", "SELECT * FROM measurements"),
-                lambda: inst.simulate_rows("SELECT * FROM measurements"),
-            ),
-        ]:
-            result, messages = self._one_warning(shim, *args)
-            assert len(messages) == 1, f"{shim.__name__}: {messages}"
-            assert f"PgFmu.{shim.__name__}()" in messages[0]
-            assert result == modern()
-
-    def test_mutating_shims_warn_once_and_return_instance_id(self, session_with_data):
-        for shim, args in [
-            (session_with_data.set_initial, ("HP1Instance1", "Cp", 2.0)),
-            (session_with_data.set_minimum, ("HP1Instance1", "Cp", 0.5)),
-            (session_with_data.set_maximum, ("HP1Instance1", "Cp", 6.0)),
-            (session_with_data.reset, ("HP1Instance1",)),
-        ]:
-            result, messages = self._one_warning(shim, *args)
-            assert len(messages) == 1, f"{shim.__name__}: {messages}"
-            assert result == "HP1Instance1"
-
-    def test_lifecycle_shims_warn_once_and_match_handles(self, session_with_data):
-        copied, messages = self._one_warning(session_with_data.copy, "HP1Instance1")
-        assert len(messages) == 1 and "PgFmu.copy()" in messages[0]
-        assert copied in session_with_data.instance_ids()
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            deleted = session_with_data.delete_instance(copied)
-        assert deleted == copied
-        assert any(
-            "PgFmu.delete_instance()" in str(w.message)
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        )
-
-    def test_delete_instance_shim_second_call_raises_without_rewarning(self, session_with_data):
-        clone = session_with_data.instance("HP1Instance1").copy("ShimClone")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            session_with_data.delete_instance(clone)
-            with pytest.raises(UnknownInstanceError):
-                session_with_data.delete_instance(clone)
-        deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
-
-    def test_delete_model_shim(self, session_with_data):
-        model_id = session_with_data.instances.model_id_of("HP1Instance1")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = session_with_data.delete_model(model_id)
-        assert result == model_id
-        assert any(
-            "PgFmu.delete_model()" in str(w.message)
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        )
-
-    def test_warnings_are_per_session(self, session, tmp_path):
-        session.create(hp1_source(), "A1")
-        _, first = self._one_warning(session.variables, "A1")
-        assert len(first) == 1
-        fresh = PgFmu(storage_dir=str(tmp_path / "fresh_storage"), register_ml=False)
-        fresh.create(hp1_source(), "B1")
-        _, second = self._one_warning(fresh.variables, "B1")
-        assert len(second) == 1

@@ -75,6 +75,23 @@ class TestValueCodec:
             protocol.decode_message(evil)
         assert protocol.decode_message(frame[4:]) == {"x": 1}
 
+    @pytest.mark.parametrize(
+        "tagged",
+        [
+            {"__repro__": "bytes"},
+            {"__repro__": "bytes", "b64": 5},
+            {"__repro__": "bytes", "b64": "!!not base64!!"},
+            {"__repro__": "timestamp", "iso": "yesterday"},
+            {"__repro__": "timestamp", "iso": 17},
+            {"__repro__": "variant", "value": 1, "type": "no-such-type"},
+            {"__repro__": "variant", "value": 1},
+        ],
+    )
+    def test_malformed_tagged_value_raises_protocol_error(self, tagged):
+        payload = protocol.encode_message({"x": tagged})[4:]
+        with pytest.raises(ProtocolError, match="malformed tagged"):
+            protocol.decode_message(payload)
+
     def test_non_object_payload_rejected(self):
         with pytest.raises(ProtocolError, match="JSON object"):
             protocol.decode_message(b"[1, 2, 3]")

@@ -11,6 +11,7 @@ every session.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
@@ -25,7 +26,7 @@ from repro.errors import (
     SqlCatalogError,
     TimeoutError,
 )
-from repro.server import ReproServer, serve
+from repro.server import ReproServer, protocol, serve
 from repro.server.client import _parse_url
 from repro.sqldb import Database
 
@@ -69,6 +70,25 @@ class TestHandshake:
         good = repro.client.connect(server.url, token=TOKEN)
         assert good.execute("SELECT 1").fetchone() == [1]
         good.close()
+
+    def test_malformed_hello_leaves_no_thread_exception(self, server, monkeypatch):
+        # Regression: a malformed tagged value in the hello escaped the
+        # handler as a KeyError and killed its thread.
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        host, port = _parse_url(server.url)
+        with socket.create_connection((host, port), timeout=5.0) as raw:
+            hello = {"op": "hello", "token": {"__repro__": "bytes"}}  # no "b64"
+            raw.sendall(protocol.encode_message(hello))
+            assert raw.recv(1) == b""  # the server hangs up on garbage
+        deadline = time.monotonic() + 5.0
+        while any(t.name == "repro-server-conn" for t in threading.enumerate()):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        assert raised == []
+        fresh = repro.client.connect(server.url, token=TOKEN)
+        assert fresh.execute("SELECT 1").fetchone() == [1]
+        fresh.close()
 
     def test_open_server_needs_no_token(self):
         with ReproServer() as srv:
