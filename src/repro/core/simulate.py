@@ -176,9 +176,8 @@ class Simulator:
         ``simulate`` calls would.  Instances are then grouped by model: each
         group of two or more integrates as one ``(N, d)`` batched solve
         (:meth:`FmuModel.simulate_batch`; trajectories match the sequential
-        path to floating-point rounding, and non-batchable systems fall back
-        to it automatically).  Results are keyed by instance id in input
-        order.  Duplicate ids are simulated (and returned) once.
+        path to floating-point rounding).  Results are keyed by instance id
+        in input order.  Duplicate ids are simulated (and returned) once.
         """
         prepared = self.prepare_inputs(input_sql)
         unique_ids = list(dict.fromkeys(str(i) for i in instance_ids))

@@ -78,8 +78,6 @@ class Estimation:
         (:meth:`SimulationObjective.evaluate_population`) instead of one
         simulation per candidate.  Results are identical either way for a
         fixed seed; ``False`` forces the sequential per-candidate loop.
-        Non-batchable models (interpreted path, non-vectorizable kernels)
-        fall back to it automatically.
     retry_policy:
         Optional :class:`~repro.solvers.retry.RetryPolicy` forwarded to the
         objective: diverging candidates walk the degradation ladder before

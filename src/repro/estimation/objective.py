@@ -158,9 +158,8 @@ class SimulationObjective:
         candidate.  Batched values, evaluation counts and cache-hit counts
         are identical to the sequential path; ``False`` forces the
         per-candidate loop (the escape hatch the equivalence corpus and the
-        population benchmark flip).  Models that cannot batch (interpreted
-        path, non-vectorizable kernels) fall back to the sequential loop
-        automatically, as does a batched solve that fails mid-flight.
+        population benchmark flip).  A batched solve that fails mid-flight
+        falls back to the sequential loop automatically.
     retry_policy:
         Optional :class:`~repro.solvers.retry.RetryPolicy` applied when a
         candidate's simulation raises :class:`~repro.errors.SolverError`:
@@ -355,14 +354,6 @@ class SimulationObjective:
     # ------------------------------------------------------------------ #
     # Population evaluation (batched fleet solve)
     # ------------------------------------------------------------------ #
-    def population_batchable(self) -> bool:
-        """Whether candidate populations can run as one batched fleet solve."""
-        system = self.model.ode_system
-        if not system.compiled_enabled:
-            return False
-        kernel = system.kernel
-        return kernel is not None and kernel.supports_batch
-
     def evaluate_population(self, thetas) -> np.ndarray:
         """Score a whole ``(pop, d)`` population of candidate vectors.
 
@@ -385,8 +376,7 @@ class SimulationObjective:
           state the sequential loop's ``simulate`` side effect leaves.
 
         Falls back to the sequential per-candidate loop when
-        ``batch_enabled`` is off, when the model cannot batch (interpreted
-        path or non-vectorizable kernel), or when the batched solve fails
+        ``batch_enabled`` is off, or when the batched solve fails
         mid-flight (the sequential rerun then penalizes the diverging
         candidates with ``inf`` exactly as :meth:`__call__` would).
         """
@@ -399,7 +389,7 @@ class SimulationObjective:
         n_rows = thetas.shape[0]
         if n_rows == 0:
             return np.empty(0)
-        if not (self.batch_enabled and self.population_batchable()):
+        if not self.batch_enabled:
             return np.array([self(theta) for theta in thetas])
 
         errors = np.empty(n_rows)

@@ -12,7 +12,8 @@ implements the same *surface* from scratch:
   expression-based ODE system (state derivatives and output equations as
   arithmetic expressions over parameters, states, inputs and time).
 * :mod:`repro.fmi.kernel` - compiled simulation kernels: the equation
-  payload code-generated into positional-indexing hot-path functions.
+  payload code-generated into the positional-indexing functions every
+  simulation runs.
 * :mod:`repro.fmi.archive` - packing/unpacking ``.fmu`` zip archives.
 * :mod:`repro.fmi.model` - the runtime: instantiate, get/set, simulate.
 * :mod:`repro.fmi.results` - simulation result container.
@@ -29,7 +30,7 @@ from repro.fmi.variables import (
 )
 from repro.fmi.model_description import DefaultExperiment, ModelDescription
 from repro.fmi.dynamics import OdeSystem, StateEquation, OutputEquation
-from repro.fmi.kernel import SimulationKernel, build_kernel
+from repro.fmi.kernel import SimulationKernel
 from repro.fmi.archive import FmuArchive, dump_fmu, read_fmu
 from repro.fmi.model import FmuModel, load_fmu
 from repro.fmi.results import SimulationResult
@@ -45,7 +46,6 @@ __all__ = [
     "StateEquation",
     "OutputEquation",
     "SimulationKernel",
-    "build_kernel",
     "FmuArchive",
     "dump_fmu",
     "read_fmu",

@@ -114,18 +114,15 @@ class OdeSystem:
             expr = CompiledExpression(output.expression)
             expr.validate_names(known)
             self._output_exprs.append(expr)
-        # Code-generated hot-path kernel (see repro.fmi.kernel).  ``None``
-        # when the system is not compilable, in which case evaluation stays
-        # on the interpreted path.  ``compiled_enabled`` is the per-instance
-        # escape hatch used by equivalence tests and benchmarks.
-        from repro.fmi.kernel import build_kernel
+        # The code-generated kernel every simulation runs (see
+        # repro.fmi.kernel); it rejects equations it cannot lower.
+        from repro.fmi.kernel import SimulationKernel
 
-        self.compiled_enabled = True
-        self._kernel = build_kernel(self)
+        self._kernel = SimulationKernel(self)
 
     @property
     def kernel(self):
-        """The compiled :class:`~repro.fmi.kernel.SimulationKernel`, or None."""
+        """The compiled :class:`~repro.fmi.kernel.SimulationKernel`."""
         return self._kernel
 
     # ------------------------------------------------------------------ #
@@ -152,7 +149,8 @@ class OdeSystem:
         return np.array([s.start for s in self.states], dtype=float)
 
     # ------------------------------------------------------------------ #
-    # Evaluation
+    # Interpreted reference evaluation (the oracle the kernel tests use;
+    # simulations run the compiled kernel)
     # ------------------------------------------------------------------ #
     def _namespace(
         self,
@@ -181,14 +179,6 @@ class OdeSystem:
         parameter_values: Mapping[str, float],
     ) -> np.ndarray:
         """Evaluate ``der(x)`` for the whole state vector."""
-        if self.compiled_enabled and self._kernel is not None:
-            kernel = self._kernel
-            u = kernel.input_vector(input_values, parameter_values)
-            p = kernel.parameter_vector(parameter_values)
-            try:
-                return kernel.derivs(float(t), state_vector, u, p)
-            except ZeroDivisionError:
-                raise kernel.division_error() from None
         namespace = self._namespace(t, state_vector, input_values, parameter_values)
         return np.array([expr(namespace) for expr in self._state_exprs], dtype=float)
 
@@ -200,17 +190,6 @@ class OdeSystem:
         parameter_values: Mapping[str, float],
     ) -> Dict[str, float]:
         """Evaluate all output equations at the given state."""
-        if self.compiled_enabled and self._kernel is not None:
-            kernel = self._kernel
-            u = kernel.input_vector(input_values, parameter_values)
-            p = kernel.parameter_vector(parameter_values)
-            try:
-                values = kernel.outputs_scalar(float(t), state_vector, u, p)
-            except ZeroDivisionError:
-                raise kernel.division_error() from None
-            return {
-                name: float(value) for name, value in zip(self.output_names, values)
-            }
         namespace = self._namespace(t, state_vector, input_values, parameter_values)
         return {
             output.name: expr(namespace)

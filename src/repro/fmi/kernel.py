@@ -1,52 +1,48 @@
-"""Compiled simulation kernels: code-generated hot paths for :class:`OdeSystem`.
+"""Compiled simulation kernels: the code-generated equations of an :class:`OdeSystem`.
 
-The interpreted evaluation path (:mod:`repro.fmi.expressions`) rebuilds a
-name->value namespace dict and ``eval``s every state equation on **every**
-right-hand-side call - RK45 makes six of those per step and calibration
-re-simulates the same model thousands of times.  This module plays the role
-of the FMU's compiled C binary: it code-generates one plain Python function
-per model from the already-validated equation ASTs,
+A real FMU ships compiled C code and the simulator runs that code.  This
+module plays the role of the compiled binary: it code-generates plain Python
+functions per model from the already-validated equation ASTs, and every
+simulation runs through them:
 
 * ``derivs(t, x, u, p, out) -> out`` - the scalar ODE right-hand side with
   states/inputs/parameters as positional array indexing (no namespace dict),
-* ``outputs_scalar(t, x, u, p) -> tuple`` - all output equations at one
-  point,
-* ``outputs(t, X, U, p) -> dict of ndarrays`` - all output equations
-  vectorized over a whole trajectory in a single numpy pass, and
-* the **batched fleet pair** ``derivs_batch(t, X, U, P, out)`` /
+* the **batched pair** ``derivs_batch(t, X, U, P, out)`` /
   ``outputs_batch(times, states, inputs, P)`` - the same equations with one
   *row per model instance*: states are an ``(N, d)`` matrix, inputs an
   ``(N, n_u)`` matrix and parameters an ``(N, n_p)`` matrix, so a whole
   fleet integrates through one numpy-vectorized right-hand-side call
   (``t`` may be a scalar shared by all rows, or a per-row vector for
-  solvers whose rows are at different times),
+  solvers whose rows are at different times).  A single simulation
+  evaluates its outputs as a batch of one,
 
-and compiles them under the same sandbox rules as the interpreted path: an
-empty ``__builtins__`` and only the whitelisted math functions.  Named
-constants (``pi``, ``e``) and constant subexpressions are folded at
-generation time.
+and compiles them under the same sandbox rules as the interpreted
+expressions: an empty ``__builtins__`` and only the whitelisted math
+functions.  Named constants (``pi``, ``e``) and constant subexpressions are
+folded at generation time.
+
+Every valid system gets a kernel.  Equations may reference only states,
+inputs, parameters and ``time``: an equation that names an output, calls a
+function whose name a model variable shadows, or calls ``min``/``max`` with
+one argument raises :class:`~repro.errors.FmuFormatError` when the kernel is
+built.  The interpreted evaluator (``OdeSystem.derivatives`` /
+``OdeSystem.evaluate_outputs``) is the reference the tests hold the kernels
+to; no simulation path runs it.
 
 Semantics notes
 ---------------
-* The scalar kernels execute the *same* Python expression as the interpreted
-  path (names merely become array subscripts), so their results are
-  bit-identical to ``CompiledExpression.__call__``.
-* The vectorized output kernel maps the whitelist onto numpy ufuncs and
-  rewrites conditionals/boolean operators into ``np.where`` forms; values
-  match the scalar path to floating-point rounding.  Error behaviour differs
-  in one corner: a division by zero yields ``inf``/``nan`` elements (numpy
-  semantics, warnings suppressed) instead of the interpreted path's
-  :class:`~repro.errors.FmuFormatError`.
-* A system whose equations reference names that are unbound at evaluation
-  time (e.g. an output referenced from another equation) is not compilable;
-  :func:`build_kernel` returns ``None`` and callers keep the interpreted
-  path, which raises the same runtime error it always did.
-* The batched kernels use the vectorized lowering, so their per-row values
-  match the scalar path to floating-point rounding (bit-identical for pure
-  arithmetic; transcendental ufuncs may differ in the last ulp).  When the
-  vectorized lowering fails for an otherwise compilable system,
-  :attr:`SimulationKernel.supports_batch` is False and fleet callers fall
-  back to per-instance scalar kernels.
+* The scalar derivative kernel executes the *same* Python expression as the
+  interpreted reference (names merely become array subscripts), so its
+  results are bit-identical to ``CompiledExpression.__call__``.
+* The batched kernels map the whitelist onto numpy ufuncs and rewrite
+  conditionals/boolean operators into ``np.where`` forms.  The derivative
+  kernel evaluates transcendental functions and ``**`` through the exact
+  scalar callables, so its rows are bit-identical to the scalar kernel;
+  output values match the reference to floating-point rounding.
+* Outputs whose vectorized values are not all finite are re-evaluated point
+  by point on Python floats, so a division by zero raises
+  :class:`~repro.errors.FmuFormatError` exactly as the reference does, while
+  legitimate infinities (float overflow) are kept.
 """
 
 from __future__ import annotations
@@ -65,10 +61,6 @@ from repro.fmi.expressions import (
     CompiledExpression,
     _EVAL_GLOBALS,
 )
-
-
-class _NotCompilable(Exception):
-    """Raised during codegen when an equation cannot be lowered to a kernel."""
 
 
 # --------------------------------------------------------------------------- #
@@ -200,7 +192,7 @@ def _strict_pow(a, b):
     return flat.reshape(a_b.shape)
 
 
-#: Globals of the vectorized output kernel: numpy ufunc equivalents.
+#: Globals of the batched output kernel: numpy ufunc equivalents.
 _VECTOR_GLOBALS: Dict[str, object] = {
     "__builtins__": {},
     "abs": np.abs,
@@ -249,7 +241,8 @@ class _LowerNames(ast.NodeTransformer):
     is valid over arrays.
     """
 
-    def __init__(self, slots: Mapping[str, str], vector: bool):
+    def __init__(self, text: str, slots: Mapping[str, str], vector: bool):
+        self.text = text
         self.slots = dict(slots)
         self.vector = vector
 
@@ -262,26 +255,29 @@ class _LowerNames(ast.NodeTransformer):
             return ast.parse(replacement, mode="eval").body
         if node.id in ALLOWED_CONSTANTS:
             return ast.Constant(value=ALLOWED_CONSTANTS[node.id])
-        raise _NotCompilable(f"name {node.id!r} is not bound at evaluation time")
+        raise FmuFormatError(
+            f"model equation {self.text!r} references {node.id!r}; equations "
+            "may reference only states, inputs, parameters and time"
+        )
 
     def visit_Call(self, node: ast.Call) -> ast.expr:
         # The callee name stays as-is (resolved from the kernel globals);
         # only the arguments are lowered.  A *variable* sharing a whitelisted
         # function's name would shadow it in the interpreted namespace (and
-        # fail at call time there); don't compile that shape.
-        if isinstance(node.func, ast.Name) and node.func.id in self.slots:
-            raise _NotCompilable(
-                f"call target {node.func.id!r} is shadowed by a model variable"
+        # fail at call time there), so that shape is rejected.
+        name = node.func.id
+        if name in self.slots:
+            raise FmuFormatError(
+                f"model equation {self.text!r} calls {name}(), which the model "
+                f"variable {name!r} shadows"
             )
-        if (
-            isinstance(node.func, ast.Name)
-            and node.func.id in ("min", "max")
-            and len(node.args) < 2
-        ):
-            # Single-argument min/max is a runtime TypeError on the
-            # interpreted path; the vectorized reduce helper would silently
-            # accept it, so refuse to compile instead.
-            raise _NotCompilable(f"{node.func.id}() needs at least two arguments")
+        if name in ("min", "max") and len(node.args) < 2:
+            # Single-argument min/max is a runtime TypeError in Python; the
+            # vectorized reduce helper would silently accept it.
+            raise FmuFormatError(
+                f"model equation {self.text!r} calls {name}() with fewer than "
+                "two arguments"
+            )
         node.args = [self.visit(arg) for arg in node.args]
         return node
 
@@ -410,8 +406,9 @@ def _lower(
     text: str, slots: Mapping[str, str], vector: bool, strict_pow: bool = False
 ) -> str:
     """Parse, sandbox-validate, lower and fold one equation into source text."""
-    tree = CompiledExpression._parse(str(text))
-    lowered = _LowerNames(slots, vector).visit(tree.body)
+    text = str(text)
+    tree = CompiledExpression._parse(text)
+    lowered = _LowerNames(text, slots, vector).visit(tree.body)
     folded = _FoldConstants().visit(lowered)
     if strict_pow:
         folded = _StrictPow().visit(folded)
@@ -436,7 +433,10 @@ class SimulationKernel:
     and every generated function indexes those vectors directly instead of
     building a namespace dict.  Scalar kernels unpack ``x`` with ``tolist()``
     so the per-step arithmetic runs on plain Python floats, exactly like the
-    interpreted ``eval`` path.
+    interpreted ``eval`` reference.
+
+    Raises :class:`~repro.errors.FmuFormatError` when an equation cannot be
+    lowered (see the module docstring).
     """
 
     __slots__ = (
@@ -451,7 +451,6 @@ class SimulationKernel:
         "_equation_texts",
         "_derivs",
         "_outputs_scalar",
-        "_outputs_vector",
         "_derivs_batch",
         "_outputs_batch",
     )
@@ -463,8 +462,8 @@ class SimulationKernel:
         self.parameter_names: List[str] = list(system.parameters)
         # Live reference, not a snapshot: callers (e.g. the model builders'
         # _apply_parameters) mutate the system's parameter values in place
-        # after construction, and the interpreted path reads them at call
-        # time - the kernel must see the same defaults.
+        # after construction, and the interpreted reference reads them at
+        # call time - the kernel must see the same defaults.
         self._parameters: Dict[str, float] = system.parameters
         self._equation_texts: List[str] = [s.derivative for s in system.states] + [
             o.expression for o in system.outputs
@@ -475,21 +474,18 @@ class SimulationKernel:
         from repro.fmi.dynamics import TIME_NAME
 
         scalar_slots = {TIME_NAME: "_t"}
-        vector_slots = {TIME_NAME: "_t"}
         batch_slots = {TIME_NAME: "_t"}
         for i, name in enumerate(self.state_names):
             scalar_slots[name] = f"_x[{i}]"
-            vector_slots[name] = f"_X[:, {i}]"
             batch_slots[name] = f"_X[:, {i}]"
         for i, name in enumerate(self.input_names):
             scalar_slots[name] = f"_u[{i}]"
-            vector_slots[name] = f"_U[:, {i}]"
             batch_slots[name] = f"_U[:, {i}]"
         for i, name in enumerate(self.parameter_names):
             scalar_slots[name] = f"_p[{i}]"
-            vector_slots[name] = f"_p[{i}]"
             batch_slots[name] = f"_P[:, {i}]"
 
+        returns = "".join(f"_y{i}, " for i in range(len(system.outputs)))
         derivs_lines = ["def _derivs(_t, _x, _u, _p, _out):", "    _x = _x.tolist()"]
         for i, state in enumerate(system.states):
             derivs_lines.append(
@@ -497,68 +493,43 @@ class SimulationKernel:
             )
         derivs_lines.append("    return _out")
 
+        # Scalar outputs back the pointwise re-evaluation of rows whose
+        # vectorized values are not all finite (see outputs_batch).
         out_scalar_lines = ["def _outputs_scalar(_t, _x, _u, _p):", "    _x = _x.tolist()"]
-        out_vector_lines = ["def _outputs_vector(_t, _X, _U, _p, _n):"]
-        returns_scalar: List[str] = []
-        returns_vector: List[str] = []
         for i, output in enumerate(system.outputs):
             out_scalar_lines.append(
                 f"    _y{i} = {_lower(output.expression, scalar_slots, vector=False)}"
             )
-            out_vector_lines.append(
-                f"    _y{i} = _bcast({_lower(output.expression, vector_slots, vector=True)}, _n)"
-            )
-            returns_scalar.append(f"_y{i}")
-            returns_vector.append(f"_y{i}")
-        out_scalar_lines.append(f"    return ({', '.join(returns_scalar)}{',' if returns_scalar else ''})")
-        out_vector_lines.append(f"    return ({', '.join(returns_vector)}{',' if returns_vector else ''})")
-
-        derivs_source = "\n".join(derivs_lines)
-        out_scalar_source = "\n".join(out_scalar_lines)
-        out_vector_source = "\n".join(out_vector_lines)
-        sources = [derivs_source, out_scalar_source, out_vector_source]
-
-        self._derivs = _compile_function(derivs_source, _SCALAR_GLOBALS, "_derivs")
-        self._outputs_scalar = _compile_function(
-            out_scalar_source, _SCALAR_GLOBALS, "_outputs_scalar"
-        )
-        self._outputs_vector = _compile_function(
-            out_vector_source, _VECTOR_GLOBALS, "_outputs_vector"
-        )
+        out_scalar_lines.append(f"    return ({returns})")
 
         # Batched fleet kernels: one row per instance, parameters as a
-        # per-row matrix.  Generated separately so a system whose equations
-        # resist the vectorized lowering keeps its scalar kernels and merely
-        # reports supports_batch=False (fleet callers then fall back to
-        # per-instance integration).
-        self._derivs_batch = None
-        self._outputs_batch = None
-        try:
-            db_lines = ["def _derivs_batch(_t, _X, _U, _P, _out):"]
-            for i, state in enumerate(system.states):
-                db_lines.append(
-                    f"    _out[:, {i}] = "
-                    f"{_lower(state.derivative, batch_slots, vector=True, strict_pow=True)}"
-                )
-            db_lines.append("    return _out")
-            ob_lines = ["def _outputs_batch(_t, _X, _U, _P, _n):"]
-            returns_batch: List[str] = []
-            for i, output in enumerate(system.outputs):
-                ob_lines.append(
-                    f"    _y{i} = _bcast({_lower(output.expression, batch_slots, vector=True)}, _n)"
-                )
-                returns_batch.append(f"_y{i}")
-            ob_lines.append(
-                f"    return ({', '.join(returns_batch)}{',' if returns_batch else ''})"
+        # per-row matrix.
+        db_lines = ["def _derivs_batch(_t, _X, _U, _P, _out):"]
+        for i, state in enumerate(system.states):
+            db_lines.append(
+                f"    _out[:, {i}] = "
+                f"{_lower(state.derivative, batch_slots, vector=True, strict_pow=True)}"
             )
-            db_source = "\n".join(db_lines)
-            ob_source = "\n".join(ob_lines)
-            self._derivs_batch = _compile_function(db_source, _BATCH_GLOBALS, "_derivs_batch")
-            self._outputs_batch = _compile_function(ob_source, _VECTOR_GLOBALS, "_outputs_batch")
-            sources += [db_source, ob_source]
-        except _NotCompilable:
-            self._derivs_batch = None
-            self._outputs_batch = None
+        db_lines.append("    return _out")
+        ob_lines = ["def _outputs_batch(_t, _X, _U, _P, _n):"]
+        for i, output in enumerate(system.outputs):
+            ob_lines.append(
+                f"    _y{i} = _bcast({_lower(output.expression, batch_slots, vector=True)}, _n)"
+            )
+        ob_lines.append(f"    return ({returns})")
+
+        sources = [
+            "\n".join(lines)
+            for lines in (derivs_lines, out_scalar_lines, db_lines, ob_lines)
+        ]
+        self._derivs = _compile_function(sources[0], _SCALAR_GLOBALS, "_derivs")
+        self._outputs_scalar = _compile_function(
+            sources[1], _SCALAR_GLOBALS, "_outputs_scalar"
+        )
+        self._derivs_batch = _compile_function(sources[2], _BATCH_GLOBALS, "_derivs_batch")
+        self._outputs_batch = _compile_function(
+            sources[3], _VECTOR_GLOBALS, "_outputs_batch"
+        )
         self.source = "\n\n".join(sources)
 
     # ------------------------------------------------------------------ #
@@ -582,23 +553,6 @@ class SimulationKernel:
             dtype=float,
         ).reshape(len(overrides_per_row), len(self.parameter_names))
 
-    def input_vector(
-        self,
-        input_values: Mapping[str, float],
-        parameter_values: Optional[Mapping[str, float]] = None,
-    ) -> List[float]:
-        """Input values in kernel order, with the interpreted path's defaulting
-        (missing inputs fall back to ``parameter_values``, then to 0.0)."""
-        values: List[float] = []
-        for name in self.input_names:
-            if name in input_values:
-                values.append(float(input_values[name]))
-            elif parameter_values is not None and name in parameter_values:
-                values.append(float(parameter_values[name]))
-            else:
-                values.append(0.0)
-        return values
-
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
@@ -615,53 +569,6 @@ class SimulationKernel:
             out = np.empty(self.n_states)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return self._derivs(t, x, u, p, out)
-
-    def outputs_scalar(
-        self, t: float, x: np.ndarray, u: Sequence[float], p: Sequence[float]
-    ) -> Tuple[float, ...]:
-        """Evaluate all output equations at one point."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self._outputs_scalar(t, x, u, p)
-
-    def outputs(
-        self,
-        times: np.ndarray,
-        states: np.ndarray,
-        inputs: np.ndarray,
-        p: Sequence[float],
-    ) -> Dict[str, np.ndarray]:
-        """Evaluate all output equations over a whole trajectory in one pass.
-
-        Parameters
-        ----------
-        times:
-            1-D array of the n output times.
-        states:
-            (n, n_states) state trajectory.
-        inputs:
-            (n, n_inputs) input trajectory (may be empty when the model has
-            no inputs).
-        p:
-            Parameter values in kernel order.
-        """
-        times = np.asarray(times, dtype=float)
-        with np.errstate(all="ignore"):
-            values = self._outputs_vector(times, states, inputs, p, times.shape[0])
-        if any(not np.isfinite(column).all() for column in values):
-            # numpy turns e.g. division by zero into inf/nan where the
-            # scalar path raises; re-evaluate point-by-point so error
-            # behaviour (and legitimate infinities) match the interpreted
-            # semantics exactly.
-            return self._outputs_pointwise(times, states, inputs, p)
-        return dict(zip(self.output_names, values))
-
-    # ------------------------------------------------------------------ #
-    # Batched (fleet) evaluation
-    # ------------------------------------------------------------------ #
-    @property
-    def supports_batch(self) -> bool:
-        """Whether the batched fleet kernels could be generated."""
-        return self._derivs_batch is not None
 
     def derivs_batch(
         self,
@@ -712,43 +619,53 @@ class SimulationKernel:
         P:
             ``(N, n_params)`` per-row parameter values in kernel order.
 
-        Returns one ``{output name: (n,) trajectory}`` dict per row.  Rows
-        whose vectorized evaluation produced non-finite values are re-run
-        through the per-instance :meth:`outputs` path so error behaviour
-        (and legitimate infinities) match the scalar semantics.
+        Returns one ``{output name: (n,) trajectory}`` dict per row.  A row
+        whose vectorized values are not all finite is re-evaluated point by
+        point on Python floats, so a division by zero raises
+        :class:`~repro.errors.FmuFormatError` as the interpreted reference
+        does, and legitimate infinities are kept.
         """
         times = np.asarray(times, dtype=float)
+        P = np.asarray(P, dtype=float)
         n_rows, n_times = states.shape[0], states.shape[1]
         flat_t = np.tile(times, n_rows)
         flat_x = np.ascontiguousarray(states).reshape(n_rows * n_times, states.shape[2])
         flat_u = np.ascontiguousarray(inputs).reshape(n_rows * n_times, inputs.shape[2])
-        flat_p = np.repeat(np.asarray(P, dtype=float), n_times, axis=0)
-        with np.errstate(all="ignore"):
-            values = self._outputs_batch(flat_t, flat_x, flat_u, flat_p, flat_t.shape[0])
-        if any(not np.isfinite(column).all() for column in values):
+        flat_p = np.repeat(P, n_times, axis=0)
+        try:
+            with np.errstate(all="ignore"):
+                values = self._outputs_batch(
+                    flat_t, flat_x, flat_u, flat_p, flat_t.shape[0]
+                )
+            columns = [column.reshape(n_rows, n_times) for column in values]
+            finite = np.ones(n_rows, dtype=bool)
+            for column in columns:
+                finite &= np.isfinite(column).all(axis=1)
+            # Copies, not views: a row slice would pin the whole fleet x grid
+            # column in memory through its .base.
             return [
-                self.outputs(times, states[r], inputs[r], P[r])
+                dict(zip(self.output_names, (column[r].copy() for column in columns)))
+                if finite[r]
+                else self._outputs_pointwise(times, states[r], inputs[r], P[r])
                 for r in range(n_rows)
             ]
-        columns = [column.reshape(n_rows, n_times) for column in values]
-        # Copies, not views: a row slice would pin the whole fleet x grid
-        # column in memory through its .base.
-        return [
-            dict(zip(self.output_names, (column[r].copy() for column in columns)))
-            for r in range(n_rows)
-        ]
+        except ZeroDivisionError:
+            raise self.division_error() from None
 
     def _outputs_pointwise(
         self,
         times: np.ndarray,
         states: np.ndarray,
         inputs: np.ndarray,
-        p: Sequence[float],
+        p: np.ndarray,
     ) -> Dict[str, np.ndarray]:
+        # Plain Python floats throughout: numpy scalars would turn a division
+        # by zero into inf where the reference raises.
         columns = [np.empty(times.shape[0]) for _ in self.output_names]
         outputs_scalar = self._outputs_scalar
-        for k in range(times.shape[0]):
-            values = outputs_scalar(times[k], states[k], inputs[k], p)
+        p = p.tolist()
+        for k, (t, u) in enumerate(zip(times.tolist(), inputs.tolist())):
+            values = outputs_scalar(t, states[k], u, p)
             for column, value in zip(columns, values):
                 column[k] = value
         return dict(zip(self.output_names, columns))
@@ -758,8 +675,8 @@ class SimulationKernel:
 
         The kernel evaluates all equations in one generated body, so the
         offender is not pinpointed; the candidate equation texts are listed
-        instead (shared by every wrap site, mirroring the interpreted path's
-        per-equation message).
+        instead (shared by every wrap site, mirroring the interpreted
+        reference's per-equation message).
         """
         candidates = ", ".join(repr(text) for text in self._equation_texts)
         return FmuFormatError(
@@ -771,12 +688,3 @@ class SimulationKernel:
             f"SimulationKernel(states={self.state_names}, inputs={self.input_names}, "
             f"outputs={self.output_names}, parameters={self.parameter_names})"
         )
-
-
-def build_kernel(system) -> Optional[SimulationKernel]:
-    """Build a :class:`SimulationKernel` for ``system``, or None when any
-    equation cannot be compiled (callers then keep the interpreted path)."""
-    try:
-        return SimulationKernel(system)
-    except _NotCompilable:
-        return None

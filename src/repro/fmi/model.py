@@ -104,8 +104,8 @@ class _KernelBindings:
                 i = bisect.bisect_right(times, t)
                 t_lo, t_hi = times[i - 1], times[i]
                 # Slope-first form: the exact floating-point operation order
-                # of np.interp, so compiled and interpreted simulations see
-                # bit-identical input values.
+                # of np.interp, so the kernel sees bit-identical input values
+                # to an np.interp-driven interpreted reference run.
                 slope = (values[i] - values[i - 1]) / (t_hi - t_lo)
                 u[slot] = slope * (t - t_lo) + values[i - 1]
         return u
@@ -347,34 +347,21 @@ class FmuModel:
         t0, t1 = self._resolve_window(interp, start_time, stop_time)
         grid = self._resolve_grid(t0, t1, output_step, output_times)
 
-        parameter_values = dict(self._parameter_values)
         system = self.ode_system
-        kernel = system.kernel if system.compiled_enabled else None
+        kernel = system.kernel
+        # Inputs and parameters are bound to the kernel's positional layout
+        # once per call, not once per step.
+        bindings = _KernelBindings(kernel, interp, self._input_starts)
+        p = kernel.parameter_vector(self._parameter_values)
+        n_states = kernel.n_states
+        kernel_derivs = kernel._derivs
+        input_at = bindings.input_at
 
-        if kernel is not None:
-            # Compiled fast path: inputs and parameters are bound to the
-            # kernel's positional layout once per call, not once per step.
-            bindings = _KernelBindings(kernel, interp, self._input_starts)
-            p = kernel.parameter_vector(parameter_values)
-            n_states = kernel.n_states
-            kernel_derivs = kernel._derivs
-            input_at = bindings.input_at
-
-            def rhs(t, x, _u):
-                try:
-                    return kernel_derivs(t, x, input_at(t), p, np.empty(n_states))
-                except ZeroDivisionError:
-                    raise kernel.division_error() from None
-
-        else:
-
-            def input_values_at(t: float) -> Dict[str, float]:
-                values = dict(self._input_starts)
-                values.update(interp(t))
-                return values
-
-            def rhs(t, x, _u):
-                return system.derivatives(t, x, input_values_at(t), parameter_values)
+        def rhs(t, x, _u):
+            try:
+                return kernel_derivs(t, x, input_at(t), p, np.empty(n_states))
+            except ZeroDivisionError:
+                raise kernel.division_error() from None
 
         injector = faults.active_injector()
         if injector is not None:
@@ -397,25 +384,15 @@ class FmuModel:
         trajectories: Dict[str, np.ndarray] = {}
         for i, name in enumerate(system.state_names):
             trajectories[name] = solution.states[:, i]
-        if kernel is not None:
-            # Output equations evaluated over the whole trajectory in one
-            # vectorized pass instead of one namespace + eval per time step.
-            inputs_matrix = bindings.input_matrix(solution.times)
-            try:
-                trajectories.update(
-                    kernel.outputs(solution.times, solution.states, inputs_matrix, p)
-                )
-            except ZeroDivisionError:
-                raise kernel.division_error() from None
-        else:
-            outputs = {name: np.empty(len(solution.times)) for name in system.output_names}
-            for k, t in enumerate(solution.times):
-                out = system.evaluate_outputs(
-                    t, solution.states[k], input_values_at(t), parameter_values
-                )
-                for name, value in out.items():
-                    outputs[name][k] = value
-            trajectories.update(outputs)
+        # Output equations evaluated over the whole trajectory in one
+        # vectorized pass: the fleet output kernel with a single row.
+        (outputs,) = kernel.outputs_batch(
+            solution.times,
+            solution.states[None],
+            bindings.input_matrix(solution.times)[None],
+            np.array([p], dtype=float),
+        )
+        trajectories.update(outputs)
         for name in interp.names():
             series_times, series_values = interp._series[name]
             trajectories[name] = np.interp(solution.times, series_times, series_values)
@@ -461,20 +438,17 @@ class FmuModel:
         step sequence the sequential solver would).
 
         Falls back to sequential per-instance :meth:`simulate` calls when
-        the fleet cannot batch - no compiled kernel
-        (``compiled_enabled=False`` or non-compilable equations), a kernel
-        whose equations resist the vectorized lowering
-        (``supports_batch=False``), or a batched integration that fails
-        mid-flight (divergence, step-limit): the sequential rerun then
-        reproduces the exact per-instance error semantics.
+        the batched integration fails mid-flight (divergence, step-limit):
+        the sequential rerun then reproduces the exact per-instance error
+        semantics.
 
-        ``sequential_fallback=False`` suppresses only the *mid-flight* rerun:
-        a :class:`~repro.errors.SolverError` from the batched integration
+        ``sequential_fallback=False`` suppresses that rerun: a
+        :class:`~repro.errors.SolverError` from the batched integration
         propagates immediately instead of re-simulating every instance.
         Callers that score fleets where individual rows are *expected* to
         diverge (the estimation layer's candidate populations) use this to
         bisect the fleet themselves rather than pay a full sequential pass
-        per failure.  The non-batchable fallbacks above are unaffected.
+        per failure.
         """
         models = list(models)
         if not models:
@@ -510,10 +484,7 @@ class FmuModel:
             ]
 
         system = lead.ode_system
-        kernel = system.kernel if system.compiled_enabled else None
-        if kernel is None or not kernel.supports_batch:
-            return simulate_sequentially()
-
+        kernel = system.kernel
         # Bind the whole fleet once: per-row parameter matrix, per-row input
         # start values overlaid with the shared measured series, stacked
         # initial states.
@@ -579,10 +550,7 @@ class FmuModel:
         # Vectorized outputs over the whole fleet x grid in one pass.
         input_tensor = bindings.input_tensor(solution.times)
         states = np.ascontiguousarray(solution.states.swapaxes(0, 1))
-        try:
-            output_rows = kernel.outputs_batch(solution.times, states, input_tensor, P)
-        except ZeroDivisionError:
-            raise kernel.division_error() from None
+        output_rows = kernel.outputs_batch(solution.times, states, input_tensor, P)
 
         measured: Dict[str, np.ndarray] = {}
         for name in interp.names():

@@ -14,7 +14,9 @@ from repro.data.nist import generate_hp1_dataset
 from repro.fmi import load_fmu
 from repro.fmi.dynamics import OdeSystem, OutputEquation, StateEquation
 from repro.fmi.model import FmuModel
+from repro.fmi.results import SimulationResult
 from repro.models.heatpump import build_hp1_archive, hp1_source
+from repro.solvers import solve_ode
 from repro.sqldb import Database
 
 #: Calibration budget small enough for unit tests (a run takes well under a second).
@@ -157,6 +159,47 @@ def make_corpus_inputs(system: OdeSystem):
         name: (np.linspace(0.0, 2.0, 21), np.sin(np.linspace(0.0, 6.0, 21) + i))
         for i, name in enumerate(system.inputs)
     } or None
+
+
+def simulate_interpreted(model, inputs, t0, t1, grid, solver="rk45", solver_options=None):
+    """The interpreted reference for ``model.simulate``: the same solver and
+    output grid, with ``OdeSystem.derivatives`` as the right-hand side and
+    ``OdeSystem.evaluate_outputs`` at every output point.  Inputs are the
+    model's start values overlaid with ``np.interp`` of the measured series.
+    """
+    system = model.ode_system
+    parameters = model.parameters()
+
+    def input_values(t):
+        values = {name: model.get(name) for name in system.inputs}
+        for name, (times, series) in (inputs or {}).items():
+            values[name] = float(np.interp(t, times, series))
+        return values
+
+    solution = solve_ode(
+        lambda t, x, _u: system.derivatives(t, x, input_values(t), parameters),
+        [model.get(name) for name in system.state_names],
+        t0, t1, solver=solver, output_times=grid, **(solver_options or {}),
+    )
+    trajectories = dict(zip(system.state_names, solution.states.T))
+    points = [
+        system.evaluate_outputs(t, x, input_values(t), parameters)
+        for t, x in zip(solution.times, solution.states)
+    ]
+    for name in system.output_names:
+        trajectories[name] = np.array([point[name] for point in points])
+    return SimulationResult(
+        time=solution.times,
+        trajectories=trajectories,
+        solver_stats={"n_rhs_evals": solution.n_rhs_evals},
+    )
+
+
+@pytest.fixture(scope="session")
+def interpreted_simulate():
+    """Factory fixture: ``interpreted_simulate(model, inputs, t0, t1, grid,
+    solver, solver_options) -> SimulationResult`` (the test oracle)."""
+    return simulate_interpreted
 
 
 @pytest.fixture(scope="session")

@@ -92,7 +92,6 @@ class TestPopulationBatchCorpus:
     def test_global_runs_bit_identical(self, seed, memo, random_system, random_archive):
         system = random_system(seed)
         archive = random_archive(f"popbatch{seed}", system)
-        assert archive.ode_system.kernel.supports_batch
         measurements = _measurements_for(system, archive, seed)
         results = [
             _estimate(archive, system, measurements, 100 + seed, "global", memo, batch)
@@ -123,27 +122,6 @@ class TestPopulationBatchCorpus:
 class TestPopulationBatchFallbacks:
     def _hp1_measurements(self, hp1_week_dataset):
         return hp1_week_dataset.to_measurement_set()
-
-    def test_interpreted_model_falls_back_and_matches(self, hp1_week_dataset):
-        """compiled_enabled=False cannot batch: the batched run must quietly
-        sequentialize and agree with batch_enabled=False exactly."""
-        measurements = self._hp1_measurements(hp1_week_dataset)
-        results = {}
-        for batch in (True, False):
-            archive = build_hp1_archive()
-            archive.ode_system.compiled_enabled = False
-            estimation = Estimation(
-                load_fmu(archive),
-                measurements,
-                parameters=["Cp", "R"],
-                ga_options={"population_size": 6, "generations": 2, "patience": None},
-                local_options={"max_iterations": 5},
-                seed=5,
-                batch_enabled=batch,
-            )
-            assert estimation.objective.population_batchable() is False
-            results[batch] = estimation.estimate("global+local")
-        _assert_bit_identical(results[True], results[False], "interpreted fallback")
 
     def test_injected_solver_error_mid_generation_matches(
         self, hp1_week_dataset, monkeypatch

@@ -39,7 +39,6 @@ class TestBatchKernel:
     def test_derivs_batch_matches_scalar_rows(self, seed, random_system):
         system = random_system(seed)
         kernel = system.kernel
-        assert kernel is not None and kernel.supports_batch
         rng = random.Random(100 + seed)
         n_rows = 5
         P = kernel.parameter_matrix(
@@ -73,12 +72,14 @@ class TestBatchKernel:
         batched = kernel.outputs_batch(times, states, inputs, P)
         assert len(batched) == n_rows
         for row in range(n_rows):
-            single = kernel.outputs(times, states[row], inputs[row], tuple(P[row]))
-            assert set(batched[row]) == set(single)
-            for name in single:
-                np.testing.assert_allclose(
-                    batched[row][name], single[name], rtol=0, atol=1e-12
+            for k in range(n_times):
+                single = system.evaluate_outputs(
+                    times[k], states[row, k],
+                    dict(zip(kernel.input_names, inputs[row, k])), {},
                 )
+                assert set(batched[row]) == set(single)
+                for name, value in single.items():
+                    assert batched[row][name][k] == pytest.approx(value, abs=1e-12)
 
     def test_parameter_matrix_layout(self, hp1_archive):
         kernel = hp1_archive.ode_system.kernel
@@ -332,7 +333,6 @@ class TestSimulateBatchCorpus:
     ):
         system = random_system(seed)
         archive = random_archive(f"batch{seed}", system)
-        assert archive.ode_system.kernel.supports_batch
         models = random_fleet(system, archive, n_rows=4, seed=3000 + seed)
         inputs = corpus_inputs(system)
         grid = np.linspace(0.0, 2.0, 41)
@@ -350,34 +350,6 @@ class TestSimulateBatchCorpus:
                     result[name], sequential[name], rtol=0, atol=1e-9,
                     err_msg=f"seed={seed} solver={solver} variable={name}",
                 )
-
-    @pytest.mark.parametrize("seed", range(3))
-    def test_non_vectorizable_fallback_matches_per_instance_kernels(
-        self, seed, random_system, random_archive, random_fleet, corpus_inputs
-    ):
-        # Force supports_batch=False: the fleet must fall back to the
-        # per-instance *compiled* path and agree exactly.
-        system = random_system(seed)
-        archive = random_archive(f"fallback{seed}", system)
-        kernel = archive.ode_system.kernel
-        saved = kernel._derivs_batch
-        kernel._derivs_batch = None
-        try:
-            assert not kernel.supports_batch
-            models = random_fleet(system, archive, n_rows=3, seed=4000 + seed)
-            inputs = corpus_inputs(system)
-            batched = FmuModel.simulate_batch(
-                models, inputs=inputs, start_time=0.0, stop_time=2.0, solver="rk45"
-            )
-            for model, result in zip(models, batched):
-                sequential = model.simulate(
-                    inputs=inputs, start_time=0.0, stop_time=2.0, solver="rk45"
-                )
-                assert "batched" not in result.solver_stats
-                for name in system.state_names:
-                    np.testing.assert_array_equal(result[name], sequential[name])
-        finally:
-            kernel._derivs_batch = saved
 
     @pytest.mark.parametrize(
         "derivative",
@@ -418,21 +390,22 @@ class TestSimulateBatchCorpus:
                 result["x"], sequential["x"], rtol=0, atol=1e-9, err_msg=derivative
             )
 
-    def test_interpreted_fallback_when_kernel_disabled(self, hp1_archive):
+    def test_hp1_fleet_matches_interpreted_reference(
+        self, hp1_archive, interpreted_simulate
+    ):
         models = [FmuModel(hp1_archive, instance_name=f"i{i}") for i in range(2)]
+        models[1].set("Cp", 2.0 * models[0].get("Cp"))
         hours = np.linspace(0.0, 10.0, 11)
         inputs = {"u": (hours, 0.5 + 0.4 * np.sin(hours))}
-        hp1_archive.ode_system.compiled_enabled = False
-        try:
-            batched = FmuModel.simulate_batch(
-                models, inputs=inputs, start_time=0.0, stop_time=10.0
-            )
-            sequential = models[0].simulate(
-                inputs=inputs, start_time=0.0, stop_time=10.0
-            )
-        finally:
-            hp1_archive.ode_system.compiled_enabled = True
-        np.testing.assert_array_equal(batched[0]["x"], sequential["x"])
+        batched = FmuModel.simulate_batch(
+            models, inputs=inputs, start_time=0.0, stop_time=10.0
+        )
+        for model, result in zip(models, batched):
+            reference = interpreted_simulate(model, inputs, 0.0, 10.0, result.time)
+            for name in ("x", "y"):
+                np.testing.assert_allclose(
+                    result[name], reference[name], rtol=0, atol=1e-9
+                )
 
 
 class TestSimulateBatchApi:

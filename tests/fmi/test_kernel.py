@@ -1,10 +1,12 @@
-"""Compiled-kernel tests: codegen, equivalence corpus, and the fast simulate path.
+"""Compiled-kernel tests: codegen, equivalence corpus, and the simulate path.
 
 The corpus draws random ODE systems from the shared factory in
 ``tests/conftest.py`` (every whitelisted function plus conditionals,
-boolean operators, chained comparisons and min/max) and asserts that full
-simulations agree between the compiled kernel and the interpreted path
-within 1e-9 on every trajectory.
+boolean operators, chained comparisons and min/max) and asserts that the
+compiled kernel agrees with the interpreted reference
+(``OdeSystem.derivatives`` / ``evaluate_outputs``, and the
+``interpreted_simulate`` oracle for whole simulations) within 1e-9 on every
+trajectory.
 """
 
 from __future__ import annotations
@@ -17,7 +19,19 @@ import pytest
 from repro.errors import FmuFormatError
 from repro.fmi import load_fmu
 from repro.fmi.dynamics import OdeSystem, OutputEquation, StateEquation
-from repro.fmi.kernel import SimulationKernel, build_kernel
+from repro.fmi.kernel import SimulationKernel
+from repro.fmi.model import FmuModel
+
+
+def _outputs_at(kernel, t, x, u, p):
+    """The kernel's outputs at one point: a fleet of one row, one time."""
+    (row,) = kernel.outputs_batch(
+        np.array([t]),
+        np.asarray(x, dtype=float).reshape(1, 1, -1),
+        np.array(u, dtype=float).reshape(1, 1, len(u)),
+        np.array([p], dtype=float).reshape(1, len(p)),
+    )
+    return {name: values[0] for name, values in row.items()}
 
 
 # --------------------------------------------------------------------------- #
@@ -27,20 +41,19 @@ class TestEquivalenceCorpus:
     @pytest.mark.parametrize("seed", range(25))
     def test_pointwise_derivatives_and_outputs_agree(self, seed, random_system):
         system = random_system(seed)
-        assert system.kernel is not None
+        kernel = system.kernel
         rng = random.Random(1000 + seed)
         for _ in range(10):
             t = rng.uniform(0.0, 5.0)
             x = np.array([rng.uniform(-2.0, 2.0) for _ in system.state_names])
             u = {name: rng.uniform(-1.0, 1.0) for name in system.inputs}
             p = {name: rng.uniform(0.5, 2.0) for name in system.parameters}
-            system.compiled_enabled = True
-            dx_compiled = system.derivatives(t, x, u, p)
-            out_compiled = system.evaluate_outputs(t, x, u, p)
-            system.compiled_enabled = False
+            u_vec = [u[name] for name in kernel.input_names]
+            p_vec = kernel.parameter_vector(p)
+            dx_compiled = kernel.derivs(t, x, u_vec, p_vec)
+            out_compiled = _outputs_at(kernel, t, x, u_vec, p_vec)
             dx_interp = system.derivatives(t, x, u, p)
             out_interp = system.evaluate_outputs(t, x, u, p)
-            system.compiled_enabled = True
             np.testing.assert_allclose(dx_compiled, dx_interp, rtol=0, atol=1e-9)
             assert set(out_compiled) == set(out_interp)
             for name in out_interp:
@@ -48,28 +61,26 @@ class TestEquivalenceCorpus:
 
     @pytest.mark.parametrize("seed", range(25))
     @pytest.mark.parametrize("solver", ["rk4", "rk45"])
-    def test_full_simulation_trajectories_agree(self, seed, solver, random_system, random_archive):
-        from repro.fmi.model import FmuModel
-
+    def test_full_simulation_trajectories_agree(
+        self, seed, solver, random_system, random_archive, interpreted_simulate
+    ):
         system = random_system(seed)
         archive = random_archive(f"corpus{seed}", system)
         inputs = {
             name: (np.linspace(0.0, 2.0, 21), np.sin(np.linspace(0.0, 6.0, 21) + i))
             for i, name in enumerate(system.inputs)
         }
-        results = {}
-        for compiled in (True, False):
-            model = FmuModel(archive)
-            model.ode_system.compiled_enabled = compiled
-            results[compiled] = model.simulate(
-                inputs=inputs or None,
-                start_time=0.0,
-                stop_time=2.0,
-                output_times=np.linspace(0.0, 2.0, 41),
-                solver=solver,
-            )
-        archive.ode_system.compiled_enabled = True
-        compiled_result, interp_result = results[True], results[False]
+        grid = np.linspace(0.0, 2.0, 41)
+        compiled_result = FmuModel(archive).simulate(
+            inputs=inputs or None,
+            start_time=0.0,
+            stop_time=2.0,
+            output_times=grid,
+            solver=solver,
+        )
+        interp_result = interpreted_simulate(
+            FmuModel(archive), inputs, 0.0, 2.0, grid, solver=solver
+        )
         for name in list(system.state_names) + list(system.output_names):
             np.testing.assert_allclose(
                 compiled_result[name],
@@ -86,14 +97,14 @@ class TestEquivalenceCorpus:
 class TestKernelCodegen:
     def test_scalar_kernel_is_bit_identical(self, random_system):
         system = random_system(7)
+        kernel = system.kernel
         rng = random.Random(99)
         x = np.array([rng.uniform(-1, 1) for _ in system.state_names])
         u = {name: 0.5 for name in system.inputs}
-        system.compiled_enabled = True
-        compiled = system.derivatives(1.0, x, u, {})
-        system.compiled_enabled = False
+        compiled = kernel.derivs(
+            1.0, x, [u[name] for name in kernel.input_names], kernel.parameter_vector()
+        )
         interpreted = system.derivatives(1.0, x, u, {})
-        system.compiled_enabled = True
         # Same expressions, same math functions, names lowered to indexing:
         # the scalar kernel is exactly the interpreted arithmetic.
         assert np.array_equal(compiled, interpreted)
@@ -104,40 +115,27 @@ class TestKernelCodegen:
             parameters={},
         )
         kernel = system.kernel
-        assert kernel is not None
         assert "pi" not in kernel.source
         assert str(2 * np.pi) in kernel.source
 
-    def test_output_referencing_output_falls_back_to_interpreted(self):
-        system = OdeSystem(
-            states=[StateEquation("a", "-a")],
-            outputs=[OutputEquation("y", "a * 2"), OutputEquation("z", "y + 1")],
-            parameters={},
-        )
-        assert system.kernel is None
-        # The interpreted path still raises its usual runtime error.
-        with pytest.raises(FmuFormatError, match="unbound"):
-            system.evaluate_outputs(0.0, np.array([1.0]), {}, {})
+    def test_output_referencing_output_is_rejected(self):
+        # Only states, inputs, parameters and time are bound when equations
+        # run; an output named in another equation fails at construction.
+        with pytest.raises(FmuFormatError, match=r"'y \+ 1' references 'y'"):
+            OdeSystem(
+                states=[StateEquation("a", "-a")],
+                outputs=[OutputEquation("y", "a * 2"), OutputEquation("z", "y + 1")],
+                parameters={},
+            )
 
-    def test_division_by_zero_maps_to_fmu_error_in_both_modes(self):
+    def test_division_by_zero_maps_to_fmu_error_in_both_modes(self, random_archive):
         system = OdeSystem(states=[StateEquation("a", "1.0 / (a - a)")], parameters={})
-        for compiled in (True, False):
-            system.compiled_enabled = compiled
-            with pytest.raises(FmuFormatError, match="divided by zero"):
-                system.derivatives(0.0, np.array([1.0]), {}, {})
-
-    def test_input_defaults_match_namespace_semantics(self):
-        system = OdeSystem(
-            states=[StateEquation("x", "-x + u")],
-            inputs=["u"],
-            parameters={},
-        )
-        kernel = system.kernel
-        assert kernel.input_vector({}) == [0.0]
-        assert kernel.input_vector({"u": 2.5}) == [2.5]
-        # The interpreted namespace lets the parameter mapping shadow a
-        # missing input; the kernel reproduces that.
-        assert kernel.input_vector({}, {"u": 1.25}) == [1.25]
+        with pytest.raises(FmuFormatError, match="divided by zero"):
+            system.derivatives(0.0, np.array([1.0]), {}, {})
+        with pytest.raises(FmuFormatError, match="divided by zero"):
+            FmuModel(random_archive("divzero_rhs", system)).simulate(
+                start_time=0.0, stop_time=1.0
+            )
 
     def test_parameter_vector_defaults_and_overrides(self):
         system = OdeSystem(
@@ -161,36 +159,39 @@ class TestKernelCodegen:
             [[rng.uniform(-1, 1) for _ in system.inputs] for _ in range(n)]
         ).reshape(n, len(system.inputs))
         p = kernel.parameter_vector()
-        vectorized = kernel.outputs(times, states, inputs, p)
+        (vectorized,) = kernel.outputs_batch(
+            times, states[None], inputs[None], np.array([p])
+        )
         assert set(vectorized) == set(system.output_names)
         for k in range(n):
-            scalar = kernel.outputs_scalar(times[k], states[k], list(inputs[k]), p)
-            for name, value in zip(kernel.output_names, scalar):
-                assert vectorized[name][k] == pytest.approx(float(value), abs=1e-12)
+            scalar = system.evaluate_outputs(
+                times[k], states[k], dict(zip(system.inputs, inputs[k])), {}
+            )
+            for name, value in scalar.items():
+                assert vectorized[name][k] == pytest.approx(value, abs=1e-12)
 
-    def test_build_kernel_for_compiled_hp1(self, hp1_archive):
+    def test_kernel_for_compiled_hp1(self, hp1_archive):
         model = load_fmu(hp1_archive)
         kernel = model.ode_system.kernel
         assert isinstance(kernel, SimulationKernel)
         assert kernel.state_names == ["x"]
         assert kernel.input_names == ["u"]
-        assert build_kernel(model.ode_system) is not None
 
 
 class TestCompiledSimulatePath:
-    def test_hp1_simulation_identical_in_both_modes(self, hp1_archive):
+    def test_hp1_simulation_matches_interpreted_reference(
+        self, hp1_archive, interpreted_simulate
+    ):
         inputs = {"u": ([0.0, 12.0, 24.0, 36.0, 48.0], [0.0, 1.0, 0.3, 0.8, 0.2])}
-        results = {}
-        for compiled in (True, False):
-            model = load_fmu(hp1_archive)
-            model.ode_system.compiled_enabled = compiled
-            results[compiled] = model.simulate(inputs=inputs, output_step=0.5)
-        hp1_archive.ode_system.compiled_enabled = True
-        for name in ("x", "y", "u"):
+        compiled = load_fmu(hp1_archive).simulate(inputs=inputs, output_step=0.5)
+        reference = interpreted_simulate(
+            load_fmu(hp1_archive), inputs, 0.0, 48.0, compiled.time
+        )
+        for name in ("x", "y"):
             np.testing.assert_allclose(
-                results[True][name], results[False][name], rtol=0, atol=1e-9
+                compiled[name], reference[name], rtol=0, atol=1e-9
             )
-        assert results[True].solver_stats["n_rhs_evals"] == results[False].solver_stats["n_rhs_evals"]
+        assert compiled.solver_stats["n_rhs_evals"] == reference.solver_stats["n_rhs_evals"]
 
     def test_solver_stats_and_grid_preserved(self, hp1_archive):
         model = load_fmu(hp1_archive)
@@ -207,35 +208,61 @@ class TestKernelSemanticsEdgeCases:
         kernel is built; the compiled path must see the new defaults."""
         system = OdeSystem(states=[StateEquation("x", "a * x")], parameters={"a": 1.0})
         system.parameters["a"] = 5.0
-        system.compiled_enabled = True
-        compiled = system.derivatives(0.0, np.array([2.0]), {}, {})
-        system.compiled_enabled = False
+        kernel = system.kernel
+        compiled = kernel.derivs(0.0, np.array([2.0]), [], kernel.parameter_vector())
         interpreted = system.derivatives(0.0, np.array([2.0]), {}, {})
-        system.compiled_enabled = True
         assert compiled[0] == interpreted[0] == 10.0
 
-    def test_vectorized_output_division_by_zero_raises_like_interpreted(self, random_archive):
+    def test_vectorized_output_division_by_zero_raises_like_interpreted(
+        self, random_archive, interpreted_simulate
+    ):
         system = OdeSystem(
             states=[StateEquation("x", "-1.0", start=1.0)],
             outputs=[OutputEquation("y", "1.0 / x")],
             parameters={},
         )
         archive = random_archive("divzero", system)
-        from repro.fmi.model import FmuModel
-
         # x crosses zero at t = 1; the output grid samples it exactly there.
-        for compiled in (True, False):
-            model = FmuModel(archive)
-            model.ode_system.compiled_enabled = compiled
-            with pytest.raises(FmuFormatError, match="divided by zero"):
-                model.simulate(
-                    start_time=0.0,
-                    stop_time=2.0,
-                    output_times=[0.0, 1.0, 2.0],
-                    solver="euler",
-                    solver_options={"step": 0.5},
-                )
-        archive.ode_system.compiled_enabled = True
+        options = {"step": 0.5}
+        with pytest.raises(FmuFormatError, match="divided by zero"):
+            FmuModel(archive).simulate(
+                start_time=0.0,
+                stop_time=2.0,
+                output_times=[0.0, 1.0, 2.0],
+                solver="euler",
+                solver_options=options,
+            )
+        with pytest.raises(FmuFormatError, match="divided by zero"):
+            interpreted_simulate(
+                FmuModel(archive), None, 0.0, 2.0, [0.0, 1.0, 2.0],
+                solver="euler", solver_options=options,
+            )
+
+    @pytest.mark.parametrize("expression", ["1.0 / u", "1.0 / time"])
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_output_divisor_hitting_zero_on_the_grid_raises(
+        self, expression, batched, random_archive, interpreted_simulate
+    ):
+        """u crosses zero at t = 1 and time is zero at t = 0, both exactly
+        on the output grid.  The reference raises there, so both simulate
+        paths must raise too rather than report an infinite output."""
+        system = OdeSystem(
+            states=[StateEquation("x", "-x", start=1.0)],
+            outputs=[OutputEquation("y", expression)],
+            inputs=["u"],
+            parameters={},
+        )
+        archive = random_archive("divisor", system)
+        inputs = {"u": ([0.0, 1.0, 2.0], [-1.0, 0.0, 1.0])}
+        grid = [0.0, 1.0, 2.0]
+        with pytest.raises(FmuFormatError, match="divided by zero"):
+            interpreted_simulate(FmuModel(archive), inputs, 0.0, 2.0, grid)
+        call = dict(inputs=inputs, start_time=0.0, stop_time=2.0, output_times=grid)
+        with pytest.raises(FmuFormatError, match="divided by zero"):
+            if batched:
+                FmuModel.simulate_batch([FmuModel(archive), FmuModel(archive)], **call)
+            else:
+                FmuModel(archive).simulate(**call)
 
     def test_legitimate_infinities_do_not_raise(self):
         kernel = OdeSystem(
@@ -243,8 +270,8 @@ class TestKernelSemanticsEdgeCases:
             outputs=[OutputEquation("y", "x * 10.0")],
             parameters={},
         ).kernel
-        values = kernel.outputs(
-            np.array([0.0]), np.array([[1e308]]), np.empty((1, 0)), ()
+        (values,) = kernel.outputs_batch(
+            np.array([0.0]), np.array([[[1e308]]]), np.empty((1, 1, 0)), np.empty((1, 0))
         )
         # Multiplication overflow is silent inf in Python floats too; the
         # pointwise fallback must return it rather than raise.
@@ -257,32 +284,29 @@ class TestKernelSemanticsEdgeCases:
             states=[StateEquation("x", "-e * x", start=1.0)],
             parameters={"e": 0.5},
         )
-        for compiled in (True, False):
-            system.compiled_enabled = compiled
-            dx = system.derivatives(0.0, np.array([2.0]), {}, {})
-            assert dx[0] == -1.0, f"compiled={compiled}: expected -0.5*2, got {dx[0]}"
-        system.compiled_enabled = True
-        assert system.kernel is not None
+        kernel = system.kernel
+        compiled = kernel.derivs(0.0, np.array([2.0]), [], kernel.parameter_vector())
+        interpreted = system.derivatives(0.0, np.array([2.0]), {}, {})
+        assert compiled[0] == interpreted[0] == -1.0
 
     def test_pi_named_state_shadows_constant(self):
         system = OdeSystem(
             states=[StateEquation("pi", "2.0 * pi", start=1.0)],
             parameters={},
         )
-        for compiled in (True, False):
-            system.compiled_enabled = compiled
-            dx = system.derivatives(0.0, np.array([3.0]), {}, {})
-            assert dx[0] == 6.0
-        system.compiled_enabled = True
+        compiled = system.kernel.derivs(0.0, np.array([3.0]), [], ())
+        interpreted = system.derivatives(0.0, np.array([3.0]), {}, {})
+        assert compiled[0] == interpreted[0] == 6.0
 
-    def test_variable_shadowing_a_function_name_is_not_compiled(self):
-        """Calling 'sin' when a variable named sin exists fails at runtime on
-        the interpreted path; the kernel must not silently call math.sin."""
-        system = OdeSystem(
-            states=[StateEquation("x", "sin(x) + sin", start=1.0)],
-            parameters={"sin": 0.25},
-        )
-        assert system.kernel is None  # falls back to interpreted semantics
+    def test_variable_shadowing_a_function_name_is_rejected(self):
+        """Calling 'sin' when a variable named sin exists cannot run: the
+        variable shadows the function.  The system fails at construction
+        rather than silently calling math.sin."""
+        with pytest.raises(FmuFormatError, match=r"'sin\(x\) \+ sin' calls sin\(\)"):
+            OdeSystem(
+                states=[StateEquation("x", "sin(x) + sin", start=1.0)],
+                parameters={"sin": 0.25},
+            )
 
     def test_identity_output_does_not_alias_state_trajectory(self):
         """output y = x lowers to a column slice; the returned trajectory
@@ -293,25 +317,25 @@ class TestKernelSemanticsEdgeCases:
             parameters={},
         )
         states = np.linspace(0.0, 1.0, 5).reshape(5, 1)
-        outputs = system.kernel.outputs(
-            np.linspace(0.0, 1.0, 5), states, np.empty((5, 0)), ()
+        (outputs,) = system.kernel.outputs_batch(
+            np.linspace(0.0, 1.0, 5), states[None], np.empty((1, 5, 0)), np.empty((1, 0))
         )
         assert not np.shares_memory(outputs["y"], states)
         outputs["y"] += 100.0
         assert states[0, 0] == 0.0
 
-    def test_single_argument_min_is_not_compiled(self):
-        """min(x) with one argument raises TypeError on the interpreted
-        path; the vectorized reduce would silently accept it, so the system
-        must fall back to interpreted semantics."""
-        system = OdeSystem(
-            states=[StateEquation("x", "-x", start=1.0)],
-            outputs=[OutputEquation("y", "min(x)")],
-            parameters={},
-        )
-        assert system.kernel is None
+    def test_single_argument_min_is_rejected(self):
+        """min(x) with one argument is a TypeError in Python; the vectorized
+        reduce would silently accept it, so the system fails at construction."""
+        with pytest.raises(FmuFormatError, match=r"'min\(x\)' calls min\(\)"):
+            OdeSystem(
+                states=[StateEquation("x", "-x", start=1.0)],
+                outputs=[OutputEquation("y", "min(x)")],
+                parameters={},
+            )
 
-    def test_division_error_names_candidate_equations(self):
+    def test_division_error_names_candidate_equations(self, random_archive):
         system = OdeSystem(states=[StateEquation("a", "1.0 / (a - a)")], parameters={})
-        with pytest.raises(FmuFormatError, match=r"1\.0 / \(a - a\)"):
-            system.derivatives(0.0, np.array([1.0]), {}, {})
+        model = FmuModel(random_archive("divzero_names", system))
+        with pytest.raises(FmuFormatError, match=r"one of: '1\.0 / \(a - a\)'"):
+            model.simulate(start_time=0.0, stop_time=1.0)

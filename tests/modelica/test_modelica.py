@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ModelicaSemanticError, ModelicaSyntaxError
+from repro.errors import FmuFormatError, ModelicaSemanticError, ModelicaSyntaxError
 from repro.fmi import load_fmu
 from repro.modelica import compile_fmu, compile_model, parse_model
 from repro.modelica.ast_nodes import BinaryOp, FunctionCall, Identifier, NumberLiteral
@@ -170,6 +170,17 @@ class TestFlattenAndCompile:
             "model bad Real x(start=1); equation der(x) = -x; der(x) = -2*x; end bad;"
         )
         with pytest.raises(ModelicaSemanticError):
+            compile_model(source)
+
+    def test_algebraic_local_in_derivative_rejected_at_compile_time(self):
+        # z is an output of the FMU, and equations may reference only
+        # states, inputs, parameters and time: the model fails to compile
+        # instead of being stored and failing at simulate time.
+        source = (
+            "model bad parameter Real k = 0.5; Real x(start=1); Real z; "
+            "equation der(x) = -k*z; z = 2*x; end bad;"
+        )
+        with pytest.raises(FmuFormatError, match="references 'z'"):
             compile_model(source)
 
     def test_constants_folded_into_parameters(self):
