@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlCatalogError, SqlTypeError
 from repro.sqldb.types import SqlType, coerce
@@ -133,6 +133,8 @@ class TableSchema:
                         f"table {self.name!r}: foreign key column {col!r} does not exist"
                     )
         self._index: Dict[str, int] = {c.name: i for i, c in enumerate(self.columns)}
+        #: Row positions of the primary-key columns, in key order.
+        self.pk_positions: Tuple[int, ...] = tuple(self._index[c] for c in self.primary_key)
 
     @property
     def column_names(self) -> List[str]:

@@ -2,13 +2,13 @@
 
 :class:`OrderedIndex` mirrors the interface of the hash-based
 :class:`~repro.sqldb.table.SecondaryIndex` (``name``/``columns``/
-``positions``/``key_for_row``/``add``/``rebuild``/``lookup``) so the table
-layer can maintain either kind uniformly, and adds the ordered operations
-the planner needs:
+``positions``/``key_for_row``/``add``/``discard``/``remapped``/``rebuild``/
+``lookup``) so the table layer can maintain either kind uniformly, and adds
+the ordered operations the planner needs:
 
 * :meth:`OrderedIndex.range_positions` - row positions whose key falls in a
   ``[low, high]`` interval (either bound optional/exclusive), emitted in key
-  order with per-key insertion order;
+  order with each key's positions in row order;
 * :meth:`OrderedIndex.ordered_positions` - every indexed position in key
   order (ascending or descending), optionally followed by the NULL-key rows,
   which backs ``ORDER BY``/top-k rewrites;
@@ -16,11 +16,14 @@ the planner needs:
   by the ``VERIFY`` statement.
 
 The tree itself is a small in-memory B+-tree: leaves hold ``key -> [row
-positions]`` (duplicate keys keep insertion order) and are chained for
-in-order iteration; inner nodes hold separator keys.  Node mutations pass
-through the ``btree.node_write`` chaos point (:mod:`repro.faults`) so the
-fault harness can prove a failed index write surfaces as a typed error
-instead of a silently wrong query result.
+positions]`` (each key's positions in ascending row order) and are chained
+for in-order iteration; inner nodes hold separator keys.  Single entries
+are inserted and removed in place; whole trees (a rebuild from rows, or the
+position remap after a DELETE compacts the table) are bulk-loaded bottom-up
+from sorted ``(key, positions)`` pairs by :meth:`BTree.from_sorted`.  Node
+writes pass through the ``btree.node_write`` chaos point
+(:mod:`repro.faults`) so the fault harness can prove a failed index write
+surfaces as a typed error instead of a silently wrong query result.
 
 Keys are normalized like the hash index (``Variant`` unwrapped, integral
 floats folded to ``int``) so point lookups agree across index kinds.  NaN
@@ -32,10 +35,12 @@ for ``USING BTREE`` columns.
 from __future__ import annotations
 
 import math
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from bisect import insort
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.errors import SqlTypeError
+from repro.sqldb.table import remap_positions
 from repro.sqldb.types import Variant
 
 # Maximum number of keys per node before it splits.  Small enough to get a
@@ -76,6 +81,18 @@ class _Inner:
         self.children: List[Any] = []
 
 
+def _runs(count: int, capacity: int) -> Iterator[Tuple[int, int]]:
+    """Split ``count`` items into the fewest ``[start, stop)`` runs of at
+    most ``capacity`` items, sized evenly (so no node ends up near-empty)."""
+    parts = -(-count // capacity)
+    base, extra = divmod(count, parts)
+    start = 0
+    for part in range(parts):
+        stop = start + base + (1 if part < extra else 0)
+        yield start, stop
+        start = stop
+
+
 def _bisect_left(keys: Sequence[Any], key: Any) -> int:
     lo, hi = 0, len(keys)
     while lo < hi:
@@ -107,10 +124,51 @@ class BTree:
         self.root: Any = _Leaf()
         self.size = 0  # number of distinct keys
 
+    @classmethod
+    def from_sorted(cls, keys: Sequence[Any], values: Sequence[List[int]]) -> "BTree":
+        """Bulk-load a tree from distinct ascending ``keys`` and their
+        position lists (adopted, not copied).
+
+        Leaves are packed first and each inner level is built over the one
+        below, so loading ``n`` keys costs O(n) with no per-key descent or
+        split.  Every node written passes the ``btree.node_write`` fault
+        point; a failed load leaves no tree behind for the caller to adopt.
+        """
+        tree = cls()
+        if not keys:
+            return tree
+        level: List[Any] = []
+        firsts: List[Any] = []  # smallest key under each node of ``level``
+        previous: Optional[_Leaf] = None
+        for start, stop in _runs(len(keys), NODE_CAPACITY):
+            faults.check(NODE_WRITE_POINT)
+            leaf = _Leaf()
+            leaf.keys = list(keys[start:stop])
+            leaf.values = list(values[start:stop])
+            if previous is not None:
+                previous.next = leaf
+            previous = leaf
+            level.append(leaf)
+            firsts.append(leaf.keys[0])
+        while len(level) > 1:
+            parents: List[Any] = []
+            parent_firsts: List[Any] = []
+            for start, stop in _runs(len(level), NODE_CAPACITY + 1):
+                faults.check(NODE_WRITE_POINT)
+                node = _Inner()
+                node.children = level[start:stop]
+                node.keys = firsts[start + 1 : stop]
+                parents.append(node)
+                parent_firsts.append(firsts[start])
+            level, firsts = parents, parent_firsts
+        tree.root = level[0]
+        tree.size = len(keys)
+        return tree
+
     # -- mutation ---------------------------------------------------------
 
     def insert(self, key: Any, position: int) -> None:
-        """Append ``position`` under ``key``, splitting full nodes."""
+        """Add ``position`` under ``key`` (in row order), splitting full nodes."""
         faults.check(NODE_WRITE_POINT)
         split = self._insert(self.root, key, position)
         if split is not None:
@@ -124,7 +182,7 @@ class BTree:
         if isinstance(node, _Leaf):
             idx = _bisect_left(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
-                node.values[idx].append(position)
+                insort(node.values[idx], position)
                 return None
             node.keys.insert(idx, key)
             node.values.insert(idx, [position])
@@ -169,8 +227,10 @@ class BTree:
     def remove(self, key: Any, position: int) -> None:
         """Drop one ``position`` from ``key``'s list (no rebalancing).
 
-        Only used to undo a partially applied insert; bulk deletions rebuild
-        the tree instead, so skipping rebalance keeps this trivially correct.
+        Used when an UPDATE moves a row off ``key`` and to undo a partially
+        applied insert.  A leaf may be left under-full or empty, which every
+        lookup and walk tolerates; a DELETE bulk-loads a fresh, packed tree
+        instead of removing entries one by one.
         """
         node = self.root
         while isinstance(node, _Inner):
@@ -296,8 +356,9 @@ class OrderedIndex:
     """A single-column ordered secondary index backed by :class:`BTree`.
 
     Interface-compatible with the hash ``SecondaryIndex`` where it matters to
-    the table layer (``add``/``rebuild``/``lookup``/``clear``/``discard``),
-    plus the ordered operations used by the planner's range scans.
+    the table layer (``add``/``discard``/``remapped``/``rebuild``/``lookup``/
+    ``clear``), plus the ordered operations used by the planner's range
+    scans.
     """
 
     kind = "btree"
@@ -324,7 +385,7 @@ class OrderedIndex:
         key = normalize_key(row[self.positions[0]])
         if key is None:
             faults.check(NODE_WRITE_POINT)
-            self.null_positions.append(position)
+            insort(self.null_positions, position)
             return
         if isinstance(key, float) and math.isnan(key):
             raise SqlTypeError(
@@ -344,13 +405,12 @@ class OrderedIndex:
 
     def rebuild(self, rows: Sequence[Sequence[Any]]) -> None:
         """Rebuild from scratch; assigns state only after a full clean build."""
-        tree = BTree()
+        groups: Dict[Any, List[int]] = {}
         nulls: List[int] = []
         pos = self.positions[0]
         for row_position, row in enumerate(rows):
             key = normalize_key(row[pos])
             if key is None:
-                faults.check(NODE_WRITE_POINT)
                 nulls.append(row_position)
             elif isinstance(key, float) and math.isnan(key):
                 raise SqlTypeError(
@@ -358,14 +418,25 @@ class OrderedIndex:
                     f"on column {self.columns[0]!r}"
                 )
             else:
-                tree.insert(key, row_position)
-        self.tree = tree
+                groups.setdefault(key, []).append(row_position)
+        keys = sorted(groups)
+        self.tree = BTree.from_sorted(keys, [groups[key] for key in keys])
         self.null_positions = nulls
 
-    def rebuilt(self, rows: Sequence[Sequence[Any]]) -> "OrderedIndex":
-        """A fresh index over ``rows`` with the same definition."""
+    def remapped(self, remap: Sequence[Optional[int]]) -> "OrderedIndex":
+        """This index after a DELETE compacted the table (see
+        :func:`remap_positions`): the surviving pairs are already in key
+        order, so the fresh tree is bulk-loaded without re-keying a row."""
+        keys: List[Any] = []
+        values: List[List[int]] = []
+        for key, positions in self.tree.items():
+            kept = remap_positions(positions, remap)
+            if kept:
+                keys.append(key)
+                values.append(kept)
         fresh = OrderedIndex(self.name, self.columns, self.positions)
-        fresh.rebuild(rows)
+        fresh.tree = BTree.from_sorted(keys, values)
+        fresh.null_positions = remap_positions(self.null_positions, remap)
         return fresh
 
     def clear(self) -> None:
@@ -391,10 +462,10 @@ class OrderedIndex:
         high_inclusive: bool = True,
         reverse: bool = False,
     ) -> List[int]:
-        """Positions with keys inside the interval, in key + insertion order.
+        """Positions with keys inside the interval, in key + row order.
 
         ``reverse=True`` reverses the *key* order while keeping each key's
-        positions in insertion order - matching a stable descending sort.
+        positions in row order - matching a stable descending sort.
         NULL-key rows are never in a range (SQL comparisons with NULL are
         never true).
         """
@@ -418,8 +489,8 @@ class OrderedIndex:
         """Every non-NULL position in key order; NULL rows appended last.
 
         NULLs sort last in both directions (matching the executor's ORDER BY
-        semantics), and ties within a key keep insertion order, which is row
-        order - the same tie-break a stable sort over the table produces.
+        semantics), and ties within a key keep row order - the same
+        tie-break a stable sort over the table produces.
         """
         groups = [positions for _, positions in self.tree.items()]
         if reverse:
@@ -437,7 +508,8 @@ class OrderedIndex:
         """Audit structure and contents against the table's rows.
 
         Returns a problem description, or ``None`` when the index is a
-        faithful ordered image of ``rows``.  Never raises.
+        faithful ordered image of ``rows`` (each key's positions ascending,
+        as ordered emission relies on).  Never raises.
         """
         problem = self.tree.audit()
         if problem:
@@ -453,7 +525,7 @@ class OrderedIndex:
                 else:
                     expected.setdefault(key, []).append(row_position)
             indexed = {key: list(positions) for key, positions in self.tree.items()}
-            if sorted(self.null_positions) != expected_nulls:
+            if self.null_positions != expected_nulls:
                 return "NULL position list disagrees with table rows"
             if len(indexed) != len(expected):
                 return (
@@ -461,7 +533,7 @@ class OrderedIndex:
                     f"table implies {len(expected)}"
                 )
             for key, positions in expected.items():
-                if sorted(indexed.get(key, [])) != positions:
+                if indexed.get(key) != positions:
                     return f"positions for key {key!r} disagree with table rows"
         except Exception as exc:  # noqa: BLE001 - verify must never raise
             return f"verify failed: {exc!r}"

@@ -5,8 +5,8 @@ serves its first query:
 
 1. **Snapshot** - if the page-store header points at a catalog, rebuild
    every table from it: schema payload, rows blob, index definitions
-   (primary-key and secondary hash indexes are rebuilt from rows - index
-   contents are never persisted).
+   (the primary-key map and the secondary hash and B-tree indexes are
+   rebuilt from rows - index contents are never persisted).
 2. **Base check** - the WAL must start with a CHECKPOINT frame matching
    the header's checkpoint id (or contain none at all when no checkpoint
    was ever taken).  A mismatch means the process died between the header

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from bisect import insort
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SqlCatalogError, SqlIntegrityError
 from repro.sqldb.schema import TableSchema
@@ -29,13 +30,33 @@ def _key_of(value: Any) -> Any:
     return value
 
 
+def compaction_map(count: int, doomed: Sequence[int]) -> List[Optional[int]]:
+    """Old row position -> new position once the ascending ``doomed``
+    positions are removed from a table of ``count`` rows (None for a
+    removed row).  Built run by run, in O(len(doomed)) interpreted steps."""
+    remap: List[Optional[int]] = list(range(doomed[0]))
+    for shift, (position, following) in enumerate(
+        zip(doomed, [*doomed[1:], count]), start=1
+    ):
+        remap.append(None)
+        remap.extend(range(position + 1 - shift, following - shift))
+    return remap
+
+
+def remap_positions(positions: Sequence[int], remap: Sequence[Optional[int]]) -> List[int]:
+    """``positions`` after a DELETE compacted the table (``remap`` from
+    :func:`compaction_map`).  The map is monotone, so ascending input stays
+    ascending."""
+    return [new for p in positions if (new := remap[p]) is not None]
+
+
 class SecondaryIndex:
     """A non-unique hash index over one or more columns of a table.
 
-    The map goes from normalized key tuples to row positions (in insertion
-    order), which gives O(1) point lookups for ``col = const`` predicates -
-    the planner's :class:`~repro.sqldb.planner.nodes.IndexLookup` node reads
-    it directly.
+    The map goes from normalized key tuples to row positions (ascending, so
+    a lookup emits rows in table order), which gives O(1) point lookups for
+    ``col = const`` predicates - the planner's
+    :class:`~repro.sqldb.planner.nodes.IndexLookup` node reads it directly.
     """
 
     kind = "hash"
@@ -52,7 +73,7 @@ class SecondaryIndex:
         return tuple(_key_of(row[i]) for i in self.positions)
 
     def add(self, row: Sequence[Any], position: int) -> None:
-        self.map.setdefault(self.key_for_row(row), []).append(position)
+        insort(self.map.setdefault(self.key_for_row(row), []), position)
 
     def discard(self, row: Sequence[Any], position: int) -> None:
         """Undo a prior :meth:`add` of this exact row/position."""
@@ -68,10 +89,14 @@ class SecondaryIndex:
             fresh.setdefault(self.key_for_row(row), []).append(position)
         self.map = fresh
 
-    def rebuilt(self, rows: Sequence[Sequence[Any]]) -> "SecondaryIndex":
-        """A fresh index over ``rows`` with the same definition."""
+    def remapped(self, remap: Sequence[Optional[int]]) -> "SecondaryIndex":
+        """This index after a DELETE compacted the table (see
+        :func:`remap_positions`); no row is re-keyed."""
         fresh = SecondaryIndex(self.name, self.columns, self.positions)
-        fresh.rebuild(rows)
+        for key, positions in self.map.items():
+            kept = remap_positions(positions, remap)
+            if kept:
+                fresh.map[key] = kept
         return fresh
 
     def clear(self) -> None:
@@ -103,9 +128,19 @@ class Table:
     The table owns its rows (lists aligned with the schema's column order)
     and maintains a hash index over the primary key for O(1) uniqueness
     checks and point lookups - the same role a B-tree PK index plays in
-    PostgreSQL for the model catalogue tables.  User-created secondary hash
-    indexes (``CREATE INDEX``) are maintained incrementally on insert and
-    rebuilt on delete/update/rollback.
+    PostgreSQL for the model catalogue tables.  Every write costs in
+    proportion to the rows it touches, not to the table: INSERT adds one
+    entry per index; UPDATE replaces each matched row at its position and
+    moves an index entry only where that index's key changed; DELETE
+    compacts the rows and remaps the surviving positions in the PK map and
+    every index (a B-tree is bulk-loaded from its already-sorted pairs).
+    Each index key keeps its positions in ascending row order.
+
+    **Rows are replaced, never mutated.**  A row list, once stored, is
+    never changed in place: UPDATE stores a fresh list at the position.
+    :meth:`snapshot` therefore copies only the list of rows (and the PK
+    map), sharing every row with the live table, and a rolled-back
+    transaction gets exactly its pre-image back.
 
     ``write_hook`` (when set by the owning database) is invoked before any
     mutation; the database uses it to take lazy copy-on-write transaction
@@ -161,11 +196,8 @@ class Table:
     # ------------------------------------------------------------------ #
     # Primary key helpers
     # ------------------------------------------------------------------ #
-    def _pk_positions(self) -> List[int]:
-        return [self.schema.column_position(c) for c in self.schema.primary_key]
-
     def _pk_key(self, row: Sequence[Any]) -> Optional[Tuple]:
-        positions = self._pk_positions()
+        positions = self.schema.pk_positions
         if not positions:
             return None
         return tuple(_key_of(row[i]) for i in positions)
@@ -295,6 +327,12 @@ class Table:
             self.log_sink.log_insert(self.name, row)
         return list(row)
 
+    def _scan_positions(self, candidate_positions: Optional[Sequence[int]]) -> Iterable[int]:
+        """Row positions a DML statement tests, in ascending order."""
+        if candidate_positions is None:
+            return range(len(self._rows))
+        return sorted(set(candidate_positions))
+
     def delete_where(
         self,
         predicate: Callable[[Dict[str, Any]], bool],
@@ -308,34 +346,37 @@ class Table:
         per-row dict construction and expression evaluation of a full scan.
         """
         names = self.column_names
-        if candidate_positions is not None:
-            candidates = set(candidate_positions)
-            if not candidates:
-                return 0
-        else:
-            candidates = None
-        kept = []
-        removed_positions: List[int] = []
-        for position, row in enumerate(self._rows):
-            if (candidates is None or position in candidates) and predicate(
-                dict(zip(names, row))
-            ):
-                removed_positions.append(position)
-            else:
-                kept.append(row)
-        if removed_positions:
-            self._before_write()
-            # Rebuild replacement indexes before touching any table state so
-            # a failed index write (chaos fault) leaves the table untouched.
-            rebuilt = {name: index.rebuilt(kept) for name, index in self.indexes.items()}
-            self._rows = kept
-            self._rebuild_pk_index()
-            self.indexes = rebuilt
-            if self.stats is not None:
-                self.stats.note_removed(len(removed_positions))
-            if self.log_sink is not None:
-                self.log_sink.log_delete(self.name, removed_positions)
-        return len(removed_positions)
+        rows = self._rows
+        doomed = [
+            position
+            for position in self._scan_positions(candidate_positions)
+            if predicate(dict(zip(names, rows[position])))
+        ]
+        if not doomed:
+            return 0
+        self._before_write()
+        remap = compaction_map(len(rows), doomed)
+        # Remap the indexes before touching any table state so a failed
+        # index write (chaos fault) leaves the table untouched.
+        indexes = {name: index.remapped(remap) for name, index in self.indexes.items()}
+        kept: List[list] = []
+        start = 0
+        for position in doomed:
+            kept.extend(rows[start:position])
+            start = position + 1
+        kept.extend(rows[start:])
+        self._rows = kept
+        self._pk_index = {
+            key: new
+            for key, position in self._pk_index.items()
+            if (new := remap[position]) is not None
+        }
+        self.indexes = indexes
+        if self.stats is not None:
+            self.stats.note_removed(len(doomed))
+        if self.log_sink is not None:
+            self.log_sink.log_delete(self.name, doomed)
+        return len(doomed)
 
     def update_where(
         self,
@@ -348,43 +389,93 @@ class Table:
         ``updater`` receives the current row as a dict and returns a dict of
         column -> new value for the columns to change.
         ``candidate_positions`` restricts which rows are tested, exactly as
-        in :meth:`delete_where`.
+        in :meth:`delete_where`.  Every new row is computed and every new
+        primary key validated before the first write, so a failing UPDATE
+        changes nothing.
         """
         names = self.column_names
-        if candidate_positions is not None:
-            candidates = set(candidate_positions)
-            if not candidates:
-                return 0
-        else:
-            candidates = None
+        rows = self._rows
         updated_pairs: List[Tuple[int, list]] = []
-        new_rows: List[list] = []
-        for position, row in enumerate(self._rows):
-            if candidates is not None and position not in candidates:
-                new_rows.append(row)
-                continue
-            row_dict = dict(zip(names, row))
+        assigned: Set[int] = set()
+        for position in self._scan_positions(candidate_positions):
+            row_dict = dict(zip(names, rows[position]))
             if predicate(row_dict):
                 changes = updater(row_dict)
                 for column_name, new_value in changes.items():
                     column = self.schema.column(column_name)
-                    row_dict[column_name.lower()] = column.coerce(new_value)
-                new_row = [row_dict[name] for name in names]
-                new_rows.append(new_row)
-                updated_pairs.append((position, new_row))
-            else:
-                new_rows.append(row)
-        if updated_pairs:
-            self._before_write()
-            rebuilt = {
-                name: index.rebuilt(new_rows) for name, index in self.indexes.items()
-            }
-            self._rows = new_rows
-            self._rebuild_pk_index()
-            self.indexes = rebuilt
-            if self.log_sink is not None:
-                self.log_sink.log_update(self.name, updated_pairs)
+                    row_dict[column.name] = column.coerce(new_value)
+                    assigned.add(self.schema.column_position(column.name))
+                updated_pairs.append((position, [row_dict[name] for name in names]))
+        if not updated_pairs:
+            return 0
+        pk_moves = self._pk_moves(updated_pairs, assigned)
+        self._before_write()
+        self._move_index_entries(updated_pairs, assigned)
+        for old_key, _, _ in pk_moves:
+            del self._pk_index[old_key]
+        for _, new_key, position in pk_moves:
+            self._pk_index[new_key] = position
+        for position, new_row in updated_pairs:
+            rows[position] = new_row
+        if self.log_sink is not None:
+            self.log_sink.log_update(self.name, updated_pairs)
         return len(updated_pairs)
+
+    def _pk_moves(
+        self, updated_pairs: Sequence[Tuple[int, list]], assigned: Set[int]
+    ) -> List[Tuple[Tuple, Tuple, int]]:
+        """``(old key, new key, position)`` for each row whose primary key
+        the UPDATE changes, after checking the statement's keys as a whole:
+        no NULL part, and no new key held by a row that keeps it or claimed
+        twice (so ``SET id = id + 1`` over consecutive ids succeeds)."""
+        if assigned.isdisjoint(self.schema.pk_positions):
+            return []
+        moves = []
+        for position, new_row in updated_pairs:
+            old_key = self._pk_key(self._rows[position])
+            new_key = self._pk_key(new_row)
+            if new_key != old_key:
+                moves.append((old_key, new_key, position))
+        vacated = {old_key for old_key, _, _ in moves}
+        claimed: Set[Tuple] = set()
+        for _, new_key, _ in moves:
+            if any(part is None for part in new_key):
+                raise SqlIntegrityError(
+                    f"primary key of table {self.name!r} must not contain NULL"
+                )
+            if new_key in claimed or (new_key in self._pk_index and new_key not in vacated):
+                raise SqlIntegrityError(
+                    f"duplicate primary key {new_key!r} in table {self.name!r}"
+                )
+            claimed.add(new_key)
+        return moves
+
+    def _move_index_entries(
+        self, updated_pairs: Sequence[Tuple[int, list]], assigned: Set[int]
+    ) -> None:
+        """Re-key the secondary-index entries of updated rows whose indexed
+        columns changed.  All new entries go in first, so a failed index
+        write (chaos fault, NaN key) is undone by discards alone; only then
+        are the old entries dropped, which cannot fail."""
+        moves = []
+        for index in self.indexes.values():
+            if assigned.isdisjoint(index.positions):
+                continue
+            for position, new_row in updated_pairs:
+                old_row = self._rows[position]
+                if index.key_for_row(old_row) != index.key_for_row(new_row):
+                    moves.append((index, position, old_row, new_row))
+        added = []
+        try:
+            for index, position, _, new_row in moves:
+                index.add(new_row, position)
+                added.append((index, position, new_row))
+        except BaseException:
+            for index, position, new_row in reversed(added):
+                index.discard(new_row, position)
+            raise
+        for index, position, old_row, _ in moves:
+            index.discard(old_row, position)
 
     def truncate(self) -> None:
         """Remove all rows."""
@@ -402,10 +493,15 @@ class Table:
     # Transaction support
     # ------------------------------------------------------------------ #
     def snapshot(self) -> "TableState":
-        """Capture the current contents for transaction rollback."""
+        """Capture the current contents for transaction rollback.
+
+        Shallow: the list of rows is copied but the rows themselves are
+        shared, which is sound because stored rows are never mutated (see
+        the class docstring).
+        """
         return TableState(
             schema=self.schema,
-            rows=[list(row) for row in self._rows],
+            rows=list(self._rows),
             pk_index=dict(self._pk_index),
             index_defs=[
                 (index.name, list(index.columns), index.kind)
@@ -417,7 +513,7 @@ class Table:
     def restore(self, state: "TableState") -> None:
         """Restore contents captured by :meth:`snapshot` (indexes are rebuilt)."""
         self.schema = state.schema
-        self._rows = [list(row) for row in state.rows]
+        self._rows = list(state.rows)
         self._pk_index = dict(state.pk_index)
         self.indexes = {}
         for name, columns, kind in state.index_defs:
@@ -437,7 +533,9 @@ class Table:
 
 
 class TableState:
-    """Frozen copy of a table's contents, used for transaction rollback."""
+    """A table's pre-image for transaction rollback: its own list of rows
+    (the rows themselves shared with the table), PK map, index definitions
+    and statistics."""
 
     __slots__ = ("schema", "rows", "pk_index", "index_defs", "stats")
 

@@ -1,0 +1,401 @@
+"""Index maintenance under DML: statement-level PK checks, a randomized
+index oracle, write-fault atomicity, and the shallow-snapshot invariant.
+
+* :class:`TestPrimaryKeyUpdate` pins that an UPDATE validates every new
+  primary key before its first write: a collision raises and changes
+  nothing, while ``SET id = id + 1`` over consecutive ids still succeeds.
+* :class:`TestIndexMaintenanceOracle` runs seeded INSERT/UPDATE/DELETE/
+  ROLLBACK sequences on a table with a composite primary key, a hash index
+  and a B-tree index.  After every statement each index must equal a
+  from-scratch grouping of the rows (per-key positions ascending),
+  ``VERIFY`` must report ok, planned point/range/top-k queries must equal
+  the naive pipeline, and no stored row may have been mutated in place.
+* :class:`TestWriteFaultAtomicity` arms ``btree.node_write`` during an
+  UPDATE that moves B-tree keys and during a DELETE, in memory and on a
+  durable database: the typed error surfaces and the rows, the PK map and
+  every index are exactly as before the statement.
+* :class:`TestBulkLoad` covers the building blocks: the position map a
+  DELETE compacts with, and :meth:`BTree.from_sorted`.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro import faults
+from repro.errors import InjectedCrash, SqlIntegrityError
+from repro.sqldb import Database, StorageEngine
+from repro.sqldb.storage.btree import NODE_CAPACITY, BTree, normalize_key
+from repro.sqldb.table import _key_of, compaction_map
+
+
+@pytest.fixture()
+def open_db(tmp_path):
+    """Open an in-memory or a durable database (one file per test, which a
+    second call reopens); durable ones are closed at teardown."""
+    opened = []
+
+    def open_(durable: bool) -> Database:
+        db = Database(storage=StorageEngine(tmp_path / "maint.db")) if durable else Database()
+        opened.append(db)
+        return db
+
+    yield open_
+    for db in opened:
+        if db.storage is not None:
+            db.storage.close()
+
+
+def index_image(index):
+    """An index's contents as plain, independently copied values."""
+    if index.kind == "btree":
+        return (
+            [(key, list(positions)) for key, positions in index.tree.items()],
+            list(index.null_positions),
+        )
+    return {key: list(positions) for key, positions in index.map.items()}
+
+
+def table_image(table):
+    """Rows, PK map and every index of ``table``, deep-copied for comparison."""
+    return (
+        [list(row) for row in table.raw_rows()],
+        dict(table._pk_index),
+        {name: index_image(index) for name, index in table.indexes.items()},
+    )
+
+
+def expected_image(index, rows):
+    """What ``index`` must hold over ``rows``, grouped from scratch here
+    (independently of the engine's own rebuild), positions ascending."""
+    if index.kind == "btree":
+        groups: dict = {}
+        nulls = []
+        for position, row in enumerate(rows):
+            key = normalize_key(row[index.positions[0]])
+            if key is None:
+                nulls.append(position)
+            else:
+                groups.setdefault(key, []).append(position)
+        return sorted(groups.items()), nulls
+    groups = {}
+    for position, row in enumerate(rows):
+        key = tuple(_key_of(row[i]) for i in index.positions)
+        groups.setdefault(key, []).append(position)
+    return groups
+
+
+def assert_indexes_fresh(db: Database, table_name: str) -> None:
+    table = db.table(table_name)
+    rows = table.raw_rows()
+    pk = table.schema.pk_positions
+    if pk:
+        expected_pk = {
+            tuple(_key_of(row[i]) for i in pk): position for position, row in enumerate(rows)
+        }
+        assert table._pk_index == expected_pk
+    for name, index in table.indexes.items():
+        assert index_image(index) == expected_image(index, rows), name
+        if index.kind == "btree":
+            assert index.tree.audit() is None, name
+    for row in db.verify():
+        assert row[1] == "ok", row
+
+
+def run_both(db: Database, sql: str, params=None):
+    planned = db.execute(sql, params).rows
+    db.planner_enabled = False
+    try:
+        naive = db.execute(sql, params).rows
+    finally:
+        db.planner_enabled = True
+    return planned, naive
+
+
+# --------------------------------------------------------------------------- #
+# Statement-level primary-key validation on UPDATE
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+class TestPrimaryKeyUpdate:
+    def build(self, open_db, durable):
+        db = open_db(durable)
+        db.execute("CREATE TABLE t (id integer PRIMARY KEY, v double precision)")
+        db.execute("CREATE INDEX t_v ON t USING BTREE (v)")
+        for i in range(3):
+            db.execute("INSERT INTO t VALUES ($1, $2)", [i, float(i)])
+        return db
+
+    def test_colliding_update_changes_nothing(self, open_db, durable):
+        db = self.build(open_db, durable)
+        table = db.table("t")
+        before = table_image(table)
+        with pytest.raises(SqlIntegrityError):
+            db.execute("UPDATE t SET id = 0 WHERE id = 1")
+        assert table_image(table) == before
+        assert_indexes_fresh(db, "t")
+        assert db.execute("SELECT v FROM t WHERE id = 2").rows == [[2.0]]
+        with pytest.raises(SqlIntegrityError):
+            db.execute("INSERT INTO t VALUES (1, 9.0)")
+
+    def test_collision_between_updated_rows_changes_nothing(self, open_db, durable):
+        db = self.build(open_db, durable)
+        before = table_image(db.table("t"))
+        with pytest.raises(SqlIntegrityError):
+            db.execute("UPDATE t SET id = 7")
+        assert table_image(db.table("t")) == before
+
+    def test_null_key_part_is_rejected(self, open_db, durable):
+        # A table-level PRIMARY KEY does not make its columns NOT NULL, so
+        # the key check itself must refuse NULL, as INSERT does.
+        db = open_db(durable)
+        db.execute("CREATE TABLE c (a integer, b integer, PRIMARY KEY (a, b))")
+        db.execute("INSERT INTO c VALUES (1, 2)")
+        before = table_image(db.table("c"))
+        with pytest.raises(SqlIntegrityError):
+            db.execute("UPDATE c SET b = NULL")
+        assert table_image(db.table("c")) == before
+
+    def test_shifting_every_key_succeeds(self, open_db, durable):
+        db = self.build(open_db, durable)
+        assert db.execute("UPDATE t SET id = id + 1").rowcount == 3
+        assert db.execute("SELECT id, v FROM t ORDER BY id").rows == [
+            [1, 0.0], [2, 1.0], [3, 2.0]
+        ]
+        assert db.execute("SELECT v FROM t WHERE id = 3").rows == [[2.0]]
+        assert_indexes_fresh(db, "t")
+
+    def test_swapping_keys_succeeds(self, open_db, durable):
+        db = self.build(open_db, durable)
+        assert db.execute("UPDATE t SET id = 2 - id").rowcount == 3
+        assert db.execute("SELECT id, v FROM t ORDER BY id").rows == [
+            [0, 2.0], [1, 1.0], [2, 0.0]
+        ]
+        assert_indexes_fresh(db, "t")
+
+
+# --------------------------------------------------------------------------- #
+# Randomized index-maintenance oracle
+# --------------------------------------------------------------------------- #
+class TestIndexMaintenanceOracle:
+    # Key ranges sized so the table holds ~150-250 rows and the B-tree has
+    # several leaves under an inner node: bulk loads, splits and moves
+    # between leaves all happen.
+    SITES, SEQS, LEVELS = 8, 60, 120
+    TAGS = ["a", "b", "c", "d", None]
+
+    QUERIES = [
+        (
+            "SELECT * FROM m WHERE site = $1 AND seq = $2",
+            lambda self, r: [r.randrange(self.SITES), r.randrange(self.SEQS)],
+        ),
+        ("SELECT site, seq, level FROM m WHERE tag = $1", lambda self, r: [r.choice("abcd")]),
+        ("SELECT site, seq, tag FROM m WHERE level = $1", lambda self, r: [self.level(r, nulls=False)]),
+        (
+            "SELECT site, seq, level FROM m WHERE level BETWEEN $1 AND $2",
+            lambda self, r: sorted([self.level(r, nulls=False), self.level(r, nulls=False)]),
+        ),
+        (
+            "SELECT site, seq, level FROM m WHERE level >= $1 ORDER BY level LIMIT 5",
+            lambda self, r: [self.level(r, nulls=False)],
+        ),
+        ("SELECT site, seq, level FROM m ORDER BY level DESC LIMIT 6", lambda self, r: None),
+        ("SELECT site, seq, level, note FROM m ORDER BY level LIMIT 9", lambda self, r: None),
+    ]
+
+    def level(self, rng, nulls=True):
+        return None if nulls and rng.random() < 0.1 else float(rng.randrange(self.LEVELS))
+
+    def statement(self, rng):
+        """One random DML statement and its parameters."""
+        site, seq = rng.randrange(self.SITES), rng.randrange(self.SEQS)
+        roll = rng.random()
+        if roll < 0.3:
+            return "INSERT INTO m VALUES ($1, $2, $3, $4, $5)", [
+                site, seq, rng.choice(self.TAGS), self.level(rng), rng.random()
+            ]
+        if roll < 0.38:
+            return "UPDATE m SET note = $1 WHERE site = $2 AND seq = $3", [rng.random(), site, seq]
+        if roll < 0.45:
+            low = self.level(rng, nulls=False)
+            return "UPDATE m SET tag = $1 WHERE level BETWEEN $2 AND $3", [
+                rng.choice(self.TAGS), low, low + 10.0
+            ]
+        if roll < 0.52:
+            return "UPDATE m SET level = $1 WHERE tag = $2 AND note < 0.3", [
+                self.level(rng), rng.choice("abcd")
+            ]
+        if roll < 0.59:
+            return "UPDATE m SET level = level + 1, note = note * 2 WHERE site = $1 AND seq = $2", [
+                site, seq
+            ]
+        if roll < 0.64:
+            # A whole site shifts (always legal) or only its low seqs
+            # (collides when the row just above the cut stays put).
+            return "UPDATE m SET seq = seq + $1 WHERE site = $2 AND seq < $3", [
+                rng.choice([-1, 1]), site, rng.choice([seq, self.SEQS * 2])
+            ]
+        if roll < 0.7:
+            return "UPDATE m SET site = $1, level = $2 WHERE site = $3 AND seq = $4", [
+                rng.randrange(self.SITES), self.level(rng), site, seq
+            ]
+        if roll < 0.82:
+            return "DELETE FROM m WHERE site = $1 AND seq = $2", [site, seq]
+        if roll < 0.92:
+            return "DELETE FROM m WHERE tag = $1 AND note < $2", [rng.choice("abcd"), rng.random() / 4]
+        return "DELETE FROM m WHERE level > $1", [float(self.LEVELS - rng.randrange(1, 8))]
+
+    def execute(self, db, sql, params):
+        """Run one statement; a rejected one must leave the table untouched."""
+        before = table_image(db.table("m"))
+        try:
+            db.execute(sql, params)
+        except SqlIntegrityError:
+            assert table_image(db.table("m")) == before, sql
+
+    def check(self, db, rng, stored, context):
+        assert_indexes_fresh(db, "m")
+        # Rows are replaced, never mutated: every row object ever stored
+        # still holds the values it had when first seen.
+        for row in db.table("m").raw_rows():
+            stored.setdefault(id(row), (row, list(row)))
+        for row, values in stored.values():
+            assert row == values, context
+        for sql, make_params in self.QUERIES:
+            planned, naive = run_both(db, sql, make_params(self, rng))
+            assert planned == naive, f"{context}: {sql}"
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_randomized_dml(self, seed):
+        rng = random.Random(0x1D3A + seed)
+        db = Database()
+        db.execute(
+            "CREATE TABLE m (site integer, seq integer, tag text, level double precision, "
+            "note double precision, PRIMARY KEY (site, seq))"
+        )
+        db.execute("CREATE INDEX m_tag ON m (tag)")
+        db.execute("CREATE INDEX m_level ON m USING BTREE (level)")
+        for _ in range(200):
+            self.execute(db, "INSERT INTO m VALUES ($1, $2, $3, $4, $5)", [
+                rng.randrange(self.SITES), rng.randrange(self.SEQS), rng.choice(self.TAGS),
+                self.level(rng), rng.random(),
+            ])
+        if seed % 2:
+            db.execute("ANALYZE m")
+        plans = "\n".join(db.explain(sql) for sql, _ in self.QUERIES[:5])
+        assert "IndexLookup m USING PRIMARY KEY" in plans
+        assert "IndexLookup m USING m_tag" in plans
+        assert "IndexRangeScan" in plans
+        stored: dict = {}
+        for step in range(100):
+            context = f"seed={seed} step={step}"
+            if rng.random() < 0.1:
+                before = table_image(db.table("m"))
+                db.begin()
+                for _ in range(rng.randint(1, 4)):
+                    self.execute(db, *self.statement(rng))
+                db.rollback()
+                assert table_image(db.table("m")) == before, context
+            else:
+                self.execute(db, *self.statement(rng))
+            self.check(db, rng, stored, context)
+
+
+# --------------------------------------------------------------------------- #
+# btree.node_write faults during UPDATE and DELETE
+# --------------------------------------------------------------------------- #
+@pytest.mark.parametrize("durable", [False, True], ids=["memory", "durable"])
+class TestWriteFaultAtomicity:
+    STATEMENTS = {
+        # One row's B-tree key moves: the fault fires on its new entry.
+        "update_one": ("UPDATE t SET v = 1000.5 WHERE id = 7", 1),
+        # Many keys move (and a node splits): earlier new entries must be undone.
+        "update_many": ("UPDATE t SET v = v + 0.25, w = 'moved' WHERE w = 'x'", 9),
+        # The remapped B-tree is bulk-loaded; the fault hits a node write.
+        "delete": ("DELETE FROM t WHERE v < 5", 2),
+    }
+    QUERIES = [
+        "SELECT id, v FROM t WHERE v BETWEEN 10 AND 40",
+        "SELECT id, v, w FROM t ORDER BY v DESC LIMIT 12",
+        "SELECT id, v FROM t WHERE w = 'x'",
+        "SELECT id, w FROM t WHERE id = 7",
+    ]
+
+    def build(self, open_db, durable):
+        db = open_db(durable)
+        db.execute("CREATE TABLE t (id integer PRIMARY KEY, v double precision, w text)")
+        db.execute("CREATE INDEX t_v ON t USING BTREE (v)")
+        db.execute("CREATE INDEX t_w ON t (w)")
+        for i in range(4 * NODE_CAPACITY):
+            v = None if i % 11 == 0 else float(i % 50)
+            db.execute("INSERT INTO t VALUES ($1, $2, $3)", [i, v, "xyz"[i % 3]])
+        return db
+
+    def assert_queries_match(self, db):
+        for sql in self.QUERIES:
+            planned, naive = run_both(db, sql)
+            assert planned == naive, sql
+
+    @pytest.mark.parametrize("name", sorted(STATEMENTS))
+    def test_fault_leaves_table_as_before(self, open_db, durable, name):
+        sql, nth = self.STATEMENTS[name]
+        db = self.build(open_db, durable)
+        table = db.table("t")
+        before = table_image(table)
+        injector = faults.FaultInjector().arm("btree.node_write", nth=nth, trips=1)
+        with faults.activate(injector):
+            with pytest.raises(InjectedCrash):
+                db.execute(sql)
+        assert "btree.node_write" in injector.events, "armed fault never fired"
+        assert table_image(db.table("t")) == before
+        assert_indexes_fresh(db, "t")
+        self.assert_queries_match(db)
+        # The engine keeps working: the same statement now goes through.
+        assert db.execute(sql).rowcount > 0
+        assert_indexes_fresh(db, "t")
+        self.assert_queries_match(db)
+        if durable:
+            after = table_image(db.table("t"))
+            db.storage.close()
+            assert table_image(open_db(durable).table("t")) == after
+
+
+# --------------------------------------------------------------------------- #
+# Building blocks: the compaction map and the bulk loader
+# --------------------------------------------------------------------------- #
+class TestBulkLoad:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_compaction_map_matches_naive(self, seed):
+        rng = random.Random(0xC0 + seed)
+        count = rng.randint(1, 60)
+        doomed = sorted(rng.sample(range(count), rng.randint(1, count)))
+        survivors = [p for p in range(count) if p not in doomed]
+        expected = [survivors.index(p) if p in survivors else None for p in range(count)]
+        assert compaction_map(count, doomed) == expected
+
+    @pytest.mark.parametrize(
+        "count", [0, 1, NODE_CAPACITY, NODE_CAPACITY + 1, NODE_CAPACITY * (NODE_CAPACITY + 1) + 3]
+    )
+    def test_from_sorted_is_a_valid_tree(self, count):
+        keys = list(range(0, 2 * count, 2))
+        values = [[k, k + 1] for k in keys]
+        tree = BTree.from_sorted(keys, values)
+        assert tree.audit() is None
+        assert list(tree.items()) == list(zip(keys, values))
+        for key in keys[:: max(1, count // 50)]:
+            assert tree.get(key) == [key, key + 1]
+            assert tree.get(key + 1) == []
+        # The loaded tree keeps accepting single-entry writes.
+        for key in range(-1, 2 * count + 1, 7):
+            tree.insert(key, 10 ** 6)
+        tree.remove(-1, 10 ** 6)
+        assert tree.audit() is None
+        assert [k for k, _ in tree.items()] == sorted(k for k, _ in tree.items())
+
+    def test_from_sorted_passes_the_fault_point(self):
+        keys = list(range(3 * NODE_CAPACITY))
+        injector = faults.FaultInjector().arm("btree.node_write", nth=2, trips=1)
+        with faults.activate(injector):
+            with pytest.raises(InjectedCrash):
+                BTree.from_sorted(keys, [[k] for k in keys])
