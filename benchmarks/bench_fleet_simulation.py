@@ -82,28 +82,30 @@ def measure_fleet(hours: float = 100.0, rounds: int = 3) -> dict:
     session, ids = _build_fleet_session(hours)
     query = "SELECT * FROM m"
 
-    def run():
+    simulator = session.simulator
+
+    def run_batched():
         return session.simulate_many(ids, query)
 
-    session.simulator.batch_enabled = True
-    batched_results = run()
-    session.simulator.batch_enabled = False
-    sequential_results = run()
+    def run_sequential():
+        # The query runs once, then each instance takes the scalar path.
+        prepared = simulator.prepare_inputs(query)
+        return {i: simulator._simulate_prepared(i, prepared) for i in ids}
+
+    batched_results = run_batched()
+    sequential_results = run_sequential()
     worst = _assert_equivalent(batched_results, sequential_results)
 
     # Symmetric, interleaved best-of-N timing (see bench_simulation_kernels):
     # alternating the two paths keeps CPU frequency drift off the ratio.
     batched_s = sequential_s = float("inf")
     for _ in range(rounds):
-        session.simulator.batch_enabled = True
         started = time.perf_counter()
-        run()
+        run_batched()
         batched_s = min(batched_s, time.perf_counter() - started)
-        session.simulator.batch_enabled = False
         started = time.perf_counter()
-        run()
+        run_sequential()
         sequential_s = min(sequential_s, time.perf_counter() - started)
-    session.simulator.batch_enabled = True
     return {
         "benchmark": "fleet_simulation",
         "n_instances": N_INSTANCES,

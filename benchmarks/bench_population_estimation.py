@@ -9,10 +9,11 @@ order of magnitude fewer solver invocations per calibration.
 
 This benchmark calibrates a five-zone heat pump instance end to end through
 ``fmu_parest`` (measurement query, GA global stage at population 48, SLSQP
-local refinement, catalogue write-back) with ``batch_enabled`` on and off,
-after asserting the two paths return **identical** estimates (parameters,
-error and evaluation counts are bit-equal - the batched solver walks the
-same step sequences).  Target: >= 3x end-to-end at population >= 24; the
+local refinement, catalogue write-back) batched and sequentially (the
+sequential arm scores each population one row at a time), after asserting
+the two paths return **identical** estimates (parameters, error and
+evaluation counts are bit-equal - the batched solver walks the same step
+sequences).  Target: >= 3x end-to-end at population >= 24; the
 record also reports the smaller populations to show the scaling.
 
 Run with:  pytest benchmarks/bench_population_estimation.py
@@ -44,6 +45,7 @@ if __name__ == "__main__":  # pragma: no cover - direct invocation path
 from bench_simulation_kernels import HP5_SOURCE
 
 from repro.core.session import Session
+from repro.estimation.objective import SimulationObjective
 from repro.fmi.model import FmuModel
 
 RECORD_PATH = Path(__file__).resolve().parent / "BENCH_population_estimation.json"
@@ -96,10 +98,14 @@ def _build_session(population: int, generations: int, hours: float) -> Session:
     return session
 
 
+def _score_rows(objective, thetas):
+    """The sequential arm's population scorer: one ``objective(theta)`` per row."""
+    return np.array([objective(theta) for theta in np.asarray(thetas, dtype=float)])
+
+
 def _run_parest(population: int, generations: int, hours: float, batch: bool):
     """One end-to-end fmu_parest run; returns (seconds, outcome, solver calls)."""
     session = _build_session(population, generations, hours)
-    session.estimator.batch_enabled = batch
 
     solve_calls = {"sequential": 0, "batched": 0}
     real_simulate = FmuModel.simulate
@@ -113,8 +119,11 @@ def _run_parest(population: int, generations: int, hours: float, batch: bool):
         solve_calls["batched"] += 1
         return real_simulate_batch(models, *args, **kwargs)
 
+    real_evaluate_population = SimulationObjective.evaluate_population
     FmuModel.simulate = counting_simulate
     FmuModel.simulate_batch = staticmethod(counting_simulate_batch)
+    if not batch:
+        SimulationObjective.evaluate_population = _score_rows
     try:
         started = time.perf_counter()
         outcomes = session.parest(
@@ -124,6 +133,7 @@ def _run_parest(population: int, generations: int, hours: float, batch: bool):
     finally:
         FmuModel.simulate = real_simulate
         FmuModel.simulate_batch = staticmethod(real_simulate_batch)
+        SimulationObjective.evaluate_population = real_evaluate_population
     return elapsed, outcomes[0], solve_calls
 
 

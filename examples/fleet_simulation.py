@@ -53,16 +53,17 @@ def main() -> None:
     # ---------------------------------------------------------------- #
     query = "SELECT * FROM measurements"
 
-    session.simulator.batch_enabled = True
     started = time.perf_counter()
     batched = session.simulate_many(fleet, query)
     batched_s = time.perf_counter() - started
 
-    session.simulator.batch_enabled = False
+    # The sequential path: run the query once, then simulate each house on
+    # its own (what simulate_many does for a model with one instance).
+    simulator = session.simulator
     started = time.perf_counter()
-    sequential = session.simulate_many(fleet, query)
+    prepared = simulator.prepare_inputs(query)
+    sequential = {house: simulator._simulate_prepared(house, prepared) for house in fleet}
     sequential_s = time.perf_counter() - started
-    session.simulator.batch_enabled = True
 
     worst = max(
         float(np.max(np.abs(batched[house]["x"] - sequential[house]["x"])))
@@ -109,19 +110,6 @@ def main() -> None:
           f"(population-batched), errors: {errors}")
     for house in to_calibrate:
         print(f"  {house}: {house.parameters}")
-
-    # The escape hatch ('false' as fmu_parest's fifth argument) runs the
-    # sequential per-candidate loop - same estimates, one solve per
-    # candidate instead of one per generation.
-    started = time.perf_counter()
-    sequential_errors = conn.execute(
-        "SELECT fmu_parest($1, $2, '{Cp, R}', NULL, 'false')",
-        [format_array_literal(to_calibrate), format_array_literal([query])],
-    ).result.scalar()
-    sequential_cal_s = time.perf_counter() - started
-    print(f"sequential estimation path: {sequential_cal_s:.1f} s "
-          f"({sequential_cal_s / batched_cal_s:.1f}x slower), "
-          f"identical errors: {sequential_errors == errors}")
 
 
 if __name__ == "__main__":

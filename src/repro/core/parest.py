@@ -62,12 +62,6 @@ class ParameterEstimator:
         defaults match a thorough calibration.
     seed:
         Seed for the global search.
-    batch_enabled:
-        Score whole GA generations (and local gradient stencils) as one
-        batched ``(pop, d)`` fleet solve instead of one simulation per
-        candidate (see :class:`~repro.estimation.estimator.Estimation`).
-        Results are identical either way for a fixed seed; per-call
-        overrides go through :meth:`estimate` / :meth:`estimate_single`.
     """
 
     catalog: ModelCatalog
@@ -75,7 +69,6 @@ class ParameterEstimator:
     ga_options: Dict = field(default_factory=dict)
     local_options: Dict = field(default_factory=dict)
     seed: int = 1
-    batch_enabled: bool = True
     #: Optional :class:`~repro.solvers.retry.RetryPolicy` threaded through to
     #: the calibration objective: candidates whose simulation diverges walk
     #: the degradation ladder (tightened numerics, fixed-step fallback)
@@ -106,13 +99,8 @@ class ParameterEstimator:
         method: str = "global+local",
         initial_values: Optional[Dict[str, float]] = None,
         measurements: Optional[MeasurementSet] = None,
-        batch_enabled: Optional[bool] = None,
     ) -> ParestOutcome:
-        """Calibrate one instance and write the estimates back to the catalogue.
-
-        ``batch_enabled`` overrides the estimator-wide default for this call
-        (``None`` keeps it).
-        """
+        """Calibrate one instance and write the estimates back to the catalogue."""
         measurement_set = measurements if measurements is not None else self.load_measurements(input_sql)
         parameter_names = list(parameters) if parameters else self.instances.parameter_names(instance_id)
         if not parameter_names:
@@ -128,7 +116,6 @@ class ParameterEstimator:
             ga_options=dict(self.ga_options),
             local_options=dict(self.local_options),
             seed=self.seed,
-            batch_enabled=self.batch_enabled if batch_enabled is None else bool(batch_enabled),
             retry_policy=self.retry_policy,
         )
         result: EstimationResult = estimation.estimate(method=method, initial_values=initial_values)
@@ -154,7 +141,6 @@ class ParameterEstimator:
         parameters: Optional[Sequence[str]] = None,
         threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
         use_mi_optimization: bool = True,
-        batch_enabled: Optional[bool] = None,
     ) -> List[ParestOutcome]:
         """Calibrate one or more instances, applying the MI optimization.
 
@@ -169,9 +155,6 @@ class ParameterEstimator:
         use_mi_optimization:
             Disable to force the full G+LaG for every instance (this is the
             pgFMU- configuration of the paper's experiments).
-        batch_enabled:
-            Per-call override of the population-batched evaluation escape
-            hatch (``None`` keeps the estimator-wide default).
         """
         instance_ids = [str(i) for i in instance_ids]
         input_sqls = [str(q) for q in input_sqls]
@@ -194,8 +177,7 @@ class ParameterEstimator:
 
             if index == 0 or not use_mi_optimization:
                 outcome = self.estimate_single(
-                    instance_id, input_sql, parameters, measurements=measurements,
-                    batch_enabled=batch_enabled,
+                    instance_id, input_sql, parameters, measurements=measurements
                 )
                 if index == 0:
                     reference_outcome = outcome
@@ -207,8 +189,7 @@ class ParameterEstimator:
             if model_id != reference_model_id or reference_outcome is None:
                 outcomes.append(
                     self.estimate_single(
-                        instance_id, input_sql, parameters, measurements=measurements,
-                        batch_enabled=batch_enabled,
+                        instance_id, input_sql, parameters, measurements=measurements
                     )
                 )
                 continue
@@ -218,8 +199,7 @@ class ParameterEstimator:
             )
             if dissimilarity >= threshold:
                 outcome = self.estimate_single(
-                    instance_id, input_sql, parameters, measurements=measurements,
-                    batch_enabled=batch_enabled,
+                    instance_id, input_sql, parameters, measurements=measurements
                 )
                 outcome.dissimilarity = dissimilarity
                 outcomes.append(outcome)
@@ -235,7 +215,6 @@ class ParameterEstimator:
                 method="local",
                 initial_values=reference_outcome.parameters,
                 measurements=measurements,
-                batch_enabled=batch_enabled,
             )
             outcome.used_mi_optimization = True
             outcome.dissimilarity = dissimilarity

@@ -163,21 +163,14 @@ class Session:
         parameters: Optional[Sequence[str]] = None,
         threshold: float = DEFAULT_SIMILARITY_THRESHOLD,
         use_mi_optimization: bool = True,
-        batch_enabled: Optional[bool] = None,
     ) -> List[ParestOutcome]:
-        """``fmu_parest``: calibrate one or more instances.
-
-        ``batch_enabled`` overrides the estimator's population-batched
-        evaluation for this call (``None`` keeps the default, which scores
-        each GA generation as one batched fleet solve).
-        """
+        """``fmu_parest``: calibrate one or more instances."""
         return self.estimator.estimate(
             instance_ids,
             input_sqls,
             parameters=parameters,
             threshold=threshold,
             use_mi_optimization=use_mi_optimization,
-            batch_enabled=batch_enabled,
         )
 
     def simulate(

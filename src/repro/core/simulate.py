@@ -14,9 +14,8 @@ stacked into an ``(N, d)`` matrix and integrated together through one
 numpy-vectorized right-hand side
 (:meth:`repro.fmi.model.FmuModel.simulate_batch`), so the fleet costs one
 solver loop instead of N.  This backs both ``Session.simulate_many`` and
-the array-literal overload of the ``fmu_simulate`` UDF.  Setting
-:attr:`Simulator.batch_enabled` to False restores the sequential
-per-instance path (the escape hatch equivalence tests and benchmarks use).
+the array-literal overload of the ``fmu_simulate`` UDF.  A model with a
+single instance in the fleet takes the scalar per-instance path.
 """
 
 from __future__ import annotations
@@ -70,11 +69,6 @@ class Simulator:
     #: Solver used for simulation; the adaptive solver is the default because
     #: simulation (unlike calibration) runs once and accuracy matters most.
     solver: str = "rk45"
-    #: Batch same-model fleets through one vectorized integration pass
-    #: (:meth:`FmuModel.simulate_batch`).  False forces the sequential
-    #: per-instance path - the escape hatch equivalence tests and the fleet
-    #: benchmark use to compare the two.
-    batch_enabled: bool = True
     #: Degradation ladder applied when an integration raises
     #: :class:`~repro.errors.SolverError`: retry with tightened numerics,
     #: then fall back to a fixed-step solver (see
@@ -181,13 +175,6 @@ class Simulator:
         """
         prepared = self.prepare_inputs(input_sql)
         unique_ids = list(dict.fromkeys(str(i) for i in instance_ids))
-        if not self.batch_enabled:
-            return {
-                instance_id: self._simulate_prepared(
-                    instance_id, prepared, time_from, time_to
-                )
-                for instance_id in unique_ids
-            }
         groups: Dict[str, List[str]] = {}
         for instance_id in unique_ids:
             model_id = self.catalog.instance_row(instance_id)["modelid"]

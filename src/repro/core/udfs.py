@@ -33,28 +33,13 @@ from __future__ import annotations
 
 from typing import Any, List, Optional
 
-from repro.errors import PgFmuError, SqlTypeError
+from repro.errors import PgFmuError
 from repro.sqldb.arrays import format_array_literal, parse_array_literal
-from repro.sqldb.types import SqlType, coerce
 from repro.sqldb.udf import Extension, register_extension_factory, scalar_udf, table_udf
 from repro.core.parest import DEFAULT_SIMILARITY_THRESHOLD
 
 #: Version reported by ``fmu_extensions()`` for the pgFMU core pack.
 PGFMU_EXTENSION_VERSION = "1.1"
-
-
-def parse_boolean_argument(value: Any, name: str) -> Optional[bool]:
-    """Coerce a SQL-surface boolean argument (or None) for a pgFMU UDF.
-
-    Delegates to the engine's own boolean coercion so the accepted literal
-    spellings cannot diverge from every other boolean in the SQL layer.
-    """
-    if value is None:
-        return None
-    try:
-        return coerce(value, SqlType.BOOLEAN)
-    except SqlTypeError:
-        raise PgFmuError(f"invalid boolean {value!r} for {name}") from None
 
 
 def parse_parest_arguments(instance_ids: Any, input_sqls: Any) -> tuple:
@@ -129,7 +114,7 @@ def pgfmu_extension(session) -> Extension:
     def fmu_reset(_db, instance_id: str) -> str:
         return session.instances.reset(instance_id)
 
-    @scalar_udf(min_args=2, max_args=5,
+    @scalar_udf(min_args=2, max_args=4,
                 description="Estimate model instance parameters from measurements (SI and MI)")
     def fmu_parest(
         _db,
@@ -137,7 +122,6 @@ def pgfmu_extension(session) -> Extension:
         input_sqls: str,
         parameters: Optional[str] = None,
         threshold: Optional[float] = None,
-        batch_enabled: Any = None,
     ) -> str:
         ids, queries = parse_parest_arguments(instance_ids, input_sqls)
         pars = parse_array_literal(parameters) or None
@@ -146,7 +130,6 @@ def pgfmu_extension(session) -> Extension:
             queries,
             parameters=pars,
             threshold=threshold if threshold is not None else DEFAULT_SIMILARITY_THRESHOLD,
-            batch_enabled=parse_boolean_argument(batch_enabled, "fmu_parest batch_enabled"),
         )
         return format_array_literal([round(o.error, 6) for o in outcomes])
 

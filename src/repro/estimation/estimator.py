@@ -72,12 +72,6 @@ class Estimation:
         ...).  Benchmarks use these to scale the experiment budget.
     seed:
         Seed for the GA stage.
-    batch_enabled:
-        Score whole GA generations and local-search gradient stencils as
-        one batched ``(pop, d)`` fleet solve
-        (:meth:`SimulationObjective.evaluate_population`) instead of one
-        simulation per candidate.  Results are identical either way for a
-        fixed seed; ``False`` forces the sequential per-candidate loop.
     retry_policy:
         Optional :class:`~repro.solvers.retry.RetryPolicy` forwarded to the
         objective: diverging candidates walk the degradation ladder before
@@ -96,7 +90,6 @@ class Estimation:
         solver_options: Optional[dict] = None,
         seed: Optional[int] = 1,
         memo: bool = True,
-        batch_enabled: bool = True,
         retry_policy=None,
     ):
         self.model = model
@@ -117,7 +110,6 @@ class Estimation:
             solver=solver,
             solver_options=solver_options,
             memo=memo,
-            batch_enabled=batch_enabled,
             retry_policy=retry_policy,
         )
 
@@ -187,9 +179,8 @@ class Estimation:
         if method in ("global+local", "global"):
             ga = GeneticAlgorithm(self.bounds, seed=self.seed, **self.ga_options)
             started = time.perf_counter()
-            # Each generation scores as one batched fleet solve; the scorer
-            # itself falls back to the sequential per-candidate loop when
-            # batching is disabled or the model cannot batch.
+            # Each generation scores as one batched fleet solve; a fleet that
+            # fails mid-solve is bisected down to the diverging candidates.
             ga_result = ga.run(
                 self.objective,
                 initial_guess=guess,

@@ -151,15 +151,6 @@ class SimulationObjective:
         configuration are fixed for the lifetime of an objective, so a cache
         entry can never go stale within one estimation; disable with
         ``memo=False`` when mutating the model between calls.
-    batch_enabled:
-        Evaluate whole candidate populations as one batched ``(pop, d)``
-        fleet solve (:meth:`evaluate_population` via
-        :meth:`FmuModel.simulate_batch`) instead of one simulation per
-        candidate.  Batched values, evaluation counts and cache-hit counts
-        are identical to the sequential path; ``False`` forces the
-        per-candidate loop (the escape hatch the equivalence corpus and the
-        population benchmark flip).  A batched solve that fails mid-flight
-        falls back to the sequential loop automatically.
     retry_policy:
         Optional :class:`~repro.solvers.retry.RetryPolicy` applied when a
         candidate's simulation raises :class:`~repro.errors.SolverError`:
@@ -179,7 +170,6 @@ class SimulationObjective:
         solver_options: Optional[dict] = None,
         align_initial_state: bool = True,
         memo: bool = True,
-        batch_enabled: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
     ):
         self.model = model
@@ -235,7 +225,6 @@ class SimulationObjective:
         self.n_evaluations = 0
         self.retry_policy = retry_policy
         self.memo_enabled = bool(memo)
-        self.batch_enabled = bool(batch_enabled)
         self.n_cache_hits = 0
         self._memo: Dict[bytes, float] = {}
 
@@ -375,10 +364,10 @@ class SimulationObjective:
         * the model is left holding the last row's candidate values, the
           state the sequential loop's ``simulate`` side effect leaves.
 
-        Falls back to the sequential per-candidate loop when
-        ``batch_enabled`` is off, or when the batched solve fails
-        mid-flight (the sequential rerun then penalizes the diverging
-        candidates with ``inf`` exactly as :meth:`__call__` would).
+        A batched solve that fails mid-flight is bisected (see
+        :meth:`_evaluate_batch`), so only the diverging candidates degrade
+        to a single evaluation, penalized with ``inf`` exactly as
+        :meth:`__call__` would.
         """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != len(self.parameter_names):
@@ -389,8 +378,6 @@ class SimulationObjective:
         n_rows = thetas.shape[0]
         if n_rows == 0:
             return np.empty(0)
-        if not self.batch_enabled:
-            return np.array([self(theta) for theta in thetas])
 
         errors = np.empty(n_rows)
         if self.memo_enabled:

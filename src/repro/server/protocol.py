@@ -107,7 +107,10 @@ def decode_message(payload: bytes) -> Dict[str, Any]:
     """The message inside one frame payload."""
     try:
         message = json.loads(payload.decode("utf-8"), object_hook=_object_hook)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and an integer literal past
+        # the interpreter's digit limit; RecursionError covers nesting too
+        # deep for the decoder.
         raise ProtocolError(f"malformed frame payload: {exc}") from exc
     if not isinstance(message, dict):
         raise ProtocolError(

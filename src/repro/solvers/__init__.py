@@ -9,7 +9,7 @@ The solver interface is deliberately tiny so that the FMI runtime
 (:mod:`repro.fmi.model`) can swap solvers via the ``solver`` simulation option
 without caring about their internals.
 
-Every solver also integrates *fleets*: ``solve_batch`` steps an ``(N, d)``
+Every registered solver also integrates *fleets*: its ``solve_batch`` steps an ``(N, d)``
 state matrix through a batched right-hand side ``F(t, X, U) -> (N, d)``
 (see :class:`~repro.solvers.base.BatchOdeProblem`), which is how
 ``Session.simulate_many`` scales sub-linearly in the number of instances.

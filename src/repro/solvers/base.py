@@ -8,9 +8,8 @@ Two problem shapes are supported:
   ``(N, d)`` state matrix sharing one integration window, solved by
   :meth:`OdeSolver.solve_batch`.  The right-hand side is evaluated once per
   step for the whole fleet (one numpy-vectorized call instead of ``N``
-  scalar ones); the concrete solvers override ``solve_batch`` with matrix
-  stepping, and the base class provides a row-by-row fallback so any solver
-  can integrate a batch problem.
+  scalar ones); each concrete solver implements ``solve_batch`` with
+  matrix stepping.
 """
 
 from __future__ import annotations
@@ -172,33 +171,6 @@ class BatchOdeProblem:
     def n_states(self) -> int:
         return self.x0.shape[1]
 
-    def row_problem(self, row: int) -> "OdeProblem":
-        """Row ``row`` as an independent scalar :class:`OdeProblem`.
-
-        Used by the base-class ``solve_batch`` fallback.  The batched rhs
-        may close over per-row data (parameter matrices), so it is always
-        called at full fleet width: the candidate state is broadcast to
-        every row and the requested row of the result is returned.  That
-        costs ``N`` redundant row evaluations per call - acceptable for a
-        correctness fallback, not a fast path.
-        """
-        rhs = self.rhs
-        batch_inputs = self.inputs
-        n_rows, n_states = self.n_rows, self.n_states
-        empty_u = np.empty((n_rows, 0))
-
-        def scalar_rhs(t: float, x: np.ndarray, _u: np.ndarray) -> np.ndarray:
-            X = np.broadcast_to(x, (n_rows, n_states))
-            U = batch_inputs(t) if batch_inputs is not None else empty_u
-            return np.asarray(rhs(t, X, U), dtype=float)[row]
-
-        return OdeProblem(
-            rhs=scalar_rhs,
-            x0=self.x0[row],
-            t0=self.t0,
-            t1=self.t1,
-        )
-
 
 @dataclass
 class OdeSolution:
@@ -293,17 +265,6 @@ class BatchOdeSolution:
     @property
     def n_rows(self) -> int:
         return self.states.shape[1]
-
-    def row(self, index: int) -> OdeSolution:
-        """Row ``index`` as a scalar :class:`OdeSolution` (states copied)."""
-        return OdeSolution(
-            times=self.times,
-            states=self.states[:, index, :].copy(),
-            n_rhs_evals=self.n_rhs_evals,
-            n_steps=int(self.n_steps[index]),
-            n_rejected=int(self.n_rejected[index]),
-            solver_name=self.solver_name,
-        )
 
 
 def _stage_function(problem: "OdeProblem"):
@@ -477,7 +438,8 @@ class BatchTrajectoryRecorder:
 class OdeSolver:
     """Base class for ODE solvers.
 
-    Subclasses implement :meth:`solve` and set :attr:`name`.  Construction
+    Subclasses implement :meth:`solve` and :meth:`solve_batch` and set
+    :attr:`name`.  Construction
     options common to all solvers are the output grid control parameters.
     """
 
@@ -506,25 +468,10 @@ class OdeSolver:
     ) -> BatchOdeSolution:
         """Integrate a fleet problem and return a :class:`BatchOdeSolution`.
 
-        The base implementation is a row-by-row fallback: each row is
-        integrated as an independent scalar problem through :meth:`solve`
-        (via :meth:`BatchOdeProblem.row_problem`, which evaluates the
-        batched rhs at full fleet width).  Concrete solvers override this
-        with true matrix stepping; the fallback keeps any third-party
-        solver usable for fleets, just without the vectorization win.
+        Parameters are as for :meth:`solve`; every registered solver
+        overrides this with matrix stepping over the ``(N, d)`` fleet.
         """
-        rows = [
-            self.solve(problem.row_problem(row), output_times=output_times)
-            for row in range(problem.n_rows)
-        ]
-        return BatchOdeSolution(
-            times=rows[0].times,
-            states=np.stack([solution.states for solution in rows], axis=1),
-            n_rhs_evals=sum(solution.n_rhs_evals for solution in rows),
-            n_steps=np.array([solution.n_steps for solution in rows], dtype=int),
-            n_rejected=np.array([solution.n_rejected for solution in rows], dtype=int),
-            solver_name=self.name,
-        )
+        raise NotImplementedError
 
     def _normalized_output_times(
         self, problem: OdeProblem, output_times: Optional[Sequence[float]]

@@ -13,6 +13,7 @@ from repro.errors import (
     DuplicateInstanceError,
     PgFmuError,
     SimulationInputError,
+    SqlCatalogError,
     UnknownInstanceError,
     UnknownModelError,
 )
@@ -195,6 +196,13 @@ class TestSqlUdfSurface:
         ).scalar()
         assert errors.startswith("{") and errors.endswith("}")
         assert float(errors.strip("{}")) < 0.2
+
+    def test_fmu_parest_rejects_a_fifth_argument(self, session_with_data):
+        with pytest.raises(SqlCatalogError, match=r"'fmu_parest' expects 2\.\.4 arguments, got 5"):
+            session_with_data.execute(
+                "SELECT fmu_parest('{HP1Instance1}', '{SELECT * FROM measurements}', "
+                "'{Cp, R}', NULL, 'false')"
+            )
 
     def test_nested_composition_query(self, session_with_data, tmp_path):
         mo_path = tmp_path / "hp1_nested.mo"

@@ -2,13 +2,13 @@
 
 The corpus draws random FMU models from the shared factory in
 ``tests/conftest.py``, manufactures measurements by simulating a perturbed
-"truth" instance, and asserts that a full `Estimation` run with
-``batch_enabled=True`` (every GA generation and local finite-difference
-stencil scored as one ``(pop, d)`` fleet solve) is **bit-identical** to
-``batch_enabled=False``: same parameters, same error, same evaluation and
-cache-hit counts, same GA history.  Fallback paths (interpreted models,
-mid-flight solver errors) and the duplicate-candidate memo accounting are
-pinned separately.
+"truth" instance, and asserts that a full `Estimation` run (every GA
+generation and local finite-difference stencil scored as one ``(pop, d)``
+fleet solve) is **bit-identical** to the sequential reference, which scores
+each candidate row with ``objective(theta)`` in order: same parameters, same
+error, same evaluation and cache-hit counts, same GA history.  The
+mid-flight solver-error fallback and the duplicate-candidate memo
+accounting are pinned separately.
 """
 
 from __future__ import annotations
@@ -59,7 +59,21 @@ def _measurements_for(system, archive, seed: int) -> MeasurementSet:
     return MeasurementSet(time=grid, series=series)
 
 
-def _estimate(archive, system, measurements, seed, method, memo, batch_enabled):
+def _score_rows(objective, thetas):
+    """Sequential reference scorer: one ``objective(theta)`` per row, in order."""
+    return np.array([objective(theta) for theta in np.asarray(thetas, dtype=float)])
+
+
+def _run(estimation, method, batched):
+    """Run ``estimation``; ``batched=False`` scores populations row by row."""
+    if batched:
+        return estimation.estimate(method)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SimulationObjective, "evaluate_population", _score_rows)
+        return estimation.estimate(method)
+
+
+def _estimate(archive, system, measurements, seed, method, memo, batched):
     estimation = Estimation(
         FmuModel(archive),
         measurements,
@@ -69,9 +83,8 @@ def _estimate(archive, system, measurements, seed, method, memo, batch_enabled):
         local_options=dict(CORPUS_LOCAL),
         seed=seed,
         memo=memo,
-        batch_enabled=batch_enabled,
     )
-    return estimation.estimate(method)
+    return _run(estimation, method, batched)
 
 
 def _assert_bit_identical(batched, sequential, context: str) -> None:
@@ -138,9 +151,8 @@ class TestPopulationBatchFallbacks:
                 ga_options={"population_size": 6, "generations": 2, "patience": None},
                 local_options={"max_iterations": 5},
                 seed=7,
-                batch_enabled=batch,
             )
-            return estimation.estimate("global+local")
+            return _run(estimation, "global+local", batch)
 
         sequential = run(False)
 

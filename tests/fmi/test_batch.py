@@ -151,16 +151,10 @@ class TestBatchSolvers:
         solution = get_solver("rk45").solve_batch(problem)
         assert int(solution.n_steps[1]) > int(solution.n_steps[0])
 
-    def test_base_class_fallback_matches_override(self):
-        class FallbackEuler(EulerSolver):
-            solve_batch = OdeSolver.solve_batch
-
+    def test_base_class_solve_batch_is_abstract(self):
         problem, _ = _linear_batch_problem()
-        grid = np.linspace(0.0, 2.0, 11)
-        vectorized = EulerSolver().solve_batch(problem, output_times=grid)
-        problem2, _ = _linear_batch_problem()
-        rowwise = FallbackEuler().solve_batch(problem2, output_times=grid)
-        np.testing.assert_allclose(vectorized.states, rowwise.states, rtol=0, atol=1e-12)
+        with pytest.raises(NotImplementedError):
+            OdeSolver().solve_batch(problem)
 
     def test_batch_divergence_raises(self):
         def rhs(t, X, _u):
@@ -477,11 +471,12 @@ class TestSimulateManyBatching:
     def test_batched_equals_sequential_path(self, fleet_session):
         session, ids = fleet_session
         query = "SELECT * FROM measurements"
-        session.simulator.batch_enabled = True
         batched = session.simulate_many(ids, query)
-        session.simulator.batch_enabled = False
-        sequential = session.simulate_many(ids, query)
-        session.simulator.batch_enabled = True
+        # Sequential reference: the scalar per-instance path over inputs
+        # bound once.
+        simulator = session.simulator
+        prepared = simulator.prepare_inputs(query)
+        sequential = {i: simulator._simulate_prepared(i, prepared) for i in ids}
         assert list(batched) == list(sequential) == ids
         for instance_id in ids:
             assert batched[instance_id].solver_stats.get("batched") is True
@@ -499,11 +494,14 @@ class TestSimulateManyBatching:
         batched_rows = session.execute(
             f"SELECT * FROM fmu_simulate('{literal}', 'SELECT * FROM measurements')"
         ).rows
-        session.simulator.batch_enabled = False
-        sequential_rows = session.execute(
-            f"SELECT * FROM fmu_simulate('{literal}', 'SELECT * FROM measurements')"
-        ).rows
-        session.simulator.batch_enabled = True
+        # Sequential reference: one scalar fmu_simulate call per instance.
+        sequential_rows = [
+            row
+            for instance_id in ids
+            for row in session.execute(
+                f"SELECT * FROM fmu_simulate('{instance_id}', 'SELECT * FROM measurements')"
+            ).rows
+        ]
         assert len(batched_rows) == len(sequential_rows) > 0
         for got, want in zip(batched_rows, sequential_rows):
             assert got[:3] == want[:3]
