@@ -14,7 +14,8 @@ system's hottest workloads:
   deadline, gated at <= 2% over the token-free run.
 * **fmu_parest calibration** - a full Global+Local estimation (Algorithm 2)
   of HP1 on 240 h of measurements with the simulation memo cache, after
-  asserting that the cache does not change the result.
+  asserting that the cache does not change the result (the uncached
+  reference gives every candidate a fresh memo key).
 
 It emits ``BENCH_simulation_kernels.json`` next to this file.
 
@@ -22,11 +23,13 @@ Run with:  pytest benchmarks/bench_simulation_kernels.py
       or:  python benchmarks/bench_simulation_kernels.py [--smoke]
 
 ``--smoke`` runs a reduced-size, untimed pass (CI uses it to exercise the
-compiled path on every push without timing flakiness).
+compiled path and the cached-vs-uncached calibration check on every push
+without timing flakiness).
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 import time
@@ -178,7 +181,12 @@ def measure_deadline_overhead(n_steps: int = 10_000, rounds: int = 5) -> dict:
 # --------------------------------------------------------------------------- #
 # Part 2: fmu_parest calibration
 # --------------------------------------------------------------------------- #
-def measure_parest(hours: float = PAREST_HOURS) -> dict:
+def measure_parest(
+    hours: float = PAREST_HOURS,
+    ga_options: dict = GA_OPTIONS,
+    local_options: dict = LOCAL_OPTIONS,
+    rounds: int = 2,
+) -> dict:
     measurement_set = generate_hp1_dataset(hours=hours, seed=11).to_measurement_set()
 
     def run(memo: bool):
@@ -186,17 +194,21 @@ def measure_parest(hours: float = PAREST_HOURS) -> dict:
             load_fmu(build_hp1_archive()),
             measurement_set,
             parameters=["Cp", "R"],
-            ga_options=GA_OPTIONS,
-            local_options=LOCAL_OPTIONS,
+            ga_options=ga_options,
+            local_options=local_options,
             seed=5,
-            memo=memo,
         )
+        if not memo:
+            # Uncached reference: a fresh key per lookup makes every memo
+            # lookup miss, so every candidate row simulates.
+            fresh = itertools.count()
+            estimation.objective._memo_key = lambda _theta: next(fresh).to_bytes(8, "little")
         started = time.perf_counter()
         result = estimation.estimate("global+local")
         return time.perf_counter() - started, result
 
     parest_s = float("inf")
-    for _ in range(2):
+    for _ in range(rounds):
         seconds, result = run(memo=True)
         parest_s = min(parest_s, seconds)
     # The memo cache is exact: same optimum, same error, fewer simulations.
@@ -244,19 +256,14 @@ def test_deadline_check_overhead():
 def smoke() -> None:
     """Exercise (not time) the compiled path on reduced sizes."""
     measure_simulate(n_steps=200, rounds=1)
-    measurement_set = generate_hp1_dataset(hours=24, seed=11).to_measurement_set()
-    model = load_fmu(build_hp1_archive())
-    estimation = Estimation(
-        model,
-        measurement_set,
-        parameters=["Cp", "R"],
+    record = measure_parest(
+        hours=24,
         ga_options={"population_size": 6, "generations": 2},
         local_options={"max_iterations": 3},
-        seed=5,
+        rounds=1,
     )
-    result = estimation.estimate("global+local")
-    assert np.isfinite(result.error)
-    print("smoke ok: compiled simulate and calibration ran")
+    assert np.isfinite(record["parest_error"])
+    print("smoke ok: compiled simulate and calibration ran; cached == uncached")
 
 
 if __name__ == "__main__":

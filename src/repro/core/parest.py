@@ -23,7 +23,6 @@ from repro.errors import EstimationError, PgFmuError
 from repro.estimation.estimator import Estimation, EstimationResult
 from repro.estimation.metrics import relative_l2_dissimilarity
 from repro.estimation.objective import MeasurementSet
-from repro.solvers.retry import RetryPolicy
 
 #: Default dissimilarity threshold (20 %), chosen by the paper from Figure 6.
 DEFAULT_SIMILARITY_THRESHOLD = 0.2
@@ -69,12 +68,6 @@ class ParameterEstimator:
     ga_options: Dict = field(default_factory=dict)
     local_options: Dict = field(default_factory=dict)
     seed: int = 1
-    #: Optional :class:`~repro.solvers.retry.RetryPolicy` threaded through to
-    #: the calibration objective: candidates whose simulation diverges walk
-    #: the degradation ladder (tightened numerics, fixed-step fallback)
-    #: before being penalized with ``inf``.  ``None`` (the default) keeps
-    #: the pinned estimation results byte-identical.
-    retry_policy: Optional[RetryPolicy] = None
 
     # ------------------------------------------------------------------ #
     # Measurement loading
@@ -116,7 +109,6 @@ class ParameterEstimator:
             ga_options=dict(self.ga_options),
             local_options=dict(self.local_options),
             seed=self.seed,
-            retry_policy=self.retry_policy,
         )
         result: EstimationResult = estimation.estimate(method=method, initial_values=initial_values)
         for name, value in result.parameters.items():

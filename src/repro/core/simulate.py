@@ -15,7 +15,10 @@ numpy-vectorized right-hand side
 (:meth:`repro.fmi.model.FmuModel.simulate_batch`), so the fleet costs one
 solver loop instead of N.  This backs both ``Session.simulate_many`` and
 the array-literal overload of the ``fmu_simulate`` UDF.  A model with a
-single instance in the fleet takes the scalar per-instance path.
+single instance in the fleet takes the scalar per-instance path, and so
+does every instance of a fleet whose batched solve fails on every rung of
+the retry ladder: the per-instance rerun reports exactly the error N
+single-instance calls would.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from repro.core.catalog import ModelCatalog
 from repro.core.instances import InstanceManager
-from repro.errors import SimulationInputError
+from repro.errors import SimulationInputError, SolverError
 from repro.fmi.model import FmuModel
 from repro.fmi.results import SimulationResult
 from repro.solvers.retry import RetryPolicy
@@ -72,9 +75,8 @@ class Simulator:
     #: Degradation ladder applied when an integration raises
     #: :class:`~repro.errors.SolverError`: retry with tightened numerics,
     #: then fall back to a fixed-step solver (see
-    #: :class:`~repro.solvers.retry.RetryPolicy`).  ``None`` disables
-    #: retries (a divergence propagates on the first attempt).
-    retry_policy: Optional[RetryPolicy] = field(default_factory=RetryPolicy)
+    #: :class:`~repro.solvers.retry.RetryPolicy`).
+    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
 
     # ------------------------------------------------------------------ #
     # Core simulation
@@ -94,11 +96,10 @@ class Simulator:
         input_sql: Optional[str] = None,
         time_from: Optional[float] = None,
         time_to: Optional[float] = None,
-        output_step: Optional[float] = None,
     ) -> SimulationResult:
         """Simulate an instance and return the full trajectory object."""
         return self._simulate_prepared(
-            instance_id, self.prepare_inputs(input_sql), time_from, time_to, output_step
+            instance_id, self.prepare_inputs(input_sql), time_from, time_to
         )
 
     def _bind_call(
@@ -133,7 +134,6 @@ class Simulator:
         prepared: _PreparedInputs,
         time_from: Optional[float] = None,
         time_to: Optional[float] = None,
-        output_step: Optional[float] = None,
     ) -> SimulationResult:
         model = self.catalog.runtime_model(instance_id)
         inputs, start, stop, output_times = self._bind_call(
@@ -145,14 +145,11 @@ class Simulator:
                 inputs=inputs,
                 start_time=start,
                 stop_time=stop,
-                output_step=output_step,
                 output_times=output_times,
                 solver=solver_name,
                 solver_options=solver_options or None,
             )
 
-        if self.retry_policy is None:
-            return run(self.solver, {})
         return self.retry_policy.run(run, self.solver)
 
     def simulate_many(
@@ -170,8 +167,12 @@ class Simulator:
         ``simulate`` calls would.  Instances are then grouped by model: each
         group of two or more integrates as one ``(N, d)`` batched solve
         (:meth:`FmuModel.simulate_batch`; trajectories match the sequential
-        path to floating-point rounding).  Results are keyed by instance id
-        in input order.  Duplicate ids are simulated (and returned) once.
+        path to floating-point rounding).  A group whose batched solve fails
+        on every rung of the retry ladder is rerun instance by instance,
+        each with its own ladder, so the error raised (or the results
+        returned) are those of N single-instance calls.  Results are keyed
+        by instance id in input order.  Duplicate ids are simulated (and
+        returned) once.
         """
         prepared = self.prepare_inputs(input_sql)
         unique_ids = list(dict.fromkeys(str(i) for i in instance_ids))
@@ -206,10 +207,13 @@ class Simulator:
                     solver_options=solver_options or None,
                 )
 
-            if self.retry_policy is None:
-                fleet = run_batch(self.solver, {})
-            else:
+            try:
                 fleet = self.retry_policy.run(run_batch, self.solver)
+            except SolverError:
+                fleet = [
+                    self._simulate_prepared(i, prepared, time_from, time_to)
+                    for i in group_ids
+                ]
             results.update(zip(group_ids, fleet))
         return {instance_id: results[instance_id] for instance_id in unique_ids}
 

@@ -72,10 +72,9 @@ class Estimation:
         ...).  Benchmarks use these to scale the experiment budget.
     seed:
         Seed for the GA stage.
-    retry_policy:
-        Optional :class:`~repro.solvers.retry.RetryPolicy` forwarded to the
-        objective: diverging candidates walk the degradation ladder before
-        being penalized.  Off by default (pinned results unchanged).
+
+    Candidates are scored by a :class:`SimulationObjective` with its
+    defaults (fixed-step RK4 at the measurement resolution, memoized).
     """
 
     def __init__(
@@ -86,11 +85,7 @@ class Estimation:
         bounds: Optional[Bounds] = None,
         ga_options: Optional[dict] = None,
         local_options: Optional[dict] = None,
-        solver: Optional[str] = None,
-        solver_options: Optional[dict] = None,
         seed: Optional[int] = 1,
-        memo: bool = True,
-        retry_policy=None,
     ):
         self.model = model
         self.measurements = measurements
@@ -107,10 +102,6 @@ class Estimation:
             model=model,
             measurements=measurements,
             parameter_names=self.parameter_names,
-            solver=solver,
-            solver_options=solver_options,
-            memo=memo,
-            retry_policy=retry_policy,
         )
 
     # ------------------------------------------------------------------ #

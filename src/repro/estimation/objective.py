@@ -141,16 +141,6 @@ class SimulationObjective:
         which is accurate for the paper's slow thermal models and an order
         of magnitude cheaper than the adaptive solver - calibration calls
         the objective hundreds of times.
-    memo:
-        Enable the per-estimation simulation memo cache (on by default).
-        Objective values are cached per *exact* candidate vector: GA elitism
-        and tournament re-evaluations and SLSQP's repeated probe points pass
-        bit-identical vectors, so they skip the re-simulation, while any
-        genuinely different candidate - however close - always simulates.
-        The measurement grid, observed series and non-estimated model
-        configuration are fixed for the lifetime of an objective, so a cache
-        entry can never go stale within one estimation; disable with
-        ``memo=False`` when mutating the model between calls.
     retry_policy:
         Optional :class:`~repro.solvers.retry.RetryPolicy` applied when a
         candidate's simulation raises :class:`~repro.errors.SolverError`:
@@ -158,6 +148,16 @@ class SimulationObjective:
         fallback) are tried before the candidate is penalized with ``inf``.
         Off by default so pinned estimation results are unchanged; typed
         timeout/cancellation errors always propagate, never retry.
+
+    Simulations start from the measured initial conditions of the observed
+    states, and objective values are memoized per *exact* candidate vector:
+    GA elitism and tournament re-evaluations and SLSQP's repeated probe
+    points pass bit-identical vectors, so they skip the re-simulation, while
+    any genuinely different candidate - however close - always simulates.
+    The measurement grid, observed series and non-estimated model
+    configuration are fixed for the lifetime of an objective, so a cache
+    entry never goes stale; call :meth:`clear_memo` after mutating the
+    model between calls.
     """
 
     def __init__(
@@ -168,8 +168,6 @@ class SimulationObjective:
         observed_names: Optional[Sequence[str]] = None,
         solver: Optional[str] = None,
         solver_options: Optional[dict] = None,
-        align_initial_state: bool = True,
-        memo: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
     ):
         self.model = model
@@ -214,17 +212,15 @@ class SimulationObjective:
         # states (standard calibration practice: the transient from an
         # arbitrary start value would otherwise dominate the error).
         self.initial_state_values: Dict[str, float] = {}
-        if align_initial_state:
-            state_names = set(model.state_names())
-            for name in self.observed_names:
-                if name in state_names:
-                    first = measurements.series[name]
-                    finite = first[~np.isnan(first)]
-                    if finite.size:
-                        self.initial_state_values[name] = float(finite[0])
+        state_names = set(model.state_names())
+        for name in self.observed_names:
+            if name in state_names:
+                first = measurements.series[name]
+                finite = first[~np.isnan(first)]
+                if finite.size:
+                    self.initial_state_values[name] = float(finite[0])
         self.n_evaluations = 0
         self.retry_policy = retry_policy
-        self.memo_enabled = bool(memo)
         self.n_cache_hits = 0
         self._memo: Dict[bytes, float] = {}
 
@@ -255,14 +251,8 @@ class SimulationObjective:
         ``solver``/``solver_options`` override the objective's configured
         solver for this one call (the retry ladder's degraded attempts).
         """
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (len(self.parameter_names),):
-            raise EstimationError(
-                f"candidate vector has shape {theta.shape}, expected ({len(self.parameter_names)},)"
-            )
-        self.model.set_many(dict(zip(self.parameter_names, theta)))
-        if self.initial_state_values:
-            self.model.set_many(self.initial_state_values)
+        theta = self._candidate(theta)
+        self._apply(self.model, theta)
         return self.model.simulate(
             inputs=self.input_series,
             start_time=float(self.measurements.time[0]),
@@ -274,31 +264,30 @@ class SimulationObjective:
             ),
         )
 
+    def _candidate(self, theta: Sequence[float]) -> np.ndarray:
+        """``theta`` as a float vector, checked against the parameter count."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (len(self.parameter_names),):
+            raise EstimationError(
+                f"candidate vector has shape {theta.shape}, expected ({len(self.parameter_names)},)"
+            )
+        return theta
+
+    def _apply(self, model: FmuModel, theta: np.ndarray) -> None:
+        """Set a candidate vector and the aligned initial states on ``model``."""
+        model.set_many(dict(zip(self.parameter_names, theta)))
+        if self.initial_state_values:
+            model.set_many(self.initial_state_values)
+
     def __call__(self, theta: Sequence[float]) -> float:
         """Mean RMSE over all observed series for the candidate vector.
 
-        Results are memoized per exact candidate vector (see ``memo``);
-        cache hits skip the simulation entirely and do not count towards
-        :attr:`n_evaluations`.
+        Results are memoized per exact candidate vector; cache hits skip
+        the simulation entirely and do not count towards
+        :attr:`n_evaluations`.  A vector of the wrong shape raises
+        :class:`~repro.errors.EstimationError`.
         """
-        theta_array = np.asarray(theta, dtype=float)
-        key = self._memo_key(theta_array) if self.memo_enabled else None
-        if key is not None:
-            cached = self._memo.get(key)
-            if cached is not None:
-                self.n_cache_hits += 1
-                # Preserve simulate()'s side effect so callers that read the
-                # model after an objective call see this candidate's values,
-                # exactly as on a miss (only the simulation is skipped).
-                if theta_array.shape == (len(self.parameter_names),):
-                    self.model.set_many(dict(zip(self.parameter_names, theta_array)))
-                    if self.initial_state_values:
-                        self.model.set_many(self.initial_state_values)
-                return cached
-        error = self._evaluate(theta_array)
-        if key is not None:
-            self._memo[key] = error
-        return error
+        return float(self._score_rows(self._candidate(theta)[None])[0])
 
     def _evaluate(self, theta: np.ndarray) -> float:
         self.n_evaluations += 1
@@ -349,20 +338,9 @@ class SimulationObjective:
         The population's inputs, measurement window and output grid are
         bound once and all cache-missing candidates integrate as a single
         batched fleet solve (:meth:`FmuModel.simulate_batch` over one clone
-        per candidate), instead of one simulation per candidate.  Semantics
-        match scoring the rows one by one in order:
-
-        * the memo cache is consulted per row before the solve, and a row
-          repeating an **earlier row of the same population** (GA elitism
-          duplicates) counts as a cache hit - exactly as it would
-          sequentially, where the first occurrence simulates and populates
-          the cache before the repeat is scored;
-        * misses are deduplicated, batched together, and counted in
-          :attr:`n_evaluations` once each;
-        * with the memo disabled every row simulates, duplicates included,
-          so counters stay comparable across configurations;
-        * the model is left holding the last row's candidate values, the
-          state the sequential loop's ``simulate`` side effect leaves.
+        per candidate), instead of one simulation per candidate.  Results,
+        counters and the model's final state match scoring the rows one by
+        one with :meth:`__call__` (see :meth:`_score_rows`).
 
         A batched solve that fails mid-flight is bisected (see
         :meth:`_evaluate_batch`), so only the diverging candidates degrade
@@ -375,48 +353,36 @@ class SimulationObjective:
                 f"population must be a (pop, {len(self.parameter_names)}) "
                 f"matrix, got shape {thetas.shape}"
             )
-        n_rows = thetas.shape[0]
-        if n_rows == 0:
+        if thetas.shape[0] == 0:
             return np.empty(0)
+        return self._score_rows(thetas)
 
-        errors = np.empty(n_rows)
-        if self.memo_enabled:
-            keys = [self._memo_key(theta) for theta in thetas]
-            resolved = np.zeros(n_rows, dtype=bool)
-            scheduled: Dict[bytes, int] = {}
-            miss_rows: List[int] = []
-            hits = 0
-            for row, key in enumerate(keys):
-                cached = self._memo.get(key)
-                if cached is not None:
-                    errors[row] = cached
-                    resolved[row] = True
-                    hits += 1
-                elif key in scheduled:
-                    # Duplicate within this population: resolved from the
-                    # memo after the batch fills it.
-                    hits += 1
-                else:
-                    scheduled[key] = row
-                    miss_rows.append(row)
-            self.n_cache_hits += hits
-            if miss_rows:
-                miss_errors = self._evaluate_batch(thetas[miss_rows])
-                for row, error in zip(miss_rows, miss_errors):
-                    errors[row] = error
-                    resolved[row] = True
-                    self._memo[keys[row]] = float(error)
-            for row in np.where(~resolved)[0]:
-                errors[row] = self._memo[keys[row]]
-        else:
-            errors[:] = self._evaluate_batch(thetas)
+    def _score_rows(self, thetas: np.ndarray) -> np.ndarray:
+        """Score validated ``(n, d)`` candidate rows through the memo.
 
-        # Preserve the sequential loop's side effect: the model reflects the
-        # last candidate that was scored (see ``simulate``/``__call__``).
-        self.model.set_many(dict(zip(self.parameter_names, thetas[-1])))
-        if self.initial_state_values:
-            self.model.set_many(self.initial_state_values)
-        return errors
+        Semantics match scoring the rows one by one in order:
+
+        * a row already in the memo, or repeating an **earlier row of the
+          same call** (GA elitism duplicates), counts as a cache hit -
+          sequentially the first occurrence simulates and fills the memo
+          before the repeat is scored;
+        * misses are deduplicated, evaluated together and counted in
+          :attr:`n_evaluations` once each;
+        * the model is left holding the last row's candidate values, the
+          state :meth:`simulate`'s side effect leaves.
+        """
+        keys = [self._memo_key(theta) for theta in thetas]
+        missing: Dict[bytes, int] = {}
+        for row, key in enumerate(keys):
+            if key not in self._memo:
+                missing.setdefault(key, row)
+        self.n_cache_hits += len(keys) - len(missing)
+        if missing:
+            errors = self._evaluate_batch(thetas[list(missing.values())])
+            for key, error in zip(missing, errors):
+                self._memo[key] = float(error)
+        self._apply(self.model, thetas[-1])
+        return np.array([self._memo[key] for key in keys])
 
     def _evaluate_batch(self, thetas: np.ndarray) -> np.ndarray:
         """Simulate the given candidates as one fleet and score each row.
@@ -450,9 +416,7 @@ class SimulationObjective:
         candidates = []
         for theta in thetas:
             candidate = self.model.clone()
-            candidate.set_many(dict(zip(self.parameter_names, theta)))
-            if self.initial_state_values:
-                candidate.set_many(self.initial_state_values)
+            self._apply(candidate, theta)
             candidates.append(candidate)
         return FmuModel.simulate_batch(
             candidates,
@@ -462,9 +426,6 @@ class SimulationObjective:
             output_times=self.measurements.time,
             solver=self.solver,
             solver_options=self.solver_options,
-            # A diverging candidate should cost one aborted batch, not a
-            # sequential rerun of the whole fleet; _evaluate_batch bisects.
-            sequential_fallback=False,
         )
 
     def error_for(self, parameter_values: Mapping[str, float]) -> float:

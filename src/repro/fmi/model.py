@@ -16,7 +16,7 @@ import numpy as np
 
 from repro import faults
 from repro.cancellation import check_active
-from repro.errors import FmuStateError, FmuVariableError, SimulationInputError, SolverError
+from repro.errors import FmuStateError, FmuVariableError, SimulationInputError
 from repro.fmi.archive import FmuArchive, read_fmu
 from repro.fmi.dynamics import OdeSystem
 from repro.fmi.model_description import ModelDescription
@@ -414,11 +414,9 @@ class FmuModel:
         inputs: Optional[Mapping[str, InputSeries]] = None,
         start_time: Optional[float] = None,
         stop_time: Optional[float] = None,
-        output_step: Optional[float] = None,
         output_times: Optional[Sequence[float]] = None,
         solver: str = "rk45",
         solver_options: Optional[dict] = None,
-        sequential_fallback: bool = True,
     ) -> List[SimulationResult]:
         """Simulate a fleet of instances of **one** model in a single batched pass.
 
@@ -437,18 +435,12 @@ class FmuModel:
         batch solver controls errors per row, so every row walks the same
         step sequence the sequential solver would).
 
-        Falls back to sequential per-instance :meth:`simulate` calls when
-        the batched integration fails mid-flight (divergence, step-limit):
-        the sequential rerun then reproduces the exact per-instance error
-        semantics.
-
-        ``sequential_fallback=False`` suppresses that rerun: a
-        :class:`~repro.errors.SolverError` from the batched integration
-        propagates immediately instead of re-simulating every instance.
-        Callers that score fleets where individual rows are *expected* to
-        diverge (the estimation layer's candidate populations) use this to
-        bisect the fleet themselves rather than pay a full sequential pass
-        per failure.
+        ``output_times`` defaults to the grid :meth:`simulate` uses.  A
+        batched integration that fails mid-flight raises the solver's
+        :class:`~repro.errors.SolverError`, whose divergence and step-limit
+        messages name the failing rows.  Callers decide how to recover: the
+        simulator reruns the fleet instance by instance, the calibration
+        objective bisects its population.
         """
         models = list(models)
         if not models:
@@ -467,21 +459,7 @@ class FmuModel:
         check_active()
         interp = lead._build_interpolator(inputs or {})
         t0, t1 = lead._resolve_window(interp, start_time, stop_time)
-        grid = lead._resolve_grid(t0, t1, output_step, output_times)
-
-        def simulate_sequentially() -> List[SimulationResult]:
-            return [
-                model.simulate(
-                    inputs=inputs,
-                    start_time=start_time,
-                    stop_time=stop_time,
-                    output_step=output_step,
-                    output_times=output_times,
-                    solver=solver,
-                    solver_options=solver_options,
-                )
-                for model in models
-            ]
+        grid = lead._resolve_grid(t0, t1, None, output_times)
 
         system = lead.ode_system
         kernel = system.kernel
@@ -531,21 +509,14 @@ class FmuModel:
 
             return rhs_rows, sub_bindings.inputs_at
 
-        try:
-            problem = BatchOdeProblem(
-                rhs=rhs, x0=x0, t0=t0, t1=t1, inputs=bindings.inputs_at,
-                restrict=restrict,
-            )
-            options = dict(solver_options or {})
-            solution = get_solver(solver, **options).solve_batch(
-                problem, output_times=grid
-            )
-        except SolverError:
-            # Rerun sequentially so the error (divergence, step limit) is
-            # reported with the exact per-instance message and semantics.
-            if not sequential_fallback:
-                raise
-            return simulate_sequentially()
+        problem = BatchOdeProblem(
+            rhs=rhs, x0=x0, t0=t0, t1=t1, inputs=bindings.inputs_at,
+            restrict=restrict,
+        )
+        options = dict(solver_options or {})
+        solution = get_solver(solver, **options).solve_batch(
+            problem, output_times=grid
+        )
 
         # Vectorized outputs over the whole fleet x grid in one pass.
         input_tensor = bindings.input_tensor(solution.times)

@@ -132,7 +132,7 @@ class EulerSolver(OdeSolver):
         t1 = problem.t1
         token, injector, watch = _step_guard()
         checks_left = _CHECK_INTERVAL
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while t < t1 - 1e-15:
                 if watch:
                     checks_left -= 1

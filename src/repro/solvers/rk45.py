@@ -246,7 +246,7 @@ class DormandPrince45Solver(OdeSolver):
 
         token, injector, watch = _step_guard()
         checks_left = _CHECK_INTERVAL
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             stages[0] = f(t, X)
             while True:
                 if watch:

@@ -3,6 +3,7 @@ factory behind the equivalence corpora, all sized for fast tests."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -193,6 +194,16 @@ def simulate_interpreted(model, inputs, t0, t1, grid, solver="rk45", solver_opti
         trajectories=trajectories,
         solver_stats={"n_rhs_evals": solution.n_rhs_evals},
     )
+
+
+def disable_memo(objective):
+    """Make every memo lookup of ``objective`` miss: each candidate row gets
+    a fresh key, so every row simulates (duplicates included) and no hit is
+    ever counted - the uncached reference the memo must never disagree
+    with.  Returns ``objective``."""
+    fresh = itertools.count()
+    objective._memo_key = lambda _theta: next(fresh).to_bytes(8, "little")
+    return objective
 
 
 @pytest.fixture(scope="session")

@@ -21,6 +21,7 @@ from repro.estimation import (
 from repro.estimation.metrics import l2_distance, relative_l2_dissimilarity
 from repro.fmi import load_fmu
 from repro.models.heatpump import HP1_TRUE_PARAMETERS, build_hp1_archive
+from tests.conftest import disable_memo
 
 FAST_GA = {"population_size": 10, "generations": 6, "patience": 4}
 
@@ -336,7 +337,7 @@ class TestObjectiveMemo:
         assert objective.n_cache_hits == 0
 
     def test_memo_can_be_disabled_and_cleared(self, hp1_dataset):
-        objective = self._objective(hp1_dataset, memo=False)
+        objective = disable_memo(self._objective(hp1_dataset))
         objective([1.5, 1.5])
         objective([1.5, 1.5])
         assert objective.n_evaluations == 2
@@ -348,9 +349,20 @@ class TestObjectiveMemo:
         cached([1.5, 1.5])
         assert cached.n_evaluations == 2
 
+    def test_malformed_candidate_raises_and_leaves_the_memo_clean(self, hp1_dataset):
+        """A wrongly shaped vector is a caller error, not an ``inf`` score:
+        it must neither count as an evaluation nor poison the memo entry
+        that shares its bytes with a valid candidate."""
+        objective = self._objective(hp1_dataset)
+        for malformed in (np.array([[1.5], [1.5]]), [1.5]):
+            with pytest.raises(EstimationError, match="shape"):
+                objective(malformed)
+        assert objective.n_evaluations == 0
+        assert objective([1.5, 1.5]) == self._objective(hp1_dataset)([1.5, 1.5])
+
     def test_cached_values_match_uncached_values(self, hp1_dataset):
         with_memo = self._objective(hp1_dataset)
-        without_memo = self._objective(hp1_dataset, memo=False)
+        without_memo = disable_memo(self._objective(hp1_dataset))
         candidates = [[1.5, 1.5], [1.2, 1.8], [1.5, 1.5], [5.0, 8.0], [1.2, 1.8]]
         for theta in candidates:
             assert with_memo(theta) == without_memo(theta)
@@ -370,8 +382,9 @@ class TestObjectiveMemo:
                 parameters=["Cp", "R"],
                 ga_options=FAST_GA,
                 seed=3,
-                memo=memo,
             )
+            if not memo:
+                disable_memo(estimation.objective)
             results[memo] = estimation.estimate("global+local")
         assert results[True].parameters == results[False].parameters
         assert results[True].error == results[False].error

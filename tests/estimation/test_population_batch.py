@@ -21,6 +21,7 @@ from repro.estimation import Estimation, MeasurementSet, SimulationObjective
 from repro.fmi import load_fmu
 from repro.fmi.model import FmuModel
 from repro.models.heatpump import build_hp1_archive
+from tests.conftest import disable_memo
 
 #: Small but non-trivial budget: three generations exercise elitism
 #: duplicates and memo hits, the local stage exercises the batched stencil.
@@ -82,8 +83,9 @@ def _estimate(archive, system, measurements, seed, method, memo, batched):
         ga_options=dict(CORPUS_GA),
         local_options=dict(CORPUS_LOCAL),
         seed=seed,
-        memo=memo,
     )
+    if not memo:
+        disable_memo(estimation.objective)
     return _run(estimation, method, batched)
 
 
@@ -237,7 +239,7 @@ class TestPopulationMemoAccounting:
     def test_memo_disabled_simulates_every_row(self, hp1_dataset):
         """Without the memo the sequential loop simulates duplicates too;
         the batched path must count identically."""
-        objective = self._objective(hp1_dataset, memo=False)
+        objective = disable_memo(self._objective(hp1_dataset))
         population = np.array([[1.5, 1.5], [1.5, 1.5], [1.2, 1.8]])
         objective.evaluate_population(population)
         assert objective.n_evaluations == 3

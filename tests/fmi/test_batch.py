@@ -12,11 +12,12 @@ as rows finish.
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.errors import FmuStateError, SimulationInputError, SolverError
+from repro.errors import FmuFormatError, FmuStateError, SimulationInputError, SolverError
 from repro.fmi.model import FmuModel
 from repro.solvers import get_solver
 from repro.solvers.base import (
@@ -29,6 +30,25 @@ from repro.solvers.base import (
 from repro.solvers.euler import EulerSolver
 
 ALL_SOLVERS = ("euler", "rk4", "rk45")
+
+#: ``der(x) = x / (k - 1)`` with ``k = 1``: every rhs evaluation divides by zero.
+DIVIDING_SOURCE = """
+model Div
+  parameter Real k = 1.0;
+  Real x(start=1.0);
+equation
+  der(x) = x / (k - 1);
+end Div;
+"""
+
+#: ``der(x) = x * x`` from ``x = 30`` blows up at ``t = 1/30``.
+DIVERGING_SOURCE = """
+model Blowup
+  Real x(start=30.0);
+equation
+  der(x) = x * x;
+end Blowup;
+"""
 
 
 # --------------------------------------------------------------------------- #
@@ -418,9 +438,10 @@ class TestSimulateBatchApi:
         with pytest.raises(FmuStateError, match="terminated"):
             FmuModel.simulate_batch(models, start_time=0.0, stop_time=1.0)
 
-    def test_solver_error_reported_sequentially(self):
+    def test_solver_error_names_the_rows(self):
         # der(x) = x*x diverges; the batched solve fails mid-flight and the
-        # sequential rerun reports the usual per-instance error.
+        # SolverError propagates, naming the diverged rows (recovering is
+        # the caller's job: see TestSimulateManyBatching).
         from repro.fmi.archive import FmuArchive
         from repro.fmi.dynamics import OdeSystem, StateEquation
         from repro.fmi.model_description import DefaultExperiment, ModelDescription
@@ -434,7 +455,7 @@ class TestSimulateBatchApi:
         description.add_variable(ScalarVariable(name="x", causality="local", start=30.0))
         archive = FmuArchive(model_description=description, ode_system=system)
         models = [FmuModel(archive) for _ in range(2)]
-        with pytest.raises(SolverError, match="diverged"):
+        with pytest.raises(SolverError, match=r"diverged at t=.* \(rows \[0, 1\]\)"):
             FmuModel.simulate_batch(
                 models, start_time=0.0, stop_time=10.0,
                 solver="euler", solver_options={"step": 0.5},
@@ -518,3 +539,23 @@ class TestSimulateManyBatching:
         session, ids = fleet_session
         results = session.simulate_many([ids[0]], "SELECT * FROM measurements")
         assert "batched" not in results[ids[0]].solver_stats
+
+    def test_dividing_fleet_raises_the_typed_error_without_warning(self, session):
+        """A fleet that divides by zero fails every batched rung, reruns
+        instance by instance and raises what one fmu_simulate call raises -
+        the kernel's FmuFormatError - with no numpy warning on the way."""
+        for name in ("A", "B"):
+            session.create(DIVIDING_SOURCE, name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FmuFormatError, match="divided by zero"):
+                session.execute("SELECT * FROM fmu_simulate('{A, B}')")
+
+    def test_diverging_fleet_raises_the_single_instance_error(self, session):
+        for name in ("A", "B"):
+            session.create(DIVERGING_SOURCE, name)
+        with pytest.raises(SolverError) as single:
+            session.execute("SELECT * FROM fmu_simulate('A')")
+        with pytest.raises(SolverError) as fleet:
+            session.execute("SELECT * FROM fmu_simulate('{A, B}')")
+        assert str(fleet.value) == str(single.value)
