@@ -14,11 +14,18 @@ three query shapes through both executors:
 * **range scan** - a ~1%-selective ``WHERE time BETWEEN`` served by the
   ordered (B-tree) secondary index vs. the naive full scan;
 * **ordered top-k** - ``ORDER BY time LIMIT k`` walking the same B-tree
-  in key order (no sort at all) vs. the naive full sort.
+  in key order (no sort at all) vs. the naive full sort;
+* **composite walk** - ``house = … AND time BETWEEN …`` over a ``meas``
+  table with ``PRIMARY KEY (house, time)``, walking the implicit
+  ``meas_pkey`` B-tree (pgFMU's simulation-input query), ``$n``-bound and
+  literal, vs. the naive full scan;
+* **routed delete** - ``DELETE … WHERE house = $1 AND time < $2`` testing
+  only the rows the same walk visits (checked against the naive result,
+  not compared in time).
 
 Emits ``BENCH_query_planner.json`` next to this file; the planned path must
 be at least 5x faster on the selective-filter and equi-join shapes, 10x on
-the B-tree range scan, and 3x on the ordered top-k.
+the B-tree range scan and the composite walk, and 3x on the ordered top-k.
 
 Run with:  pytest benchmarks/bench_query_planner.py
       or:  python benchmarks/bench_query_planner.py [--smoke]
@@ -57,6 +64,14 @@ TOPK_SQL = "SELECT instance_id, time, value FROM sims ORDER BY value DESC LIMIT 
 # ~1% of rows: 5 of ROWS_PER_INSTANCE distinct time steps qualify.
 RANGE_SQL = "SELECT count(*), avg(value) FROM sims WHERE time BETWEEN 100 AND 104"
 ORDER_SQL = "SELECT instance_id, time, value FROM sims ORDER BY time LIMIT 10"
+# One house's 24-step window, as fmu_simulate's input query reads it.
+COMPOSITE_SQL = "SELECT time, value FROM meas WHERE house = $1 AND time BETWEEN $2 AND $3"
+COMPOSITE_PARAMS = [7, 60.0, 83.0]
+COMPOSITE_LITERAL_SQL = (
+    "SELECT time, value FROM meas WHERE house = 7 AND time BETWEEN 60 AND 83"
+)
+DELETE_SQL = "DELETE FROM meas WHERE house = $1 AND time < $2"
+DELETE_PARAMS = [3, 50.0]
 
 
 def _build_database(n_instances: int = N_INSTANCES, rows_per_instance: int = ROWS_PER_INSTANCE) -> Database:
@@ -75,6 +90,19 @@ def _build_database(n_instances: int = N_INSTANCES, rows_per_instance: int = ROW
         for t in range(rows_per_instance):
             sim_rows.append([instance_id, float(t), rng.uniform(15.0, 25.0)])
     db.insert_rows("sims", sim_rows)
+    db.execute(
+        "CREATE TABLE meas (house integer, time double precision, value double precision, "
+        "PRIMARY KEY (house, time))"
+    )
+    # Time-major like a live feed, so one house's rows are spread out.
+    db.insert_rows(
+        "meas",
+        [
+            [house, float(t), rng.uniform(15.0, 25.0)]
+            for t in range(rows_per_instance)
+            for house in range(n_instances)
+        ],
+    )
     db.execute("CREATE INDEX idx_sims_instance ON sims (instance_id)")
     db.execute("CREATE INDEX idx_sims_time ON sims USING BTREE (time)")
     db.execute("ANALYZE")
@@ -109,6 +137,28 @@ def _compare(db: Database, name: str, sql: str, params=None) -> dict:
     }
 
 
+def _routed_delete(db: Database) -> dict:
+    """Time the range-routed DELETE once; its effect must equal the rows a
+    naive scan selects."""
+    db.planner_enabled = False
+    try:
+        doomed = db.execute(
+            "SELECT count(*) FROM meas WHERE house = $1 AND time < $2", DELETE_PARAMS
+        ).scalar()
+        kept = db.execute(
+            "SELECT * FROM meas WHERE NOT (house = $1 AND time < $2)", DELETE_PARAMS
+        ).rows
+    finally:
+        db.planner_enabled = True
+    plan = db.explain(DELETE_SQL)
+    started = time.perf_counter()
+    deleted = db.execute(DELETE_SQL, DELETE_PARAMS).rowcount
+    elapsed = time.perf_counter() - started
+    assert deleted == doomed > 0, "routed delete removed the wrong rows"
+    assert db.execute("SELECT * FROM meas").rows == kept, "routed delete kept the wrong rows"
+    return {"plan_routed_delete": plan, "routed_delete_s": round(elapsed, 6)}
+
+
 def measure_query_planner(
     n_instances: int = N_INSTANCES, rows_per_instance: int = ROWS_PER_INSTANCE
 ) -> dict:
@@ -122,12 +172,17 @@ def measure_query_planner(
         "plan_topk": db.explain(TOPK_SQL),
         "plan_range_scan": db.explain(RANGE_SQL),
         "plan_ordered_topk": db.explain(ORDER_SQL),
+        "plan_composite_walk": db.explain(COMPOSITE_SQL),
+        "plan_composite_walk_literal": db.explain(COMPOSITE_LITERAL_SQL),
     }
     record.update(_compare(db, "selective_filter", FILTER_SQL, ["HP1Instance42"]))
     record.update(_compare(db, "equi_join", JOIN_SQL))
     record.update(_compare(db, "topk", TOPK_SQL))
     record.update(_compare(db, "range_scan", RANGE_SQL))
     record.update(_compare(db, "ordered_topk", ORDER_SQL))
+    record.update(_compare(db, "composite_walk", COMPOSITE_SQL, COMPOSITE_PARAMS))
+    record.update(_compare(db, "composite_walk_literal", COMPOSITE_LITERAL_SQL))
+    record.update(_routed_delete(db))
     return record
 
 
@@ -148,14 +203,26 @@ def test_query_planner_speedups():
     assert "IndexRangeScan sims USING idx_sims_time" in record["plan_range_scan"]
     assert "ORDER BY time" in record["plan_ordered_topk"]  # sort eliminated
     assert "rows=" in record["plan_range_scan"]  # ANALYZE statistics rendered
+    _assert_composite_plans(record)
     # ... and deliver the acceptance-criteria speedups on 50k-row inputs.
     assert record["selective_filter_speedup"] >= 5.0
     assert record["equi_join_speedup"] >= 5.0
     assert record["range_scan_speedup"] >= 10.0
+    assert record["composite_walk_speedup"] >= 10.0
+    assert record["composite_walk_literal_speedup"] >= 10.0
     assert record["ordered_topk_speedup"] >= 3.0
     # Top-k avoids the full sort; any improvement is acceptable, it just
     # must not regress.
     assert record["topk_speedup"] >= 1.0
+
+
+def _assert_composite_plans(record: dict) -> None:
+    walk = "IndexRangeScan meas USING meas_pkey (house = {} AND time >= {} AND time <= {})"
+    assert walk.format("$1", "$2", "$3") in record["plan_composite_walk"]
+    assert walk.format(7, 60, 83) in record["plan_composite_walk_literal"]
+    assert walk.format("$1", "$2", "$3").replace(
+        "time >= $2 AND time <= $3", "time < $2"
+    ) in record["plan_routed_delete"]
 
 
 def smoke() -> dict:
@@ -164,6 +231,7 @@ def smoke() -> dict:
     record["smoke"] = True
     assert "IndexRangeScan" in record["plan_range_scan"]
     assert "ORDER BY time" in record["plan_ordered_topk"]
+    _assert_composite_plans(record)
     return record
 
 

@@ -269,8 +269,9 @@ class CreateIndexStatement:
     """``CREATE INDEX [IF NOT EXISTS] name ON table [USING kind] (col, ...)``.
 
     ``using`` selects the index structure: ``"hash"`` (default; point
-    lookups) or ``"btree"`` (single-column ordered index supporting range
-    scans and ordered emission).
+    lookups) or ``"btree"`` (ordered index over one or more columns,
+    supporting equality-prefix and range walks and, over one column,
+    ordered emission).
     """
 
     name: str

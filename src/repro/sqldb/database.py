@@ -50,7 +50,7 @@ from repro.sqldb.locks import StatementLock
 from repro.sqldb.parser import parse_sql
 from repro.sqldb.result import ResultSet
 from repro.sqldb.schema import TableSchema
-from repro.sqldb.table import Table, TableState
+from repro.sqldb.table import Table, TableState, primary_index_name
 from repro.sqldb.udf import Extension, UdfRegistry, extension_factory
 
 #: Sentinel for "caller did not supply a per-statement timeout override".
@@ -165,7 +165,8 @@ class Database:
         self._txn: Optional[_TransactionState] = None
         self._commit_hooks: List[Callable[[], None]] = []
         self._rollback_hooks: List[Callable[[], None]] = []
-        #: Secondary-index catalogue: index name -> owning table name.
+        #: Index catalogue: index name -> owning table name.  Holds every
+        #: declared index and each table's derived ``<table>_pkey``.
         self._indexes: Dict[str, str] = {}
         #: Bumped on every catalogue change (DDL, index DDL, rollback);
         #: cached plans are revalidated against it.
@@ -218,6 +219,12 @@ class Database:
                     f"foreign key of table {name!r} references unknown table "
                     f"{fk.referenced_table!r}"
                 )
+        primary = primary_index_name(schema)
+        if primary is not None and primary in self._indexes:
+            raise SqlCatalogError(
+                f"index {primary!r} already exists; table {name!r} needs that "
+                "name for its primary key"
+            )
         table = Table(schema)
         self._register_table(table)
         if self._txn is not None and name not in self._txn.tables_before:
@@ -232,6 +239,8 @@ class Database:
         table.write_hook = self._table_write_hook
         table.log_sink = self.storage
         self._tables[table.schema.name] = table
+        if table.primary_index_name is not None:
+            self._indexes[table.primary_index_name] = table.schema.name
 
     def drop_table(self, name: str) -> None:
         name = name.lower()
@@ -272,7 +281,9 @@ class Database:
         """Create a secondary index (``CREATE INDEX name ON table [USING kind] (cols)``)."""
         name = name.lower()
         if name in self._indexes:
-            raise SqlCatalogError(f"index {name!r} already exists")
+            owner = self._primary_index_owner(name)
+            backs = f" (it backs the primary key of table {owner!r})" if owner else ""
+            raise SqlCatalogError(f"index {name!r} already exists{backs}")
         table = self.table(table_name)
         table.add_index(name, columns, kind=using)
         self._indexes[name] = table.schema.name
@@ -293,17 +304,28 @@ class Database:
         table_name = self._indexes.get(name)
         if table_name is None:
             raise SqlCatalogError(f"index {name!r} does not exist")
+        if self._primary_index_owner(name):
+            raise SqlCatalogError(
+                f"cannot drop index {name!r}: it backs the primary key of "
+                f"table {table_name!r}"
+            )
         self.table(table_name).remove_index(name)
         del self._indexes[name]
         self._bump_catalog_version()
         if self.storage is not None:
             self.storage.log_ddl({"op": "drop_index", "name": name})
 
+    def _primary_index_owner(self, name: str) -> Optional[str]:
+        """The table whose primary key index is ``name``, or None."""
+        table_name = self._indexes.get(name)
+        table = self._tables.get(table_name) if table_name is not None else None
+        return table_name if table is not None and table.primary_index_name == name else None
+
     def has_index(self, name: str) -> bool:
         return name.lower() in self._indexes
 
     def index_names(self) -> List[str]:
-        """All secondary index names, sorted."""
+        """All index names, sorted: declared ones and every ``<table>_pkey``."""
         return sorted(self._indexes)
 
     # ------------------------------------------------------------------ #

@@ -621,17 +621,17 @@ class Executor:
         return ResultSet(columns=["count"], rows=[[deleted]], rowcount=deleted)
 
     # ------------------------------------------------------------------ #
-    # UPDATE/DELETE point-predicate index routing
+    # UPDATE/DELETE index routing
     # ------------------------------------------------------------------ #
-    def _dml_point_lookup(self, table, where):
-        """Static index choice for a DML WHERE clause, or None for a scan.
+    def _dml_access_path(self, table, where):
+        """The index leaf a DML WHERE clause can route through, or None.
 
-        Reuses the planner's predicate machinery: the WHERE must normalize
-        to a single AND group whose ``col = const/param`` conjuncts cover the
-        primary key or a secondary index.  The full predicate is still
-        evaluated on every candidate row, so residual conjuncts stay exact.
+        Reuses the planner's access-path choice: the WHERE must normalize
+        to a single AND group whose conjuncts give a point lookup or an
+        ordered-index walk.  The full predicate is still evaluated on every
+        candidate row, so residual conjuncts stay exact.
         """
-        from repro.sqldb.planner.builder import choose_point_index
+        from repro.sqldb.planner.builder import index_access_path
         from repro.sqldb.planner.predicates import normalize_dnf
 
         if where is None:
@@ -639,29 +639,19 @@ class Executor:
         groups = normalize_dnf(where)
         if groups is None or len(groups) != 1:
             return None
-        return choose_point_index(table, groups[0], table.name.lower())
+        access = index_access_path(table, groups[0], table.name)
+        return None if access is None else access[0]
 
     def _dml_candidate_positions(self, table, where, ctx: EvalContext):
-        """Row positions matched by an indexable point predicate.
+        """Row positions an indexable WHERE clause can match.
 
         Returns None when only a full scan reproduces the engine's
-        comparison semantics (no usable index, runtime key of an
-        incompatible type, or an index dropped since planning).
+        comparison semantics (no usable index, a runtime value of an
+        incompatible type, a too-wide walk, or an index dropped since
+        planning).
         """
-        from repro.sqldb.planner.nodes import resolve_index_positions
-
-        choice = self._dml_point_lookup(table, where)
-        if choice is None:
-            return None
-        index_name, key_columns, key_exprs, _ = choice
-        kind, positions = resolve_index_positions(
-            table, index_name, key_columns, key_exprs, ctx
-        )
-        if kind == "scan":
-            return None
-        if kind == "empty":
-            return []
-        return positions
+        node = self._dml_access_path(table, where)
+        return None if node is None else node.candidate_positions(table, ctx)
 
     # ------------------------------------------------------------------ #
     # DDL
@@ -724,10 +714,8 @@ class Executor:
         return ResultSet(columns=["status"], rows=[["dropped"]], rowcount=0)
 
     def _execute_create_index(self, statement: CreateIndexStatement) -> ResultSet:
-        if self.database.has_index(statement.name):
-            if statement.if_not_exists:
-                return ResultSet(columns=["status"], rows=[["exists"]], rowcount=0)
-            raise SqlCatalogError(f"index {statement.name!r} already exists")
+        if statement.if_not_exists and self.database.has_index(statement.name):
+            return ResultSet(columns=["status"], rows=[["exists"]], rowcount=0)
         self.database.create_index(
             statement.name, statement.table, statement.columns, using=statement.using
         )
@@ -759,14 +747,9 @@ class Executor:
             suffix = f" (filter: {render_expression(inner.where)})" if inner.where else ""
             lines = [f"{verb} on {inner.table}{suffix}"]
             if self.database.has_table(inner.table):
-                choice = self._dml_point_lookup(self.database.table(inner.table), inner.where)
-                if choice is not None:
-                    index_name, key_columns, key_exprs, _ = choice
-                    keys = ", ".join(
-                        f"{column} = {render_expression(expr)}"
-                        for column, expr in zip(key_columns, key_exprs)
-                    )
-                    lines.append(f"->  IndexLookup {inner.table} USING {index_name} ({keys})")
+                node = self._dml_access_path(self.database.table(inner.table), inner.where)
+                if node is not None:
+                    lines.append(f"->  {node.describe()}")
         else:
             raise SqlExecutionError(
                 "EXPLAIN supports SELECT, INSERT, UPDATE and DELETE statements"

@@ -11,12 +11,15 @@ statistics exist (see :mod:`repro.sqldb.planner.cost`):
    scans; with OR groups a *derived* per-table predicate is pushed and the
    full WHERE stays as a residual filter.
 4. **Index selection** - ``col = const/param`` conjuncts over the primary
-   key or a secondary index turn scans into point lookups; range conjuncts
-   (``BETWEEN``/``<``/``>``) over an ordered (B-tree) index become
-   :class:`~repro.sqldb.planner.nodes.IndexRangeScan` interval walks, unless
-   statistics say the interval is too wide to beat a sequential scan.  For
-   ``$n``-bound intervals that width check runs per execution, on the bound
-   values, so one cached plan serves narrow and wide bindings alike.
+   key or a secondary index turn scans into point lookups; otherwise an
+   equality prefix on an ordered (B-tree) index's leading columns and/or a
+   range (``BETWEEN``/``<``/``>``) on the column after it become an
+   :class:`~repro.sqldb.planner.nodes.IndexRangeScan` walk - every primary
+   key has such an index, ``<table>_pkey``.  A walk with no prefix is
+   dropped when statistics say the interval is too wide to beat a
+   sequential scan; for ``$n``-bound intervals that width check runs per
+   execution, on the bound values, so one cached plan serves narrow and
+   wide bindings alike.
 5. **Join order** - comma-joins of plain tables are reordered greedily by
    estimated cardinality when every table has statistics; a
    :class:`~repro.sqldb.planner.nodes.JoinOrderRestore` re-sorts the output
@@ -24,8 +27,8 @@ statistics exist (see :mod:`repro.sqldb.planner.cost`):
 6. **Hash joins** - inner/left equi-joins on type-compatible base-table
    columns replace nested loops; the estimated-smaller input is hashed.
 7. **Top-k** - a LIMIT above an ORDER BY pushes into the sort as a heap
-   selection, and ``ORDER BY col [LIMIT k]`` over a B-tree column drops the
-   sort entirely: the index emits rows in key order.
+   selection, and ``ORDER BY col [LIMIT k]`` over a one-column B-tree
+   index drops the sort entirely: the index emits rows in key order.
 
 A database with no statistics (never ``ANALYZE``-d) plans exactly as the
 rule-based engine always did - same shapes, same EXPLAIN text.
@@ -264,17 +267,12 @@ def _pushdown(
 # --------------------------------------------------------------------------- #
 # Scan construction with index selection
 # --------------------------------------------------------------------------- #
-def choose_point_index(
-    table, conjuncts: List[Expression], label: str
-) -> Optional[Tuple[str, List[str], List[Expression], List[Expression]]]:
-    """Pick an index satisfiable by ``col = const/param`` conjuncts.
-
-    Returns ``(index_name, key_columns, key_exprs, consumed_conjuncts)``
-    where ``index_name`` is ``"PRIMARY KEY"`` or a secondary index name, or
-    None when no index covers the conjuncts.  Shared by SELECT scan planning
-    and the executor's UPDATE/DELETE point-predicate routing.
-    """
-    schema = table.schema
+def _equalities(
+    schema, conjuncts: List[Expression], label: str
+) -> Dict[str, Tuple[Expression, Expression]]:
+    """``column -> (conjunct, value)`` for the first ``col = const/param``
+    conjunct on each column of this scan whose type the index key
+    classification understands."""
     equalities: Dict[str, Tuple[Expression, Expression]] = {}
     for conjunct in conjuncts:
         match = constant_equality(conjunct)
@@ -285,14 +283,26 @@ def choose_point_index(
             continue
         if not schema.has_column(column.name) or column.name in equalities:
             continue
+        if _TYPE_CLASS.get(schema.column(column.name).sql_type) is None:
+            continue
         equalities[column.name] = (conjunct, value)
+    return equalities
+
+
+def choose_point_index(
+    table, conjuncts: List[Expression], label: str
+) -> Optional[Tuple[str, List[str], List[Expression], List[Expression]]]:
+    """Pick an index satisfiable by ``col = const/param`` conjuncts.
+
+    Returns ``(index_name, key_columns, key_exprs, consumed_conjuncts)``
+    where ``index_name`` is ``"PRIMARY KEY"`` or a secondary index name, or
+    None when no index covers the conjuncts.
+    """
+    schema = table.schema
+    equalities = _equalities(schema, conjuncts, label)
 
     def usable(columns: List[str]) -> bool:
-        return bool(columns) and all(
-            column in equalities
-            and _TYPE_CLASS.get(schema.column(column).sql_type) is not None
-            for column in columns
-        )
+        return bool(columns) and all(column in equalities for column in columns)
 
     index_name = None
     key_columns: List[str] = []
@@ -315,69 +325,122 @@ def choose_point_index(
     )
 
 
-def choose_range_index(
-    table, conjuncts: List[Expression], label: str
-) -> Optional[Tuple[str, str, Optional[RangeBound], Optional[RangeBound], List[Expression]]]:
-    """Pick an ordered (B-tree) index satisfiable by range conjuncts.
+def _column_ranges(
+    conjuncts: List[Expression], label: str
+) -> Dict[str, Tuple[Optional[RangeBound], Optional[RangeBound], List[Expression]]]:
+    """``column -> (lower, upper, consumed)``: per column, the first bound
+    of each side in conjunct order (further range conjuncts stay residual)."""
+    ranges: Dict[str, Tuple[Optional[RangeBound], Optional[RangeBound], List[Expression]]] = {}
+    for conjunct in conjuncts:
+        match = constant_range(conjunct)
+        if match is None:
+            continue
+        column, bounds = match
+        if column.table is not None and column.table != label:
+            continue
+        lower, upper, consumed = ranges.get(column.name, (None, None, []))
+        if any(
+            (bound.side == "lower" and lower is not None)
+            or (bound.side == "upper" and upper is not None)
+            for bound in bounds
+        ):
+            continue
+        for bound in bounds:
+            if bound.side == "lower":
+                lower = bound
+            else:
+                upper = bound
+        ranges[column.name] = (lower, upper, consumed + [conjunct])
+    return ranges
 
-    Returns ``(index_name, column, lower, upper, consumed_conjuncts)`` - at
-    most one bound per side is consumed (extra range conjuncts stay in the
-    residual filter) - or None when no B-tree index matches, or statistics
-    say the literal interval keeps more than
-    :data:`~repro.sqldb.planner.cost.RANGE_SCAN_THRESHOLD` of the table (a
-    sequential scan is then cheaper than walk-plus-resort).  A bound that
+
+def choose_range_index(
+    table, conjuncts: List[Expression], label: str, alias: Optional[str] = None
+) -> Optional[Tuple[IndexRangeScan, List[Expression]]]:
+    """Pick the ordered (B-tree) index walk that consumes the most conjuncts.
+
+    An index qualifies with an equality prefix on its leading columns, a
+    range (``BETWEEN``/``<``/``>``) on the column after the prefix, or both;
+    ties go to the index created first.  Returns the walk and the conjuncts
+    it consumes, or None when no index qualifies.  A walk with an equality
+    prefix never leaves the prefix's run of keys, so it is always taken.
+    Without one, statistics may veto it: when the literal interval keeps
+    more than :data:`~repro.sqldb.planner.cost.RANGE_SCAN_THRESHOLD` of the
+    table a sequential scan is cheaper than walk-plus-resort.  A bound that
     is not a plan-time literal (``$n``, a cast) keeps the index: the
     :class:`~repro.sqldb.planner.nodes.IndexRangeScan` then applies the
     width rule to the bound values on each execution.
     """
+    equalities = _equalities(table.schema, conjuncts, label)
+    ranges = _column_ranges(conjuncts, label)
     best = None
+    best_score = 0
     for index in table.indexes.values():
-        if getattr(index, "kind", "hash") != "btree":
+        if index.kind != "btree":
             continue
-        indexed_column = index.columns[0]
-        lower: Optional[RangeBound] = None
-        upper: Optional[RangeBound] = None
-        consumed: List[Expression] = []
-        for conjunct in conjuncts:
-            match = constant_range(conjunct)
-            if match is None:
-                continue
-            column, bounds = match
-            if column.table is not None and column.table != label:
-                continue
-            if column.name != indexed_column:
-                continue
-            if any(
-                (bound.side == "lower" and lower is not None)
-                or (bound.side == "upper" and upper is not None)
-                for bound in bounds
-            ):
-                continue
-            for bound in bounds:
-                if bound.side == "lower":
-                    lower = bound
-                else:
-                    upper = bound
-            consumed.append(conjunct)
-        if lower is None and upper is None:
-            continue
-        score = int(lower is not None) + int(upper is not None)
-        if best is None or score > best[0]:
-            best = (score, index.name, indexed_column, lower, upper, consumed)
+        width = 0
+        while width < len(index.columns) - 1 and index.columns[width] in equalities:
+            width += 1
+        lower, upper, consumed = ranges.get(index.columns[width], (None, None, []))
+        score = width + int(lower is not None) + int(upper is not None)
+        if score > best_score:
+            best_score = score
+            best = (index, width, lower, upper, consumed)
     if best is None:
         return None
-    _score, index_name, indexed_column, lower, upper, consumed = best
+    index, width, lower, upper, consumed = best
+    prefix = index.columns[:width]
+    column = index.columns[width]
 
     bounds = [bound for bound in (lower, upper) if bound is not None]
-    if table.stats is not None and all(
-        cost.literal_value(bound.expr)[1] for bound in bounds
+    if (
+        not prefix
+        and table.stats is not None
+        and all(cost.literal_value(bound.expr)[1] for bound in bounds)
     ):
-        fraction = cost.range_fraction(
-            table.stats, ColumnRef(name=indexed_column), bounds, label
-        )
+        fraction = cost.range_fraction(table.stats, ColumnRef(name=column), bounds, label)
         if fraction > cost.RANGE_SCAN_THRESHOLD:
             return None
-    return index_name, indexed_column, lower, upper, consumed
+    walk = IndexRangeScan(
+        table_name=table.name,
+        alias=alias,
+        index_name=index.name,
+        column=column,
+        prefix_columns=prefix,
+        prefix_exprs=[equalities[c][1] for c in prefix],
+        lower=lower.expr if lower is not None else None,
+        lower_inclusive=lower.inclusive if lower is not None else True,
+        lower_between=lower.from_between if lower is not None else False,
+        upper=upper.expr if upper is not None else None,
+        upper_inclusive=upper.inclusive if upper is not None else True,
+        upper_between=upper.from_between if upper is not None else False,
+    )
+    return walk, [equalities[c][0] for c in prefix] + consumed
+
+
+def index_access_path(
+    table, conjuncts: List[Expression], label: str, alias: Optional[str] = None
+) -> Optional[Tuple[PlanNode, List[Expression]]]:
+    """The index leaf that answers a conjunction and the conjuncts it
+    consumes, or None for a scan.
+
+    Point lookups are tried first (the primary key, then the declared
+    index whose columns are all equality-bound), then the ordered-index
+    walk of :func:`choose_range_index`.  Shared by SELECT scan planning
+    and the executor's UPDATE/DELETE routing.
+    """
+    choice = choose_point_index(table, conjuncts, label)
+    if choice is None:
+        return choose_range_index(table, conjuncts, label, alias)
+    index_name, key_columns, key_exprs, consumed = choice
+    lookup = IndexLookup(
+        table_name=table.name,
+        alias=alias,
+        index_name=index_name,
+        key_columns=key_columns,
+        key_exprs=key_exprs,
+    )
+    return lookup, consumed
 
 
 def _build_table_scan(
@@ -391,46 +454,15 @@ def _build_table_scan(
     if not conjuncts:
         return Scan(table_name=item.name.lower(), alias=item.alias)
     predicate = conjoin(conjuncts)
-    if derived:
-        # Derived OR predicates are relaxations, not conjunctions: no index.
+    # Derived OR predicates are relaxations, not conjunctions: no index.
+    access = None if derived else index_access_path(table, conjuncts, label, item.alias)
+    if access is None:
         return Scan(table_name=item.name.lower(), alias=item.alias, predicate=predicate)
-
-    choice = choose_point_index(table, conjuncts, label)
-    if choice is not None:
-        index_name, key_columns, key_exprs, consumed_conjuncts = choice
-        consumed = {id(conjunct) for conjunct in consumed_conjuncts}
-        residual = [c for c in conjuncts if id(c) not in consumed]
-        return IndexLookup(
-            table_name=item.name.lower(),
-            alias=item.alias,
-            index_name=index_name,
-            key_columns=key_columns,
-            key_exprs=key_exprs,
-            residual=conjoin(residual),
-            full_predicate=predicate,
-        )
-
-    range_choice = choose_range_index(table, conjuncts, label)
-    if range_choice is not None:
-        index_name, column, lower, upper, consumed_conjuncts = range_choice
-        consumed = {id(conjunct) for conjunct in consumed_conjuncts}
-        residual = [c for c in conjuncts if id(c) not in consumed]
-        return IndexRangeScan(
-            table_name=item.name.lower(),
-            alias=item.alias,
-            index_name=index_name,
-            column=column,
-            lower=lower.expr if lower is not None else None,
-            lower_inclusive=lower.inclusive if lower is not None else True,
-            lower_between=lower.from_between if lower is not None else False,
-            upper=upper.expr if upper is not None else None,
-            upper_inclusive=upper.inclusive if upper is not None else True,
-            upper_between=upper.from_between if upper is not None else False,
-            residual=conjoin(residual),
-            full_predicate=predicate,
-        )
-
-    return Scan(table_name=item.name.lower(), alias=item.alias, predicate=predicate)
+    node, consumed_conjuncts = access
+    consumed = {id(conjunct) for conjunct in consumed_conjuncts}
+    node.residual = conjoin([c for c in conjuncts if id(c) not in consumed])
+    node.full_predicate = predicate
+    return node
 
 
 # --------------------------------------------------------------------------- #
@@ -731,6 +763,9 @@ def _rewrite_order_by_index(
     Returns the rewritten source (the Sort node is then never added), or
     None when no B-tree index can produce the requested order.  Only the
     source *leaf* changes; residual Filters above it preserve row order.
+    Only a one-column index qualifies: a multi-column tree breaks ties on
+    the sort column by its later columns, where the executor's stable sort
+    keeps storage order.
     """
     column = _order_column_for_rewrite(statement, table.schema, label)
     if column is None:
@@ -744,13 +779,13 @@ def _rewrite_order_by_index(
         leaf = leaf.child
 
     if isinstance(leaf, IndexRangeScan):
-        if leaf.column != column or leaf.ordered is not None:
+        if table.indexes[leaf.index_name].columns != [column] or leaf.ordered is not None:
             return None
         rewritten = leaf
     elif isinstance(leaf, Scan):
         index_name = None
         for index in table.indexes.values():
-            if getattr(index, "kind", "hash") == "btree" and index.columns[0] == column:
+            if index.kind == "btree" and index.columns == [column]:
                 index_name = index.name
                 break
         if index_name is None:

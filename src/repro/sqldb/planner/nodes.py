@@ -227,70 +227,67 @@ class IndexLookup(PlanNode):
 
     def execute(self, rt: PlanRuntime, outer_row: Optional[dict] = None) -> SourceResult:
         table = rt.executor.database.table(self.table_name)
-        label = self.label
-        names = table.column_names
-        columns = [(name, f"{label}.{name}") for name in names]
+        positions = self.candidate_positions(table, rt.ctx)
+        return _emit_positions(self, table, positions, rt.ctx)
 
-        kind, positions = resolve_index_positions(
-            table, self.index_name, self.key_columns, self.key_exprs, rt.ctx
-        )
-        raw = table.raw_rows()
-        if kind == "scan":
-            positions = range(len(raw))
-            predicate = self.full_predicate
-        elif kind == "empty":
-            return columns, []
-        else:
-            predicate = self.residual
+    def candidate_positions(self, table, ctx: EvalContext) -> Optional[List[int]]:
+        """Resolve the runtime key values against the index.
 
-        rows = _scan_rows(label, names, [raw[position] for position in positions])
-        if predicate is not None:
-            rows = filter_rows(rows, predicate, rt.ctx)
-        return columns, _tag_ordinals(rows, self.ordinal_label)
-
-
-def resolve_index_positions(
-    table,
-    index_name: str,
-    key_columns: Sequence[str],
-    key_exprs: Sequence[Expression],
-    ctx: EvalContext,
-) -> Tuple[str, Optional[List[int]]]:
-    """Resolve runtime key values against an index to row positions.
-
-    Shared by :meth:`IndexLookup.execute` and the executor's UPDATE/DELETE
-    point-predicate routing.  Returns one of
-
-    * ``("scan", None)`` - only a full scan reproduces the engine's
-      comparison semantics (heterogeneous key type, or the index was
-      dropped since planning);
-    * ``("empty", None)`` - the equality can never be true: zero rows;
-    * ``("rows", positions)`` - the matching row positions.
-    """
-    key_parts: List[Any] = []
-    empty = False
-    fallback = False
-    for column, expr in zip(key_columns, key_exprs):
-        value = evaluate(expr, {}, ctx)
-        kind, part = _index_key_part(value, table.schema.column(column).sql_type)
+        Shared with the executor's UPDATE/DELETE routing.  Returns the
+        matching row positions (ascending), ``[]`` when the equality can
+        never be true, or None when only a full scan reproduces the
+        engine's comparison semantics (heterogeneous key type, or the index
+        was dropped since planning).
+        """
+        kind, key_parts = _key_parts(self.key_columns, self.key_exprs, table, ctx)
+        index = None if self.index_name == "PRIMARY KEY" else table.indexes.get(self.index_name)
+        if kind == "scan" or (self.index_name != "PRIMARY KEY" and index is None):
+            return None
         if kind == "empty":
-            empty = True
-        elif kind == "scan":
-            fallback = True
-        else:
-            key_parts.append(part)
+            return []
+        if index is None:
+            return table.pk_positions_for(key_parts)
+        return index.lookup(key_parts)
 
-    index = None if index_name == "PRIMARY KEY" else table.indexes.get(index_name)
-    if index_name != "PRIMARY KEY" and index is None:
-        fallback = True  # index dropped since planning: stay correct
 
-    if fallback:
-        return "scan", None
-    if empty:
-        return "empty", None
-    if index is None:
-        return "rows", table.pk_positions_for(key_parts)
-    return "rows", index.lookup(key_parts)
+def _key_parts(
+    columns: Sequence[str], exprs: Sequence[Expression], table, ctx: EvalContext
+) -> Tuple[str, List[Any]]:
+    """Evaluate equality key values and classify them with
+    :func:`_index_key_part`: ``("key", parts)``, or ``"scan"``/``"empty"``
+    (a full scan wins over an empty result, so a scan can raise what the
+    naive pipeline raises)."""
+    verdict = "key"
+    parts: List[Any] = []
+    for column, expr in zip(columns, exprs):
+        kind, part = _index_key_part(evaluate(expr, {}, ctx), table.schema.column(column).sql_type)
+        if kind == "scan":
+            verdict = "scan"
+        elif kind == "empty" and verdict == "key":
+            verdict = "empty"
+        parts.append(part)
+    return verdict, parts
+
+
+def _emit_positions(
+    node, table, positions: Optional[Sequence[int]], ctx: EvalContext
+) -> SourceResult:
+    """Source rows of an index leaf: ``positions`` (ascending) filtered by
+    its residual, or, when ``positions`` is None, a full scan filtered by
+    its full predicate."""
+    label = node.label
+    names = table.column_names
+    columns = [(name, f"{label}.{name}") for name in names]
+    raw = table.raw_rows()
+    if positions is None:
+        rows = _scan_rows(label, names, raw)
+        predicate = node.full_predicate
+    else:
+        rows = _scan_rows(label, names, [raw[position] for position in positions])
+        predicate = node.residual
+    if predicate is not None:
+        rows = filter_rows(rows, predicate, ctx)
+    return columns, _tag_ordinals(rows, node.ordinal_label)
 
 
 def _index_key_part(value: Any, sql_type: SqlType) -> Tuple[str, Any]:
@@ -374,38 +371,47 @@ def _range_key_part(value: Any, sql_type: SqlType, from_between: bool) -> Tuple[
 
 @dataclass
 class IndexRangeScan(PlanNode):
-    """Ordered-index (B-tree) range scan, optionally emitting in key order.
+    """Ordered-index (B-tree) walk, optionally emitting in key order.
 
     Backs three planner rewrites:
 
-    * range predicates (``BETWEEN``/``<``/``>``) on a btree-indexed column
-      become an index interval walk (rows re-sorted to storage order so the
-      output matches a filtered sequential scan row-for-row);
-    * ``ORDER BY col [DESC] [LIMIT k]`` on the indexed column sets
+    * equalities on an index's leading columns (``prefix_columns``) and/or
+      a range (``BETWEEN``/``<``/``>``) on the next one (``column``) become
+      an index walk (rows re-sorted to storage order so the output matches
+      a filtered sequential scan row-for-row) - on ``<table>_pkey``,
+      ``house = $1 AND time BETWEEN $2 AND $3`` visits only that house's
+      keys in the window;
+    * ``ORDER BY col [DESC] [LIMIT k]`` on a one-column index sets
       ``ordered`` and drops the Sort node: rows emit in key order (NULLs
       last, ties in storage order - exactly the executor's stable sort);
     * with both, the interval walk emits ordered and a pushed ``limit_hint``
       stops after the top-k rows survive the residual filter.
 
-    Runtime safety mirrors :class:`IndexLookup`: a bound whose type cannot
-    be matched against the index degrades to a full scan under
-    ``full_predicate`` (re-sorted when ``ordered``), and a bound that can
-    never admit rows returns the empty result.
+    Runtime safety mirrors :class:`IndexLookup`: a prefix value or bound
+    whose type cannot be matched against the index degrades to a full scan
+    under ``full_predicate`` (re-sorted when ``ordered``), and one that can
+    never admit rows returns the empty result.  So does an ordered walk
+    over an index holding NaN keys, whose place in a sort no walk can
+    reproduce.
 
-    An unordered walk is re-sized on every execution: the planner's width
-    rule (:data:`~repro.sqldb.planner.cost.RANGE_SCAN_THRESHOLD`) is applied
-    to the bound values and the table's current statistics, and a too-wide
-    interval takes the same full-scan fallback.  This is what sizes ``$n``
-    bounds, which the planner cannot; literal bounds already passed the rule
-    at plan time.  An ordered walk never falls back by width: it replaces
-    a sort at any width, and a wide literal range is served the same way
-    (a walk over all rows with the range as residual filter).
+    An unordered walk without a prefix is re-sized on every execution: the
+    planner's width rule (:data:`~repro.sqldb.planner.cost.RANGE_SCAN_THRESHOLD`)
+    is applied to the bound values and the table's current statistics, and
+    a too-wide interval takes the same full-scan fallback.  This is what
+    sizes ``$n`` bounds, which the planner cannot; literal bounds already
+    passed the rule at plan time.  A walk under a prefix never leaves the
+    prefix's keys and skips the rule.  An ordered walk never falls back by
+    width: it replaces a sort at any width, and a wide literal range is
+    served the same way (a walk over all rows with the range as residual
+    filter).
     """
 
     table_name: str
     alias: Optional[str]
     index_name: str
     column: str
+    prefix_columns: List[str] = field(default_factory=list)
+    prefix_exprs: List[Expression] = field(default_factory=list)
     lower: Optional[Expression] = None
     lower_inclusive: bool = True
     lower_between: bool = False
@@ -426,14 +432,17 @@ class IndexRangeScan(PlanNode):
 
     def describe(self) -> str:
         alias = f" AS {self.alias}" if self.alias and self.alias != self.table_name else ""
-        bounds = []
+        terms = [
+            f"{column} = {render_expression(expr)}"
+            for column, expr in zip(self.prefix_columns, self.prefix_exprs)
+        ]
         if self.lower is not None:
             op = ">=" if self.lower_inclusive else ">"
-            bounds.append(f"{self.column} {op} {render_expression(self.lower)}")
+            terms.append(f"{self.column} {op} {render_expression(self.lower)}")
         if self.upper is not None:
             op = "<=" if self.upper_inclusive else "<"
-            bounds.append(f"{self.column} {op} {render_expression(self.upper)}")
-        spec = " AND ".join(bounds) if bounds else "all rows"
+            terms.append(f"{self.column} {op} {render_expression(self.upper)}")
+        spec = " AND ".join(terms) if terms else "all rows"
         ordered = ""
         if self.ordered is not None:
             ordered = f" ORDER BY {self.column} {self.ordered.upper()}"
@@ -458,78 +467,89 @@ class IndexRangeScan(PlanNode):
                 return None
         return int(limit) + offset
 
+    def _walk_bounds(self, table, ctx: EvalContext):
+        """Evaluate the prefix values and bounds for one execution.
+
+        Returns ``(mode, index, prefix, low, high)`` where ``mode`` is
+        ``"walk"``, ``"scan"`` (only a full scan is exact, or the index was
+        dropped or replaced since planning) or ``"empty"`` (no row can
+        match).  As for point keys, a scan wins over an empty result.
+        """
+        index = table.indexes.get(self.index_name)
+        if index is None or index.kind != "btree":
+            return "scan", None, [], None, None
+        mode, prefix = _key_parts(self.prefix_columns, self.prefix_exprs, table, ctx)
+        if mode == "key":
+            mode = "walk"
+        sql_type = table.schema.column(self.column).sql_type
+        values = []
+        for expr, from_between in (
+            (self.lower, self.lower_between),
+            (self.upper, self.upper_between),
+        ):
+            part = None
+            if expr is not None:
+                kind, part = _range_key_part(evaluate(expr, {}, ctx), sql_type, from_between)
+                if kind == "scan":
+                    mode = "scan"
+                elif kind == "empty" and mode == "walk":
+                    mode = "empty"
+            values.append(part)
+        return mode, index, prefix, values[0], values[1]
+
+    def candidate_positions(self, table, ctx: EvalContext) -> Optional[List[int]]:
+        """Row positions of an unordered walk, ascending.
+
+        Shared with the executor's UPDATE/DELETE routing.  ``[]`` when no
+        row can match; None when a full scan must answer instead (see
+        :meth:`_walk_bounds`, and the width rule for a walk without a
+        prefix).
+        """
+        mode, index, prefix, low, high = self._walk_bounds(table, ctx)
+        if mode == "empty":
+            return []
+        if (
+            mode == "walk"
+            and not prefix
+            and table.stats is not None
+            and cost.interval_fraction(table.stats.column(self.column), low, high)
+            > cost.RANGE_SCAN_THRESHOLD
+        ):
+            mode = "scan"
+        if mode == "scan":
+            return None
+        return sorted(
+            index.range_positions(
+                low, self.lower_inclusive, high, self.upper_inclusive, prefix=prefix
+            )
+        )
+
     def execute(self, rt: PlanRuntime, outer_row: Optional[dict] = None) -> SourceResult:
         table = rt.executor.database.table(self.table_name)
+        ctx = rt.ctx
+        if self.ordered is None:
+            return _emit_positions(self, table, self.candidate_positions(table, ctx), ctx)
+
         label = self.label
         names = table.column_names
         columns = [(name, f"{label}.{name}") for name in names]
         raw = table.raw_rows()
-        ctx = rt.ctx
-
-        index = table.indexes.get(self.index_name)
-        mode = "range"
-        if index is None or getattr(index, "kind", "hash") != "btree":
-            mode = "scan"  # index dropped/replaced since planning: stay correct
-
-        low_value = high_value = None
-        if mode == "range":
-            sql_type = table.schema.column(self.column).sql_type
-            empty = False
-            if self.lower is not None:
-                value = evaluate(self.lower, {}, ctx)
-                kind, part = _range_key_part(value, sql_type, self.lower_between)
-                if kind == "empty":
-                    empty = True
-                elif kind == "scan":
-                    mode = "scan"
-                else:
-                    low_value = part
-            if self.upper is not None:
-                value = evaluate(self.upper, {}, ctx)
-                kind, part = _range_key_part(value, sql_type, self.upper_between)
-                if kind == "empty":
-                    empty = True
-                elif kind == "scan":
-                    mode = "scan"
-                else:
-                    high_value = part
-            if empty:
-                return columns, []
-            if (
-                mode == "range"
-                and self.ordered is None
-                and table.stats is not None
-                and cost.interval_fraction(
-                    table.stats.column(self.column), low_value, high_value
-                )
-                > cost.RANGE_SCAN_THRESHOLD
-            ):
-                mode = "scan"
-
-        if mode == "scan":
+        mode, index, _prefix, low_value, high_value = self._walk_bounds(table, ctx)
+        if mode == "empty":
+            return columns, []
+        if mode == "scan" or index.holds_nan():
             rows = _scan_rows(label, names, raw)
             if self.full_predicate is not None:
                 rows = filter_rows(rows, self.full_predicate, ctx)
-            if self.ordered is not None:
-                rows = _order_rows_by_column(rows, f"{label}.{self.column}", self.ordered)
-                hint = self._limit_hint(ctx)
-                if hint is not None:
-                    rows = rows[:hint]
+            rows = _order_rows_by_column(rows, f"{label}.{self.column}", self.ordered)
+            hint = self._limit_hint(ctx)
+            if hint is not None:
+                rows = rows[:hint]
             return columns, _tag_ordinals(rows, self.ordinal_label)
 
-        if self.ordered is None:
-            positions = sorted(
-                index.range_positions(
-                    low_value, self.lower_inclusive, high_value, self.upper_inclusive
-                )
-            )
-            rows = _scan_rows(label, names, [raw[position] for position in positions])
-            if self.residual is not None:
-                rows = filter_rows(rows, self.residual, ctx)
-            return columns, _tag_ordinals(rows, self.ordinal_label)
-
-        # Ordered emission: key order (reverse for DESC), per-key storage
-        # order, NULL rows last only when no bound excludes them.
+        # Ordered emission (one-column index): key order (reverse for DESC),
+        # per-key storage order, NULL rows last only when no bound excludes
+        # them.
         reverse = self.ordered == "desc"
         if self.lower is None and self.upper is None:
             positions = index.ordered_positions(reverse=reverse, include_nulls=True)

@@ -1,4 +1,4 @@
-"""Ordered (B+-tree) secondary indexes for range scans and ordered output.
+"""Ordered (B+-tree) indexes for range scans and ordered output.
 
 :class:`OrderedIndex` mirrors the interface of the hash-based
 :class:`~repro.sqldb.table.SecondaryIndex` (``name``/``columns``/
@@ -6,36 +6,40 @@
 ``lookup``) so the table layer can maintain either kind uniformly, and adds
 the ordered operations the planner needs:
 
-* :meth:`OrderedIndex.range_positions` - row positions whose key falls in a
-  ``[low, high]`` interval (either bound optional/exclusive), emitted in key
-  order with each key's positions in row order;
-* :meth:`OrderedIndex.ordered_positions` - every indexed position in key
-  order (ascending or descending), optionally followed by the NULL-key rows,
-  which backs ``ORDER BY``/top-k rewrites;
+* :meth:`OrderedIndex.range_positions` - row positions under an equality
+  prefix of the leading columns whose next column falls in a ``[low,
+  high]`` interval (either bound optional/exclusive), emitted in key order
+  with each key's positions in row order;
+* :meth:`OrderedIndex.ordered_positions` - every indexed position of a
+  one-column index in key order (ascending or descending), optionally
+  followed by the NULL-key rows, which backs ``ORDER BY``/top-k rewrites;
 * :meth:`OrderedIndex.verify` - a read-only structural + content audit used
   by the ``VERIFY`` statement.
 
+Keys are tuples with one part per column, compared lexicographically, as
+in a PostgreSQL multi-column B-tree.  Parts compare like the hash index's
+normalized values (``2`` and ``2.0`` are one key), so point lookups agree
+across index kinds; NULL and NaN parts become markers that sort after
+every real value of their column.  A declared ``USING BTREE``
+index rejects NaN with :class:`~repro.errors.SqlTypeError`; the index
+backing a primary key keeps NaN keys, which no equality or range matches.
+
 The tree itself is a small in-memory B+-tree: leaves hold ``key -> [row
-positions]`` (each key's positions in ascending row order) and are chained
-for in-order iteration; inner nodes hold separator keys.  Single entries
-are inserted and removed in place; whole trees (a rebuild from rows, or the
+positions]`` (each key's positions in ascending row order; a key one row
+holds, like every primary-key entry, stores its bare position) and are
+chained for in-order iteration; inner nodes hold separator keys.  Single
+entries are inserted and removed in place; whole trees (a rebuild from rows, or the
 position remap after a DELETE compacts the table) are bulk-loaded bottom-up
 from sorted ``(key, positions)`` pairs by :meth:`BTree.from_sorted`.  Node
 writes pass through the ``btree.node_write`` chaos point
 (:mod:`repro.faults`) so the fault harness can prove a failed index write
 surfaces as a typed error instead of a silently wrong query result.
-
-Keys are normalized like the hash index (``Variant`` unwrapped, integral
-floats folded to ``int``) so point lookups agree across index kinds.  NaN
-keys are rejected with :class:`~repro.errors.SqlTypeError`: NaN breaks the
-total order the tree relies on, and the engine documents that restriction
-for ``USING BTREE`` columns.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import insort
+from bisect import bisect_left, bisect_right, insort
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import faults
@@ -81,6 +85,17 @@ class _Inner:
         self.children: List[Any] = []
 
 
+def _packed(positions: List[int]) -> Any:
+    """A leaf value: the bare position of a key one row holds (every
+    primary-key entry, which then costs no list), else the ascending list."""
+    return positions[0] if len(positions) == 1 else positions
+
+
+def _positions(value: Any) -> List[int]:
+    """The position list a leaf value stands for."""
+    return [value] if value.__class__ is int else value
+
+
 def _runs(count: int, capacity: int) -> Iterator[Tuple[int, int]]:
     """Split ``count`` items into the fewest ``[start, stop)`` runs of at
     most ``capacity`` items, sized evenly (so no node ends up near-empty)."""
@@ -93,30 +108,12 @@ def _runs(count: int, capacity: int) -> Iterator[Tuple[int, int]]:
         start = stop
 
 
-def _bisect_left(keys: Sequence[Any], key: Any) -> int:
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if keys[mid] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _bisect_right(keys: Sequence[Any], key: Any) -> int:
-    lo, hi = 0, len(keys)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if key < keys[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 class BTree:
-    """A B+-tree mapping comparable keys to lists of row positions."""
+    """A B+-tree mapping comparable keys to lists of row positions.
+
+    Leaves store a key held by one row as its bare position (see
+    :func:`_packed`); every method hands callers position lists.
+    """
 
     __slots__ = ("root", "size")
 
@@ -134,6 +131,34 @@ class BTree:
         split.  Every node written passes the ``btree.node_write`` fault
         point; a failed load leaves no tree behind for the caller to adopt.
         """
+        return cls._load(keys, [_packed(positions) for positions in values])
+
+    def remapped(self, remap: Sequence[Optional[int]]) -> "BTree":
+        """This tree after a DELETE compacted the table (see
+        :func:`remap_positions`): the surviving pairs are already in key
+        order, so the fresh tree is bulk-loaded without re-keying a row."""
+        keys: List[Any] = []
+        values: List[Any] = []
+        leaf: Optional[_Leaf] = self._leftmost()
+        while leaf is not None:
+            for key, value in zip(leaf.keys, leaf.values):
+                if value.__class__ is int:
+                    value = remap[value]
+                    if value is None:
+                        continue
+                else:
+                    kept = remap_positions(value, remap)
+                    if not kept:
+                        continue
+                    value = _packed(kept)
+                keys.append(key)
+                values.append(value)
+            leaf = leaf.next
+        return self._load(keys, values)
+
+    @classmethod
+    def _load(cls, keys: Sequence[Any], values: Sequence[Any]) -> "BTree":
+        """:meth:`from_sorted` over leaf values already packed."""
         tree = cls()
         if not keys:
             return tree
@@ -180,17 +205,19 @@ class BTree:
 
     def _insert(self, node: Any, key: Any, position: int) -> Optional[Tuple[Any, Any]]:
         if isinstance(node, _Leaf):
-            idx = _bisect_left(node.keys, key)
+            idx = bisect_left(node.keys, key)
             if idx < len(node.keys) and node.keys[idx] == key:
-                insort(node.values[idx], position)
+                positions = _positions(node.values[idx])
+                insort(positions, position)
+                node.values[idx] = positions
                 return None
             node.keys.insert(idx, key)
-            node.values.insert(idx, [position])
+            node.values.insert(idx, position)
             self.size += 1
             if len(node.keys) <= NODE_CAPACITY:
                 return None
             return self._split_leaf(node)
-        idx = _bisect_right(node.keys, key)
+        idx = bisect_right(node.keys, key)
         split = self._insert(node.children[idx], key, position)
         if split is None:
             return None
@@ -234,14 +261,14 @@ class BTree:
         """
         node = self.root
         while isinstance(node, _Inner):
-            node = node.children[_bisect_right(node.keys, key)]
-        idx = _bisect_left(node.keys, key)
+            node = node.children[bisect_right(node.keys, key)]
+        idx = bisect_left(node.keys, key)
         if idx >= len(node.keys) or node.keys[idx] != key:
             return
-        positions = node.values[idx]
-        if position in positions:
-            positions.remove(position)
-        if not positions:
+        positions = [p for p in _positions(node.values[idx]) if p != position]
+        if positions:
+            node.values[idx] = _packed(positions)
+        else:
             node.keys.pop(idx)
             node.values.pop(idx)
             self.size -= 1
@@ -251,10 +278,10 @@ class BTree:
     def get(self, key: Any) -> List[int]:
         node = self.root
         while isinstance(node, _Inner):
-            node = node.children[_bisect_right(node.keys, key)]
-        idx = _bisect_left(node.keys, key)
+            node = node.children[bisect_right(node.keys, key)]
+        idx = bisect_left(node.keys, key)
         if idx < len(node.keys) and node.keys[idx] == key:
-            return node.values[idx]
+            return _positions(node.values[idx])
         return []
 
     def _leftmost(self) -> _Leaf:
@@ -266,15 +293,15 @@ class BTree:
     def _leaf_for(self, key: Any) -> _Leaf:
         node = self.root
         while isinstance(node, _Inner):
-            node = node.children[_bisect_right(node.keys, key)]
+            node = node.children[bisect_right(node.keys, key)]
         return node
 
     def items(self) -> Iterator[Tuple[Any, List[int]]]:
         """All ``(key, positions)`` pairs in ascending key order."""
         leaf: Optional[_Leaf] = self._leftmost()
         while leaf is not None:
-            for key, positions in zip(leaf.keys, leaf.values):
-                yield key, positions
+            for key, value in zip(leaf.keys, leaf.values):
+                yield key, _positions(value)
             leaf = leaf.next
 
     def range_items(
@@ -291,9 +318,9 @@ class BTree:
         else:
             leaf = self._leaf_for(low)
             idx = (
-                _bisect_left(leaf.keys, low)
+                bisect_left(leaf.keys, low)
                 if low_inclusive
-                else _bisect_right(leaf.keys, low)
+                else bisect_right(leaf.keys, low)
             )
         while leaf is not None:
             while idx < len(leaf.keys):
@@ -304,7 +331,7 @@ class BTree:
                             return
                     elif not key < high:
                         return
-                yield key, leaf.values[idx]
+                yield key, _positions(leaf.values[idx])
                 idx += 1
             leaf = leaf.next
             idx = 0
@@ -334,8 +361,8 @@ class BTree:
         if isinstance(node, _Leaf):
             if len(node.keys) != len(node.values):
                 return "leaf key/value arity mismatch"
-            for positions in node.values:
-                if not positions:
+            for value in node.values:
+                if not _positions(value):
                     return "empty position list in leaf"
             keys_out.extend(node.keys)
             return None
@@ -352,107 +379,149 @@ class BTree:
         return None
 
 
+class _Marker:
+    """A key part that sorts after every real value.
+
+    NULL and NaN parts of an index key become markers so that every key
+    keeps a total order: within each column, real values come first, then
+    NaN, then NULL.  ``_TOP`` only ever appears in search keys, as the
+    smallest part greater than all of them.
+    """
+
+    __slots__ = ("rank", "label")
+
+    def __init__(self, rank: int, label: str):
+        self.rank = rank
+        self.label = label
+
+    def __lt__(self, other: Any) -> bool:
+        return isinstance(other, _Marker) and self.rank < other.rank
+
+    def __le__(self, other: Any) -> bool:
+        return isinstance(other, _Marker) and self.rank <= other.rank
+
+    def __gt__(self, other: Any) -> bool:
+        return not isinstance(other, _Marker) or self.rank > other.rank
+
+    def __ge__(self, other: Any) -> bool:
+        return not isinstance(other, _Marker) or self.rank >= other.rank
+
+    def __eq__(self, other: Any) -> bool:
+        return self is other
+
+    __hash__ = object.__hash__
+
+    def __repr__(self) -> str:
+        return self.label
+
+
+NAN_PART = _Marker(0, "NaN")
+NULL_PART = _Marker(1, "NULL")
+_TOP = _Marker(2, "TOP")
+
+
+def _key_part(value: Any) -> Any:
+    """One normalized key part, with NULL and NaN replaced by markers."""
+    value = normalize_key(value)
+    if value is None:
+        return NULL_PART
+    if isinstance(value, float) and math.isnan(value):
+        return NAN_PART
+    return value
+
+
 class OrderedIndex:
-    """A single-column ordered secondary index backed by :class:`BTree`.
+    """An ordered index over one or more columns, backed by :class:`BTree`.
+
+    Keys are tuples of column values compared lexicographically, so the
+    rows sharing an equality prefix are one contiguous run of the tree and
+    a range on the next column is an interval inside that run.  A NULL or
+    NaN part is stored as a marker that sorts after every real value of
+    its column: a range never reaches it and an equality never matches it,
+    yet a walk on an earlier prefix still emits the row.
 
     Interface-compatible with the hash ``SecondaryIndex`` where it matters to
     the table layer (``add``/``discard``/``remapped``/``rebuild``/``lookup``/
     ``clear``), plus the ordered operations used by the planner's range
-    scans.
+    scans.  ``nan_keys`` admits NaN parts; otherwise inserting one raises
+    :class:`~repro.errors.SqlTypeError` (the contract of a declared
+    ``USING BTREE`` index).  A primary key's index admits them, because the
+    primary key itself always has.
     """
 
     kind = "btree"
 
-    __slots__ = ("name", "columns", "positions", "tree", "null_positions")
+    __slots__ = ("name", "columns", "positions", "tree", "nan_keys")
 
-    def __init__(self, name: str, columns: Sequence[str], positions: Sequence[int]):
-        if len(columns) != 1 or len(positions) != 1:
-            raise SqlTypeError("ordered indexes cover exactly one column")
+    def __init__(
+        self,
+        name: str,
+        columns: Sequence[str],
+        positions: Sequence[int],
+        nan_keys: bool = False,
+    ):
         self.name = name
         self.columns = list(columns)
         self.positions = list(positions)
+        self.nan_keys = nan_keys
         self.tree = BTree()
-        # Row positions whose key is NULL, kept in ascending row order so the
-        # ordered emission (NULLs last) matches the executor's stable sort.
-        self.null_positions: List[int] = []
 
     # -- maintenance (SecondaryIndex-compatible) --------------------------
 
     def key_for_row(self, row: Sequence[Any]) -> Tuple[Any, ...]:
-        return (normalize_key(row[self.positions[0]]),)
+        key = tuple([row[p] for p in self.positions])
+        for part in key:
+            if part is None or part != part:  # NULL or NaN: needs a marker
+                return tuple([_key_part(value) for value in key])
+        return key
 
-    def add(self, row: Sequence[Any], position: int) -> None:
-        key = normalize_key(row[self.positions[0]])
-        if key is None:
-            faults.check(NODE_WRITE_POINT)
-            insort(self.null_positions, position)
-            return
-        if isinstance(key, float) and math.isnan(key):
+    def _checked_key(self, row: Sequence[Any]) -> Tuple[Any, ...]:
+        key = self.key_for_row(row)
+        if not self.nan_keys and NAN_PART in key:
             raise SqlTypeError(
                 f"cannot index NaN in ordered index {self.name!r} "
-                f"on column {self.columns[0]!r}"
+                f"on columns {self.columns!r}"
             )
-        self.tree.insert(key, position)
+        return key
+
+    def add(self, row: Sequence[Any], position: int) -> None:
+        self.tree.insert(self._checked_key(row), position)
 
     def discard(self, row: Sequence[Any], position: int) -> None:
         """Undo a prior :meth:`add` of this exact row/position."""
-        key = normalize_key(row[self.positions[0]])
-        if key is None:
-            if position in self.null_positions:
-                self.null_positions.remove(position)
-            return
-        self.tree.remove(key, position)
+        self.tree.remove(self.key_for_row(row), position)
+
+    def _grouped(self, rows: Sequence[Sequence[Any]]) -> Dict[Tuple[Any, ...], List[int]]:
+        groups: Dict[Tuple[Any, ...], List[int]] = {}
+        for row_position, row in enumerate(rows):
+            groups.setdefault(self._checked_key(row), []).append(row_position)
+        return groups
 
     def rebuild(self, rows: Sequence[Sequence[Any]]) -> None:
         """Rebuild from scratch; assigns state only after a full clean build."""
-        groups: Dict[Any, List[int]] = {}
-        nulls: List[int] = []
-        pos = self.positions[0]
-        for row_position, row in enumerate(rows):
-            key = normalize_key(row[pos])
-            if key is None:
-                nulls.append(row_position)
-            elif isinstance(key, float) and math.isnan(key):
-                raise SqlTypeError(
-                    f"cannot index NaN in ordered index {self.name!r} "
-                    f"on column {self.columns[0]!r}"
-                )
-            else:
-                groups.setdefault(key, []).append(row_position)
+        groups = self._grouped(rows)
         keys = sorted(groups)
         self.tree = BTree.from_sorted(keys, [groups[key] for key in keys])
-        self.null_positions = nulls
 
     def remapped(self, remap: Sequence[Optional[int]]) -> "OrderedIndex":
         """This index after a DELETE compacted the table (see
-        :func:`remap_positions`): the surviving pairs are already in key
-        order, so the fresh tree is bulk-loaded without re-keying a row."""
-        keys: List[Any] = []
-        values: List[List[int]] = []
-        for key, positions in self.tree.items():
-            kept = remap_positions(positions, remap)
-            if kept:
-                keys.append(key)
-                values.append(kept)
-        fresh = OrderedIndex(self.name, self.columns, self.positions)
-        fresh.tree = BTree.from_sorted(keys, values)
-        fresh.null_positions = remap_positions(self.null_positions, remap)
+        :meth:`BTree.remapped`)."""
+        fresh = OrderedIndex(self.name, self.columns, self.positions, self.nan_keys)
+        fresh.tree = self.tree.remapped(remap)
         return fresh
 
     def clear(self) -> None:
         self.tree = BTree()
-        self.null_positions = []
 
     # -- lookup -----------------------------------------------------------
 
-    def lookup(self, key: Tuple[Any, ...]) -> List[int]:
-        """Point lookup, matching the hash index contract (NULL matches nothing)."""
-        value = key[0]
-        if value is None:
+    def lookup(self, key: Sequence[Any]) -> List[int]:
+        """Point lookup on the full key, matching the hash index contract
+        (a NULL or NaN part matches nothing)."""
+        parts = tuple([_key_part(value) for value in key])
+        if any(isinstance(part, _Marker) for part in parts):
             return []
-        if isinstance(value, float) and math.isnan(value):
-            return []
-        return list(self.tree.get(value))
+        return list(self.tree.get(parts))
 
     def range_positions(
         self,
@@ -461,23 +530,39 @@ class OrderedIndex:
         high: Any = None,
         high_inclusive: bool = True,
         reverse: bool = False,
+        prefix: Sequence[Any] = (),
     ) -> List[int]:
-        """Positions with keys inside the interval, in key + row order.
+        """Positions whose key starts with ``prefix`` and whose next part
+        lies in the interval, in key + row order.
+
+        ``prefix`` holds equality values for the leading columns; ``low``
+        and ``high`` (either optional) bound the column after them.  With
+        neither bound the walk emits the whole prefix run, rows with NULL
+        or NaN parts after the prefix included; a bound, or an empty
+        prefix, stops before the NULL/NaN parts of the bounded column
+        (SQL comparisons with NULL or NaN are never true).
 
         ``reverse=True`` reverses the *key* order while keeping each key's
         positions in row order - matching a stable descending sort.
-        NULL-key rows are never in a range (SQL comparisons with NULL are
-        never true).
         """
-        groups = [
-            positions
-            for _, positions in self.tree.range_items(
-                normalize_key(low) if low is not None else None,
-                low_inclusive,
-                normalize_key(high) if high is not None else None,
-                high_inclusive,
+        head = tuple([_key_part(value) for value in prefix])
+        if any(isinstance(part, _Marker) for part in head):
+            return []  # an equality with NULL or NaN is never true
+        if low is None:
+            start = head or None
+        elif low_inclusive:
+            start = head + (normalize_key(low),)
+        else:
+            start = head + (normalize_key(low), _TOP)
+        if high is not None:
+            stop = head + (
+                (normalize_key(high), _TOP) if high_inclusive else (normalize_key(high),)
             )
-        ]
+        elif low is None and head:
+            stop = head + (_TOP,)
+        else:
+            stop = head + (NAN_PART,)
+        groups = [positions for _, positions in self.tree.range_items(start, True, stop, False)]
         if reverse:
             groups.reverse()
         out: List[int] = []
@@ -485,21 +570,22 @@ class OrderedIndex:
             out.extend(positions)
         return out
 
+    def holds_nan(self) -> bool:
+        """Whether any key of a one-column index is NaN (ordered emission
+        cannot reproduce how a sort places NaN)."""
+        return self.nan_keys and bool(self.tree.get((NAN_PART,)))
+
     def ordered_positions(self, reverse: bool = False, include_nulls: bool = True) -> List[int]:
-        """Every non-NULL position in key order; NULL rows appended last.
+        """Every non-NULL position of a one-column index in key order; NULL
+        rows appended last.
 
         NULLs sort last in both directions (matching the executor's ORDER BY
         semantics), and ties within a key keep row order - the same
         tie-break a stable sort over the table produces.
         """
-        groups = [positions for _, positions in self.tree.items()]
-        if reverse:
-            groups.reverse()
-        out: List[int] = []
-        for positions in groups:
-            out.extend(positions)
+        out = self.range_positions(reverse=reverse)
         if include_nulls:
-            out.extend(self.null_positions)
+            out.extend(self.tree.get((NULL_PART,)))
         return out
 
     # -- audit ------------------------------------------------------------
@@ -515,18 +601,8 @@ class OrderedIndex:
         if problem:
             return problem
         try:
-            pos = self.positions[0]
-            expected_nulls = []
-            expected: dict = {}
-            for row_position, row in enumerate(rows):
-                key = normalize_key(row[pos])
-                if key is None:
-                    expected_nulls.append(row_position)
-                else:
-                    expected.setdefault(key, []).append(row_position)
+            expected = self._grouped(rows)
             indexed = {key: list(positions) for key, positions in self.tree.items()}
-            if self.null_positions != expected_nulls:
-                return "NULL position list disagrees with table rows"
             if len(indexed) != len(expected):
                 return (
                     f"index holds {len(indexed)} distinct keys, "

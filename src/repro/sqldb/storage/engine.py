@@ -19,8 +19,9 @@ attached to exactly one :class:`~repro.sqldb.database.Database`:
   or uncommitted tail.
 
 Not persisted by design: UDF/extension registrations (sessions reinstall
-them at boot) and secondary index *contents* (only definitions are stored;
-hash indexes rebuild from rows in one pass on open).
+them at boot) and index *contents* (only declared definitions are stored,
+and ``<table>_pkey`` is derived from the schema; every index rebuilds from
+rows in one pass on open).
 """
 
 from __future__ import annotations
@@ -271,12 +272,8 @@ class StorageEngine:
                     "rows_len": len(blob),
                     "row_count": len(table),
                     "indexes": [
-                        {
-                            "name": index.name,
-                            "columns": list(index.columns),
-                            "kind": index.kind,
-                        }
-                        for index in table.indexes.values()
+                        {"name": name, "columns": columns, "kind": kind}
+                        for name, columns, kind in table.index_definitions()
                     ],
                     "stats": (
                         table.stats.to_payload() if table.stats is not None else None

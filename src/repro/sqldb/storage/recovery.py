@@ -4,9 +4,10 @@ The protocol, run by :meth:`StorageEngine.attach` before the database
 serves its first query:
 
 1. **Snapshot** - if the page-store header points at a catalog, rebuild
-   every table from it: schema payload, rows blob, index definitions
-   (the primary-key map and the secondary hash and B-tree indexes are
-   rebuilt from rows - index contents are never persisted).
+   every table from it: schema payload, rows blob, declared index
+   definitions (the primary-key map, the ``<table>_pkey`` B-tree derived
+   from the schema and the declared hash and B-tree indexes are rebuilt
+   from rows - index contents are never persisted).
 2. **Base check** - the WAL must start with a CHECKPOINT frame matching
    the header's checkpoint id (or contain none at all when no checkpoint
    was ever taken).  A mismatch means the process died between the header
@@ -78,7 +79,6 @@ def _load_snapshot(engine, database) -> int:
                     f"checkpoint of table {schema.name!r} holds "
                     f"{len(table._rows)} rows, catalog says {entry['row_count']}"
                 )
-            table._rebuild_pk_index()
             for index_def in entry.get("indexes", []):
                 positions = [schema.column_position(c) for c in index_def["columns"]]
                 index = build_index(
@@ -87,9 +87,10 @@ def _load_snapshot(engine, database) -> int:
                     positions,
                     index_def.get("kind", "hash"),
                 )
-                index.rebuild(table._rows)
                 table.indexes[index.name] = index
                 database._indexes[index.name] = schema.name
+            table._rebuild_pk_index()
+            table._rebuild_indexes()
             stats_payload = entry.get("stats")
             if stats_payload is not None:
                 table.stats = TableStats.from_payload(stats_payload)
@@ -158,7 +159,7 @@ def _replay_wal(engine, database) -> int:
     if applied:
         for table in database._tables.values():
             table._rebuild_pk_index()
-            table._rebuild_secondary_indexes()
+            table._rebuild_indexes()
         database._bump_catalog_version()
     if keep_end < file_size:
         # Torn final frame and/or a transaction that never committed.

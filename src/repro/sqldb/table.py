@@ -21,6 +21,20 @@ ORDERABLE_TYPES = (
 )
 
 
+def primary_index_name(schema: TableSchema) -> Optional[str]:
+    """Name of the ordered index backing ``schema``'s primary key.
+
+    Like PostgreSQL, every primary key gets ``<table>_pkey``, provided all
+    its columns are :data:`ORDERABLE_TYPES`; otherwise None.  The index is
+    derived from the schema, never declared or dropped on its own.
+    """
+    if schema.primary_key and all(
+        schema.column(column).sql_type in ORDERABLE_TYPES for column in schema.primary_key
+    ):
+        return f"{schema.name}_pkey"
+    return None
+
+
 def _key_of(value: Any) -> Any:
     """Normalize a value for use inside a uniqueness or index key."""
     if isinstance(value, Variant):
@@ -127,8 +141,11 @@ class Table:
 
     The table owns its rows (lists aligned with the schema's column order)
     and maintains a hash index over the primary key for O(1) uniqueness
-    checks and point lookups - the same role a B-tree PK index plays in
-    PostgreSQL for the model catalogue tables.  Every write costs in
+    checks and full-key point lookups.  A primary key over orderable
+    columns is also backed by an ordered index, ``<table>_pkey``, kept in
+    :attr:`indexes` beside the declared ones (so every write path below
+    maintains it), which serves equality-prefix and range walks the way
+    PostgreSQL's primary-key B-tree does.  Every write costs in
     proportion to the rows it touches, not to the table: INSERT adds one
     entry per index; UPDATE replaces each matched row at its position and
     moves an index entry only where that index's key changed; DELETE
@@ -160,6 +177,8 @@ class Table:
         self._rows: List[list] = []
         self._pk_index: Dict[Tuple, int] = {}
         self.indexes: Dict[str, Any] = {}
+        self.primary_index_name: Optional[str] = None
+        self._add_primary_index()
         self.write_hook: Optional[Callable[["Table"], None]] = None
         self.log_sink: Optional[Any] = None
         # Advisory planner statistics; None until ANALYZE has run.
@@ -202,6 +221,22 @@ class Table:
             return None
         return tuple(_key_of(row[i]) for i in positions)
 
+    def _add_primary_index(self) -> None:
+        """Set :attr:`primary_index_name` from the schema and install that
+        index, empty (see :func:`primary_index_name`).
+
+        It admits NaN key parts, as the primary key always has; no range
+        or equality ever matches them.
+        """
+        name = self.primary_index_name = primary_index_name(self.schema)
+        if name is None:
+            return
+        from repro.sqldb.storage.btree import OrderedIndex
+
+        self.indexes[name] = OrderedIndex(
+            name, list(self.schema.primary_key), self.schema.pk_positions, nan_keys=True
+        )
+
     def _rebuild_pk_index(self) -> None:
         self._pk_index = {}
         for i, row in enumerate(self._rows):
@@ -237,17 +272,13 @@ class Table:
         if name in self.indexes:
             raise SqlCatalogError(f"index {name!r} already exists on table {self.name!r}")
         if kind == "btree":
-            if len(columns) != 1:
-                raise SqlCatalogError(
-                    "USING BTREE indexes cover exactly one column "
-                    f"(got {len(columns)} on table {self.name!r})"
-                )
-            column_type = self.schema.column(columns[0]).sql_type
-            if column_type not in ORDERABLE_TYPES:
-                raise SqlCatalogError(
-                    f"column {columns[0]!r} of type {column_type.value!r} "
-                    "cannot back an ordered index"
-                )
+            for column in columns:
+                column_type = self.schema.column(column).sql_type
+                if column_type not in ORDERABLE_TYPES:
+                    raise SqlCatalogError(
+                        f"column {column!r} of type {column_type.value!r} "
+                        "cannot back an ordered index"
+                    )
         positions = [self.schema.column_position(c) for c in columns]
         self._before_write()
         index = build_index(name, columns, positions, kind)
@@ -262,15 +293,17 @@ class Table:
         self._before_write()
         del self.indexes[name]
 
-    def index_for_columns(self, columns: Sequence[str]) -> Optional[SecondaryIndex]:
-        """An index whose key columns are exactly ``columns`` (any order), or None."""
-        wanted = sorted(c.lower() for c in columns)
-        for index in self.indexes.values():
-            if sorted(index.columns) == wanted:
-                return index
-        return None
+    def index_definitions(self) -> List[Tuple[str, List[str], str]]:
+        """``(name, columns, kind)`` of every declared index, in creation
+        order; ``<table>_pkey`` is derived from the schema, so it is not one."""
+        primary = self.primary_index_name
+        return [
+            (index.name, list(index.columns), index.kind)
+            for index in self.indexes.values()
+            if index.name != primary
+        ]
 
-    def _rebuild_secondary_indexes(self) -> None:
+    def _rebuild_indexes(self) -> None:
         for index in self.indexes.values():
             index.rebuild(self._rows)
 
@@ -503,10 +536,7 @@ class Table:
             schema=self.schema,
             rows=list(self._rows),
             pk_index=dict(self._pk_index),
-            index_defs=[
-                (index.name, list(index.columns), index.kind)
-                for index in self.indexes.values()
-            ],
+            index_defs=self.index_definitions(),
             stats=self.stats.copy() if self.stats is not None else None,
         )
 
@@ -516,11 +546,11 @@ class Table:
         self._rows = list(state.rows)
         self._pk_index = dict(state.pk_index)
         self.indexes = {}
+        self._add_primary_index()
         for name, columns, kind in state.index_defs:
             positions = [self.schema.column_position(c) for c in columns]
-            index = build_index(name, columns, positions, kind)
-            index.rebuild(self._rows)
-            self.indexes[name] = index
+            self.indexes[name] = build_index(name, columns, positions, kind)
+        self._rebuild_indexes()
         self.stats = state.stats.copy() if state.stats is not None else None
 
     def extend(self, rows: Iterable[Sequence[Any]]) -> int:

@@ -5,11 +5,16 @@ index oracle, write-fault atomicity, and the shallow-snapshot invariant.
   primary key before its first write: a collision raises and changes
   nothing, while ``SET id = id + 1`` over consecutive ids still succeeds.
 * :class:`TestIndexMaintenanceOracle` runs seeded INSERT/UPDATE/DELETE/
-  ROLLBACK sequences on a table with a composite primary key, a hash index
-  and a B-tree index.  After every statement each index must equal a
-  from-scratch grouping of the rows (per-key positions ascending),
+  ROLLBACK sequences on a table with a composite primary key (and so its
+  ``m_pkey`` B-tree), a hash index and a B-tree index.  After every
+  statement each index must equal a from-scratch grouping of the rows
+  (per-key positions ascending),
   ``VERIFY`` must report ok, planned point/range/top-k queries must equal
   the naive pipeline, and no stored row may have been mutated in place.
+* :class:`TestCompositeIndexOracle` repeats it on a durable database that
+  is killed and reopened, with walks and range-routed UPDATE/DELETE
+  through the implicit primary-key index ``m_pkey`` on (site, seq) and a
+  declared ``USING BTREE (seq, level)``.
 * :class:`TestWriteFaultAtomicity` arms ``btree.node_write`` during an
   UPDATE that moves B-tree keys and during a DELETE, in memory and on a
   durable database: the typed error surfaces and the rows, the PK map and
@@ -27,7 +32,13 @@ import pytest
 from repro import faults
 from repro.errors import InjectedCrash, SqlIntegrityError
 from repro.sqldb import Database, StorageEngine
-from repro.sqldb.storage.btree import NODE_CAPACITY, BTree, normalize_key
+from repro.sqldb.storage.btree import (
+    NAN_PART,
+    NODE_CAPACITY,
+    NULL_PART,
+    BTree,
+    normalize_key,
+)
 from repro.sqldb.table import _key_of, compaction_map
 
 
@@ -51,10 +62,7 @@ def open_db(tmp_path):
 def index_image(index):
     """An index's contents as plain, independently copied values."""
     if index.kind == "btree":
-        return (
-            [(key, list(positions)) for key, positions in index.tree.items()],
-            list(index.null_positions),
-        )
+        return [(key, list(positions)) for key, positions in index.tree.items()]
     return {key: list(positions) for key, positions in index.map.items()}
 
 
@@ -72,19 +80,25 @@ def expected_image(index, rows):
     (independently of the engine's own rebuild), positions ascending."""
     if index.kind == "btree":
         groups: dict = {}
-        nulls = []
         for position, row in enumerate(rows):
-            key = normalize_key(row[index.positions[0]])
-            if key is None:
-                nulls.append(position)
-            else:
-                groups.setdefault(key, []).append(position)
-        return sorted(groups.items()), nulls
+            key = tuple(btree_part(row[i]) for i in index.positions)
+            groups.setdefault(key, []).append(position)
+        return sorted(groups.items())
     groups = {}
     for position, row in enumerate(rows):
         key = tuple(_key_of(row[i]) for i in index.positions)
         groups.setdefault(key, []).append(position)
     return groups
+
+
+def btree_part(value):
+    """A B-tree key part: NULL and NaN become the markers that sort last."""
+    value = normalize_key(value)
+    if value is None:
+        return NULL_PART
+    if value != value:
+        return NAN_PART
+    return value
 
 
 def assert_indexes_fresh(db: Database, table_name: str) -> None:
@@ -300,6 +314,97 @@ class TestIndexMaintenanceOracle:
             else:
                 self.execute(db, *self.statement(rng))
             self.check(db, rng, stored, context)
+
+
+class TestCompositeIndexOracle(TestIndexMaintenanceOracle):
+    """The same oracle over the ordered indexes an equality prefix walks:
+    the implicit ``m_pkey`` on (site, seq) and a declared ``USING BTREE
+    (seq, level)``, on a durable database that is checkpointed, killed and
+    reopened.  Statements add range-routed UPDATE/DELETE through both."""
+
+    QUERIES = TestIndexMaintenanceOracle.QUERIES + [
+        ("SELECT * FROM m WHERE site = $1", lambda self, r: [r.randrange(self.SITES)]),
+        (
+            "SELECT site, seq, note FROM m WHERE site = $1 AND seq BETWEEN $2 AND $3",
+            lambda self, r: [r.randrange(self.SITES), *self.seq_window(r)],
+        ),
+        (
+            "SELECT site, seq, level FROM m WHERE seq = $1 AND level >= $2",
+            lambda self, r: [r.randrange(self.SEQS), self.level(r, nulls=False)],
+        ),
+        (
+            "SELECT site, seq FROM m WHERE site = $1 AND seq < $2 ORDER BY seq DESC LIMIT 4",
+            lambda self, r: [r.randrange(self.SITES), r.randrange(self.SEQS)],
+        ),
+        ("SELECT * FROM m ORDER BY site LIMIT 7", lambda self, r: None),
+    ]
+
+    def seq_window(self, rng):
+        return sorted([rng.randrange(self.SEQS), rng.randrange(self.SEQS)])
+
+    def statement(self, rng):
+        roll = rng.random()
+        if roll < 0.06:
+            return "DELETE FROM m WHERE site = $1 AND seq > $2", [
+                rng.randrange(self.SITES), self.SEQS - rng.randrange(1, 8)
+            ]
+        if roll < 0.12:
+            return "DELETE FROM m WHERE seq = $1 AND level < $2", [
+                rng.randrange(self.SEQS), self.level(rng, nulls=False)
+            ]
+        if roll < 0.18:
+            return "UPDATE m SET site = $1 WHERE site = $2 AND seq BETWEEN $3 AND $4", [
+                rng.randrange(self.SITES), rng.randrange(self.SITES), *self.seq_window(rng)
+            ]
+        return super().statement(rng)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_randomized_dml(self, seed, tmp_path):
+        rng = random.Random(0xC0B7 + seed)
+        path = tmp_path / "composite.db"
+        db = Database(storage=StorageEngine(path))
+        try:
+            db.execute(
+                "CREATE TABLE m (site integer, seq integer, tag text, level double precision, "
+                "note double precision, PRIMARY KEY (site, seq))"
+            )
+            db.execute("CREATE INDEX m_tag ON m (tag)")
+            db.execute("CREATE INDEX m_level ON m USING BTREE (level)")
+            db.execute("CREATE INDEX m_seq_level ON m USING BTREE (seq, level)")
+            for _ in range(200):
+                self.execute(db, "INSERT INTO m VALUES ($1, $2, $3, $4, $5)", [
+                    rng.randrange(self.SITES), rng.randrange(self.SEQS), rng.choice(self.TAGS),
+                    self.level(rng), rng.random(),
+                ])
+            plans = "\n".join(db.explain(sql) for sql, _ in self.QUERIES)
+            assert "IndexRangeScan m USING m_pkey (site = $1)" in plans
+            assert "USING m_pkey (site = $1 AND seq >= $2 AND seq <= $3)" in plans
+            assert "USING m_seq_level (seq = $1 AND level >= $2)" in plans
+            assert "USING m_pkey (site = $1 AND seq > $2)" in db.explain(
+                "DELETE FROM m WHERE site = $1 AND seq > $2"
+            )
+            stored: dict = {}
+            for step in range(60):
+                context = f"seed={seed} step={step}"
+                if step == 25:
+                    db.checkpoint()
+                if step % 20 == 19:
+                    before = table_image(db.table("m"))
+                    db.storage.simulate_crash()
+                    db = Database(storage=StorageEngine(path))
+                    assert table_image(db.table("m")) == before, context
+                if rng.random() < 0.1:
+                    before = table_image(db.table("m"))
+                    db.begin()
+                    for _ in range(rng.randint(1, 4)):
+                        self.execute(db, *self.statement(rng))
+                    db.rollback()
+                    assert table_image(db.table("m")) == before, context
+                else:
+                    self.execute(db, *self.statement(rng))
+                self.check(db, rng, stored, context)
+        finally:
+            db.storage.close()
 
 
 # --------------------------------------------------------------------------- #

@@ -429,10 +429,34 @@ CORPUS_TEMPLATES = [
     "WHERE p.id = v.pid AND v.score > {n} ORDER BY p.name, v.vid LIMIT {k}",
 ]
 
+#: Walks of the composite primary key ``readings_pkey`` on (house, time):
+#: an equality prefix alone, and with ``BETWEEN``/``<``/``>=`` on ``time``.
+#: Rows are stored out of key order and some times are NaN, which only a
+#: prefix-only walk may emit.  Also the declared ``(site, x)`` B-tree, and
+#: ORDER BY on the leading column of a composite tree, which must keep the
+#: executor's storage-order ties.
+COMPOSITE_TEMPLATES = [
+    "SELECT * FROM readings WHERE house = {h}",
+    "SELECT house, time, x FROM readings WHERE house = {h} AND time BETWEEN {t1} AND {t2}",
+    "SELECT * FROM readings WHERE house = {h} AND time < {t2}",
+    "SELECT time, x FROM readings WHERE house = {h} AND time >= {t1} AND x > {n}",
+    "SELECT count(*), avg(x) FROM readings WHERE house = {h} AND time > {t1}",
+    "SELECT time, x FROM readings WHERE house = {h} AND time < {t2} "
+    "ORDER BY time DESC LIMIT {k}",
+    "SELECT * FROM readings WHERE house >= {h} AND time BETWEEN {t1} AND {t2}",
+    "SELECT * FROM readings WHERE time BETWEEN {t1} AND {t2}",
+    "SELECT * FROM readings WHERE house = {h} AND time BETWEEN {t2} AND {t1}",
+    "SELECT * FROM readings ORDER BY house",
+    "SELECT * FROM readings ORDER BY house DESC LIMIT {k}",
+    "SELECT house, time FROM readings WHERE house < {h} ORDER BY house LIMIT {k}",
+    "SELECT * FROM readings WHERE site = '{city}' AND x BETWEEN {n} AND {m}",
+    "SELECT * FROM readings WHERE site = '{city}'",
+]
+
 CORPUS_CITIES = ["aalborg", "aarhus", "odense", "esbjerg", "ribe"]
 
 #: Numeric template placeholders; the ``$n``-bound corpus binds each one.
-_NUMERIC_PLACEHOLDER = re.compile(r"\{(n|m|k|o|d1|d2)\}")
+_NUMERIC_PLACEHOLDER = re.compile(r"\{(n|m|k|o|d1|d2|h|t1|t2)\}")
 
 
 def _parameterized(template: str, values: dict):
@@ -500,13 +524,34 @@ def _build_corpus_db(seed: int, stats_mode: str) -> Database:
                 [v, rng.randint(0, 29), rng.randint(0, 13), round(rng.uniform(0, 10), 2)],
             )
 
+    # Readings draw from their own generator so the tables above hold the
+    # same rows as without them.
+    readings_rng = random.Random(0x4EAD + seed)
+    readings = [(house, float(time)) for house in range(5) for time in range(24)]
+    readings_rng.shuffle(readings)
+    readings += [(readings_rng.randrange(5), float("nan")) for _ in range(3)]
+    db.execute(
+        "CREATE TABLE readings (house integer, time double precision, "
+        "x double precision, site text, PRIMARY KEY (house, time))"
+    )
+    db.execute("CREATE INDEX idx_readings_site ON readings USING BTREE (site, x)")
+
+    def insert_readings(start, stop):
+        for house, time in readings[start:stop]:
+            x = None if readings_rng.random() < 0.1 else float(readings_rng.randint(18, 45))
+            site = None if readings_rng.random() < 0.1 else readings_rng.choice(CORPUS_CITIES)
+            db.execute("INSERT INTO readings VALUES ($1, $2, $3, $4)", [house, time, x, site])
+
     insert_people(0, 15)
     insert_visits(0, 45)
+    insert_readings(0, 60)
     if stats_mode == "stale":
         db.execute("ANALYZE")
     insert_people(15, 30)
     insert_visits(45, 90)
+    insert_readings(60, len(readings))
     db.execute("DELETE FROM visits WHERE vid < 5")
+    db.execute("DELETE FROM readings WHERE house = 2 AND time < 3")
     if stats_mode == "fresh":
         db.execute("ANALYZE")
     return db
@@ -567,6 +612,31 @@ class TestRandomizedCorpus:
                     f"seed={seed} stats={stats_mode}: {param_sql} {params}"
                 )
                 assert bound_planned == planned, f"{param_sql} {params} vs {sql}"
+
+    @pytest.mark.parametrize("stats_mode", ["none", "fresh", "stale"])
+    @pytest.mark.parametrize("seed", CORPUS_SEEDS[:10], ids=lambda s: f"seed{s:02d}")
+    def test_composite_corpus_matches_naive(self, seed, stats_mode):
+        db = _build_corpus_db(seed, stats_mode)
+        rng = random.Random(0xC0DE + seed)
+        for template in COMPOSITE_TEMPLATES:
+            values = dict(
+                h=rng.randint(-1, 5),
+                t1=rng.randint(-2, 20),
+                t2=rng.randint(3, 26),
+                n=rng.randint(18, 40),
+                m=rng.randint(30, 50),
+                k=rng.randint(1, 30),
+                city=rng.choice(CORPUS_CITIES + ["ghosttown"]),
+            )
+            sql = template.format(**values)
+            planned, naive = _run_both(db, sql)
+            assert planned == naive, f"seed={seed} stats={stats_mode}: {sql}"
+            param_sql, params = _parameterized(template, values)
+            bound_planned, bound_naive = _run_both(db, param_sql, params)
+            assert bound_planned == bound_naive, (
+                f"seed={seed} stats={stats_mode}: {param_sql} {params}"
+            )
+            assert bound_planned == planned, f"{param_sql} {params} vs {sql}"
 
     @pytest.mark.parametrize("stats_mode", ["none", "fresh", "stale"])
     def test_parameterized_range_bounds_match_naive(self, stats_mode):
@@ -933,3 +1003,274 @@ class TestDmlIndexRouting:
             assert cursor.fetchone()[0] == 5
             cursor.execute("SELECT count(*) FROM t WHERE id = 4")
             assert cursor.fetchone()[0] == 1
+
+
+# --------------------------------------------------------------------------- #
+# Composite primary keys: the implicit <table>_pkey B-tree
+# --------------------------------------------------------------------------- #
+MEAS_DDL = (
+    "CREATE TABLE meas (house integer, time double precision, x double precision, "
+    "u double precision, PRIMARY KEY (house, time))"
+)
+SIM_INPUT_SQL = "SELECT time, u FROM meas WHERE house = 3 AND time BETWEEN 10 AND 33"
+
+
+def _meas_db(houses: int = 6, hours: int = 48) -> Database:
+    """Readings of ``houses`` houses, stored hour-major (so each house's
+    rows are scattered through the table) with times descending."""
+    db = Database()
+    db.execute(MEAS_DDL)
+    db.insert_rows(
+        "meas",
+        [
+            [house, float(time), 20.0 + house + time / 100.0, (house * time) % 7 / 7.0]
+            for time in reversed(range(hours))
+            for house in range(houses)
+        ],
+    )
+    return db
+
+
+class TestCompositePrimaryKey:
+    def test_simulation_input_query_walks_the_pkey(self):
+        db = _meas_db()
+        assert plan_text(db, SIM_INPUT_SQL) == (
+            "Project (time, u)\n"
+            "->  IndexRangeScan meas USING meas_pkey "
+            "(house = 3 AND time >= 10 AND time <= 33)"
+        )
+        db.execute("ANALYZE")
+        assert plan_text(db, SIM_INPUT_SQL) == (
+            "Project (time, u)\n"
+            "->  IndexRangeScan meas USING meas_pkey "
+            "(house = 3 AND time >= 10 AND time <= 33) (rows=23)"
+        )
+
+    def test_walk_visits_only_the_window(self, monkeypatch):
+        db = _meas_db()
+        walked = []
+        original = OrderedIndex.range_positions
+
+        def counting(self, *args, **kwargs):
+            positions = original(self, *args, **kwargs)
+            walked.append((self.name, len(positions)))
+            return positions
+
+        monkeypatch.setattr(OrderedIndex, "range_positions", counting)
+        planned, naive = _run_both(db, SIM_INPUT_SQL)
+        assert planned == naive
+        assert walked == [("meas_pkey", 24)]
+        # Rows come back in storage order, as from a filtered scan.
+        assert [row[0] for row in planned[1]] == [float(t) for t in reversed(range(10, 34))]
+
+    def test_prefix_only_and_parameterized_walks(self):
+        db = _meas_db()
+        assert "IndexRangeScan meas USING meas_pkey (house = $1)" in plan_text(
+            db, "SELECT * FROM meas WHERE house = $1"
+        )
+        sql = "SELECT time FROM meas WHERE house = $1 AND time < $2"
+        assert "USING meas_pkey (house = $1 AND time < $2)" in plan_text(db, sql)
+        for params in ([2, 5], [2, None], [None, 5], [9, 5], ["2", 5.5], [2.5, 5]):
+            planned, naive = _run_both(db, sql, params)
+            assert planned == naive, params
+
+    def test_order_by_leading_column_keeps_storage_order_ties(self):
+        # In the tree, house 0's keys run in time order; in storage they run
+        # in descending time.  ORDER BY house must keep the storage order.
+        db = _meas_db()
+        for sql in (
+            "SELECT * FROM meas ORDER BY house",
+            "SELECT * FROM meas ORDER BY house LIMIT 5",
+            "SELECT * FROM meas ORDER BY house DESC LIMIT 5",
+            "SELECT * FROM meas WHERE house > 3 ORDER BY house LIMIT 5",
+            "SELECT * FROM meas WHERE house = 1 ORDER BY house LIMIT 5",
+        ):
+            planned, naive = _run_both(db, sql)
+            assert planned == naive, sql
+            assert "Sort (key: house" in plan_text(db, sql), sql
+        rows = db.execute("SELECT house, time FROM meas ORDER BY house LIMIT 3").rows
+        assert rows == [[0, 47.0], [0, 46.0], [0, 45.0]]
+
+    def test_single_column_pkey_serves_order_by(self):
+        db = Database()
+        db.execute("CREATE TABLE t (id integer PRIMARY KEY, v text)")
+        db.insert_rows("t", [[i, f"v{i}"] for i in (5, 2, 9, 1)])
+        sql = "SELECT id FROM t ORDER BY id DESC LIMIT 2"
+        assert "IndexRangeScan t USING t_pkey (all rows) ORDER BY id DESC" in plan_text(db, sql)
+        assert db.execute(sql).rows == [[9], [5]]
+
+    def test_drop_index_on_pkey_is_refused(self):
+        db = _meas_db()
+        with pytest.raises(SqlCatalogError, match="primary key of table 'meas'"):
+            db.execute("DROP INDEX meas_pkey")
+        with pytest.raises(SqlCatalogError, match="primary key"):
+            db.execute("DROP INDEX IF EXISTS meas_pkey")
+        assert "meas_pkey" in plan_text(db, SIM_INPUT_SQL)
+
+    def test_user_index_named_like_a_pkey_collides(self):
+        db = _meas_db()
+        with pytest.raises(SqlCatalogError, match="backs the primary key of table 'meas'"):
+            db.execute("CREATE INDEX meas_pkey ON meas (x)")
+        assert db.execute("CREATE INDEX IF NOT EXISTS meas_pkey ON meas (x)").rows == [["exists"]]
+        db.execute("CREATE TABLE other (k integer)")
+        db.execute("CREATE INDEX later_pkey ON other (k)")
+        with pytest.raises(SqlCatalogError, match="'later_pkey' already exists"):
+            db.execute("CREATE TABLE later (id integer PRIMARY KEY)")
+        assert not db.has_table("later")
+
+    def test_pkey_is_listed_and_verified(self):
+        db = _meas_db()
+        assert "meas_pkey" in db.index_names()
+        assert ["index:meas.meas_pkey", "ok", "btree index consistent"] in db.verify()
+        db.execute("CREATE TABLE loose (k integer, v text)")
+        db.execute("CREATE TABLE variant_key (k variant PRIMARY KEY)")
+        assert db.index_names() == ["meas_pkey"]
+        db.execute("DROP TABLE meas")
+        assert db.index_names() == []
+
+    def test_nan_key_part_is_kept_but_never_matched(self):
+        db = _meas_db(houses=2, hours=4)
+        db.execute("INSERT INTO meas VALUES (1, $1, 0.0, 0.0)", [float("nan")])
+        db.execute("INSERT INTO meas VALUES (1, $1, 0.0, 0.0)", [float("nan")])
+        for sql, params, count in (
+            ("SELECT time FROM meas WHERE house = 1 AND time >= $1", [-1e300], 4),
+            ("SELECT time FROM meas WHERE house = 1 AND time < $1", [1e300], 4),
+            ("SELECT time FROM meas WHERE house = 1 AND time = $1", [float("nan")], 0),
+            ("SELECT time FROM meas WHERE house = $1", [1], 6),
+            ("SELECT time FROM meas WHERE time > $1", [-1.0], 8),
+        ):
+            planned, naive = _run_both(db, sql, params)
+            assert planned == naive, sql
+            assert len(planned[1]) == count, sql
+        assert all(row[1] == "ok" for row in db.verify())
+
+    def test_nan_in_single_column_pkey_falls_back_from_ordered_emission(self):
+        db = Database()
+        db.execute("CREATE TABLE t (k double precision PRIMARY KEY)")
+        db.insert_rows("t", [[3.0], [float("nan")], [1.0], [2.0]])
+        for sql in ("SELECT k FROM t ORDER BY k", "SELECT k FROM t ORDER BY k DESC LIMIT 3"):
+            planned, naive = _run_both(db, sql)
+            assert repr(planned) == repr(naive), sql
+
+    def test_pkey_is_derived_not_stored(self, tmp_path):
+        from repro.sqldb import StorageEngine
+
+        path = tmp_path / "pk.db"
+        db = Database(storage=StorageEngine(path))
+        db.execute(MEAS_DDL)
+        db.execute("CREATE INDEX meas_x ON meas USING BTREE (x, house)")
+        db.insert_rows("meas", [[h, float(t), float(t), 0.0] for h in range(3) for t in range(5)])
+        assert db.table("meas").index_definitions() == [("meas_x", ["x", "house"], "btree")]
+        db.checkpoint()
+        db.execute("INSERT INTO meas VALUES (7, 1, 2, 3)")
+        db.storage.simulate_crash()
+        again = Database(storage=StorageEngine(path))
+        try:
+            assert sorted(again.table("meas").indexes) == ["meas_pkey", "meas_x"]
+            assert again.index_names() == ["meas_pkey", "meas_x"]
+            assert all(row[1] == "ok" for row in again.verify())
+            planned, naive = _run_both(again, "SELECT * FROM meas WHERE house = 7")
+            assert planned == naive and len(planned[1]) == 1
+            with pytest.raises(SqlCatalogError):
+                again.execute("DROP INDEX meas_pkey")
+            # Still the derived index, not a declared one: NaN keys pass.
+            again.execute("INSERT INTO meas VALUES (7, $1, 0, 0)", [float("nan")])
+            assert again.execute("SELECT count(*) FROM meas WHERE house = 7").scalar() == 2
+        finally:
+            again.storage.close()
+
+    def test_rollback_rebuilds_the_pkey(self):
+        db = _meas_db(houses=3, hours=6)
+        db.begin()
+        db.execute("DELETE FROM meas WHERE house = 1 AND time > 2")
+        db.execute("UPDATE meas SET house = 9 WHERE house = 2 AND time < 2")
+        db.rollback()
+        planned, naive = _run_both(db, "SELECT * FROM meas WHERE house = 1 AND time >= 0")
+        assert planned == naive and len(planned[1]) == 6
+        assert all(row[1] == "ok" for row in db.verify())
+
+
+class TestCompositeBtree:
+    def test_declared_multi_column_btree_walks_its_prefix(self):
+        db = _meas_db()
+        db.execute("CREATE INDEX meas_u_x ON meas USING BTREE (u, x)")
+        sql = "SELECT house, time FROM meas WHERE u = $1 AND x BETWEEN $2 AND $3"
+        assert "IndexRangeScan meas USING meas_u_x (u = $1 AND x >= $2 AND x <= $3)" in (
+            plan_text(db, sql)
+        )
+        planned, naive = _run_both(db, sql, [0.0, 20.0, 22.0])
+        assert planned == naive and planned[1]
+        # The full key is a point lookup, on the B-tree like on a hash index.
+        assert "IndexLookup meas USING meas_u_x" in plan_text(
+            db, "SELECT * FROM meas WHERE x = 20.1 AND u = 0"
+        )
+
+    def test_more_consumed_conjuncts_win(self):
+        db = _meas_db()
+        db.execute("CREATE INDEX meas_time ON meas USING BTREE (time)")
+        assert "USING meas_pkey" in plan_text(db, "SELECT * FROM meas WHERE house = 1 AND time < 9")
+        assert "USING meas_time (time < 9)" in plan_text(db, "SELECT * FROM meas WHERE time < 9")
+        db.execute("CREATE INDEX meas_house ON meas (house)")
+        # A point lookup is still tried first.
+        assert "IndexLookup meas USING meas_house" in plan_text(
+            db, "SELECT * FROM meas WHERE house = 1 AND time < 9"
+        )
+
+    def test_non_orderable_column_is_refused(self):
+        db = Database()
+        db.execute("CREATE TABLE t (a integer, b variant)")
+        with pytest.raises(SqlCatalogError, match="cannot back an ordered index"):
+            db.execute("CREATE INDEX t_ab ON t USING BTREE (a, b)")
+
+
+class TestRangeRoutedDml:
+    def test_explain_shows_the_walk(self):
+        db = _meas_db()
+        text = plan_text(db, "DELETE FROM meas WHERE house = $1 AND time < $2")
+        assert text == (
+            "Delete on meas (filter: (house = $1) AND (time < $2))\n"
+            "->  IndexRangeScan meas USING meas_pkey (house = $1 AND time < $2)"
+        )
+
+    def test_delete_tests_only_walked_rows(self, monkeypatch):
+        from repro.sqldb.table import Table
+
+        db = _meas_db()
+        seen = {}
+        original = Table.delete_where
+
+        def spy(self, predicate, candidate_positions=None):
+            seen["candidates"] = candidate_positions
+            return original(self, predicate, candidate_positions=candidate_positions)
+
+        monkeypatch.setattr(Table, "delete_where", spy)
+        assert db.execute("DELETE FROM meas WHERE house = $1 AND time < $2", [2, 10]).rowcount == 10
+        assert len(seen["candidates"]) == 10
+        assert db.execute("SELECT count(*) FROM meas WHERE house = 2").scalar() == 38
+        # An equality that can never hold tests no row at all ...
+        assert db.execute("DELETE FROM meas WHERE house = 'x' AND time < 10").rowcount == 0
+        assert seen["candidates"] == []
+        # ... and a bound only per-row comparison reproduces tests them all.
+        db.execute("DELETE FROM meas WHERE house = 2 AND time < 'abc'")
+        assert seen["candidates"] is None
+
+    def test_routed_dml_matches_scan_semantics(self):
+        statements = [
+            ("DELETE FROM meas WHERE house = $1 AND time < $2", [1, 7]),
+            ("UPDATE meas SET time = time + 100 WHERE house = $1 AND time >= $2", [2, 40]),
+            ("UPDATE meas SET house = 9 WHERE house = 3 AND time BETWEEN 5 AND 8", []),
+            ("DELETE FROM meas WHERE house = 4 AND time > $1 AND u > 0.5", [10]),
+            ("DELETE FROM meas WHERE house = $1", [0]),
+            ("DELETE FROM meas WHERE house = 5 AND time < NULL", []),
+            ("DELETE FROM meas WHERE house = 5 AND time < 'abc'", []),
+            ("UPDATE meas SET x = 0 WHERE house = '3' AND time >= '40'", []),
+        ]
+        contents = []
+        for routed in (True, False):
+            db = _meas_db()
+            if not routed:
+                db.table("meas").indexes.clear()
+            for sql, params in statements:
+                db.execute(sql, params)
+            contents.append(db.execute("SELECT * FROM meas ORDER BY house, time").rows)
+        assert contents[0] == contents[1]
