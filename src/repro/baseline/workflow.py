@@ -55,6 +55,9 @@ class WorkflowResult:
     training_error: float
     validation_error: Optional[float]
     steps: List[StepTiming] = field(default_factory=list)
+    #: Seconds of the calibration's global (GA) and local stages.
+    global_time: float = 0.0
+    local_time: float = 0.0
 
     @property
     def total_seconds(self) -> float:
@@ -183,6 +186,8 @@ class PythonWorkflow:
             training_error=calibration.error,
             validation_error=validation_error,
             steps=steps,
+            global_time=calibration.global_time,
+            local_time=calibration.local_time,
         )
 
     # ------------------------------------------------------------------ #

@@ -12,6 +12,7 @@ global stage entirely.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -21,6 +22,7 @@ from repro.core.catalog import ModelCatalog
 from repro.core.instances import InstanceManager
 from repro.errors import EstimationError, PgFmuError
 from repro.estimation.estimator import Estimation, EstimationResult
+from repro.estimation.lockstep import Lockstep
 from repro.estimation.metrics import relative_l2_dissimilarity
 from repro.estimation.objective import MeasurementSet
 
@@ -41,6 +43,8 @@ class ParestOutcome:
     local_time: float
     used_mi_optimization: bool = False
     dissimilarity: Optional[float] = None
+    #: Objective calls served from the calibration's memo cache.
+    n_cache_hits: int = 0
 
     @property
     def total_time(self) -> float:
@@ -95,22 +99,33 @@ class ParameterEstimator:
     ) -> ParestOutcome:
         """Calibrate one instance and write the estimates back to the catalogue."""
         measurement_set = measurements if measurements is not None else self.load_measurements(input_sql)
+        estimation = self._estimation(instance_id, parameters, measurement_set)
+        result = estimation.estimate(method=method, initial_values=initial_values)
+        return self._write_back(instance_id, result)
+
+    def _estimation(
+        self,
+        instance_id: str,
+        parameters: Optional[Sequence[str]],
+        measurements: MeasurementSet,
+    ) -> Estimation:
+        """An :class:`Estimation` of the instance's current runtime model."""
         parameter_names = list(parameters) if parameters else self.instances.parameter_names(instance_id)
         if not parameter_names:
             raise EstimationError(
                 f"instance {instance_id!r} has no parameters to estimate"
             )
-        model = self.catalog.runtime_model(instance_id)
-        estimation = Estimation(
-            model=model,
-            measurements=measurement_set,
+        return Estimation(
+            model=self.catalog.runtime_model(instance_id),
+            measurements=measurements,
             parameters=parameter_names,
             bounds=self.instances.bounds(instance_id),
             ga_options=dict(self.ga_options),
             local_options=dict(self.local_options),
             seed=self.seed,
         )
-        result: EstimationResult = estimation.estimate(method=method, initial_values=initial_values)
+
+    def _write_back(self, instance_id: str, result: EstimationResult) -> ParestOutcome:
         for name, value in result.parameters.items():
             self.catalog.set_instance_value(instance_id, name, value)
         return ParestOutcome(
@@ -119,6 +134,7 @@ class ParameterEstimator:
             parameters=result.parameters,
             method=result.method,
             n_evaluations=result.n_evaluations,
+            n_cache_hits=result.n_cache_hits,
             global_time=result.global_time,
             local_time=result.local_time,
         )
@@ -147,6 +163,17 @@ class ParameterEstimator:
         use_mi_optimization:
             Disable to force the full G+LaG for every instance (this is the
             pgFMU- configuration of the paper's experiments).
+
+        The calibrations run in lockstep (:mod:`repro.estimation.lockstep`),
+        so the candidates all instances need at once are simulated as one
+        batched solve; outcomes equal calibrating the instances one by one
+        in order.  The schedule is fixed up front, since dissimilarity
+        needs only measurements: instance 0 and every instance that takes
+        the full G+LaG start together, and the warm-started (LO) instances
+        join once instance 0's optimum is known.  Catalogue reads and
+        writes stay on the caller's thread, and each instance's estimates
+        are written back in instance order.  If calibrations fail, the
+        error of the lowest failing instance is raised.
         """
         instance_ids = [str(i) for i in instance_ids]
         input_sqls = [str(q) for q in input_sqls]
@@ -158,60 +185,59 @@ class ParameterEstimator:
                 f"{len(input_sqls)} measurement queries"
             )
 
-        outcomes: List[ParestOutcome] = []
-        reference_outcome: Optional[ParestOutcome] = None
-        reference_measurements: Optional[MeasurementSet] = None
-        reference_model_id: Optional[str] = None
-
-        for index, (instance_id, input_sql) in enumerate(zip(instance_ids, input_sqls)):
-            measurements = self.load_measurements(input_sql)
-            model_id = self.instances.model_id_of(instance_id)
-
-            if index == 0 or not use_mi_optimization:
-                outcome = self.estimate_single(
-                    instance_id, input_sql, parameters, measurements=measurements
-                )
-                if index == 0:
-                    reference_outcome = outcome
-                    reference_measurements = measurements
-                    reference_model_id = model_id
-                outcomes.append(outcome)
-                continue
-
-            if model_id != reference_model_id or reference_outcome is None:
-                outcomes.append(
-                    self.estimate_single(
-                        instance_id, input_sql, parameters, measurements=measurements
+        measurements = [self.load_measurements(sql) for sql in input_sqls]
+        model_ids = [self.instances.model_id_of(i) for i in instance_ids]
+        # dissimilarity[i] is recorded for every instance compared with
+        # instance 0; unless it reaches the threshold (a NaN does not), the
+        # instance is warm-started (LO).
+        dissimilarity: Dict[int, float] = {}
+        if use_mi_optimization:
+            for index in range(1, len(instance_ids)):
+                if model_ids[index] == model_ids[0]:
+                    dissimilarity[index] = self.measurement_dissimilarity(
+                        measurements[0], measurements[index]
                     )
+        warm = [i for i, d in dissimilarity.items() if not d >= threshold]
+
+        outcomes: List[Optional[ParestOutcome]] = [None] * len(instance_ids)
+        results: Dict[int, EstimationResult] = {}
+        written = 0
+        scheduler = Lockstep()
+
+        def start(index: int, method: str = "global+local", initial_values=None) -> None:
+            try:
+                estimation = self._estimation(
+                    instance_ids[index], parameters, measurements[index]
                 )
-                continue
-
-            dissimilarity = self.measurement_dissimilarity(
-                reference_measurements, measurements
-            )
-            if dissimilarity >= threshold:
-                outcome = self.estimate_single(
-                    instance_id, input_sql, parameters, measurements=measurements
+            except Exception as exc:
+                scheduler.fail(index, exc)
+            else:
+                scheduler.submit(
+                    index, functools.partial(estimation.estimate, method, initial_values)
                 )
-                outcome.dissimilarity = dissimilarity
-                outcomes.append(outcome)
-                continue
 
-            # MI optimization: warm-start from the reference optimum, LO only.
-            for name, value in reference_outcome.parameters.items():
-                self.catalog.set_instance_value(instance_id, name, value)
-            outcome = self.estimate_single(
-                instance_id,
-                input_sql,
-                parameters,
-                method="local",
-                initial_values=reference_outcome.parameters,
-                measurements=measurements,
-            )
-            outcome.used_mi_optimization = True
-            outcome.dissimilarity = dissimilarity
-            outcomes.append(outcome)
+        def finished(index: int, result: EstimationResult) -> None:
+            nonlocal written
+            results[index] = result
+            # Write back in instance order, as a one-by-one run would.
+            while written in results:
+                outcome = self._write_back(instance_ids[written], results.pop(written))
+                outcome.dissimilarity = dissimilarity.get(written)
+                outcome.used_mi_optimization = written in warm
+                outcomes[written] = outcome
+                written += 1
+            if index == 0:
+                # MI optimization: warm-start from the reference optimum, LO only.
+                reference = outcomes[0].parameters
+                for lo_index in warm:
+                    for name, value in reference.items():
+                        self.catalog.set_instance_value(instance_ids[lo_index], name, value)
+                    start(lo_index, "local", reference)
 
+        for index in range(len(instance_ids)):
+            if index not in warm:
+                start(index)
+        scheduler.run(finished)
         return outcomes
 
     # ------------------------------------------------------------------ #

@@ -13,13 +13,13 @@ local stage, exposing the three modes pgFMU's parameter estimation uses:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import EstimationError
+from repro.estimation import lockstep
 from repro.estimation.genetic import GeneticAlgorithm
 from repro.estimation.local import LocalSearch
 from repro.estimation.objective import MeasurementSet, SimulationObjective
@@ -162,6 +162,8 @@ class Estimation:
             )
 
         history: List[float] = []
+        # Stage times are wall time, or inside a lockstep worker the time
+        # charged to this calibration (lockstep.clock).
         global_time = 0.0
         local_time = 0.0
         n_evaluations = 0
@@ -169,7 +171,7 @@ class Estimation:
 
         if method in ("global+local", "global"):
             ga = GeneticAlgorithm(self.bounds, seed=self.seed, **self.ga_options)
-            started = time.perf_counter()
+            started = lockstep.clock()
             # Each generation scores as one batched fleet solve; a fleet that
             # fails mid-solve is bisected down to the diverging candidates.
             ga_result = ga.run(
@@ -177,7 +179,7 @@ class Estimation:
                 initial_guess=guess,
                 population_objective=self.objective.evaluate_population,
             )
-            global_time = time.perf_counter() - started
+            global_time = lockstep.clock() - started
             n_evaluations += ga_result.n_evaluations
             history.extend(ga_result.history)
             best = ga_result.best_parameters
@@ -193,13 +195,13 @@ class Estimation:
 
         if method in ("global+local", "local"):
             local = LocalSearch(self.bounds, **self.local_options)
-            started = time.perf_counter()
+            started = lockstep.clock()
             local_result = local.run(
                 self.objective,
                 best,
                 population_objective=self.objective.evaluate_population,
             )
-            local_time = time.perf_counter() - started
+            local_time = lockstep.clock() - started
             n_evaluations += local_result.n_evaluations
             history.extend(local_result.history)
             if local_result.best_error <= best_error:

@@ -15,6 +15,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import CancelledError, EstimationError, SolverError, TimeoutError
+from repro.estimation import lockstep
 from repro.estimation.metrics import rmse
 from repro.fmi.model import FmuModel
 from repro.solvers.retry import RetryPolicy
@@ -101,12 +102,17 @@ class MeasurementSet:
             series={name: values[mask] for name, values in self.series.items()},
         )
 
-    def split(self, fraction: float) -> Tuple["MeasurementSet", "MeasurementSet"]:
-        """Split into (training, validation) sets at the given fraction."""
+    @staticmethod
+    def split_index(n_samples: int, fraction: float) -> int:
+        """How many of ``n_samples`` samples :meth:`split` puts in training."""
         if not 0.0 < fraction < 1.0:
             raise EstimationError("split fraction must be strictly between 0 and 1")
-        cut = max(2, int(round(self.time.size * fraction)))
-        cut = min(cut, self.time.size - 2)
+        cut = max(2, int(round(n_samples * fraction)))
+        return min(cut, n_samples - 2)
+
+    def split(self, fraction: float) -> Tuple["MeasurementSet", "MeasurementSet"]:
+        """Split into (training, validation) sets at the given fraction."""
+        cut = self.split_index(self.time.size, fraction)
         first = MeasurementSet(
             time=self.time[:cut],
             series={k: v[:cut] for k, v in self.series.items()},
@@ -367,7 +373,8 @@ class SimulationObjective:
           sequentially the first occurrence simulates and fills the memo
           before the repeat is scored;
         * misses are deduplicated, evaluated together and counted in
-          :attr:`n_evaluations` once each;
+          :attr:`n_evaluations` once each (inside a lockstep worker they
+          join the round's shared solve, see :mod:`repro.estimation.lockstep`);
         * the model is left holding the last row's candidate values, the
           state :meth:`simulate`'s side effect leaves.
         """
@@ -378,7 +385,7 @@ class SimulationObjective:
                 missing.setdefault(key, row)
         self.n_cache_hits += len(keys) - len(missing)
         if missing:
-            errors = self._evaluate_batch(thetas[list(missing.values())])
+            errors = lockstep.evaluate(self, thetas[list(missing.values())])
             for key, error in zip(missing, errors):
                 self._memo[key] = float(error)
         self._apply(self.model, thetas[-1])
@@ -400,7 +407,7 @@ class SimulationObjective:
         if len(thetas) == 1:
             return np.array([self._evaluate(thetas[0])])
         try:
-            results = self._simulate_population(thetas)
+            results = self._simulate_rows([(self, thetas)])
         except _FATAL_ERRORS:
             raise
         except Exception:
@@ -411,21 +418,31 @@ class SimulationObjective:
         self.n_evaluations += len(thetas)
         return np.array([self._score(result) for result in results])
 
-    def _simulate_population(self, thetas: np.ndarray):
-        """One batched fleet solve over a clone of the model per candidate."""
-        candidates = []
-        for theta in thetas:
-            candidate = self.model.clone()
-            self._apply(candidate, theta)
-            candidates.append(candidate)
+    @staticmethod
+    def _simulate_rows(requests) -> list:
+        """One batched fleet solve over ``(objective, thetas)`` requests.
+
+        Each candidate row is a clone of its objective's model carrying the
+        candidate, driven by that objective's measured inputs; the requests
+        share the window, output grid and solver settings of the first (the
+        lockstep scorer groups only such requests).
+        """
+        lead = requests[0][0]
+        candidates, inputs = [], []
+        for objective, thetas in requests:
+            for theta in thetas:
+                candidate = objective.model.clone()
+                objective._apply(candidate, theta)
+                candidates.append(candidate)
+                inputs.append(objective.input_series)
         return FmuModel.simulate_batch(
             candidates,
-            inputs=self.input_series,
-            start_time=float(self.measurements.time[0]),
-            stop_time=float(self.measurements.time[-1]),
-            output_times=self.measurements.time,
-            solver=self.solver,
-            solver_options=self.solver_options,
+            inputs=inputs,
+            start_time=float(lead.measurements.time[0]),
+            stop_time=float(lead.measurements.time[-1]),
+            output_times=lead.measurements.time,
+            solver=lead.solver,
+            solver_options=lead.solver_options,
         )
 
     def error_for(self, parameter_values: Mapping[str, float]) -> float:

@@ -9,6 +9,7 @@ series.
 from __future__ import annotations
 
 import bisect
+from collections import abc
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -120,60 +121,165 @@ class _KernelBindings:
         return matrix
 
 
+class _BoundSeries:
+    """One measured input of a batched fleet on its shared knot grid.
+
+    ``values``/``slopes`` hold one column per fleet column (one shared
+    column, or one per row), with flat views for the per-row-time path;
+    the knots and interval starts are also kept as lists, which the
+    scalar-time path bisects and reads faster.  Entry ``i`` serves bisect
+    index ``i``: the interval starting at knot ``i - 1``, plus the two
+    clamps, whose signed-zero slopes (``0.0 * (t - t0) <= 0`` before the
+    first knot, ``-0.0 * (t - t_end) >= 0`` after the last) leave the
+    clamped value unchanged when added to it.
+    """
+
+    __slots__ = (
+        "slot", "name", "knot_list", "knots", "start_list", "starts",
+        "values", "slopes", "flat_values", "flat_slopes",
+    )
+
+    def __init__(self, slot: int, name: str, knots: np.ndarray, values: np.ndarray):
+        self.slot = slot
+        self.name = name
+        self.knots = knots
+        self.knot_list = knots.tolist()
+        self.starts = np.concatenate([knots[:1], knots])
+        self.start_list = self.starts.tolist()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slopes = np.diff(values, axis=0) / np.diff(knots)[:, None]
+        zero = np.zeros((1, values.shape[1]))
+        self._set(np.vstack([values[:1], values]), np.vstack([zero, slopes, -zero]))
+
+    def _set(self, values: np.ndarray, slopes: np.ndarray) -> None:
+        self.values, self.slopes = values, slopes
+        self.flat_values, self.flat_slopes = values.ravel(), slopes.ravel()
+
+    def columns(self, rows: np.ndarray) -> "_BoundSeries":
+        """This series restricted to the given per-row columns."""
+        sub = object.__new__(_BoundSeries)
+        for name in ("slot", "name", "knot_list", "knots", "start_list", "starts"):
+            setattr(sub, name, getattr(self, name))
+        sub._set(np.ascontiguousarray(self.values[:, rows]),
+                 np.ascontiguousarray(self.slopes[:, rows]))
+        return sub
+
+
 class _BatchKernelBindings:
     """Fleet inputs bound once per ``simulate_batch`` call.
 
-    Every instance of a fleet shares the measured input series (bound
-    columns are identical across rows); per-instance input *start* values
-    fill the unbound columns, one row per instance.  ``inputs_at`` follows
-    the :class:`~repro.solvers.base.BatchOdeProblem` time contract: a
-    scalar time fills each bound column with one interpolated value, an
-    ``(N,)`` per-row time vector interpolates each row at its own time.
+    The measured series share one knot grid.  A fleet that shares one input
+    mapping stores each series as a single column that broadcasts to every
+    row; per-row mappings store one column per row (``cols`` maps each row
+    to its mapping).  Per-instance input *start* values fill the unbound
+    columns, one row per instance.  ``inputs_at`` follows the
+    :class:`~repro.solvers.base.BatchOdeProblem` time contract: a scalar
+    time fills each bound column from one knot interval, an ``(N,)``
+    per-row time vector interpolates each row at its own time.
+
+    There is one interpolation path: a bisect on the shared knot times, then
+    a row-vector lerp in ``np.interp``'s operation order (slope first, then
+    ``slope * (t - t_lo) + v_lo``, the slopes precomputed by the same two
+    operations), so each row sees the input values of
+    :meth:`_KernelBindings.input_at`, the scalar path's interpolation.  A
+    per-row time outside the knots clamps through the clamp entries of
+    :class:`_BoundSeries`; one exactly on the first knot takes the first
+    interval, which agrees with the clamp unless that interval's slope is
+    not finite.
     """
 
-    __slots__ = ("base", "series", "_buffer")
+    __slots__ = ("base", "series", "_width", "_rows", "_buffer", "_columns", "_last_t")
 
-    def __init__(self, kernel, interp: _InputInterpolator, input_starts_per_row):
+    def __init__(
+        self,
+        kernel,
+        interps: Sequence[_InputInterpolator],
+        cols: np.ndarray,
+        input_starts_per_row,
+    ):
         n_rows = len(input_starts_per_row)
         self.base = np.empty((n_rows, kernel.n_inputs))
         for slot, name in enumerate(kernel.input_names):
             for row, starts in enumerate(input_starts_per_row):
                 self.base[row, slot] = float(starts.get(name, 0.0))
-        self.series: List[tuple] = []
+        per_row = len(interps) > 1
+        self.series: List[_BoundSeries] = []
         for slot, name in enumerate(kernel.input_names):
-            pair = interp._series.get(name)
-            if pair is not None:
-                self.series.append((slot, pair[0], pair[1]))
+            pair = interps[0]._series.get(name)
+            if pair is None:
+                continue
+            values = np.column_stack([interp._series[name][1] for interp in interps])
+            self.series.append(
+                _BoundSeries(slot, name, pair[0], values[:, cols] if per_row else values)
+            )
+        self._set_rows(n_rows if per_row else 1, n_rows)
+
+    def _set_rows(self, width: int, n_rows: int) -> None:
+        # ``width`` series columns: 1 (shared) or one per row.
+        self._width = width
+        self._rows = np.arange(n_rows)
         # One reusable (N, n_inputs) buffer: the kernel consumes the values
-        # within the same rhs call, so per-stage reuse is safe.
+        # within the same rhs call, so per-stage reuse is safe.  The scalar
+        # path writes each bound column in place through a view, and skips
+        # a time it has just filled (RK4 evaluates both midpoint stages,
+        # and each step's end and the next step's start, at one time).
         self._buffer = self.base.copy()
+        self._columns = [self._buffer[:, series.slot] for series in self.series]
+        self._last_t = None
 
     def inputs_at(self, t) -> np.ndarray:
         """The ``(N, n_inputs)`` input matrix at time ``t`` (scalar or per-row)."""
+        if not isinstance(t, np.ndarray):
+            if t == self._last_t:
+                return self._buffer
+            self._last_t = t
+            for column, series in zip(self._columns, self.series):
+                knots = series.knot_list
+                if t <= knots[0]:
+                    column[:] = series.values[0]
+                elif t >= knots[-1]:
+                    column[:] = series.values[-1]
+                else:
+                    i = bisect.bisect_right(knots, t)
+                    np.multiply(series.slopes[i], t - series.start_list[i], out=column)
+                    column += series.values[i]
+            return self._buffer
+        self._last_t = None
         u = self._buffer
-        for slot, times, values in self.series:
-            u[:, slot] = np.interp(t, times, values)
+        for series in self.series:
+            i = np.searchsorted(series.knots, t, side="right")
+            at = i if self._width == 1 else i * self._width + self._rows
+            u[:, series.slot] = (
+                series.flat_slopes[at] * (t - series.starts[i]) + series.flat_values[at]
+            )
         return u
 
     def restricted(self, rows: np.ndarray) -> "_BatchKernelBindings":
         """Bindings for a subset of the fleet's rows (active-set compaction).
 
-        The measured series are shared by every row, so restriction only
-        narrows the per-row start-value matrix; interpolation stays
-        elementwise and therefore bit-identical for the kept rows.
+        Restriction narrows the per-row start values and per-row series
+        columns; interpolation stays elementwise and therefore bit-identical
+        for the kept rows.
         """
         sub = object.__new__(_BatchKernelBindings)
         sub.base = self.base[rows]
-        sub.series = self.series
-        sub._buffer = sub.base.copy()
+        if self._width == 1:
+            sub.series = self.series
+            sub._set_rows(1, len(rows))
+        else:
+            sub.series = [series.columns(rows) for series in self.series]
+            sub._set_rows(len(rows), len(rows))
         return sub
 
-    def input_tensor(self, grid: np.ndarray) -> np.ndarray:
-        """The ``(N, n_grid, n_inputs)`` input trajectories for vectorized outputs."""
-        n_rows = self.base.shape[0]
+    def input_tensor(self, grid: np.ndarray, sampled: Mapping[str, np.ndarray]) -> np.ndarray:
+        """The ``(N, n_grid, n_inputs)`` input trajectories for vectorized outputs.
+
+        ``sampled`` holds each measured series on ``grid``, one row per
+        fleet row.
+        """
         tensor = np.repeat(self.base[:, None, :], len(grid), axis=1)
-        for slot, times, values in self.series:
-            tensor[:, :, slot] = np.interp(grid, times, values)[None, :]
+        for series in self.series:
+            tensor[:, :, series.slot] = sampled[series.name]
         return tensor
 
 
@@ -302,10 +408,15 @@ class FmuModel:
         estimation layer uses this to stage a whole population of candidate
         parameter vectors as a fleet for :meth:`simulate_batch`.
         """
-        twin = FmuModel(self._archive, instance_name=instance_name or self.instance_name)
+        # Built without __init__: its reset() would fill value dictionaries
+        # that are replaced right away.
+        twin = object.__new__(FmuModel)
+        twin._archive = self._archive
+        twin.instance_name = instance_name or self.instance_name
         twin._parameter_values = dict(self._parameter_values)
         twin._state_starts = dict(self._state_starts)
         twin._input_starts = dict(self._input_starts)
+        twin._instantiated = True
         return twin
 
     # ------------------------------------------------------------------ #
@@ -411,7 +522,7 @@ class FmuModel:
     @staticmethod
     def simulate_batch(
         models: Sequence["FmuModel"],
-        inputs: Optional[Mapping[str, InputSeries]] = None,
+        inputs: Union[None, Mapping[str, InputSeries], Sequence[Mapping[str, InputSeries]]] = None,
         start_time: Optional[float] = None,
         stop_time: Optional[float] = None,
         output_times: Optional[Sequence[float]] = None,
@@ -422,9 +533,12 @@ class FmuModel:
 
         All ``models`` must wrap the same FMU archive (they are the fleet's
         instances: same equations, per-instance parameter/start values) and
-        share the input series and simulation window.  The fleet's states
-        are stacked into an ``(N, d)`` matrix and integrated through one
-        numpy-vectorized right-hand side
+        share the simulation window.  ``inputs`` is either one mapping the
+        whole fleet shares or one mapping per model; per-model mappings
+        must name the same inputs on the same knot times, and may differ in
+        their values (e.g. each instance's own measured series).  The
+        fleet's states are stacked into an ``(N, d)`` matrix and integrated
+        through one numpy-vectorized right-hand side
         (:meth:`~repro.fmi.kernel.SimulationKernel.derivs_batch` via
         :meth:`~repro.solvers.base.OdeSolver.solve_batch`): parameters are
         bound once per call as an ``(N, n_p)`` matrix and output equations
@@ -457,17 +571,17 @@ class FmuModel:
                 raise FmuStateError("the FMU instance has been terminated")
 
         check_active()
-        interp = lead._build_interpolator(inputs or {})
-        t0, t1 = lead._resolve_window(interp, start_time, stop_time)
+        interps, cols = lead._build_row_interpolators(inputs, len(models))
+        t0, t1 = lead._resolve_window(interps[0], start_time, stop_time)
         grid = lead._resolve_grid(t0, t1, None, output_times)
 
         system = lead.ode_system
         kernel = system.kernel
         # Bind the whole fleet once: per-row parameter matrix, per-row input
-        # start values overlaid with the shared measured series, stacked
-        # initial states.
+        # start values overlaid with the measured series, stacked initial
+        # states.
         bindings = _BatchKernelBindings(
-            kernel, interp, [model._input_starts for model in models]
+            kernel, interps, cols, [model._input_starts for model in models]
         )
         P = kernel.parameter_matrix([model._parameter_values for model in models])
         x0 = np.array(
@@ -519,14 +633,17 @@ class FmuModel:
         )
 
         # Vectorized outputs over the whole fleet x grid in one pass.
-        input_tensor = bindings.input_tensor(solution.times)
+        # Each measured series on the output grid, one row per input
+        # mapping, sampled with np.interp as the scalar path samples it.
+        measured = {
+            name: np.array(
+                [np.interp(solution.times, *interp._series[name]) for interp in interps]
+            )[cols]
+            for name in interps[0].names()
+        }
+        input_tensor = bindings.input_tensor(solution.times, measured)
         states = np.ascontiguousarray(solution.states.swapaxes(0, 1))
         output_rows = kernel.outputs_batch(solution.times, states, input_tensor, P)
-
-        measured: Dict[str, np.ndarray] = {}
-        for name in interp.names():
-            series_times, series_values = interp._series[name]
-            measured[name] = np.interp(solution.times, series_times, series_values)
 
         results: List[SimulationResult] = []
         for row, model in enumerate(models):
@@ -536,8 +653,8 @@ class FmuModel:
                 # retained result does not pin the whole fleet's solution.
                 trajectories[name] = solution.states[:, row, j].copy()
             trajectories.update(output_rows[row])
-            for name, values in measured.items():
-                trajectories[name] = values.copy()
+            for name, columns in measured.items():
+                trajectories[name] = columns[row].copy()
             results.append(
                 SimulationResult(
                     time=solution.times,
@@ -566,6 +683,45 @@ class FmuModel:
                 + ", ".join(sorted(unknown))
             )
         return _InputInterpolator(inputs)
+
+    def _build_row_interpolators(
+        self, inputs, n_rows: int
+    ) -> Tuple[List[_InputInterpolator], np.ndarray]:
+        """Interpolators for ``simulate_batch``'s ``inputs`` and each row's index.
+
+        A shared mapping (or none) gives one interpolator for every row.
+        Per-row mappings give one interpolator per distinct mapping object
+        (a calibration's candidate rows all pass the same one); they must
+        bind the same input names on identical knot times, because the
+        batched interpolation bisects one shared knot grid.
+        """
+        if inputs is None or isinstance(inputs, abc.Mapping):
+            return [self._build_interpolator(inputs or {})], np.zeros(n_rows, dtype=np.intp)
+        mappings = list(inputs)
+        if len(mappings) != n_rows:
+            raise SimulationInputError(
+                f"simulate_batch got {len(mappings)} input mappings for {n_rows} models"
+            )
+        columns: Dict[int, int] = {}
+        interps: List[_InputInterpolator] = []
+        cols = np.empty(n_rows, dtype=np.intp)
+        for row, mapping in enumerate(mappings):
+            column = columns.get(id(mapping))
+            if column is None:
+                column = columns[id(mapping)] = len(interps)
+                interps.append(self._build_interpolator(mapping or {}))
+            cols[row] = column
+        lead = interps[0]._series
+        for interp in interps[1:]:
+            if interp._series.keys() != lead.keys() or not all(
+                np.array_equal(times, lead[name][0])
+                for name, (times, _) in interp._series.items()
+            ):
+                raise SimulationInputError(
+                    "per-model input mappings must bind the same inputs on the "
+                    "same knot times"
+                )
+        return interps, cols
 
     def _resolve_window(
         self,

@@ -392,6 +392,12 @@ def figure7_mi_scaling(
                     outcome.mi_hits,
                     round(outcome.average_errors["python"], 4),
                     round(outcome.average_errors["pgfmu+"], 4),
+                    *(
+                        round(seconds, 3)
+                        for arm in ("python", "pgfmu-", "pgfmu+")
+                        for seconds in outcome.stage_seconds[arm]
+                    ),
+                    round(outcome.mi_ceiling, 2),
                 ]
             )
             speedups.append(outcome.speedup_over_python)
@@ -410,6 +416,13 @@ def figure7_mi_scaling(
             "mi_warm_starts",
             "avg_rmse_python",
             "avg_rmse_pgfmu+",
+            "ga_s_python",
+            "local_s_python",
+            "ga_s_pgfmu-",
+            "local_s_pgfmu-",
+            "ga_s_pgfmu+",
+            "local_s_pgfmu+",
+            "mi_ceiling",
         ],
         rows=rows,
         meta=meta,

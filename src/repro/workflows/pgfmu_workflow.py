@@ -153,6 +153,8 @@ class PgFmuWorkflow:
             training_error=calibration.error,
             validation_error=validation_error,
             steps=steps,
+            global_time=calibration.global_time,
+            local_time=calibration.local_time,
         )
 
     # ------------------------------------------------------------------ #

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,6 +89,9 @@ class MiScenarioResult:
     total_seconds: Dict[str, float]
     errors: Dict[str, List[float]]
     mi_hits: int = 0
+    #: Per configuration, the seconds of all calibrations' global (GA) and
+    #: local stages, summed over the instances.
+    stage_seconds: Dict[str, Tuple[float, float]] = field(default_factory=dict)
 
     @property
     def speedup_over_python(self) -> float:
@@ -98,6 +101,17 @@ class MiScenarioResult:
         if plus_time <= 0:
             return float("inf")
         return python_time / plus_time
+
+    @property
+    def mi_ceiling(self) -> float:
+        """The most pgFMU+ can gain over pgFMU-: (GA + local) / local.
+
+        With every instance but the first warm-started, pgFMU+ runs the
+        local stage alone, so no instance count beats this ratio of
+        pgFMU-'s stage times.
+        """
+        global_s, local_s = self.stage_seconds.get("pgfmu-", (0.0, 0.0))
+        return (global_s + local_s) / local_s if local_s > 0 else float("inf")
 
     @property
     def average_errors(self) -> Dict[str, float]:
@@ -165,6 +179,13 @@ def run_si_scenario(settings: Optional[ScenarioSettings] = None) -> SiScenarioRe
 # --------------------------------------------------------------------------- #
 # MI scenario
 # --------------------------------------------------------------------------- #
+def _training_sql(database: Database, table: str, fraction: float) -> str:
+    """The query for the training window :meth:`MeasurementSet.split` keeps."""
+    times = [row[0] for row in database.execute(f"SELECT time FROM {table} ORDER BY time").rows]
+    last = float(times[MeasurementSet.split_index(len(times), fraction) - 1])
+    return f"SELECT * FROM {table} WHERE time <= {last!r}"
+
+
 def run_mi_scenario(settings: Optional[ScenarioSettings] = None) -> MiScenarioResult:
     """Run the multi-instance scenario in all three configurations.
 
@@ -172,7 +193,9 @@ def run_mi_scenario(settings: Optional[ScenarioSettings] = None) -> MiScenarioRe
     paper.  The Python and pgFMU- configurations run the full global+local
     calibration for every instance; pgFMU+ applies the MI optimization and
     runs the global stage only for the first instance (and for any instance
-    whose measurements are too dissimilar).
+    whose measurements are too dissimilar).  Every configuration calibrates
+    on the same training window, the first ``training_fraction`` of each
+    dataset's samples.
     """
     settings = settings or ScenarioSettings()
     spec = settings.spec()
@@ -193,6 +216,7 @@ def run_mi_scenario(settings: Optional[ScenarioSettings] = None) -> MiScenarioRe
     ]
     started = time.perf_counter()
     python_errors = []
+    python_stages = []
     for i, table in enumerate(tables):
         workflow = PythonWorkflow(
             database=python_db,
@@ -205,9 +229,12 @@ def run_mi_scenario(settings: Optional[ScenarioSettings] = None) -> MiScenarioRe
             seed=settings.seed,
             predictions_table=f"predictions_python_{i + 1}",
         )
-        python_errors.append(workflow.run().training_error)
+        result = workflow.run()
+        python_errors.append(result.training_error)
+        python_stages.append((result.global_time, result.local_time))
     total_seconds["python"] = time.perf_counter() - started
     errors["python"] = python_errors
+    stage_seconds = {"python": _stage_sums(python_stages)}
 
     # ---------------- pgFMU- and pgFMU+ ---------------- #
     mi_hits = 0
@@ -233,7 +260,10 @@ def run_mi_scenario(settings: Optional[ScenarioSettings] = None) -> MiScenarioRe
             else:
                 session.instance(f"{spec.name}Instance1").copy(instance_id)
             instance_ids.append(instance_id)
-        input_sqls = [f"SELECT * FROM {table}" for table in member_tables]
+        input_sqls = [
+            _training_sql(session.database, table, settings.training_fraction)
+            for table in member_tables
+        ]
         outcomes = session.parest(
             instance_ids,
             input_sqls,
@@ -249,6 +279,9 @@ def run_mi_scenario(settings: Optional[ScenarioSettings] = None) -> MiScenarioRe
             session.simulate(instance_id, f"SELECT * FROM {table}")
         total_seconds[label] = time.perf_counter() - started
         errors[label] = config_errors
+        stage_seconds[label] = _stage_sums(
+            [(outcome.global_time, outcome.local_time) for outcome in outcomes]
+        )
         if use_mi:
             mi_hits = sum(1 for outcome in outcomes if outcome.used_mi_optimization)
 
@@ -258,4 +291,9 @@ def run_mi_scenario(settings: Optional[ScenarioSettings] = None) -> MiScenarioRe
         total_seconds=total_seconds,
         errors=errors,
         mi_hits=mi_hits,
+        stage_seconds=stage_seconds,
     )
+
+
+def _stage_sums(stages: List[Tuple[float, float]]) -> Tuple[float, float]:
+    return float(sum(g for g, _ in stages)), float(sum(l for _, l in stages))

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +25,30 @@ from repro.sqldb import Database
 #: Calibration budget small enough for unit tests (a run takes well under a second).
 FAST_GA_OPTIONS = {"population_size": 8, "generations": 4, "patience": 3}
 FAST_LOCAL_OPTIONS = {"max_iterations": 15}
+
+#: How long a test's own threads get to finish after it returns.
+THREAD_JOIN_GRACE_S = 2.0
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail any test that leaves a thread it started running.
+
+    Threads alive before the test (those of wider-scoped fixtures, say a
+    module's server) are exempt; the test's own threads get
+    :data:`THREAD_JOIN_GRACE_S` in total to finish.
+    """
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + THREAD_JOIN_GRACE_S
+    leaked = []
+    for thread in threading.enumerate():
+        if thread in before or thread is threading.current_thread():
+            continue
+        thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        if thread.is_alive():
+            leaked.append(thread.name)
+    assert not leaked, f"test left threads running: {leaked}"
 
 
 # --------------------------------------------------------------------------- #

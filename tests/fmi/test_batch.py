@@ -337,6 +337,77 @@ class TestActiveSetCompaction:
 
 
 # --------------------------------------------------------------------------- #
+# Model layer: one input mapping per model
+# --------------------------------------------------------------------------- #
+class TestPerRowInputs:
+    """Each row interpolates its own measured series on the shared knots
+    and must match its own scalar ``simulate`` bit for bit."""
+
+    HOURS = np.linspace(0.0, 10.0, 11)
+
+    def _fleet(self, hp1_archive, capacitances):
+        models = [FmuModel(hp1_archive, instance_name=f"i{i}") for i in range(len(capacitances))]
+        for model, cp in zip(models, capacitances):
+            model.set("Cp", cp)
+        inputs = [
+            {"u": (self.HOURS, 0.5 + 0.4 * np.sin(self.HOURS + phase))}
+            for phase in range(len(models))
+        ]
+        return models, inputs
+
+    def _assert_rows_match(self, models, inputs, results, **kwargs):
+        for model, mapping, result in zip(models, inputs, results):
+            sequential = model.simulate(inputs=mapping, **kwargs)
+            for name in ("x", "y", "u"):
+                np.testing.assert_array_equal(result[name], sequential[name])
+            assert result.solver_stats["n_steps"] == sequential.solver_stats["n_steps"]
+
+    def test_rk4_rows_match_their_scalar_solves(self, hp1_archive):
+        models, inputs = self._fleet(hp1_archive, (1.5, 0.9, 2.4, 1.1))
+        kwargs = dict(
+            start_time=0.0, stop_time=10.0, output_times=self.HOURS,
+            solver="rk4", solver_options={"step": 0.25},
+        )
+        results = FmuModel.simulate_batch(models, inputs=inputs, **kwargs)
+        self._assert_rows_match(models, inputs, results, **kwargs)
+
+    def test_rk45_with_active_set_restriction(self, hp1_archive):
+        # Time constants two orders of magnitude apart: rows finish at very
+        # different step counts, so the working set compacts mid-solve.
+        models, inputs = self._fleet(hp1_archive, (1.5, 0.15, 0.015))
+        kwargs = dict(start_time=0.0, stop_time=10.0)
+        results = FmuModel.simulate_batch(models, inputs=inputs, **kwargs)
+        assert int(results[2].solver_stats["n_steps"]) > int(results[0].solver_stats["n_steps"])
+        self._assert_rows_match(models, inputs, results, **kwargs)
+
+    def test_window_outside_the_knots_clamps(self, hp1_archive):
+        models, inputs = self._fleet(hp1_archive, (1.5, 0.9))
+        for solver in ("rk4", "rk45"):
+            kwargs = dict(start_time=-2.0, stop_time=12.0, solver=solver)
+            results = FmuModel.simulate_batch(models, inputs=inputs, **kwargs)
+            self._assert_rows_match(models, inputs, results, **kwargs)
+
+    def test_shared_mapping_list_equals_one_mapping(self, hp1_archive):
+        models, inputs = self._fleet(hp1_archive, (1.5, 0.9, 2.4))
+        shared = FmuModel.simulate_batch(models, inputs=inputs[0], start_time=0.0, stop_time=10.0)
+        listed = FmuModel.simulate_batch(
+            models, inputs=[inputs[0]] * 3, start_time=0.0, stop_time=10.0
+        )
+        for a, b in zip(shared, listed):
+            np.testing.assert_array_equal(a["x"], b["x"])
+
+    def test_mappings_must_share_names_and_knots(self, hp1_archive):
+        models, inputs = self._fleet(hp1_archive, (1.5, 0.9))
+        shifted = {"u": (self.HOURS + 0.5, inputs[1]["u"][1])}
+        with pytest.raises(SimulationInputError, match="same knot times"):
+            FmuModel.simulate_batch(models, inputs=[inputs[0], shifted], stop_time=10.0)
+        with pytest.raises(SimulationInputError, match="same knot times"):
+            FmuModel.simulate_batch(models, inputs=[inputs[0], {}], stop_time=10.0)
+        with pytest.raises(SimulationInputError, match="2 models"):
+            FmuModel.simulate_batch(models, inputs=inputs[:1], stop_time=10.0)
+
+
+# --------------------------------------------------------------------------- #
 # Model layer: randomized fleet corpus
 # --------------------------------------------------------------------------- #
 class TestSimulateBatchCorpus:

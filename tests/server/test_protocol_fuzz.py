@@ -69,6 +69,13 @@ def server():
     srv.shutdown()
 
 
+def _wait_for_handlers_to_exit() -> None:
+    deadline = time.monotonic() + 5.0
+    while any(t.name == "repro-server-conn" for t in threading.enumerate()):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
 @pytest.mark.parametrize("stream", STREAM_CASES.values(), ids=list(STREAM_CASES))
 def test_server_survives_malformed_stream(server, stream, monkeypatch):
     raised = []
@@ -78,10 +85,9 @@ def test_server_survives_malformed_stream(server, stream, monkeypatch):
         raw.sendall(stream)
         raw.shutdown(socket.SHUT_WR)
         assert raw.recv(1) == b""  # the server hangs up on garbage
-    deadline = time.monotonic() + 5.0
-    while any(t.name == "repro-server-conn" for t in threading.enumerate()):
-        assert time.monotonic() < deadline
-        time.sleep(0.01)
+    _wait_for_handlers_to_exit()
     assert raised == []
     with repro.client.connect(server.url) as fresh:
         assert fresh.execute("SELECT 1").fetchone() == [1]
+    # The fresh connection's handler is this test's thread too.
+    _wait_for_handlers_to_exit()

@@ -8,6 +8,7 @@ import pytest
 from repro.baseline import CODE_LINE_TABLE, PythonWorkflow, code_lines_table
 from repro.baseline.code_metrics import OPERATIONS, count_effective_lines, totals
 from repro.data.loaders import load_dataset
+from repro.estimation import Estimation, MeasurementSet
 from repro.models.registry import get_model_spec
 from repro.sqldb import Database
 from repro.workflows import (
@@ -152,6 +153,25 @@ class TestScenarios:
         averages = outcome.average_errors
         assert averages["pgfmu+"] < 0.25
         assert averages["python"] < 0.25
+
+    def test_mi_scenario_arms_calibrate_on_the_same_window(self, monkeypatch):
+        lengths = []
+        real = Estimation.estimate
+
+        def recording(self, *args, **kwargs):
+            lengths.append(len(self.measurements.time))
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Estimation, "estimate", recording)
+        settings = ScenarioSettings(model_name="HP1", n_instances=2, **FAST_SETTINGS)
+        outcome = run_mi_scenario(settings)
+        # Two calibrations per arm (Python, pgFMU-, pgFMU+), each on the
+        # Python arm's 75% training window of the 72 hourly samples.
+        assert lengths == [MeasurementSet.split_index(72, 0.75)] * 6
+        for arm in ("python", "pgfmu-", "pgfmu+"):
+            global_s, local_s = outcome.stage_seconds[arm]
+            assert global_s > 0 and local_s > 0
+        assert outcome.mi_ceiling > 1.0
 
 
 # --------------------------------------------------------------------------- #
