@@ -16,6 +16,9 @@ system's hottest workloads:
   of HP1 on 240 h of measurements with the simulation memo cache, after
   asserting that the cache does not change the result (the uncached
   reference gives every candidate a fresh memo key).
+* **batched RK4 equivalence** (``--smoke`` only, untimed) - HP1 and random
+  test-corpus fleets of 8 solved batched equal per-row ``simulate`` bit for
+  bit, and the HP1 per-step kernel reads no parameter column.
 
 It emits ``BENCH_simulation_kernels.json`` next to this file.
 
@@ -29,6 +32,7 @@ without timing flakiness).
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import sys
@@ -38,13 +42,15 @@ from pathlib import Path
 import numpy as np
 
 if __name__ == "__main__":  # pragma: no cover - direct invocation path
-    _SRC = Path(__file__).resolve().parent.parent / "src"
-    if str(_SRC) not in sys.path:
-        sys.path.insert(0, str(_SRC))
+    _ROOT = Path(__file__).resolve().parent.parent
+    for _path in (_ROOT / "src", _ROOT):  # the repo root: tests.conftest
+        if str(_path) not in sys.path:
+            sys.path.insert(0, str(_path))
 
 from repro.data.nist import generate_hp1_dataset
 from repro.estimation import Estimation
 from repro.fmi import load_fmu
+from repro.fmi.model import FmuModel
 from repro.fmi.model_description import DefaultExperiment
 from repro.models.heatpump import build_hp1_archive
 from repro.modelica.compiler import compile_model
@@ -224,6 +230,71 @@ def measure_parest(
     }
 
 
+# --------------------------------------------------------------------------- #
+# Part 3: batched RK4 equivalence (smoke only)
+# --------------------------------------------------------------------------- #
+def _per_step_source(kernel, name: str) -> str:
+    """Source of the per-step function ``name`` inside its bind factory."""
+    for node in ast.walk(ast.parse(kernel.source)):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return ast.unparse(node)
+    raise AssertionError(f"no {name} in the kernel source")
+
+
+def _assert_fleet_equals_rows(models, names, **call) -> None:
+    batched = FmuModel.simulate_batch(models, **call)
+    for model, result in zip(models, batched):
+        sequential = model.simulate(**call)
+        for name in names:
+            np.testing.assert_array_equal(result[name], sequential[name], err_msg=name)
+
+
+def check_batched_rk4(n_rows: int = 8, n_random: int = 3) -> None:
+    """Batched RK4 fleets equal per-row scalar ``simulate`` bit for bit.
+
+    Covers an HP1 fleet (whose per-step kernel must read no parameter
+    column: every parameter subexpression is bound once per solve) and
+    fleets of random test-corpus models with conditionals and ``**``.
+    """
+    from tests.conftest import (
+        make_corpus_inputs, make_random_archive, make_random_fleet, make_random_system,
+    )
+
+    archive = build_hp1_archive()
+    per_step = _per_step_source(archive.ode_system.kernel, "_derivs_batch")
+    assert "_P[" not in per_step, per_step
+    measurements = generate_hp1_dataset(hours=48, seed=3).to_measurement_set()
+    models = []
+    for i in range(n_rows):
+        model = load_fmu(archive)
+        model.set_many({"Cp": 1.0 + 0.15 * i, "R": 1.2 + 0.1 * i})
+        models.append(model)
+    _assert_fleet_equals_rows(
+        models, ("x", "y"),
+        inputs={"u": (measurements.time, measurements.series["u"])},
+        output_times=measurements.time, solver="rk4", solver_options={"step": 1.0},
+    )
+
+    checked = 0
+    for seed in range(200):
+        system = make_random_system(seed)
+        texts = " ".join(state.derivative for state in system.states)
+        if " if " not in texts or "**" not in texts:
+            continue
+        archive = make_random_archive(f"corpus{seed}", system)
+        _assert_fleet_equals_rows(
+            make_random_fleet(system, archive, n_rows, seed=seed),
+            list(system.state_names) + list(system.output_names),
+            inputs=make_corpus_inputs(system), start_time=0.0, stop_time=2.0,
+            output_times=np.linspace(0.0, 2.0, 41), solver="rk4",
+            solver_options={"step": 0.02},
+        )
+        checked += 1
+        if checked == n_random:
+            break
+    assert checked == n_random, f"only {checked} corpus models with conditionals and **"
+
+
 def measure_simulation_kernels() -> dict:
     record = {"benchmark": "simulation_kernels"}
     record.update(measure_simulate())
@@ -263,7 +334,11 @@ def smoke() -> None:
         rounds=1,
     )
     assert np.isfinite(record["parest_error"])
-    print("smoke ok: compiled simulate and calibration ran; cached == uncached")
+    check_batched_rk4()
+    print(
+        "smoke ok: compiled simulate and calibration ran; cached == uncached; "
+        "batched RK4 fleets == per-row simulate"
+    )
 
 
 if __name__ == "__main__":

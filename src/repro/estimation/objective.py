@@ -9,6 +9,7 @@ trajectories of the observed variables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -16,7 +17,6 @@ import numpy as np
 
 from repro.errors import CancelledError, EstimationError, SolverError, TimeoutError
 from repro.estimation import lockstep
-from repro.estimation.metrics import rmse
 from repro.fmi.model import FmuModel
 from repro.solvers.retry import RetryPolicy
 
@@ -225,6 +225,17 @@ class SimulationObjective:
                 finite = first[~np.isnan(first)]
                 if finite.size:
                     self.initial_state_values[name] = float(finite[0])
+        # Each scored series with its NaN mask (None when it has no NaN) and
+        # its masked measured values, computed once; an all-NaN series
+        # scores nothing and is skipped.
+        self._scored: List[Tuple[str, Optional[np.ndarray], np.ndarray]] = []
+        for name in self.observed_names:
+            measured = measurements.series[name]
+            missing = np.isnan(measured)
+            if missing.all():
+                continue
+            mask = ~missing if missing.any() else None
+            self._scored.append((name, mask, measured if mask is None else measured[mask]))
         self.n_evaluations = 0
         self.retry_policy = retry_policy
         self.n_cache_hits = 0
@@ -322,15 +333,18 @@ class SimulationObjective:
         return self._score(result)
 
     def _score(self, result) -> float:
-        """Mean RMSE of a simulation result against the observed series."""
+        """Mean RMSE of a simulation result against the observed series.
+
+        Each series' RMSE is :func:`~repro.estimation.metrics.rmse` over its
+        non-NaN samples, with the masks precomputed: the same operations in
+        the same order, so the score is bit-identical.
+        """
         errors = []
-        for name in self.observed_names:
-            measured = self.measurements.series[name]
-            simulated = result[name]
-            mask = ~np.isnan(measured)
-            if mask.sum() == 0:
-                continue
-            errors.append(rmse(measured[mask], simulated[mask]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, mask, measured in self._scored:
+                simulated = result[name] if mask is None else result[name][mask]
+                error = float(np.sqrt(np.mean((measured - simulated) ** 2)))
+                errors.append(error if math.isfinite(error) else float("inf"))
         if not errors:
             return float("inf")
         return float(np.mean(errors))

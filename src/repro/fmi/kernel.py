@@ -21,6 +21,13 @@ expressions: an empty ``__builtins__`` and only the whitelisted math
 functions.  Named constants (``pi``, ``e``) and constant subexpressions are
 folded at generation time.
 
+The derivative kernels are generated as *bind factories*,
+``_bind_derivs(_p)`` and ``_bind_derivs_batch(_P)``: parameters do not
+change during a solve, so every parameter-only subexpression is evaluated
+once per bind (see :class:`_HoistParameters`), and the returned per-step
+function ``(t, x, u, out)`` reads only time, states, inputs and the bound
+values.  The public ``derivs``/``derivs_batch`` bind and call in one go.
+
 Every valid system gets a kernel.  Equations may reference only states,
 inputs, parameters and ``time``: an equation that names an output, calls a
 function whose name a model variable shadows, or calls ``min``/``max`` with
@@ -48,6 +55,7 @@ Semantics notes
 from __future__ import annotations
 
 import ast
+import copy
 import functools
 import operator
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -402,8 +410,115 @@ class _StrictPow(ast.NodeTransformer):
         return node
 
 
+#: Lowered calls whose arguments after the first stand for a conditional
+#: branch or a short-circuit operand of the source equation.
+_BRANCHING_CALLS = frozenset({"_where", "_land", "_lor"})
+
+
+class _HoistParameters:
+    """Lift maximal parameter-only subtrees into bind-time locals.
+
+    A subtree is parameter-only when its leaves are only parameter slots
+    (``_p[i]`` / ``_P[:, i]``) and literals; parameters do not change during
+    a solve, so such a subtree is evaluated once per bind instead of once
+    per right-hand-side call.  Each lifted subtree becomes a local
+    ``_c<k>`` (identical subtrees share one) and is evaluated exactly as
+    written, so bound and unbound kernels are bit-identical.
+
+    Nothing is lifted out of a conditional branch, a short-circuit
+    ``and``/``or`` operand or the tail of a chained comparison - in either
+    lowering (``_where``/``_land``/``_lor`` in vector form): the evaluation
+    there may be skipped at run time, and a lifted division could then
+    raise where the per-call kernel does not.  A conditional that is
+    parameter-only as a whole is lifted as a unit, with its own semantics.
+    """
+
+    def __init__(self, slot: str):
+        self.slot = slot
+        #: Lifted source -> local name, in bind order.
+        self.lifted: Dict[str, str] = {}
+
+    def __call__(self, node: ast.expr) -> ast.expr:
+        node, pure = self._visit(node, eager=True)
+        return self._lift(node) if pure else node
+
+    def _lift(self, node: ast.expr) -> ast.expr:
+        if isinstance(node, ast.Constant):
+            return node
+        source = ast.unparse(node)
+        name = self.lifted.get(source)
+        if name is None:
+            name = self.lifted[source] = f"_c{len(self.lifted)}"
+        return ast.Name(id=name, ctx=ast.Load())
+
+    def _visit(self, node: ast.expr, eager: bool) -> Tuple[ast.expr, bool]:
+        """``(node with its eager parameter-only children lifted, pure)``."""
+        if isinstance(node, ast.Constant):
+            return node, True
+        if isinstance(node, ast.Subscript):
+            return node, isinstance(node.value, ast.Name) and node.value.id == self.slot
+        children = _children(node)
+        if children is None:
+            return node, False
+        visited = [
+            self._visit(child, eager and not conditional)
+            for child, conditional in children
+        ]
+        if all(pure for _, pure in visited):
+            return node, True
+        return _with_children(node, [
+            self._lift(child) if pure and eager and not conditional else child
+            for (child, pure), (_, conditional) in zip(visited, children)
+        ]), False
+
+
+def _children(node: ast.expr) -> Optional[List[Tuple[ast.expr, bool]]]:
+    """``(child, conditional)`` pairs of a lowered node, or None for a leaf."""
+    if isinstance(node, ast.BinOp):
+        return [(node.left, False), (node.right, False)]
+    if isinstance(node, ast.UnaryOp):
+        return [(node.operand, False)]
+    if isinstance(node, ast.Call):
+        branching = node.func.id in _BRANCHING_CALLS
+        return [(arg, branching and i > 0) for i, arg in enumerate(node.args)]
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        return [(operand, i > 1) for i, operand in enumerate(operands)]
+    if isinstance(node, ast.IfExp):
+        return [(node.test, False), (node.body, True), (node.orelse, True)]
+    if isinstance(node, ast.BoolOp):
+        return [(value, i > 0) for i, value in enumerate(node.values)]
+    return None
+
+
+def _with_children(node: ast.expr, children: List[ast.expr]) -> ast.expr:
+    """A shallow copy of ``node`` over new children (order of :func:`_children`).
+
+    Copies, because the vector lowering of a chained comparison shares an
+    operand node between two comparisons.
+    """
+    node = copy.copy(node)
+    if isinstance(node, ast.BinOp):
+        node.left, node.right = children
+    elif isinstance(node, ast.UnaryOp):
+        (node.operand,) = children
+    elif isinstance(node, ast.Call):
+        node.args = children
+    elif isinstance(node, ast.Compare):
+        node.left, node.comparators = children[0], children[1:]
+    elif isinstance(node, ast.IfExp):
+        node.test, node.body, node.orelse = children
+    else:
+        node.values = children
+    return node
+
+
 def _lower(
-    text: str, slots: Mapping[str, str], vector: bool, strict_pow: bool = False
+    text: str,
+    slots: Mapping[str, str],
+    vector: bool,
+    strict_pow: bool = False,
+    hoist: Optional[_HoistParameters] = None,
 ) -> str:
     """Parse, sandbox-validate, lower and fold one equation into source text."""
     text = str(text)
@@ -412,14 +527,37 @@ def _lower(
     folded = _FoldConstants().visit(lowered)
     if strict_pow:
         folded = _StrictPow().visit(folded)
+    if hoist is not None:
+        folded = hoist(folded)
     ast.fix_missing_locations(folded)
     return ast.unparse(folded)
 
 
-def _compile_function(source: str, globals_dict: Dict[str, object], name: str):
-    namespace: Dict[str, object] = {}
-    exec(compile(source, "<fmu-kernel>", "exec"), globals_dict, namespace)
-    return namespace[name]
+def _bound_source(name: str, args: str, hoist: _HoistParameters, body: List[str]) -> str:
+    """Source of the bind factory ``_bind<name>(slot)`` for one per-step function.
+
+    The factory evaluates the lifted subtrees once and returns
+    ``<name>(args)`` closed over them; the per-step function carries its
+    bound values as ``.bound`` (the slot vector first, then each lifted
+    local), and ``<name>_with(*bound)`` rebuilds it from sliced values.
+    """
+    slot = hoist.slot
+    bound = ", ".join([slot, *hoist.lifted.values()])
+    lines = [f"def {name}_with({bound}):", f"    def {name}({args}):"]
+    lines += [f"    {line}" for line in body]
+    lines += ["        return _out", f"    {name}.bound = ({bound},)", f"    return {name}", ""]
+    lines.append(f"def _bind{name}({slot}):")
+    lines += [f"    {local} = {source}" for source, local in hoist.lifted.items()]
+    lines.append(f"    return {name}_with({bound})")
+    return "\n".join(lines)
+
+
+def _compile(source: str, globals_dict: Dict[str, object]) -> Dict[str, object]:
+    """Execute generated source in a copy of ``globals_dict``; returns that
+    namespace (one namespace, so a bind factory finds its companion)."""
+    namespace: Dict[str, object] = dict(globals_dict)
+    exec(compile(source, "<fmu-kernel>", "exec"), namespace)
+    return namespace
 
 
 # --------------------------------------------------------------------------- #
@@ -449,9 +587,10 @@ class SimulationKernel:
         "source",
         "_parameters",
         "_equation_texts",
-        "_derivs",
+        "_bind_derivs",
         "_outputs_scalar",
-        "_derivs_batch",
+        "_bind_derivs_batch",
+        "_derivs_batch_with",
         "_outputs_batch",
     )
 
@@ -486,12 +625,16 @@ class SimulationKernel:
             batch_slots[name] = f"_P[:, {i}]"
 
         returns = "".join(f"_y{i}, " for i in range(len(system.outputs)))
-        derivs_lines = ["def _derivs(_t, _x, _u, _p, _out):", "    _x = _x.tolist()"]
-        for i, state in enumerate(system.states):
-            derivs_lines.append(
-                f"    _out[{i}] = {_lower(state.derivative, scalar_slots, vector=False)}"
-            )
-        derivs_lines.append("    return _out")
+        # Derivative kernels are bind factories: parameter-only subtrees are
+        # evaluated once per bind (see _HoistParameters), and the returned
+        # per-step function reads only time, states, inputs and the bound
+        # locals.
+        scalar_hoist = _HoistParameters("_p")
+        derivs_body = ["    _x = _x.tolist()"] + [
+            f"    _out[{i}] = "
+            f"{_lower(state.derivative, scalar_slots, vector=False, hoist=scalar_hoist)}"
+            for i, state in enumerate(system.states)
+        ]
 
         # Scalar outputs back the pointwise re-evaluation of rows whose
         # vectorized values are not all finite (see outputs_batch).
@@ -504,13 +647,15 @@ class SimulationKernel:
 
         # Batched fleet kernels: one row per instance, parameters as a
         # per-row matrix.
-        db_lines = ["def _derivs_batch(_t, _X, _U, _P, _out):"]
-        for i, state in enumerate(system.states):
-            db_lines.append(
-                f"    _out[:, {i}] = "
-                f"{_lower(state.derivative, batch_slots, vector=True, strict_pow=True)}"
+        batch_hoist = _HoistParameters("_P")
+        db_body = [
+            f"    _out[:, {i}] = "
+            + _lower(
+                state.derivative, batch_slots, vector=True, strict_pow=True,
+                hoist=batch_hoist,
             )
-        db_lines.append("    return _out")
+            for i, state in enumerate(system.states)
+        ]
         ob_lines = ["def _outputs_batch(_t, _X, _U, _P, _n):"]
         for i, output in enumerate(system.outputs):
             ob_lines.append(
@@ -519,17 +664,17 @@ class SimulationKernel:
         ob_lines.append(f"    return ({returns})")
 
         sources = [
-            "\n".join(lines)
-            for lines in (derivs_lines, out_scalar_lines, db_lines, ob_lines)
+            _bound_source("_derivs", "_t, _x, _u, _out", scalar_hoist, derivs_body),
+            "\n".join(out_scalar_lines),
+            _bound_source("_derivs_batch", "_t, _X, _U, _out", batch_hoist, db_body),
+            "\n".join(ob_lines),
         ]
-        self._derivs = _compile_function(sources[0], _SCALAR_GLOBALS, "_derivs")
-        self._outputs_scalar = _compile_function(
-            sources[1], _SCALAR_GLOBALS, "_outputs_scalar"
-        )
-        self._derivs_batch = _compile_function(sources[2], _BATCH_GLOBALS, "_derivs_batch")
-        self._outputs_batch = _compile_function(
-            sources[3], _VECTOR_GLOBALS, "_outputs_batch"
-        )
+        self._bind_derivs = _compile(sources[0], _SCALAR_GLOBALS)["_bind_derivs"]
+        self._outputs_scalar = _compile(sources[1], _SCALAR_GLOBALS)["_outputs_scalar"]
+        batch = _compile(sources[2], _BATCH_GLOBALS)
+        self._bind_derivs_batch = batch["_bind_derivs_batch"]
+        self._derivs_batch_with = batch["_derivs_batch_with"]
+        self._outputs_batch = _compile(sources[3], _VECTOR_GLOBALS)["_outputs_batch"]
         self.source = "\n\n".join(sources)
 
     # ------------------------------------------------------------------ #
@@ -568,7 +713,7 @@ class SimulationKernel:
         if out is None:
             out = np.empty(self.n_states)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self._derivs(t, x, u, p, out)
+        return self._bind_derivs(p)(t, x, u, out)
 
     def derivs_batch(
         self,
@@ -597,7 +742,19 @@ class SimulationKernel:
         """
         if out is None:
             out = np.empty_like(X)
-        return self._derivs_batch(t, X, U, P, out)
+        return self._bind_derivs_batch(P)(t, X, U, out)
+
+    def derivs_batch_rows(self, derivs_batch, rows: np.ndarray):
+        """A bound batch derivative function narrowed to some of its rows.
+
+        ``derivs_batch`` comes from ``_bind_derivs_batch(P)``.  Every bound
+        value is elementwise over rows, so slicing the bound values gives
+        the kept rows' values bit for bit without rebinding (active-set
+        compaction in the adaptive batch solver).
+        """
+        return self._derivs_batch_with(
+            *(value[rows] if np.ndim(value) else value for value in derivs_batch.bound)
+        )
 
     def outputs_batch(
         self,

@@ -465,12 +465,15 @@ class FmuModel:
         bindings = _KernelBindings(kernel, interp, self._input_starts)
         p = kernel.parameter_vector(self._parameter_values)
         n_states = kernel.n_states
-        kernel_derivs = kernel._derivs
+        try:
+            kernel_derivs = kernel._bind_derivs(p)
+        except ZeroDivisionError:
+            raise kernel.division_error() from None
         input_at = bindings.input_at
 
         def rhs(t, x, _u):
             try:
-                return kernel_derivs(t, x, input_at(t), p, np.empty(n_states))
+                return kernel_derivs(t, x, input_at(t), np.empty(n_states))
             except ZeroDivisionError:
                 raise kernel.division_error() from None
 
@@ -591,14 +594,24 @@ class FmuModel:
             ],
             dtype=float,
         )
-        kernel_derivs_batch = kernel._derivs_batch
+        try:
+            # The solve's errstate: a dividing fleet yields inf/nan elements,
+            # not warnings, whether it divides at bind time or per step.
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                derivs_batch = kernel._bind_derivs_batch(P)
+        except ZeroDivisionError:
+            raise kernel.division_error() from None
 
-        def rhs(t, X, U):
-            try:
-                return kernel_derivs_batch(t, X, U, P, np.empty_like(X))
-            except ZeroDivisionError:
-                raise kernel.division_error() from None
+        def batch_rhs(derivs):
+            def rhs(t, X, U):
+                try:
+                    return derivs(t, X, U, np.empty_like(X))
+                except ZeroDivisionError:
+                    raise kernel.division_error() from None
 
+            return rhs
+
+        rhs = batch_rhs(derivs_batch)
         injector = faults.active_injector()
         if injector is not None:
             inner_batch_rhs = rhs
@@ -609,19 +622,12 @@ class FmuModel:
 
         def restrict(rows):
             # Active-set compaction support: the adaptive batch solver drops
-            # finished rows, so the rhs/inputs must re-bind to the survivors
-            # (row-sliced parameter matrix and start values; the kernel is
-            # elementwise over rows, so the kept rows' values are bit-exact).
-            P_rows = P[rows]
-            sub_bindings = bindings.restricted(rows)
-
-            def rhs_rows(t, X, U):
-                try:
-                    return kernel_derivs_batch(t, X, U, P_rows, np.empty_like(X))
-                except ZeroDivisionError:
-                    raise kernel.division_error() from None
-
-            return rhs_rows, sub_bindings.inputs_at
+            # finished rows, so the rhs/inputs narrow to the survivors (the
+            # bound parameter values and start values are row-sliced; the
+            # kernel is elementwise over rows, so the kept rows' values are
+            # bit-exact).
+            rows_rhs = batch_rhs(kernel.derivs_batch_rows(derivs_batch, rows))
+            return rows_rhs, bindings.restricted(rows).inputs_at
 
         problem = BatchOdeProblem(
             rhs=rhs, x0=x0, t0=t0, t1=t1, inputs=bindings.inputs_at,

@@ -15,7 +15,7 @@ Two problem shapes are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -356,13 +356,48 @@ class TrajectoryRecorder:
         return self._times[: self._count], self._states[: self._count]
 
 
-class BatchTrajectoryRecorder:
-    """Per-row trajectory storage for batched solver main loops.
+def _fixed_steps(t0: float, t1: float, h: float) -> Tuple[List[float], List[float]]:
+    """The times and step sizes of a fixed-step loop over ``[t0, t1]``.
 
-    Fixed-step solvers append the same time for every row
-    (:meth:`append_all`); adaptive solvers scatter accepted steps into the
-    rows that accepted them (:meth:`append_rows`), so rows grow at their own
-    pace.  Buffers double in size when the fullest row reaches capacity.
+    ``t`` advances by ``min(h, t1 - t)`` while ``t < t1 - 1e-15``, with
+    the arithmetic the fixed-step solvers used inline, so a batched loop
+    knows its step count up front.  Returns ``(times, steps)``:
+    ``times[0] == t0`` and ``times[n] == times[n - 1] + steps[n - 1]``.
+    """
+    times, steps = [t0], []
+    t = t0
+    while t < t1 - 1e-15:
+        h_eff = min(h, t1 - t)
+        t = t + h_eff
+        times.append(t)
+        steps.append(h_eff)
+    return times, steps
+
+
+def _sample_shared(grid: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Interpolate an ``(n, N, d)`` trajectory on shared ``times`` onto ``grid``.
+
+    The fixed-step batch solvers record every row at the same times; each
+    row is interpolated with ``np.interp`` as :meth:`OdeSolution.sample`
+    does for a scalar solve, so it samples bit-identically to one.
+    """
+    grid = np.asarray(grid, dtype=float)
+    n_rows, n_states = states.shape[1], states.shape[2]
+    sampled = np.empty((grid.size, n_rows, n_states))
+    for row in range(n_rows):
+        for j in range(n_states):
+            sampled[:, row, j] = np.interp(grid, times, states[:, row, j])
+    return sampled
+
+
+class BatchTrajectoryRecorder:
+    """Per-row trajectory storage for the adaptive batched solver.
+
+    Accepted steps scatter into the rows that accepted them
+    (:meth:`append_rows`), so rows grow at their own pace.  Buffers double
+    in size when the fullest row reaches capacity.  (Fixed-step solvers
+    know their step count up front and write a preallocated trajectory
+    instead, see :func:`_fixed_steps`.)
     """
 
     __slots__ = ("_times", "_states", "_counts")
@@ -383,22 +418,6 @@ class BatchTrajectoryRecorder:
         grown_states = np.empty((2 * capacity,) + self._states.shape[1:])
         grown_states[:capacity] = self._states
         self._states = grown_states
-
-    def append_all(self, t: float, X: np.ndarray) -> None:
-        """Record time ``t`` and the ``(N, d)`` state matrix for every row."""
-        self._grow_if_full()
-        counts = self._counts
-        n = int(counts[0])
-        if (counts == n).all():
-            self._times[n] = t
-            self._states[n] = X
-        else:
-            # Rows have diverged (append_rows was used); scatter at each
-            # row's own position instead of clobbering row 0's.
-            rows = np.arange(counts.shape[0])
-            self._times[counts, rows] = t
-            self._states[counts, rows] = X
-        self._counts += 1
 
     def append_rows(self, rows: np.ndarray, t_rows: np.ndarray, x_rows: np.ndarray) -> None:
         """Scatter accepted steps: ``t_rows``/``x_rows`` align with ``rows``."""

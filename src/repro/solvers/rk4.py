@@ -11,7 +11,6 @@ from repro.errors import SolverError
 from repro.solvers.base import (
     BatchOdeProblem,
     BatchOdeSolution,
-    BatchTrajectoryRecorder,
     OdeProblem,
     OdeSolution,
     OdeSolver,
@@ -21,6 +20,8 @@ from repro.solvers.base import (
     _stage_function,
     _step_guard,
     _CHECK_INTERVAL,
+    _fixed_steps,
+    _sample_shared,
 )
 
 
@@ -120,48 +121,43 @@ class RungeKutta4Solver(OdeSolver):
         grid = self._normalized_output_times(problem, output_times)
         h = self._step_size(problem)
 
-        recorder = BatchTrajectoryRecorder(
-            problem.n_rows, problem.n_states, int((problem.t1 - problem.t0) / h) + 4
-        )
-        recorder.append_all(problem.t0, problem.x0)
-        t = problem.t0
+        # The step count is known up front: write straight into a trajectory
+        # sized once, every row at the shared step times.
+        times, steps = _fixed_steps(problem.t0, problem.t1, h)
+        states = np.empty((len(times), problem.n_rows, problem.n_states))
+        states[0] = problem.x0
         X = problem.x0.copy()
-        n_evals = 0
-        n_steps = 0
 
         f = _batch_stage_function(problem)
-        t1 = problem.t1
         token, injector, watch = _step_guard()
         checks_left = _CHECK_INTERVAL
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            while t < t1 - 1e-15:
+            for n, h_eff in enumerate(steps, start=1):
                 if watch:
                     checks_left -= 1
                     if checks_left == 0:
                         checks_left = _CHECK_INTERVAL
                         _check_step(token, injector)
-                h_eff = min(h, t1 - t)
+                t = times[n - 1]
                 k1 = f(t, X)
                 k2 = f(t + h_eff / 2.0, X + h_eff / 2.0 * k1)
                 k3 = f(t + h_eff / 2.0, X + h_eff / 2.0 * k2)
                 k4 = f(t + h_eff, X + h_eff * k3)
-                n_evals += 4
                 X = X + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t = t + h_eff
-                n_steps += 1
                 # Scalar pre-check + exact fallback, see EulerSolver.solve_batch.
                 if not math.isfinite(float(X.sum())) and not np.isfinite(X).all():
                     bad = np.where(~np.isfinite(X).all(axis=1))[0]
                     raise SolverError(
-                        f"RK4 integration diverged at t={t} (rows {bad.tolist()})"
+                        f"RK4 integration diverged at t={times[n]} (rows {bad.tolist()})"
                     )
-                recorder.append_all(t, X)
+                states[n] = X
 
+        n_steps = len(steps)
         steps_per_row = np.full(problem.n_rows, n_steps, dtype=int)
         return BatchOdeSolution(
             times=grid,
-            states=recorder.sample(grid),
-            n_rhs_evals=n_evals,
+            states=_sample_shared(grid, np.array(times), states),
+            n_rhs_evals=4 * n_steps,
             n_steps=steps_per_row,
             solver_name=self.name,
         )

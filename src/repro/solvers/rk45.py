@@ -229,7 +229,7 @@ class DormandPrince45Solver(OdeSolver):
         # arrays below may shrink, with ``idx`` mapping working row -> fleet
         # row (identity until compaction kicks in).
         recorder = BatchTrajectoryRecorder(n_rows, n_states)
-        recorder.append_all(problem.t0, problem.x0)
+        recorder.append_rows(np.arange(n_rows), np.full(n_rows, problem.t0), problem.x0)
         n_steps = np.zeros(n_rows, dtype=int)
         n_rejected = np.zeros(n_rows, dtype=int)
         can_compact = problem.restrict is not None

@@ -20,6 +20,7 @@ because it is driven by how many global searches each configuration runs.
 
 from __future__ import annotations
 
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -186,6 +187,12 @@ def _training_sql(database: Database, table: str, fraction: float) -> str:
     return f"SELECT * FROM {table} WHERE time <= {last!r}"
 
 
+#: Each MI configuration is timed as the median of this many repeats, run
+#: in alternation (Python, pgFMU-, pgFMU+, Python, ...), so a swing in host
+#: speed hits every configuration alike instead of one single-shot timing.
+MI_TIMING_REPEATS = 5
+
+
 def run_mi_scenario(settings: Optional[ScenarioSettings] = None) -> MiScenarioResult:
     """Run the multi-instance scenario in all three configurations.
 
@@ -196,6 +203,11 @@ def run_mi_scenario(settings: Optional[ScenarioSettings] = None) -> MiScenarioRe
     whose measurements are too dissimilar).  Every configuration calibrates
     on the same training window, the first ``training_fraction`` of each
     dataset's samples.
+
+    Each configuration runs :data:`MI_TIMING_REPEATS` times, alternating
+    with the others, each time on a fresh database; its reported seconds
+    (total and per stage) are the medians over the repeats.  The seeds are
+    fixed, so every repeat computes the same errors.
     """
     settings = settings or ScenarioSettings()
     spec = settings.spec()
@@ -203,20 +215,57 @@ def run_mi_scenario(settings: Optional[ScenarioSettings] = None) -> MiScenarioRe
         raise ReproError("n_instances must be at least 1")
     base_dataset = generate_dataset_for(spec.name, hours=settings.hours, seed=settings.seed + 100)
     family = synthetic_family(base_dataset, settings.n_instances, seed=settings.seed + 200)
-    observed = spec.observed[0]
 
-    total_seconds: Dict[str, float] = {}
-    errors: Dict[str, List[float]] = {}
+    arms = {
+        "python": lambda workdir: _python_arm(settings, spec, family, workdir),
+        "pgfmu-": lambda workdir: _pgfmu_arm(settings, spec, family, workdir, use_mi=False),
+        "pgfmu+": lambda workdir: _pgfmu_arm(settings, spec, family, workdir, use_mi=True),
+    }
+    runs: Dict[str, List[_ArmRun]] = {label: [] for label in arms}
+    for _ in range(MI_TIMING_REPEATS):
+        for label, arm in arms.items():
+            # Each run's FMU files live in a directory removed after it.
+            with tempfile.TemporaryDirectory(prefix="pgfmu_mi_") as workdir:
+                runs[label].append(arm(workdir))
 
-    # ---------------- Python configuration ---------------- #
+    return MiScenarioResult(
+        model_name=spec.name,
+        n_instances=settings.n_instances,
+        total_seconds={
+            label: float(np.median([run.seconds for run in arm_runs]))
+            for label, arm_runs in runs.items()
+        },
+        errors={label: arm_runs[-1].errors for label, arm_runs in runs.items()},
+        mi_hits=runs["pgfmu+"][-1].mi_hits,
+        stage_seconds={
+            label: (
+                float(np.median([run.stages[0] for run in arm_runs])),
+                float(np.median([run.stages[1] for run in arm_runs])),
+            )
+            for label, arm_runs in runs.items()
+        },
+    )
+
+
+@dataclass
+class _ArmRun:
+    """One timed run of one MI configuration."""
+
+    seconds: float
+    errors: List[float]
+    #: Seconds of all calibrations' global and local stages, summed.
+    stages: Tuple[float, float]
+    mi_hits: int = 0
+
+
+def _python_arm(settings: ScenarioSettings, spec, family, workdir: str) -> _ArmRun:
     python_db = Database()
     tables = [
         load_dataset(python_db, member, table_name=f"measurements_{i + 1}")
         for i, member in enumerate(family)
     ]
     started = time.perf_counter()
-    python_errors = []
-    python_stages = []
+    errors, stages = [], []
     for i, table in enumerate(tables):
         workflow = PythonWorkflow(
             database=python_db,
@@ -228,70 +277,60 @@ def run_mi_scenario(settings: Optional[ScenarioSettings] = None) -> MiScenarioRe
             local_options=settings.local_options,
             seed=settings.seed,
             predictions_table=f"predictions_python_{i + 1}",
+            workdir=workdir,
         )
         result = workflow.run()
-        python_errors.append(result.training_error)
-        python_stages.append((result.global_time, result.local_time))
-    total_seconds["python"] = time.perf_counter() - started
-    errors["python"] = python_errors
-    stage_seconds = {"python": _stage_sums(python_stages)}
+        errors.append(result.training_error)
+        stages.append((result.global_time, result.local_time))
+    return _ArmRun(time.perf_counter() - started, errors, _stage_sums(stages))
 
-    # ---------------- pgFMU- and pgFMU+ ---------------- #
-    mi_hits = 0
-    for use_mi, label in ((False, "pgfmu-"), (True, "pgfmu+")):
-        session = Session(
-            ga_options=settings.ga_options,
-            local_options=settings.local_options,
-            seed=settings.seed,
-        )
-        member_tables = [
-            load_dataset(session.database, member, table_name=f"measurements_{i + 1}")
-            for i, member in enumerate(family)
-        ]
-        archive_path = session.catalog.storage_dir / f"{spec.name}_mi.fmu"
-        spec.builder().write(archive_path)
 
-        started = time.perf_counter()
-        instance_ids = []
-        for i in range(settings.n_instances):
-            instance_id = f"{spec.name}Instance{i + 1}"
-            if i == 0:
-                session.create(str(archive_path), instance_id)
-            else:
-                session.instance(f"{spec.name}Instance1").copy(instance_id)
-            instance_ids.append(instance_id)
-        input_sqls = [
-            _training_sql(session.database, table, settings.training_fraction)
-            for table in member_tables
-        ]
-        outcomes = session.parest(
-            instance_ids,
-            input_sqls,
-            parameters=spec.estimated_parameters,
-            threshold=settings.threshold,
-            use_mi_optimization=use_mi,
-        )
-        # Simulate every instance (part of the timed workflow, as in the paper)
-        # and record the calibration error, which is the quality figure the
-        # paper's MI comparison reports.
-        config_errors = [outcome.error for outcome in outcomes]
-        for instance_id, table in zip(instance_ids, member_tables):
-            session.simulate(instance_id, f"SELECT * FROM {table}")
-        total_seconds[label] = time.perf_counter() - started
-        errors[label] = config_errors
-        stage_seconds[label] = _stage_sums(
-            [(outcome.global_time, outcome.local_time) for outcome in outcomes]
-        )
-        if use_mi:
-            mi_hits = sum(1 for outcome in outcomes if outcome.used_mi_optimization)
+def _pgfmu_arm(
+    settings: ScenarioSettings, spec, family, workdir: str, use_mi: bool
+) -> _ArmRun:
+    session = Session(
+        storage_dir=workdir,
+        ga_options=settings.ga_options,
+        local_options=settings.local_options,
+        seed=settings.seed,
+    )
+    member_tables = [
+        load_dataset(session.database, member, table_name=f"measurements_{i + 1}")
+        for i, member in enumerate(family)
+    ]
+    archive_path = session.catalog.storage_dir / f"{spec.name}_mi.fmu"
+    spec.builder().write(archive_path)
 
-    return MiScenarioResult(
-        model_name=spec.name,
-        n_instances=settings.n_instances,
-        total_seconds=total_seconds,
-        errors=errors,
-        mi_hits=mi_hits,
-        stage_seconds=stage_seconds,
+    started = time.perf_counter()
+    instance_ids = []
+    for i in range(settings.n_instances):
+        instance_id = f"{spec.name}Instance{i + 1}"
+        if i == 0:
+            session.create(str(archive_path), instance_id)
+        else:
+            session.instance(f"{spec.name}Instance1").copy(instance_id)
+        instance_ids.append(instance_id)
+    input_sqls = [
+        _training_sql(session.database, table, settings.training_fraction)
+        for table in member_tables
+    ]
+    outcomes = session.parest(
+        instance_ids,
+        input_sqls,
+        parameters=spec.estimated_parameters,
+        threshold=settings.threshold,
+        use_mi_optimization=use_mi,
+    )
+    # Simulate every instance (part of the timed workflow, as in the paper)
+    # and record the calibration error, which is the quality figure the
+    # paper's MI comparison reports.
+    for instance_id, table in zip(instance_ids, member_tables):
+        session.simulate(instance_id, f"SELECT * FROM {table}")
+    return _ArmRun(
+        time.perf_counter() - started,
+        [outcome.error for outcome in outcomes],
+        _stage_sums([(outcome.global_time, outcome.local_time) for outcome in outcomes]),
+        mi_hits=sum(1 for outcome in outcomes if outcome.used_mi_optimization),
     )
 
 

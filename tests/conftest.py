@@ -3,7 +3,9 @@ factory behind the equivalence corpora, all sized for fast tests."""
 
 from __future__ import annotations
 
+import gc
 import itertools
+import os
 import random
 import threading
 import time
@@ -49,6 +51,49 @@ def no_leaked_threads():
         if thread.is_alive():
             leaked.append(thread.name)
     assert not leaked, f"test left threads running: {leaked}"
+
+
+#: This process's open file descriptors (Linux).
+_FD_DIR = "/proc/self/fd"
+
+
+def _open_files() -> dict:
+    """``{fd: target}`` of this process's open sockets and regular files."""
+    if not os.path.isdir(_FD_DIR):
+        return {}
+    files = {}
+    for entry in os.listdir(_FD_DIR):
+        try:
+            target = os.readlink(os.path.join(_FD_DIR, entry))
+        except OSError:  # closed meanwhile, e.g. the listing's own descriptor
+            continue
+        if target.startswith("socket:") or (
+            target.startswith("/") and not target.startswith(("/dev/", "/proc/"))
+        ):
+            files[int(entry)] = target
+    return files
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_files():
+    """Fail any test that leaves a socket or a file (storage, WAL) open.
+
+    Descriptors open before the test are exempt.  A leak must outlive a
+    garbage collection and the same :data:`THREAD_JOIN_GRACE_S` the thread
+    check gives (a server thread may still be closing its sockets).
+    """
+    before = _open_files()
+    yield
+    deadline = time.monotonic() + THREAD_JOIN_GRACE_S
+    while True:
+        leaked = {
+            fd: target for fd, target in _open_files().items() if before.get(fd) != target
+        }
+        if not leaked or time.monotonic() > deadline:
+            break
+        gc.collect()
+        time.sleep(0.05)
+    assert not leaked, f"test left files or sockets open: {sorted(leaked.values())}"
 
 
 # --------------------------------------------------------------------------- #

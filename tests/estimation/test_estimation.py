@@ -155,6 +155,66 @@ class TestSimulationObjective:
         assert objective.n_evaluations == 2
 
 
+def _rmse_reference_score(objective, result) -> float:
+    """The objective's score as the per-call masked ``rmse`` formula."""
+    errors = []
+    for name in objective.observed_names:
+        measured = objective.measurements.series[name]
+        mask = ~np.isnan(measured)
+        if mask.sum() == 0:
+            continue
+        errors.append(rmse(measured[mask], result[name][mask]))
+    return float(np.mean(errors)) if errors else float("inf")
+
+
+class TestObjectiveScore:
+    """The precomputed-mask score equals the masked ``rmse`` formula bit for bit."""
+
+    def _objective(self, series):
+        time = np.arange(97.0)
+        measurements = MeasurementSet(time=time, series={"u": np.zeros(97), **series})
+        return SimulationObjective(
+            load_fmu(build_hp1_archive()), measurements, ["Cp", "R"],
+            observed_names=list(series),
+        )
+
+    def _result(self, **trajectories):
+        from repro.fmi.results import SimulationResult
+
+        return SimulationResult(time=np.arange(97.0), trajectories=trajectories)
+
+    @pytest.mark.parametrize("rows", [3, 24])
+    def test_matches_masked_rmse(self, rows):
+        rng = np.random.default_rng(rows)
+        holed = rng.normal(20.0, 2.0, 97)
+        holed[rng.choice(97, 11, replace=False)] = np.nan
+        # x has NaN holes, y none; then y all NaN, which both skip.
+        for y in (rng.normal(3.0, 1.0, 97), np.full(97, np.nan)):
+            objective = self._objective({"x": holed, "y": y})
+            for _ in range(rows):
+                result = self._result(
+                    x=holed + rng.normal(0.0, 0.3, 97), y=rng.normal(3.0, 1.0, 97)
+                )
+                score = objective._score(result)
+                assert np.isfinite(score)
+                assert score == _rmse_reference_score(objective, result)
+
+    def test_diverging_rows_score_inf(self):
+        objective = self._objective({"x": np.linspace(15.0, 25.0, 97), "y": np.ones(97)})
+        for bad in (np.inf, -np.inf, np.nan, 1e200):
+            simulated = np.linspace(15.0, 25.0, 97)
+            simulated[40] = bad
+            result = self._result(x=simulated, y=np.ones(97))
+            score = objective._score(result)
+            assert score == _rmse_reference_score(objective, result) == float("inf")
+
+    def test_all_nan_observations_score_inf(self):
+        objective = self._objective({"x": np.full(97, np.nan), "y": np.full(97, np.nan)})
+        result = self._result(x=np.ones(97), y=np.ones(97))
+        assert objective._score(result) == _rmse_reference_score(objective, result)
+        assert objective._score(result) == float("inf")
+
+
 # --------------------------------------------------------------------------- #
 # Optimizers on analytic functions
 # --------------------------------------------------------------------------- #

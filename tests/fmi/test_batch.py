@@ -28,6 +28,7 @@ from repro.solvers.base import (
     OdeSolver,
 )
 from repro.solvers.euler import EulerSolver
+from repro.solvers.rk45 import DormandPrince45Solver
 
 ALL_SOLVERS = ("euler", "rk4", "rk45")
 
@@ -40,6 +41,10 @@ equation
   der(x) = x / (k - 1);
 end Div;
 """
+
+#: As DIVIDING_SOURCE, but the division is parameter-only, so the kernels
+#: divide once at bind time instead of in every rhs evaluation.
+BIND_DIVIDING_SOURCE = DIVIDING_SOURCE.replace("x / (k - 1)", "x * (1 / (k - 1))")
 
 #: ``der(x) = x * x`` from ``x = 30`` blows up at ``t = 1/30``.
 DIVERGING_SOURCE = """
@@ -197,8 +202,9 @@ class TestBatchSolvers:
             )
 
     def test_recorder_scatter_and_sample(self):
+        every_row = np.array([0, 1])
         recorder = BatchTrajectoryRecorder(2, 1, capacity=2)
-        recorder.append_all(0.0, np.array([[0.0], [10.0]]))
+        recorder.append_rows(every_row, np.array([0.0, 0.0]), np.array([[0.0], [10.0]]))
         # Row 0 accepts twice, row 1 once; growth is exercised by capacity=2.
         recorder.append_rows(np.array([0]), np.array([1.0]), np.array([[1.0]]))
         recorder.append_rows(np.array([0, 1]), np.array([2.0, 2.0]), np.array([[2.0], [12.0]]))
@@ -206,10 +212,10 @@ class TestBatchSolvers:
         sampled = recorder.sample(np.array([0.0, 1.0, 2.0]))
         np.testing.assert_allclose(sampled[:, 0, 0], [0.0, 1.0, 2.0])
         np.testing.assert_allclose(sampled[:, 1, 0], [10.0, 11.0, 12.0])
-        # append_all after the counts diverged must scatter per row, not
-        # clobber everything at row 0's position.
+        # Appending to every row after the counts diverged scatters each
+        # row at its own position, not everything at row 0's.
         recorder.append_rows(np.array([0]), np.array([3.0]), np.array([[3.0]]))
-        recorder.append_all(4.0, np.array([[4.0], [14.0]]))
+        recorder.append_rows(every_row, np.array([4.0, 4.0]), np.array([[4.0], [14.0]]))
         assert recorder.counts.tolist() == [5, 3]
         sampled = recorder.sample(np.array([4.0]))
         np.testing.assert_allclose(sampled[0, :, 0], [4.0, 14.0])
@@ -334,6 +340,42 @@ class TestActiveSetCompaction:
             for name in ("x", "y"):
                 np.testing.assert_array_equal(result[name], sequential[name])
             assert result.solver_stats["n_steps"] == sequential.solver_stats["n_steps"]
+
+
+    def test_model_layer_compaction_equals_full_width_solve(self, hp1_archive, monkeypatch):
+        """Narrowing sliced bound parameter values, not rebinding: the
+        compacted fleet equals the same fleet solved at full width."""
+        models = [FmuModel(hp1_archive, instance_name=f"i{i}") for i in range(4)]
+        for model, cp in zip(models, (1.5, 0.15, 0.015, 0.6)):
+            model.set("Cp", cp)
+        hours = np.linspace(0.0, 10.0, 11)
+        call = dict(
+            inputs={"u": (hours, 0.5 + 0.4 * np.sin(hours))}, start_time=0.0, stop_time=10.0
+        )
+        kernel = hp1_archive.ode_system.kernel
+        widths = []
+        narrow = type(kernel).derivs_batch_rows
+
+        def recording(self, derivs, rows):
+            widths.append(len(rows))
+            return narrow(self, derivs, rows)
+
+        monkeypatch.setattr(type(kernel), "derivs_batch_rows", recording)
+        compacted = FmuModel.simulate_batch(models, **call)
+        assert widths and min(widths) < len(models)
+
+        solve_batch = DormandPrince45Solver.solve_batch
+
+        def full_width(self, problem, output_times=None):
+            problem.restrict = None
+            return solve_batch(self, problem, output_times)
+
+        monkeypatch.setattr(DormandPrince45Solver, "solve_batch", full_width)
+        full = FmuModel.simulate_batch(models, **call)
+        for a, b in zip(compacted, full):
+            for name in ("x", "y"):
+                np.testing.assert_array_equal(a[name], b[name])
+            assert a.solver_stats["n_steps"] == b.solver_stats["n_steps"]
 
 
 # --------------------------------------------------------------------------- #
@@ -611,12 +653,14 @@ class TestSimulateManyBatching:
         results = session.simulate_many([ids[0]], "SELECT * FROM measurements")
         assert "batched" not in results[ids[0]].solver_stats
 
-    def test_dividing_fleet_raises_the_typed_error_without_warning(self, session):
+    @pytest.mark.parametrize("source", [DIVIDING_SOURCE, BIND_DIVIDING_SOURCE])
+    def test_dividing_fleet_raises_the_typed_error_without_warning(self, session, source):
         """A fleet that divides by zero fails every batched rung, reruns
         instance by instance and raises what one fmu_simulate call raises -
-        the kernel's FmuFormatError - with no numpy warning on the way."""
+        the kernel's FmuFormatError - with no numpy warning on the way,
+        whether it divides per step or once at bind time."""
         for name in ("A", "B"):
-            session.create(DIVIDING_SOURCE, name)
+            session.create(source, name)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FmuFormatError, match="divided by zero"):

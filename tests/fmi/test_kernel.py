@@ -11,7 +11,9 @@ trajectory.
 
 from __future__ import annotations
 
+import ast
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -339,3 +341,103 @@ class TestKernelSemanticsEdgeCases:
         model = FmuModel(random_archive("divzero_names", system))
         with pytest.raises(FmuFormatError, match=r"one of: '1\.0 / \(a - a\)'"):
             model.simulate(start_time=0.0, stop_time=1.0)
+
+
+# --------------------------------------------------------------------------- #
+# Bind-time parameter hoisting
+# --------------------------------------------------------------------------- #
+def _per_step_source(kernel, name: str) -> str:
+    """Source of the per-step function ``name`` inside its bind factory."""
+    for node in ast.walk(ast.parse(kernel.source)):
+        if isinstance(node, ast.FunctionDef) and node.name == name:
+            return ast.unparse(node)
+    raise AssertionError(f"no {name} in the kernel source")
+
+
+def _bind_source(kernel, name: str) -> str:
+    return _per_step_source(kernel, f"_bind{name}")
+
+
+class TestParameterHoisting:
+    def test_hp1_golden_source(self, hp1_archive):
+        kernel = hp1_archive.ode_system.kernel
+        assert _per_step_source(kernel, "_derivs_batch") == (
+            "def _derivs_batch(_t, _X, _U, _out):\n"
+            "    _out[:, 0] = (_c0 - _X[:, 0]) / _c1 + _c2 * _U[:, 0]\n"
+            "    return _out"
+        )
+        assert _bind_source(kernel, "_derivs_batch") == (
+            "def _bind_derivs_batch(_P):\n"
+            "    _c0 = _P[:, 4]\n"
+            "    _c1 = _P[:, 1] * _P[:, 0]\n"
+            "    _c2 = _P[:, 2] * _P[:, 3] / _P[:, 0]\n"
+            "    return _derivs_batch_with(_P, _c0, _c1, _c2)"
+        )
+        # The scalar kernel has the same shape; neither per-step function
+        # reads a parameter slot.
+        scalar = _per_step_source(kernel, "_derivs")
+        assert "(_c0 - _x[0]) / _c1 + _c2 * _u[0]" in scalar
+        assert "_p[" not in scalar
+        assert "_P[" not in _per_step_source(kernel, "_derivs_batch")
+
+    def test_identical_subtrees_share_one_local(self):
+        kernel = OdeSystem(
+            states=[
+                StateEquation("a", "-a / (k * 2)"),
+                StateEquation("b", "-b / (k * 2) + exp(k)"),
+            ],
+            parameters={"k": 1.5},
+        ).kernel
+        assert _bind_source(kernel, "_derivs") == (
+            "def _bind_derivs(_p):\n"
+            "    _c0 = _p[0] * 2\n"
+            "    _c1 = exp(_p[0])\n"
+            "    return _derivs_with(_p, _c0, _c1)"
+        )
+
+    @pytest.mark.parametrize(
+        "derivative, kept",
+        [
+            ("1 / (k - 1) if x > 100 else -x", "1 / ({p}0{q} - 1)"),
+            ("x > 100 and 1 / (k - 1) or -x", "1 / ({p}0{q} - 1)"),
+            ("1.0 if 0 < x < 1 / (k - 1) else -x", "1 / ({p}0{q} - 1)"),
+        ],
+    )
+    def test_nothing_is_lifted_out_of_a_branch(self, derivative, kept):
+        kernel = OdeSystem(
+            states=[StateEquation("x", derivative, start=1.0)], parameters={"k": 1.0}
+        ).kernel
+        assert kept.format(p="_p[", q="]") in _per_step_source(kernel, "_derivs")
+        assert kept.format(p="_P[:, ", q="]") in _per_step_source(kernel, "_derivs_batch")
+        assert "1 /" not in _bind_source(kernel, "_derivs")
+        assert "1 /" not in _bind_source(kernel, "_derivs_batch")
+
+    def test_branch_divisor_simulates_without_error(self, random_archive):
+        """``der(x) = if x > 100 then 1/(k-1) else -x`` with ``k = 1``: the
+        branch never runs, so neither path may divide at bind time."""
+        system = OdeSystem(
+            states=[StateEquation("x", "1 / (k - 1) if x > 100 else -x", start=1.0)],
+            parameters={"k": 1.0},
+        )
+        archive = random_archive("branchdiv", system)
+        models = [FmuModel(archive), FmuModel(archive)]
+        models[1].set("x", 2.0)
+        grid = np.linspace(0.0, 2.0, 11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solver in ("euler", "rk4", "rk45"):
+                call = dict(start_time=0.0, stop_time=2.0, output_times=grid, solver=solver)
+                batched = FmuModel.simulate_batch(models, **call)
+                for model, result in zip(models, batched):
+                    np.testing.assert_array_equal(result["x"], model.simulate(**call)["x"])
+
+    def test_top_level_divisor_raises_at_bind_time(self):
+        kernel = OdeSystem(
+            states=[StateEquation("x", "x * (1 / (k - 1))", start=1.0)],
+            parameters={"k": 1.0},
+        ).kernel
+        with pytest.raises(ZeroDivisionError):
+            kernel.derivs(0.0, np.array([1.0]), [], kernel.parameter_vector())
+        with np.errstate(divide="ignore"):
+            batched = kernel.derivs_batch(0.0, np.ones((2, 1)), np.empty((2, 0)), np.ones((2, 1)))
+        assert np.isinf(batched).all()

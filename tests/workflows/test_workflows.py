@@ -19,6 +19,7 @@ from repro.workflows import (
     run_si_scenario,
 )
 from repro.core import Session
+from repro.workflows.scenarios import MI_TIMING_REPEATS
 
 # The global-search budget is kept well above the local-search budget so the
 # cost asymmetry that drives the MI speedup is visible even at test scale.
@@ -165,9 +166,10 @@ class TestScenarios:
         monkeypatch.setattr(Estimation, "estimate", recording)
         settings = ScenarioSettings(model_name="HP1", n_instances=2, **FAST_SETTINGS)
         outcome = run_mi_scenario(settings)
-        # Two calibrations per arm (Python, pgFMU-, pgFMU+), each on the
-        # Python arm's 75% training window of the 72 hourly samples.
-        assert lengths == [MeasurementSet.split_index(72, 0.75)] * 6
+        # Two calibrations per arm (Python, pgFMU-, pgFMU+) and timing
+        # repeat, each on the Python arm's 75% training window of the 72
+        # hourly samples.
+        assert lengths == [MeasurementSet.split_index(72, 0.75)] * 6 * MI_TIMING_REPEATS
         for arm in ("python", "pgfmu-", "pgfmu+"):
             global_s, local_s = outcome.stage_seconds[arm]
             assert global_s > 0 and local_s > 0
