@@ -19,6 +19,10 @@ system's hottest workloads:
 * **batched RK4 equivalence** (``--smoke`` only, untimed) - HP1 and random
   test-corpus fleets of 8 solved batched equal per-row ``simulate`` bit for
   bit, and the HP1 per-step kernel reads no parameter column.
+* **scalar == batch of one** (``--smoke`` only, untimed) - for RK45 and
+  Euler, scalar ``simulate`` (Python-float loops) equals a one-row
+  ``simulate_batch`` (numpy loops) bit for bit, step counts included, on
+  HP1 and the same test-corpus models.
 
 It emits ``BENCH_simulation_kernels.json`` next to this file.
 
@@ -231,7 +235,7 @@ def measure_parest(
 
 
 # --------------------------------------------------------------------------- #
-# Part 3: batched RK4 equivalence (smoke only)
+# Part 3: batched RK4 and batch-of-one equivalence (smoke only)
 # --------------------------------------------------------------------------- #
 def _per_step_source(kernel, name: str) -> str:
     """Source of the per-step function ``name`` inside its bind factory."""
@@ -249,30 +253,28 @@ def _assert_fleet_equals_rows(models, names, **call) -> None:
             np.testing.assert_array_equal(result[name], sequential[name], err_msg=name)
 
 
-def check_batched_rk4(n_rows: int = 8, n_random: int = 3) -> None:
-    """Batched RK4 fleets equal per-row scalar ``simulate`` bit for bit.
-
-    Covers an HP1 fleet (whose per-step kernel must read no parameter
-    column: every parameter subexpression is bound once per solve) and
-    fleets of random test-corpus models with conditionals and ``**``.
-    """
-    from tests.conftest import (
-        make_corpus_inputs, make_random_archive, make_random_fleet, make_random_system,
-    )
-
+def _hp1_fleet(n_rows: int):
+    """``(models, call)``: HP1 models with distinct ``Cp``/``R`` and a 48 h
+    simulate call on measured inputs."""
     archive = build_hp1_archive()
-    per_step = _per_step_source(archive.ode_system.kernel, "_derivs_batch")
-    assert "_P[" not in per_step, per_step
     measurements = generate_hp1_dataset(hours=48, seed=3).to_measurement_set()
     models = []
     for i in range(n_rows):
         model = load_fmu(archive)
         model.set_many({"Cp": 1.0 + 0.15 * i, "R": 1.2 + 0.1 * i})
         models.append(model)
-    _assert_fleet_equals_rows(
-        models, ("x", "y"),
+    call = dict(
         inputs={"u": (measurements.time, measurements.series["u"])},
-        output_times=measurements.time, solver="rk4", solver_options={"step": 1.0},
+        output_times=measurements.time,
+    )
+    return models, call
+
+
+def _corpus_fleets(n_rows: int, n_random: int):
+    """``(models, names, call)`` for the first ``n_random`` test-corpus
+    models with conditionals and ``**``, ``n_rows`` instances each."""
+    from tests.conftest import (
+        make_corpus_inputs, make_random_archive, make_random_fleet, make_random_system,
     )
 
     checked = 0
@@ -282,17 +284,59 @@ def check_batched_rk4(n_rows: int = 8, n_random: int = 3) -> None:
         if " if " not in texts or "**" not in texts:
             continue
         archive = make_random_archive(f"corpus{seed}", system)
-        _assert_fleet_equals_rows(
+        yield (
             make_random_fleet(system, archive, n_rows, seed=seed),
             list(system.state_names) + list(system.output_names),
-            inputs=make_corpus_inputs(system), start_time=0.0, stop_time=2.0,
-            output_times=np.linspace(0.0, 2.0, 41), solver="rk4",
-            solver_options={"step": 0.02},
+            dict(
+                inputs=make_corpus_inputs(system), start_time=0.0, stop_time=2.0,
+                output_times=np.linspace(0.0, 2.0, 41),
+            ),
         )
         checked += 1
         if checked == n_random:
-            break
-    assert checked == n_random, f"only {checked} corpus models with conditionals and **"
+            return
+    raise AssertionError(f"only {checked} corpus models with conditionals and **")
+
+
+def check_batched_rk4(n_rows: int = 8, n_random: int = 3) -> None:
+    """Batched RK4 fleets equal per-row scalar ``simulate`` bit for bit.
+
+    Covers an HP1 fleet (whose per-step kernel must read no parameter
+    column: every parameter subexpression is bound once per solve) and
+    fleets of random test-corpus models with conditionals and ``**``.
+    """
+    models, call = _hp1_fleet(n_rows)
+    per_step = _per_step_source(models[0].ode_system.kernel, "_derivs_batch")
+    assert "_P[" not in per_step, per_step
+    _assert_fleet_equals_rows(
+        models, ("x", "y"), solver="rk4", solver_options={"step": 1.0}, **call
+    )
+    for fleet, names, call in _corpus_fleets(n_rows, n_random):
+        _assert_fleet_equals_rows(
+            fleet, names, solver="rk4", solver_options={"step": 0.02}, **call
+        )
+
+
+def check_scalar_equals_batch_of_one(n_random: int = 3) -> None:
+    """Scalar ``simulate`` equals a one-row ``simulate_batch`` bit for bit.
+
+    The scalar loops step in Python floats and the batched loops in numpy,
+    so for RK45 (adaptive, per-row step control) and Euler this pins the
+    two arithmetic paths together - trajectories and step counts - on HP1
+    and the test-corpus models :func:`check_batched_rk4` uses.
+    """
+    (hp1,), hp1_call = _hp1_fleet(1)
+    cases = [([hp1], ("x", "y"), hp1_call)] + list(_corpus_fleets(1, n_random))
+    for solver in ("rk45", "euler"):
+        for (model,), names, call in cases:
+            (batched,) = FmuModel.simulate_batch([model], solver=solver, **call)
+            scalar = model.simulate(solver=solver, **call)
+            for name in names:
+                np.testing.assert_array_equal(
+                    batched[name], scalar[name], err_msg=f"{solver} {name}"
+                )
+            for stat in ("n_steps", "n_rejected"):
+                assert batched.solver_stats[stat] == scalar.solver_stats[stat], (solver, stat)
 
 
 def measure_simulation_kernels() -> dict:
@@ -335,9 +379,11 @@ def smoke() -> None:
     )
     assert np.isfinite(record["parest_error"])
     check_batched_rk4()
+    check_scalar_equals_batch_of_one()
     print(
         "smoke ok: compiled simulate and calibration ran; cached == uncached; "
-        "batched RK4 fleets == per-row simulate"
+        "batched RK4 fleets == per-row simulate; "
+        "RK45/Euler simulate == batch of one"
     )
 
 

@@ -18,8 +18,10 @@ The baseline deliberately performs the inefficiencies pgFMU removes:
 from __future__ import annotations
 
 import csv
+import shutil
 import tempfile
 import time
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -127,9 +129,28 @@ class PythonWorkflow:
         self.ga_options = dict(ga_options or {})
         self.local_options = dict(local_options or {})
         self.seed = seed
-        self.workdir = Path(workdir) if workdir else Path(tempfile.mkdtemp(prefix="pgfmu_baseline_"))
+        # A temporary work directory created here is removed by close()
+        # (or the workflow's garbage collection); a given one is left alone.
+        self._remove_workdir: Optional[weakref.finalize] = None
+        if not workdir:
+            workdir = tempfile.mkdtemp(prefix="pgfmu_baseline_")
+            self._remove_workdir = weakref.finalize(
+                self, shutil.rmtree, workdir, ignore_errors=True
+            )
+        self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.predictions_table = predictions_table
+
+    def close(self) -> None:
+        """Remove the work directory if this workflow created it."""
+        if self._remove_workdir is not None:
+            self._remove_workdir()
+
+    def __enter__(self) -> "PythonWorkflow":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
     # Workflow steps

@@ -20,7 +20,9 @@ A single stored archive is shared by all instances of the same model
 
 from __future__ import annotations
 
+import shutil
 import tempfile
+import weakref
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -54,7 +56,16 @@ class ModelCatalog:
 
     def __init__(self, database: Database, storage_dir: Optional[str] = None):
         self.database = database
-        self._storage_dir = Path(storage_dir) if storage_dir else Path(tempfile.mkdtemp(prefix="pgfmu_storage_"))
+        # A temporary directory created here is this catalog's own: close()
+        # removes it (and so does the catalog's garbage collection, as a
+        # safety net); a given directory is left alone.
+        self._remove_storage: Optional[weakref.finalize] = None
+        if not storage_dir:
+            storage_dir = tempfile.mkdtemp(prefix="pgfmu_storage_")
+            self._remove_storage = weakref.finalize(
+                self, shutil.rmtree, storage_dir, ignore_errors=True
+            )
+        self._storage_dir = Path(storage_dir)
         self._storage_dir.mkdir(parents=True, exist_ok=True)
         self._archive_cache: Dict[str, FmuArchive] = {}
         self._runtime_cache: Dict[str, FmuModel] = {}
@@ -142,6 +153,11 @@ class ModelCatalog:
     @property
     def storage_dir(self) -> Path:
         return self._storage_dir
+
+    def close(self) -> None:
+        """Remove the FMU storage directory if this catalog created it."""
+        if self._remove_storage is not None:
+            self._remove_storage()
 
     def store_archive(self, archive: FmuArchive) -> Path:
         """Write an FMU archive into FMU storage (idempotent per GUID).

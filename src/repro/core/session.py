@@ -63,7 +63,9 @@ class Session:
     database:
         An existing database to extend; a fresh one is created when omitted.
     storage_dir:
-        Directory for FMU storage (a temporary directory by default).
+        Directory for FMU storage.  By default a temporary directory, which
+        :meth:`close` (or leaving a ``with Session() as session:`` block)
+        removes.
     ga_options / local_options:
         Default calibration budgets used by ``fmu_parest``; benchmarks shrink
         them to keep run times manageable.
@@ -240,3 +242,19 @@ class Session:
     def extensions(self) -> List[str]:
         """Names of the extensions installed on the session's database."""
         return [ext.name for ext in self.database.extensions()]
+
+    # ------------------------------------------------------------------ #
+    # Lifecycle
+    # ------------------------------------------------------------------ #
+    def close(self) -> None:
+        """Close the session's connection and remove the FMU storage
+        directory if the session created it (a given ``storage_dir`` is
+        left alone).  The database itself stays open."""
+        self._connection.close()
+        self.catalog.close()
+
+    def __enter__(self) -> "Session":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()

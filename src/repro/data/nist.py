@@ -49,7 +49,9 @@ def _thermostat_profile(time: np.ndarray, rng: np.random.Generator) -> np.ndarra
     diurnal = 0.45 + 0.25 * np.cos(2.0 * np.pi * (hours_of_day - 3.0) / 24.0)
     weekly = 0.05 * np.sin(2.0 * np.pi * time / (24.0 * 7.0))
     dither = rng.normal(0.0, 0.04, size=time.shape)
-    smooth_dither = np.convolve(dither, np.ones(5) / 5.0, mode="same")
+    # The centred 5-tap moving average, one value per sample: "same" mode
+    # would return 5 values for a series shorter than the kernel.
+    smooth_dither = np.convolve(dither, np.ones(5) / 5.0, mode="full")[2 : 2 + time.size]
     return np.clip(diurnal + weekly + smooth_dither, 0.0, 1.0)
 
 

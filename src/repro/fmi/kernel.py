@@ -5,8 +5,10 @@ module plays the role of the compiled binary: it code-generates plain Python
 functions per model from the already-validated equation ASTs, and every
 simulation runs through them:
 
-* ``derivs(t, x, u, p, out) -> out`` - the scalar ODE right-hand side with
-  states/inputs/parameters as positional array indexing (no namespace dict),
+* ``derivs(t, x, u, p)`` - the scalar ODE right-hand side, whose per-step
+  form takes and returns plain float lists (the scalar solver loops step
+  in Python floats), with states/inputs/parameters as positional indexing
+  (no namespace dict),
 * the **batched pair** ``derivs_batch(t, X, U, P, out)`` /
   ``outputs_batch(times, states, inputs, P)`` - the same equations with one
   *row per model instance*: states are an ``(N, d)`` matrix, inputs an
@@ -25,8 +27,9 @@ The derivative kernels are generated as *bind factories*,
 ``_bind_derivs(_p)`` and ``_bind_derivs_batch(_P)``: parameters do not
 change during a solve, so every parameter-only subexpression is evaluated
 once per bind (see :class:`_HoistParameters`), and the returned per-step
-function ``(t, x, u, out)`` reads only time, states, inputs and the bound
-values.  The public ``derivs``/``derivs_batch`` bind and call in one go.
+function (``(t, x, u)`` scalar, ``(t, X, U, out)`` batched) reads only
+time, states, inputs and the bound values.  The public
+``derivs``/``derivs_batch`` bind and call in one go.
 
 Every valid system gets a kernel.  Equations may reference only states,
 inputs, parameters and ``time``: an equation that names an output, calls a
@@ -536,6 +539,7 @@ def _lower(
 def _bound_source(name: str, args: str, hoist: _HoistParameters, body: List[str]) -> str:
     """Source of the bind factory ``_bind<name>(slot)`` for one per-step function.
 
+    ``body`` is the per-step function's body (its ``return`` included).
     The factory evaluates the lifted subtrees once and returns
     ``<name>(args)`` closed over them; the per-step function carries its
     bound values as ``.bound`` (the slot vector first, then each lifted
@@ -545,7 +549,7 @@ def _bound_source(name: str, args: str, hoist: _HoistParameters, body: List[str]
     bound = ", ".join([slot, *hoist.lifted.values()])
     lines = [f"def {name}_with({bound}):", f"    def {name}({args}):"]
     lines += [f"    {line}" for line in body]
-    lines += ["        return _out", f"    {name}.bound = ({bound},)", f"    return {name}", ""]
+    lines += [f"    {name}.bound = ({bound},)", f"    return {name}", ""]
     lines.append(f"def _bind{name}({slot}):")
     lines += [f"    {local} = {source}" for source, local in hoist.lifted.items()]
     lines.append(f"    return {name}_with({bound})")
@@ -569,9 +573,10 @@ class SimulationKernel:
     The kernel fixes the variable layout once: states, inputs and parameters
     become positions in the ``x``/``u``/``p`` vectors (declaration order),
     and every generated function indexes those vectors directly instead of
-    building a namespace dict.  Scalar kernels unpack ``x`` with ``tolist()``
-    so the per-step arithmetic runs on plain Python floats, exactly like the
-    interpreted ``eval`` reference.
+    building a namespace dict.  The scalar derivative kernel takes ``x`` as a
+    list of floats and returns a list, so the per-step arithmetic runs on
+    plain Python floats, exactly like the interpreted ``eval`` reference
+    (the scalar output kernel unpacks its vector with ``tolist()``).
 
     Raises :class:`~repro.errors.FmuFormatError` when an equation cannot be
     lowered (see the module docstring).
@@ -629,12 +634,14 @@ class SimulationKernel:
         # evaluated once per bind (see _HoistParameters), and the returned
         # per-step function reads only time, states, inputs and the bound
         # locals.
+        # The scalar kernel takes and returns plain float lists: the scalar
+        # solver loops step in Python floats.
         scalar_hoist = _HoistParameters("_p")
-        derivs_body = ["    _x = _x.tolist()"] + [
-            f"    _out[{i}] = "
-            f"{_lower(state.derivative, scalar_slots, vector=False, hoist=scalar_hoist)}"
-            for i, state in enumerate(system.states)
-        ]
+        derivs_body = ["    return ["]
+        for state in system.states:
+            lowered = _lower(state.derivative, scalar_slots, vector=False, hoist=scalar_hoist)
+            derivs_body.append(f"        {lowered},")
+        derivs_body.append("    ]")
 
         # Scalar outputs back the pointwise re-evaluation of rows whose
         # vectorized values are not all finite (see outputs_batch).
@@ -655,7 +662,7 @@ class SimulationKernel:
                 hoist=batch_hoist,
             )
             for i, state in enumerate(system.states)
-        ]
+        ] + ["    return _out"]
         ob_lines = ["def _outputs_batch(_t, _X, _U, _P, _n):"]
         for i, output in enumerate(system.outputs):
             ob_lines.append(
@@ -664,7 +671,7 @@ class SimulationKernel:
         ob_lines.append(f"    return ({returns})")
 
         sources = [
-            _bound_source("_derivs", "_t, _x, _u, _out", scalar_hoist, derivs_body),
+            _bound_source("_derivs", "_t, _x, _u", scalar_hoist, derivs_body),
             "\n".join(out_scalar_lines),
             _bound_source("_derivs_batch", "_t, _X, _U, _out", batch_hoist, db_body),
             "\n".join(ob_lines),
@@ -701,19 +708,10 @@ class SimulationKernel:
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
-    def derivs(
-        self,
-        t: float,
-        x: np.ndarray,
-        u: Sequence[float],
-        p: Sequence[float],
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def derivs(self, t: float, x, u: Sequence[float], p: Sequence[float]) -> np.ndarray:
         """Evaluate the state derivative vector at one point."""
-        if out is None:
-            out = np.empty(self.n_states)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self._bind_derivs(p)(t, x, u, out)
+        x = np.atleast_1d(np.asarray(x, dtype=float)).tolist()
+        return np.array(self._bind_derivs(p)(t, x, u), dtype=float)
 
     def derivs_batch(
         self,

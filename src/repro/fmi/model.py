@@ -24,7 +24,7 @@ from repro.fmi.model_description import ModelDescription
 from repro.fmi.results import SimulationResult
 from repro.fmi.variables import Causality, ScalarVariable
 from repro.solvers import get_solver
-from repro.solvers.base import BatchOdeProblem, OdeProblem
+from repro.solvers.base import BatchOdeProblem, OdeProblem, float_rhs
 
 PathLike = Union[str, Path]
 
@@ -464,16 +464,18 @@ class FmuModel:
         # once per call, not once per step.
         bindings = _KernelBindings(kernel, interp, self._input_starts)
         p = kernel.parameter_vector(self._parameter_values)
-        n_states = kernel.n_states
         try:
             kernel_derivs = kernel._bind_derivs(p)
         except ZeroDivisionError:
             raise kernel.division_error() from None
         input_at = bindings.input_at
 
-        def rhs(t, x, _u):
+        # The scalar solver loops step in float lists, which the compiled
+        # kernel takes and returns as they are.
+        @float_rhs
+        def rhs(t, x):
             try:
-                return kernel_derivs(t, x, input_at(t), np.empty(n_states))
+                return kernel_derivs(t, x, input_at(t))
             except ZeroDivisionError:
                 raise kernel.division_error() from None
 
@@ -484,9 +486,10 @@ class FmuModel:
             # installed - this wrapper does not exist).
             inner_rhs = rhs
 
-            def rhs(t, x, _u):  # noqa: F811 - deliberate chaos-mode shadow
+            @float_rhs
+            def rhs(t, x):  # noqa: F811 - deliberate chaos-mode shadow
                 injector.check_point("kernel.eval")
-                return inner_rhs(t, x, _u)
+                return inner_rhs(t, x)
 
         x0 = np.array(
             [self._state_starts[name] for name in system.state_names], dtype=float

@@ -3,7 +3,10 @@
 Two problem shapes are supported:
 
 * :class:`OdeProblem` - one instance, state vector ``x`` of length ``d``,
-  solved by :meth:`OdeSolver.solve`.
+  solved by :meth:`OdeSolver.solve`.  The scalar loops step in plain
+  Python floats (states and stages are lists; see :func:`float_rhs`):
+  for a handful of states, per-element numpy calls cost far more than the
+  arithmetic they do.
 * :class:`BatchOdeProblem` - a *fleet* of ``N`` instances stacked into an
   ``(N, d)`` state matrix sharing one integration window, solved by
   :meth:`OdeSolver.solve_batch`.  The right-hand side is evaluated once per
@@ -14,6 +17,7 @@ Two problem shapes are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -71,7 +75,8 @@ class OdeProblem:
     Attributes
     ----------
     rhs:
-        Right-hand side callable ``f(t, x, u) -> dx/dt``.
+        Right-hand side callable ``f(t, x, u) -> dx/dt`` on numpy vectors,
+        or a :func:`float_rhs` ``f(t, x) -> list`` on float lists.
     x0:
         Initial state vector at ``t0``.
     t0, t1:
@@ -267,27 +272,75 @@ class BatchOdeSolution:
         return self.states.shape[1]
 
 
-def _stage_function(problem: "OdeProblem"):
-    """The solver-facing right-hand side: inputs resolved, result coerced.
+def float_rhs(fn):
+    """Mark ``fn(t, x) -> list`` as a right-hand side on plain float lists.
 
-    Hoists the per-step overheads out of the stage evaluation: input-less
-    problems share one empty input vector, and the float-vector coercion is
-    skipped when the rhs already returns a 1-D float array (the compiled
-    kernel path always does).
+    The scalar solver loops step in Python floats: states and stage
+    derivatives are lists.  A marked function is called as the stage
+    function itself - ``x`` is a list of floats, the result a sequence of
+    floats - and resolves its own inputs (the problem's ``inputs`` must be
+    ``None``).  The compiled FMU kernel is written this way; any other
+    ``rhs(t, x, u)`` on numpy vectors is adapted by :func:`_stage_function`.
     """
+    fn.float_lists = True
+    return fn
+
+
+def _stage_function(problem: "OdeProblem"):
+    """The solver-facing stage function ``f(t, x) -> list`` on float lists.
+
+    A :func:`float_rhs` is returned as it is.  Any other right-hand side is
+    adapted once here: it receives ``x`` as a float vector and the resolved
+    input vector (input-less problems share one empty vector), and its
+    result is broadcast to the state shape and returned as a list.
+    """
+    rhs = problem.rhs
+    if getattr(rhs, "float_lists", False):
+        if problem.inputs is not None:
+            raise SolverError("a float_rhs resolves its own inputs; the problem must have none")
+        return rhs
     empty_u = np.empty(0)
     has_inputs = problem.inputs is not None
-    rhs = problem.rhs
     input_at = problem.input_at
+    shape = problem.x0.shape
 
     def f(t, x):
         u = input_at(t) if has_inputs else empty_u
-        dx = rhs(t, x, u)
-        if isinstance(dx, np.ndarray) and dx.ndim == 1 and dx.dtype == np.float64:
-            return dx
-        return np.atleast_1d(np.asarray(dx, dtype=float))
+        dx = np.atleast_1d(np.asarray(rhs(t, np.array(x, dtype=float), u), dtype=float))
+        if dx.shape != shape:
+            dx = np.broadcast_to(dx, shape)
+        return dx.tolist()
 
     return f
+
+
+def _finite(x: List[float]) -> bool:
+    """Whether every component of a float-list state is finite.
+
+    ``sum`` is a cheap pre-check (non-finite whenever a component is;
+    opposite-sign infinities collapse to nan); the exact per-component test
+    runs only when it trips, so a finite sum that merely overflows is not
+    misreported.  Only the finiteness of ``sum`` is read - its rounding
+    (compensated since Python 3.12) never reaches a result.
+    """
+    return math.isfinite(sum(x)) or all(map(math.isfinite, x))
+
+
+def _float_solution(
+    name: str,
+    grid: np.ndarray,
+    times: List[float],
+    states: List[List[float]],
+    n_rhs_evals: int,
+    n_steps: int,
+    n_rejected: int = 0,
+) -> "OdeSolution":
+    """A scalar loop's recorded float lists, resampled onto ``grid``."""
+    stats = dict(
+        n_rhs_evals=n_rhs_evals, n_steps=n_steps, n_rejected=n_rejected, solver_name=name
+    )
+    dense = OdeSolution(times=times, states=np.array(states, dtype=float), **stats)
+    return OdeSolution(times=grid, states=dense.sample(grid), **stats)
 
 
 def _batch_stage_function(problem: "BatchOdeProblem", rows: Optional[np.ndarray] = None):
@@ -320,40 +373,6 @@ def _batch_stage_function(problem: "BatchOdeProblem", rows: Optional[np.ndarray]
             return rhs(t, X, inputs(t))
 
     return f
-
-
-class TrajectoryRecorder:
-    """Preallocated, geometrically grown storage for solver main loops.
-
-    Replaces the per-step ``times.append(t); states.append(x.copy())`` lists:
-    values are written into contiguous numpy buffers that double in size when
-    full, so a solve costs O(log n) allocations instead of one per step.
-    """
-
-    __slots__ = ("_times", "_states", "_count")
-
-    def __init__(self, n_states: int, capacity: int = 512):
-        capacity = max(2, int(capacity))
-        self._times = np.empty(capacity)
-        self._states = np.empty((capacity, int(n_states)))
-        self._count = 0
-
-    def append(self, t: float, x: np.ndarray) -> None:
-        n = self._count
-        if n == self._times.shape[0]:
-            grown_times = np.empty(2 * n)
-            grown_times[:n] = self._times
-            self._times = grown_times
-            grown_states = np.empty((2 * n, self._states.shape[1]))
-            grown_states[:n] = self._states
-            self._states = grown_states
-        self._times[n] = t
-        self._states[n] = x
-        self._count = n + 1
-
-    def arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The recorded ``(times, states)`` trimmed to the written length."""
-        return self._times[: self._count], self._states[: self._count]
 
 
 def _fixed_steps(t0: float, t1: float, h: float) -> Tuple[List[float], List[float]]:

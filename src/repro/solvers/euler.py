@@ -14,9 +14,10 @@ from repro.solvers.base import (
     OdeProblem,
     OdeSolution,
     OdeSolver,
-    TrajectoryRecorder,
     _batch_stage_function,
     _check_step,
+    _finite,
+    _float_solution,
     _stage_function,
     _step_guard,
     _CHECK_INTERVAL,
@@ -54,21 +55,14 @@ class EulerSolver(OdeSolver):
     def solve(self, problem: OdeProblem, output_times: Optional[Sequence[float]] = None) -> OdeSolution:
         grid = self._normalized_output_times(problem, output_times)
         h = self._step_size(problem)
-
-        # The step count is known up front; preallocate the full trajectory.
-        recorder = TrajectoryRecorder(
-            len(problem.x0), int((problem.t1 - problem.t0) / h) + 4
-        )
-        recorder.append(problem.t0, problem.x0)
-        t = problem.t0
-        x = problem.x0.copy()
-        n_evals = 0
-        n_steps = 0
         f = _stage_function(problem)
-        t1 = problem.t1
+        t, t1 = problem.t0, problem.t1
+        x = problem.x0.tolist()
+        times, states = [t], [x]
+        n_steps = 0
         token, injector, watch = _step_guard()
         checks_left = _CHECK_INTERVAL
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # an ndarray rhs may overflow
             while t < t1 - 1e-15:
                 if watch:
                     checks_left -= 1
@@ -76,35 +70,15 @@ class EulerSolver(OdeSolver):
                         checks_left = _CHECK_INTERVAL
                         _check_step(token, injector)
                 h_eff = min(h, t1 - t)
-                dx = f(t, x)
-                n_evals += 1
-                x = x + h_eff * dx
+                x = [xj + h_eff * dj for xj, dj in zip(x, f(t, x))]
                 t = t + h_eff
                 n_steps += 1
-                # Cheap scalar pre-check (the sum is non-finite whenever any
-                # component is; opposite-sign infinities collapse to nan);
-                # the exact per-component check runs only when it trips, so
-                # a finite sum that merely overflows is not misreported.
-                if not math.isfinite(sum(x.tolist())) and not np.isfinite(x).all():
+                if not _finite(x):
                     raise SolverError(f"Euler integration diverged at t={t}")
-                recorder.append(t, x)
+                times.append(t)
+                states.append(x)
 
-        times, states = recorder.arrays()
-        dense = OdeSolution(
-            times=times,
-            states=states,
-            n_rhs_evals=n_evals,
-            n_steps=n_steps,
-            solver_name=self.name,
-        )
-        sampled = dense.sample(grid)
-        return OdeSolution(
-            times=grid,
-            states=sampled,
-            n_rhs_evals=n_evals,
-            n_steps=n_steps,
-            solver_name=self.name,
-        )
+        return _float_solution(self.name, grid, times, states, n_steps, n_steps)
 
     def solve_batch(
         self,
@@ -139,9 +113,9 @@ class EulerSolver(OdeSolver):
                         _check_step(token, injector)
                 dX = f(times[n - 1], X)
                 X = X + h_eff * dX
-                # Scalar pre-check + exact fallback over the whole fleet;
-                # callers fall back to per-row integration to pinpoint the
-                # diverging instance.
+                # Scalar pre-check + exact fallback over the whole fleet (see
+                # _finite); callers fall back to per-row integration to
+                # pinpoint the diverging instance.
                 if not math.isfinite(float(X.sum())) and not np.isfinite(X).all():
                     bad = np.where(~np.isfinite(X).all(axis=1))[0]
                     raise SolverError(

@@ -14,9 +14,10 @@ from repro.solvers.base import (
     OdeProblem,
     OdeSolution,
     OdeSolver,
-    TrajectoryRecorder,
     _batch_stage_function,
     _check_step,
+    _finite,
+    _float_solution,
     _stage_function,
     _step_guard,
     _CHECK_INTERVAL,
@@ -54,22 +55,14 @@ class RungeKutta4Solver(OdeSolver):
     def solve(self, problem: OdeProblem, output_times: Optional[Sequence[float]] = None) -> OdeSolution:
         grid = self._normalized_output_times(problem, output_times)
         h = self._step_size(problem)
-
-        # The step count is known up front; preallocate the full trajectory.
-        recorder = TrajectoryRecorder(
-            len(problem.x0), int((problem.t1 - problem.t0) / h) + 4
-        )
-        recorder.append(problem.t0, problem.x0)
-        t = problem.t0
-        x = problem.x0.copy()
-        n_evals = 0
-        n_steps = 0
-
         f = _stage_function(problem)
-        t1 = problem.t1
+        t, t1 = problem.t0, problem.t1
+        x = problem.x0.tolist()
+        times, states = [t], [x]
+        n_steps = 0
         token, injector, watch = _step_guard()
         checks_left = _CHECK_INTERVAL
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # an ndarray rhs may overflow
             while t < t1 - 1e-15:
                 if watch:
                     checks_left -= 1
@@ -77,35 +70,24 @@ class RungeKutta4Solver(OdeSolver):
                         checks_left = _CHECK_INTERVAL
                         _check_step(token, injector)
                 h_eff = min(h, t1 - t)
+                half = h_eff / 2.0
                 k1 = f(t, x)
-                k2 = f(t + h_eff / 2.0, x + h_eff / 2.0 * k1)
-                k3 = f(t + h_eff / 2.0, x + h_eff / 2.0 * k2)
-                k4 = f(t + h_eff, x + h_eff * k3)
-                n_evals += 4
-                x = x + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k2 = f(t + half, [xj + half * a for xj, a in zip(x, k1)])
+                k3 = f(t + half, [xj + half * b for xj, b in zip(x, k2)])
+                k4 = f(t + h_eff, [xj + h_eff * c for xj, c in zip(x, k3)])
+                sixth = h_eff / 6.0
+                x = [
+                    xj + sixth * (a + 2.0 * b + 2.0 * c + d)
+                    for xj, a, b, c, d in zip(x, k1, k2, k3, k4)
+                ]
                 t = t + h_eff
                 n_steps += 1
-                # Scalar pre-check + exact fallback, see EulerSolver.
-                if not math.isfinite(sum(x.tolist())) and not np.isfinite(x).all():
+                if not _finite(x):
                     raise SolverError(f"RK4 integration diverged at t={t}")
-                recorder.append(t, x)
+                times.append(t)
+                states.append(x)
 
-        times, states = recorder.arrays()
-        dense = OdeSolution(
-            times=times,
-            states=states,
-            n_rhs_evals=n_evals,
-            n_steps=n_steps,
-            solver_name=self.name,
-        )
-        sampled = dense.sample(grid)
-        return OdeSolution(
-            times=grid,
-            states=sampled,
-            n_rhs_evals=n_evals,
-            n_steps=n_steps,
-            solver_name=self.name,
-        )
+        return _float_solution(self.name, grid, times, states, 4 * n_steps, n_steps)
 
     def solve_batch(
         self,
@@ -144,7 +126,7 @@ class RungeKutta4Solver(OdeSolver):
                 k3 = f(t + h_eff / 2.0, X + h_eff / 2.0 * k2)
                 k4 = f(t + h_eff, X + h_eff * k3)
                 X = X + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                # Scalar pre-check + exact fallback, see EulerSolver.solve_batch.
+                # Scalar pre-check + exact fallback, see _finite.
                 if not math.isfinite(float(X.sum())) and not np.isfinite(X).all():
                     bad = np.where(~np.isfinite(X).all(axis=1))[0]
                     raise SolverError(

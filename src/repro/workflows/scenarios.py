@@ -134,7 +134,7 @@ def run_si_scenario(settings: Optional[ScenarioSettings] = None) -> SiScenarioRe
     # Python configuration: its own database with the measurements loaded.
     python_db = Database()
     table = load_dataset(python_db, dataset, table_name="measurements")
-    python_workflow = PythonWorkflow(
+    with PythonWorkflow(
         database=python_db,
         archive=spec.builder(),
         measurements_table=table,
@@ -143,30 +143,30 @@ def run_si_scenario(settings: Optional[ScenarioSettings] = None) -> SiScenarioRe
         ga_options=settings.ga_options,
         local_options=settings.local_options,
         seed=settings.seed,
-    )
-    python_result = python_workflow.run()
+    ) as python_workflow:
+        python_result = python_workflow.run()
 
     # pgFMU- and pgFMU+ configurations.
     pgfmu_results = {}
     for use_mi, label in ((False, "pgfmu-"), (True, "pgfmu+")):
-        session = Session(
+        with Session(
             ga_options=settings.ga_options,
             local_options=settings.local_options,
             seed=settings.seed,
-        )
-        load_dataset(session.database, dataset, table_name="measurements")
-        workflow = PgFmuWorkflow(
-            session=session,
-            archive=spec.builder(),
-            measurements_table="measurements",
-            parameters=spec.estimated_parameters,
-            instance_id=f"{spec.name}Instance1",
-            training_fraction=settings.training_fraction,
-            use_mi_optimization=use_mi,
-            observed=spec.observed[0],
-            threshold=settings.threshold,
-        )
-        pgfmu_results[label] = workflow.run()
+        ) as session:
+            load_dataset(session.database, dataset, table_name="measurements")
+            workflow = PgFmuWorkflow(
+                session=session,
+                archive=spec.builder(),
+                measurements_table="measurements",
+                parameters=spec.estimated_parameters,
+                instance_id=f"{spec.name}Instance1",
+                training_fraction=settings.training_fraction,
+                use_mi_optimization=use_mi,
+                observed=spec.observed[0],
+                threshold=settings.threshold,
+            )
+            pgfmu_results[label] = workflow.run()
 
     return SiScenarioResult(
         model_name=spec.name,

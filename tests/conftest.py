@@ -7,6 +7,7 @@ import gc
 import itertools
 import os
 import random
+import tempfile
 import threading
 import time
 
@@ -94,6 +95,28 @@ def no_leaked_files():
         gc.collect()
         time.sleep(0.05)
     assert not leaked, f"test left files or sockets open: {sorted(leaked.values())}"
+
+
+def _pgfmu_temp_dirs() -> set:
+    """Names of the ``pgfmu_*`` entries in the system temp directory."""
+    return {name for name in os.listdir(tempfile.gettempdir()) if name.startswith("pgfmu_")}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_temp_dirs():
+    """Fail any test that leaves a new ``pgfmu_*`` temp directory behind.
+
+    Sessions and Python workflows remove a directory they created on
+    ``close()``, or when garbage collected; a leak must outlive a
+    collection.  Directories present before the test are exempt.
+    """
+    before = _pgfmu_temp_dirs()
+    yield
+    leaked = _pgfmu_temp_dirs() - before
+    if leaked:
+        gc.collect()
+        leaked = _pgfmu_temp_dirs() - before
+    assert not leaked, f"test left temp directories behind: {sorted(leaked)}"
 
 
 # --------------------------------------------------------------------------- #

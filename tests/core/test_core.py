@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import Session
 from repro.core.parest import ParameterEstimator
 from repro.data.loaders import load_dataset
 from repro.data.nist import generate_hp1_dataset
@@ -48,6 +49,21 @@ class TestCatalogue:
         # A second instance of the same model must not add a new archive.
         session_with_data.instance("HP1Instance1").copy("HP1Instance2")
         assert len(list(session_with_data.catalog.storage_dir.glob("*.fmu"))) == 1
+
+    def test_session_removes_the_storage_it_created(self):
+        with Session(register_ml=False) as session:
+            storage = session.catalog.storage_dir
+            session.create(hp1_source(), "A")
+            assert storage.name.startswith("pgfmu_storage_") and storage.is_dir()
+        assert not storage.exists()
+        session.close()  # idempotent
+
+    def test_session_leaves_a_given_storage_dir(self, tmp_path):
+        storage = tmp_path / "fmu"
+        session = Session(storage_dir=str(storage), register_ml=False)
+        session.create(hp1_source(), "A")
+        session.close()
+        assert len(list(storage.glob("*.fmu"))) == 1
 
 
 # --------------------------------------------------------------------------- #

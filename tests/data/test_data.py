@@ -18,6 +18,7 @@ from repro.data import (
     scale_dataset,
     synthetic_family,
 )
+from repro.data.nist import _thermostat_profile
 from repro.data.synthetic import deltas_of
 from repro.errors import ReproError
 from repro.estimation.metrics import relative_l2_dissimilarity
@@ -57,6 +58,32 @@ class TestGenerators:
         assert set(ds.columns) == {"x", "y", "u"}
         assert np.all((ds["u"] >= 0) & (ds["u"] <= 1))
         assert np.all(ds["y"] == pytest.approx(7.8 * ds["u"]))
+
+    @pytest.mark.parametrize("hours", [1, 2, 3, 4, 5])
+    def test_short_hp1_datasets_have_one_row_per_hour(self, hours):
+        if hours == 1:  # one sample spans no simulation window: a typed error
+            with pytest.raises(ReproError, match="simulation window"):
+                generate_hp1_dataset(hours=hours, seed=3)
+            return
+        ds = generate_hp1_dataset(hours=hours, seed=3)
+        assert len(ds) == hours
+        for name in ds.columns:
+            assert ds[name].shape == (hours,) and np.isfinite(ds[name]).all()
+
+    @pytest.mark.parametrize("n", [5, 6, 17, 96, 672])
+    def test_rating_profile_is_unchanged_from_five_samples_up(self, n):
+        """The per-sample moving average equals numpy's "same" mode wherever
+        that mode has one value per sample, so longer datasets keep their
+        bytes."""
+        time = np.arange(0.0, float(n), 1.0)
+        profile = _thermostat_profile(time, np.random.default_rng(n))
+        rng = np.random.default_rng(n)
+        hours_of_day = np.mod(time, 24.0)
+        diurnal = 0.45 + 0.25 * np.cos(2.0 * np.pi * (hours_of_day - 3.0) / 24.0)
+        weekly = 0.05 * np.sin(2.0 * np.pi * time / (24.0 * 7.0))
+        dither = rng.normal(0.0, 0.04, size=time.shape)
+        same = np.convolve(dither, np.ones(5) / 5.0, mode="same")
+        assert profile.tobytes() == np.clip(diurnal + weekly + same, 0.0, 1.0).tobytes()
 
     def test_hp0_dataset_has_constant_rating(self):
         ds = generate_hp0_dataset(hours=48, seed=1)

@@ -25,6 +25,7 @@ def driver(request):
         conn = repro.connect(register_ml=False)
         yield conn, SqlExecutionError
         conn.close()
+        conn.session.close()  # removes the session's temporary FMU storage
         return
     server = repro.serve()
     conn = repro.client.connect(server.url)

@@ -171,7 +171,7 @@ class TestLinearSystemProperties:
 
 
 class TestHotLoopEdgeCases:
-    """Regression tests for the preallocated-trajectory solver loops."""
+    """Regression tests for edge cases of the scalar solver loops."""
 
     @pytest.mark.parametrize("solver", ["euler", "rk4", "rk45"])
     def test_zero_state_problems_integrate(self, solver):

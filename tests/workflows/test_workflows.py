@@ -73,6 +73,20 @@ class TestPythonWorkflow:
         )
         return db, workflow.run()
 
+    def test_removes_only_the_workdir_it_created(self, tmp_path):
+        spec = get_model_spec("HP1")
+        call = dict(
+            database=Database(), archive=spec.builder(), measurements_table="m",
+            parameters=spec.estimated_parameters,
+        )
+        with PythonWorkflow(**call) as workflow:
+            created = workflow.workdir
+            assert created.name.startswith("pgfmu_baseline_") and created.is_dir()
+        assert not created.exists()
+        with PythonWorkflow(workdir=str(tmp_path), **call):
+            pass
+        assert tmp_path.is_dir()
+
     def test_runs_all_seven_steps(self, hp1_week_dataset, tmp_path):
         _, result = self._run(hp1_week_dataset, tmp_path)
         assert [s.name for s in result.steps] == [
