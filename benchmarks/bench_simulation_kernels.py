@@ -160,25 +160,36 @@ def measure_simulate(n_steps: int = 10_000, rounds: int = 3) -> dict:
 # --------------------------------------------------------------------------- #
 # Part 1b: deadline-check overhead on the same hot path
 # --------------------------------------------------------------------------- #
-def measure_deadline_overhead(n_steps: int = 10_000, rounds: int = 5) -> dict:
+def measure_deadline_overhead(n_steps: int = 10_000, rounds: int = 40) -> dict:
     """Cost of an armed statement deadline on the 10k-step simulate path.
 
     The solver loops check the ambient :class:`CancelToken` every 64 steps;
     with no token installed each check site costs one ``is None`` branch.
     This measures the *armed* case - a generous deadline that never fires,
     the shape every statement run under ``statement_timeout`` pays - and
-    gates it at <= 2% over the token-free run.
+    gates it at <= 2% over the token-free run.  The overhead is small (~0.6%
+    on a 2-vCPU host), so each arm takes its minimum over many interleaved
+    rounds, and the arms alternate which runs first, to keep host noise off
+    the ratio.
     """
     from repro import cancellation
     from repro.cancellation import CancelToken
 
     run = _hp5_simulate(n_steps)
     run()  # warm caches before timing
-    plain_s = armed_s = float("inf")
-    for _ in range(rounds):
-        plain_s = min(plain_s, _timed(run, 1))
+
+    def run_armed():
         with cancellation.activate(CancelToken(timeout=3600.0)):
-            armed_s = min(armed_s, _timed(run, 1))
+            return _timed(run, 1)
+
+    plain_s = armed_s = float("inf")
+    for i in range(rounds):
+        if i % 2:
+            armed_s = min(armed_s, run_armed())
+            plain_s = min(plain_s, _timed(run, 1))
+        else:
+            plain_s = min(plain_s, _timed(run, 1))
+            armed_s = min(armed_s, run_armed())
     overhead_pct = (armed_s / plain_s - 1.0) * 100.0
     return {
         "deadline_n_steps": n_steps,

@@ -71,17 +71,6 @@ class WorkflowResult:
                 return step.seconds
         raise ReproError(f"workflow has no step named {name!r}")
 
-    def as_dict(self) -> dict:
-        return {
-            "configuration": self.configuration,
-            "model": self.model_name,
-            "parameters": dict(self.parameters),
-            "training_error": self.training_error,
-            "validation_error": self.validation_error,
-            "steps": {step.name: step.seconds for step in self.steps},
-            "total_seconds": self.total_seconds,
-        }
-
 
 class PythonWorkflow:
     """The traditional-stack workflow for one model instance.

@@ -48,9 +48,6 @@ class CancelToken:
         """Request cancellation; the next :meth:`check` raises."""
         self.cancelled = True
 
-    def expired(self) -> bool:
-        return self.deadline is not None and time.monotonic() >= self.deadline
-
     def check(self) -> None:
         """Raise if cancelled or past the deadline (cheap when neither)."""
         if self.cancelled:

@@ -10,7 +10,7 @@ the rows, returning the SQL query that pgFMU's UDFs should be given as
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.data.dataset import Dataset
 from repro.sqldb.database import Database
@@ -50,15 +50,3 @@ def load_dataset(
     database.create_table(schema)
     database.insert_rows(name, dataset.rows())
     return name
-
-
-def load_datasets(
-    database: Database, datasets: Iterable[Dataset], replace: bool = True
-) -> list:
-    """Load several datasets; returns their table names in order."""
-    return [load_dataset(database, dataset, replace=replace) for dataset in datasets]
-
-
-def measurements_query(table_name: str) -> str:
-    """The canonical ``input_sql`` for a loaded dataset table."""
-    return f"SELECT * FROM {table_name}"

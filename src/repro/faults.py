@@ -180,14 +180,6 @@ class FaultInjector:
         )
         return self
 
-    def armed_points(self) -> List[str]:
-        """Every point with at least one still-armed spec."""
-        return sorted(
-            point
-            for point, specs in self._specs.items()
-            if any(spec.armed for spec in specs)
-        )
-
     # ------------------------------------------------------------------ #
     # Legacy storage-crash triggers
     # ------------------------------------------------------------------ #

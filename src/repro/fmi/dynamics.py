@@ -144,10 +144,6 @@ class OdeSystem:
     def output_names(self) -> List[str]:
         return [o.name for o in self.outputs]
 
-    def initial_state_vector(self) -> np.ndarray:
-        """The start values of all states as a vector."""
-        return np.array([s.start for s in self.states], dtype=float)
-
     # ------------------------------------------------------------------ #
     # Interpreted reference evaluation (the oracle the kernel tests use;
     # simulations run the compiled kernel)

@@ -541,24 +541,19 @@ def _bound_source(name: str, args: str, hoist: _HoistParameters, body: List[str]
 
     ``body`` is the per-step function's body (its ``return`` included).
     The factory evaluates the lifted subtrees once and returns
-    ``<name>(args)`` closed over them; the per-step function carries its
-    bound values as ``.bound`` (the slot vector first, then each lifted
-    local), and ``<name>_with(*bound)`` rebuilds it from sliced values.
+    ``<name>(args)`` closed over them.
     """
-    slot = hoist.slot
-    bound = ", ".join([slot, *hoist.lifted.values()])
-    lines = [f"def {name}_with({bound}):", f"    def {name}({args}):"]
-    lines += [f"    {line}" for line in body]
-    lines += [f"    {name}.bound = ({bound},)", f"    return {name}", ""]
-    lines.append(f"def _bind{name}({slot}):")
+    lines = [f"def _bind{name}({hoist.slot}):"]
     lines += [f"    {local} = {source}" for source, local in hoist.lifted.items()]
-    lines.append(f"    return {name}_with({bound})")
+    lines.append(f"    def {name}({args}):")
+    lines += [f"    {line}" for line in body]
+    lines.append(f"    return {name}")
     return "\n".join(lines)
 
 
 def _compile(source: str, globals_dict: Dict[str, object]) -> Dict[str, object]:
     """Execute generated source in a copy of ``globals_dict``; returns that
-    namespace (one namespace, so a bind factory finds its companion)."""
+    namespace."""
     namespace: Dict[str, object] = dict(globals_dict)
     exec(compile(source, "<fmu-kernel>", "exec"), namespace)
     return namespace
@@ -595,7 +590,6 @@ class SimulationKernel:
         "_bind_derivs",
         "_outputs_scalar",
         "_bind_derivs_batch",
-        "_derivs_batch_with",
         "_outputs_batch",
     )
 
@@ -678,9 +672,7 @@ class SimulationKernel:
         ]
         self._bind_derivs = _compile(sources[0], _SCALAR_GLOBALS)["_bind_derivs"]
         self._outputs_scalar = _compile(sources[1], _SCALAR_GLOBALS)["_outputs_scalar"]
-        batch = _compile(sources[2], _BATCH_GLOBALS)
-        self._bind_derivs_batch = batch["_bind_derivs_batch"]
-        self._derivs_batch_with = batch["_derivs_batch_with"]
+        self._bind_derivs_batch = _compile(sources[2], _BATCH_GLOBALS)["_bind_derivs_batch"]
         self._outputs_batch = _compile(sources[3], _VECTOR_GLOBALS)["_outputs_batch"]
         self.source = "\n\n".join(sources)
 
@@ -741,18 +733,6 @@ class SimulationKernel:
         if out is None:
             out = np.empty_like(X)
         return self._bind_derivs_batch(P)(t, X, U, out)
-
-    def derivs_batch_rows(self, derivs_batch, rows: np.ndarray):
-        """A bound batch derivative function narrowed to some of its rows.
-
-        ``derivs_batch`` comes from ``_bind_derivs_batch(P)``.  Every bound
-        value is elementwise over rows, so slicing the bound values gives
-        the kept rows' values bit for bit without rebinding (active-set
-        compaction in the adaptive batch solver).
-        """
-        return self._derivs_batch_with(
-            *(value[rows] if np.ndim(value) else value for value in derivs_batch.bound)
-        )
 
     def outputs_batch(
         self,

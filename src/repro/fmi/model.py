@@ -62,12 +62,6 @@ class _InputInterpolator:
         ends = [t[-1] for t, _ in self._series.values()]
         return min(starts), max(ends)
 
-    def __call__(self, t: float) -> Dict[str, float]:
-        values = {}
-        for name, (times, series) in self._series.items():
-            values[name] = float(np.interp(t, times, series))
-        return values
-
 
 class _KernelBindings:
     """Inputs and parameters bound once per ``simulate`` call into the
@@ -149,20 +143,9 @@ class _BoundSeries:
         with np.errstate(divide="ignore", invalid="ignore"):
             slopes = np.diff(values, axis=0) / np.diff(knots)[:, None]
         zero = np.zeros((1, values.shape[1]))
-        self._set(np.vstack([values[:1], values]), np.vstack([zero, slopes, -zero]))
-
-    def _set(self, values: np.ndarray, slopes: np.ndarray) -> None:
-        self.values, self.slopes = values, slopes
-        self.flat_values, self.flat_slopes = values.ravel(), slopes.ravel()
-
-    def columns(self, rows: np.ndarray) -> "_BoundSeries":
-        """This series restricted to the given per-row columns."""
-        sub = object.__new__(_BoundSeries)
-        for name in ("slot", "name", "knot_list", "knots", "start_list", "starts"):
-            setattr(sub, name, getattr(self, name))
-        sub._set(np.ascontiguousarray(self.values[:, rows]),
-                 np.ascontiguousarray(self.slopes[:, rows]))
-        return sub
+        self.values = np.vstack([values[:1], values])
+        self.slopes = np.vstack([zero, slopes, -zero])
+        self.flat_values, self.flat_slopes = self.values.ravel(), self.slopes.ravel()
 
 
 class _BatchKernelBindings:
@@ -212,11 +195,8 @@ class _BatchKernelBindings:
             self.series.append(
                 _BoundSeries(slot, name, pair[0], values[:, cols] if per_row else values)
             )
-        self._set_rows(n_rows if per_row else 1, n_rows)
-
-    def _set_rows(self, width: int, n_rows: int) -> None:
-        # ``width`` series columns: 1 (shared) or one per row.
-        self._width = width
+        # Series columns: 1 (shared) or one per row.
+        self._width = n_rows if per_row else 1
         self._rows = np.arange(n_rows)
         # One reusable (N, n_inputs) buffer: the kernel consumes the values
         # within the same rhs call, so per-stage reuse is safe.  The scalar
@@ -253,23 +233,6 @@ class _BatchKernelBindings:
                 series.flat_slopes[at] * (t - series.starts[i]) + series.flat_values[at]
             )
         return u
-
-    def restricted(self, rows: np.ndarray) -> "_BatchKernelBindings":
-        """Bindings for a subset of the fleet's rows (active-set compaction).
-
-        Restriction narrows the per-row start values and per-row series
-        columns; interpolation stays elementwise and therefore bit-identical
-        for the kept rows.
-        """
-        sub = object.__new__(_BatchKernelBindings)
-        sub.base = self.base[rows]
-        if self._width == 1:
-            sub.series = self.series
-            sub._set_rows(1, len(rows))
-        else:
-            sub.series = [series.columns(rows) for series in self.series]
-            sub._set_rows(len(rows), len(rows))
-        return sub
 
     def input_tensor(self, grid: np.ndarray, sampled: Mapping[str, np.ndarray]) -> np.ndarray:
         """The ``(N, n_grid, n_inputs)`` input trajectories for vectorized outputs.
@@ -605,16 +568,12 @@ class FmuModel:
         except ZeroDivisionError:
             raise kernel.division_error() from None
 
-        def batch_rhs(derivs):
-            def rhs(t, X, U):
-                try:
-                    return derivs(t, X, U, np.empty_like(X))
-                except ZeroDivisionError:
-                    raise kernel.division_error() from None
+        def rhs(t, X, U):
+            try:
+                return derivs_batch(t, X, U, np.empty_like(X))
+            except ZeroDivisionError:
+                raise kernel.division_error() from None
 
-            return rhs
-
-        rhs = batch_rhs(derivs_batch)
         injector = faults.active_injector()
         if injector is not None:
             inner_batch_rhs = rhs
@@ -623,19 +582,7 @@ class FmuModel:
                 injector.check_point("kernel.eval")
                 return inner_batch_rhs(t, X, U)
 
-        def restrict(rows):
-            # Active-set compaction support: the adaptive batch solver drops
-            # finished rows, so the rhs/inputs narrow to the survivors (the
-            # bound parameter values and start values are row-sliced; the
-            # kernel is elementwise over rows, so the kept rows' values are
-            # bit-exact).
-            rows_rhs = batch_rhs(kernel.derivs_batch_rows(derivs_batch, rows))
-            return rows_rhs, bindings.restricted(rows).inputs_at
-
-        problem = BatchOdeProblem(
-            rhs=rhs, x0=x0, t0=t0, t1=t1, inputs=bindings.inputs_at,
-            restrict=restrict,
-        )
+        problem = BatchOdeProblem(rhs=rhs, x0=x0, t0=t0, t1=t1, inputs=bindings.inputs_at)
         options = dict(solver_options or {})
         solution = get_solver(solver, **options).solve_batch(
             problem, output_times=grid

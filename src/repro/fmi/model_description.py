@@ -115,9 +115,6 @@ class ModelDescription:
                 f"model {self.model_name!r} has no variable named {name!r}"
             ) from None
 
-    def has_variable(self, name: str) -> bool:
-        return name in self._by_name
-
     def variables_by_causality(self, causality: Causality) -> List[ScalarVariable]:
         """All variables with the given causality, in declaration order."""
         return [v for v in self.variables if v.causality is causality]

@@ -150,10 +150,6 @@ class ScalarVariable:
         return self.causality is Causality.INPUT
 
     @property
-    def is_output(self) -> bool:
-        return self.causality is Causality.OUTPUT
-
-    @property
     def is_state(self) -> bool:
         """True for continuous local variables, which we treat as states."""
         return (

@@ -20,14 +20,6 @@ from repro.modelica.parser import parse_model
 PathLike = Union[str, Path]
 
 
-def _looks_like_path(model_ref: str) -> bool:
-    """Heuristic distinguishing a file path from inline Modelica source."""
-    text = model_ref.strip()
-    if text.lower().endswith(".mo") and "\n" not in text and " " not in text.split("/")[-1][:-3]:
-        return True
-    return Path(text).suffix == ".mo" and Path(text).exists()
-
-
 def _read_source(model_ref: str) -> str:
     """Return Modelica source text given a path or inline code."""
     text = model_ref.strip()

@@ -61,11 +61,6 @@ InputFunction = Callable[[float], np.ndarray]
 BatchRhsFunction = Callable[[object, np.ndarray, np.ndarray], np.ndarray]
 #: Batched input function ``U(t) -> (N, n_u)`` under the same time contract.
 BatchInputFunction = Callable[[object], np.ndarray]
-#: Row-restriction factory: given the original row indices to keep, return
-#: ``(rhs, inputs)`` callables bound to just those rows (``inputs`` may be
-#: ``None``).  Lets adaptive batch solvers drop finished rows from the
-#: working set instead of evaluating and discarding them.
-RestrictFunction = Callable[[np.ndarray], Tuple[BatchRhsFunction, Optional[BatchInputFunction]]]
 
 
 @dataclass
@@ -130,20 +125,10 @@ class BatchOdeProblem:
         Optional callable mapping time (same scalar-or-vector contract as
         ``rhs``) to the ``(N, n_u)`` input matrix.  When omitted an empty
         ``(N, 0)`` matrix is passed to ``rhs``.
-    restrict:
-        Optional row-restriction factory ``restrict(rows) -> (rhs, inputs)``
-        returning the right-hand side and input function bound to the given
-        subset of fleet rows (original indices, in ascending order).  The
-        batched ``rhs``/``inputs`` close over per-row data (parameter
-        matrices, start values) at full fleet width, so the solver cannot
-        narrow them itself; problems that supply this hook let the adaptive
-        batch solver *compact its active set* - once rows reach ``t1`` they
-        are dropped from the working matrices and the right-hand side is
-        re-bound to the survivors, so a few stiff rows stop paying for the
-        whole fleet.  Restriction must not change the arithmetic of the
-        kept rows (the kernels are elementwise over rows, so slicing is
-        bit-exact).  Without the hook, solvers evaluate at full width and
-        discard finished rows' results, as before.
+
+    Solvers always evaluate ``rhs`` at full fleet width: an adaptive batch
+    solver whose rows finish at different times keeps evaluating finished
+    rows and discards their results.
     """
 
     rhs: BatchRhsFunction
@@ -151,7 +136,6 @@ class BatchOdeProblem:
     t0: float
     t1: float
     inputs: Optional[BatchInputFunction] = None
-    restrict: Optional[RestrictFunction] = None
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
@@ -343,26 +327,16 @@ def _float_solution(
     return OdeSolution(times=grid, states=dense.sample(grid), **stats)
 
 
-def _batch_stage_function(problem: "BatchOdeProblem", rows: Optional[np.ndarray] = None):
+def _batch_stage_function(problem: "BatchOdeProblem"):
     """The solver-facing batched right-hand side with inputs resolved.
 
     Mirrors :func:`_stage_function` for the fleet case: input-less problems
     share one empty ``(N, 0)`` matrix, and ``t`` passes through under the
-    scalar-or-vector contract of :class:`BatchOdeProblem`.  When ``rows`` is
-    given, the problem's :attr:`~BatchOdeProblem.restrict` hook binds the
-    right-hand side and inputs to just those fleet rows (active-set
-    compaction in the adaptive batch solvers).
+    scalar-or-vector contract of :class:`BatchOdeProblem`.
     """
-    if rows is None:
-        rhs, inputs = problem.rhs, problem.inputs
-        n_rows = problem.n_rows
-    else:
-        if problem.restrict is None:
-            raise SolverError("this batch problem does not support row restriction")
-        rhs, inputs = problem.restrict(np.asarray(rows, dtype=np.intp))
-        n_rows = len(rows)
+    rhs, inputs = problem.rhs, problem.inputs
     if inputs is None:
-        empty_u = np.empty((n_rows, 0))
+        empty_u = np.empty((problem.n_rows, 0))
 
         def f(t, X):
             return rhs(t, X, empty_u)

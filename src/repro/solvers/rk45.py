@@ -265,21 +265,11 @@ class DormandPrince45Solver(OdeSolver):
         row-wise - so each row walks the same step sequence the sequential
         solver would, and batched trajectories match sequential ones to
         floating-point rounding.  Each iteration evaluates the six
-        Dormand-Prince stages for the *whole working set* in one vectorized
+        Dormand-Prince stages for the *whole fleet* in one vectorized
         rhs call.  The iteration count is the maximum of the per-row step
         counts, not their sum - the fleet finishes when its slowest row does.
-
-        When the problem supplies a :attr:`~repro.solvers.base.BatchOdeProblem.restrict`
-        hook, the working set is **compacted** as rows reach ``t1``: finished
-        rows are dropped from the state/stage matrices and the right-hand
-        side is re-bound to the survivors, so they stop being evaluated and
-        a ragged fleet (a few stiff rows among tame ones) does not pay full
-        fleet width to the end.  Per-row arithmetic is elementwise over
-        rows, so compaction leaves every surviving row's step sequence - and
-        therefore its trajectory - bit-identical.  Without the hook, rows
-        that have reached ``t1`` (or are between accepted steps) are still
-        evaluated but their results are discarded, which keeps the hot loop
-        free of per-row branching.
+        Rows that have reached ``t1`` are still evaluated but their results
+        are discarded, which keeps the hot loop free of per-row branching.
         """
         grid = self._normalized_output_times(problem, output_times)
         f = _batch_stage_function(problem)
@@ -290,16 +280,11 @@ class DormandPrince45Solver(OdeSolver):
         if self.max_step is not None:
             h0 = min(h0, self.max_step)
 
-        # Full-fleet bookkeeping stays indexed by original row; the working
-        # arrays below may shrink, with ``idx`` mapping working row -> fleet
-        # row (identity until compaction kicks in).
         recorder = BatchTrajectoryRecorder(n_rows, n_states)
         recorder.append_rows(np.arange(n_rows), np.full(n_rows, problem.t0), problem.x0)
         n_steps = np.zeros(n_rows, dtype=int)
         n_rejected = np.zeros(n_rows, dtype=int)
-        can_compact = problem.restrict is not None
 
-        idx = np.arange(n_rows)
         t = np.full(n_rows, problem.t0)
         h = np.full(n_rows, h0)
         X = problem.x0.copy()
@@ -322,22 +307,12 @@ class DormandPrince45Solver(OdeSolver):
                 active = t < t1 - 1e-14
                 if not active.any():
                     break
-                if can_compact and not active.all():
-                    # Drop finished rows from the working set and re-bind the
-                    # rhs/inputs to the survivors (slicing preserves each
-                    # kept row's FSAL stage and controller state exactly).
-                    keep = np.where(active)[0]
-                    idx = idx[keep]
-                    t, h, X = t[keep], h[keep], X[keep]
-                    stages = np.ascontiguousarray(stages[:, keep, :])
-                    f = _batch_stage_function(problem, rows=idx)
-                    active = np.ones(idx.shape[0], dtype=bool)
-                attempts = n_steps[idx] + n_rejected[idx]
+                attempts = n_steps + n_rejected
                 if np.any(attempts[active] > self.max_steps):
-                    local = int(np.where(active & (attempts > self.max_steps))[0][0])
+                    row = int(np.where(active & (attempts > self.max_steps))[0][0])
                     raise SolverError(
                         f"RK45 exceeded {self.max_steps} steps "
-                        f"(row {int(idx[local])}, t={t[local]}, interval ends at {t1})"
+                        f"(row {row}, t={t[row]}, interval ends at {t1})"
                     )
                 # The scalar solver clamps h before the stages and feeds the
                 # clamped value into the controller; replicate that row-wise.
@@ -364,13 +339,13 @@ class DormandPrince45Solver(OdeSolver):
                     stages[0][rows] = stages[6][rows]  # FSAL, per accepted row
                     accepted_states = X[rows]
                     if not np.isfinite(accepted_states).all():
-                        bad = idx[rows[~np.isfinite(accepted_states).all(axis=1)]]
+                        bad = rows[~np.isfinite(accepted_states).all(axis=1)]
                         raise SolverError(
                             f"RK45 integration diverged (rows {bad.tolist()})"
                         )
-                    recorder.append_rows(idx[rows], t[rows], accepted_states)
-                    n_steps[idx[rows]] += 1
-                n_rejected[idx[np.where(active & ~accept)[0]]] += 1
+                    recorder.append_rows(rows, t[rows], accepted_states)
+                    n_steps[rows] += 1
+                n_rejected[active & ~accept] += 1
 
                 # Row-wise standard controller, computed with *scalar* pow:
                 # numpy's vectorized power ufunc rounds differently from the

@@ -568,10 +568,6 @@ class Database:
         """Execute a query and return rows as dictionaries."""
         return self.execute(sql, params).to_dicts()
 
-    def query_scalar(self, sql: str, params: Optional[Sequence[Any]] = None) -> Any:
-        """Execute a query expected to return a single scalar value."""
-        return self.execute(sql, params).scalar()
-
     def _parse_cached(self, sql: str):
         """Parse ``sql``, serving repeats from the LRU statement cache.
 

@@ -104,9 +104,6 @@ class Variant:
             return cls(value, SqlType.TIMESTAMP)
         return cls(str(value), SqlType.TEXT)
 
-    def unwrap(self) -> Any:
-        return self.value
-
     def __str__(self) -> str:
         return "NULL" if self.value is None else str(self.value)
 

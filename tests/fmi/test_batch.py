@@ -5,12 +5,12 @@ The randomized corpus (drawn from the shared factory in
 parameters and start values, then asserts that batched trajectories match
 per-instance compiled runs within 1e-9 for every solver - including RK45,
 whose batched variant controls errors per row so each row walks the same
-step sequence the sequential solver would, and whose active set compacts
-as rows finish.
+step sequence the sequential solver would.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import warnings
 
@@ -28,7 +28,6 @@ from repro.solvers.base import (
     OdeSolver,
 )
 from repro.solvers.euler import EulerSolver
-from repro.solvers.rk45 import DormandPrince45Solver
 
 ALL_SOLVERS = ("euler", "rk4", "rk45")
 
@@ -222,110 +221,96 @@ class TestBatchSolvers:
 
 
 # --------------------------------------------------------------------------- #
-# RK45 active-set compaction
+# RK45 fleets whose rows finish at different times
 # --------------------------------------------------------------------------- #
-def _compactable_decay_problem(rates: np.ndarray, t1: float = 2.0):
-    """Per-row exponential decays with a restrict hook and an RHS probe.
-
-    Returns ``(problem, calls, widths)`` where ``calls[row]`` counts how
-    many rhs evaluations covered the (original) row and ``widths`` records
-    the working-set width of every rhs call.
-    """
-    n_rows = len(rates)
-    calls = np.zeros(n_rows, dtype=int)
-    widths: list = []
-
-    def make_rhs(sub_rates, sub_rows):
+def _decay_fleet(rates: np.ndarray, rhs=None) -> BatchOdeProblem:
+    """Per-row exponential decays ``x' = -rate * x`` from ``x(0) = 1``."""
+    if rhs is None:
         def rhs(t, X, _u):
-            calls[sub_rows] += 1
-            widths.append(X.shape[0])
-            return -sub_rates[:, None] * X
+            return -rates[:, None] * X
 
-        return rhs
-
-    def restrict(rows):
-        return make_rhs(rates[rows], np.asarray(rows)), None
-
-    problem = BatchOdeProblem(
-        rhs=make_rhs(rates, np.arange(n_rows)),
-        x0=np.ones((n_rows, 1)),
-        t0=0.0,
-        t1=t1,
-        restrict=restrict,
-    )
-    return problem, calls, widths
+    return BatchOdeProblem(rhs=rhs, x0=np.ones((len(rates), 1)), t0=0.0, t1=2.0)
 
 
-class TestActiveSetCompaction:
+def _scalar_decay(rate: float, grid: np.ndarray):
+    problem = OdeProblem(rhs=lambda t, x, u: -rate * x, x0=np.ones(1), t0=0.0, t1=2.0)
+    return get_solver("rk45").solve(problem, output_times=grid)
+
+
+class TestRaggedRk45Fleet:
+    def test_batch_problem_has_no_row_narrowing_hook(self):
+        names = [field.name for field in dataclasses.fields(BatchOdeProblem)]
+        assert names == ["rhs", "x0", "t0", "t1", "inputs"]
+
     def test_one_slow_row_stays_bit_exact(self):
         # Rows 0/1 are tame and finish in few steps; row 2 is stiff and
-        # keeps the solve alive long after they are compacted away.
+        # keeps the solve alive long after they are done.
         rates = np.array([0.5, 0.8, 60.0])
-        problem, _, widths = _compactable_decay_problem(rates)
         grid = np.linspace(0.0, 2.0, 21)
-        batched = get_solver("rk45").solve_batch(problem, output_times=grid)
-        assert min(widths) == 1  # eventually only the stiff row is evaluated
+        batched = get_solver("rk45").solve_batch(_decay_fleet(rates), output_times=grid)
         for row, rate in enumerate(rates):
-            scalar = get_solver("rk45").solve(
-                OdeProblem(
-                    rhs=lambda t, x, u, _r=rate: -_r * x,
-                    x0=problem.x0[row],
-                    t0=0.0,
-                    t1=2.0,
-                ),
-                output_times=grid,
-            )
+            scalar = _scalar_decay(rate, grid)
             np.testing.assert_array_equal(batched.states[:, row, :], scalar.states)
             assert int(batched.n_steps[row]) == scalar.n_steps
             assert int(batched.n_rejected[row]) == scalar.n_rejected
 
-    def test_finished_rows_stop_being_evaluated(self):
+    def test_finished_rows_results_are_discarded(self):
+        # Once a row has made as many attempts as its scalar solve, every
+        # later rhs value for it is nan: none of that may reach its result.
         rates = np.array([0.5, 60.0])
-        problem, calls, widths = _compactable_decay_problem(rates)
-        get_solver("rk45").solve_batch(problem)
-        # The tame row stops accumulating rhs calls once it finishes; the
-        # stiff row keeps stepping at width 1 afterwards.
-        assert calls[0] < calls[1]
-        assert widths[-1] == 1
-        # Width-1 iterations evaluate only the stiff row: the tame row was
-        # touched by exactly the full-width calls, nothing after compaction.
-        assert calls[0] == sum(1 for w in widths if w == 2)
-        assert calls[1] == len(widths)
-
-    def test_without_restrict_full_width_is_evaluated(self):
-        rates = np.array([0.5, 60.0])
-        n_rows = len(rates)
-        calls = np.zeros(n_rows, dtype=int)
+        grid = np.linspace(0.0, 2.0, 21)
+        scalars = [_scalar_decay(rate, grid) for rate in rates]
+        # Call 0 is the initial stage; each attempt makes six more calls.
+        last_call = np.array([6 * (s.n_steps + s.n_rejected) for s in scalars])
+        calls = [0]
 
         def rhs(t, X, _u):
-            calls[:] += 1
+            dX = -rates[:, None] * X
+            dX[calls[0] > last_call] = np.nan
+            calls[0] += 1
+            return dX
+
+        batched = get_solver("rk45").solve_batch(_decay_fleet(rates, rhs), output_times=grid)
+        assert calls[0] > last_call[0] + 1  # the tame row really was poisoned
+        for row, scalar in enumerate(scalars):
+            np.testing.assert_array_equal(batched.states[:, row, :], scalar.states)
+            assert int(batched.n_steps[row]) == scalar.n_steps
+            assert int(batched.n_rejected[row]) == scalar.n_rejected
+
+    def test_rows_do_not_depend_on_their_neighbours(self):
+        rates = np.array([0.4, 1.1, 7.0, 45.0])
+        grid = np.linspace(0.0, 2.0, 31)
+        solver = get_solver("rk45")
+        fleet = solver.solve_batch(_decay_fleet(rates), output_times=grid)
+        reversed_fleet = solver.solve_batch(_decay_fleet(rates[::-1].copy()), output_times=grid)
+        for row, rate in enumerate(rates):
+            alone = solver.solve_batch(_decay_fleet(rates[row:row + 1]), output_times=grid)
+            mirrored = len(rates) - 1 - row
+            for other, other_row in ((alone, 0), (reversed_fleet, mirrored)):
+                np.testing.assert_array_equal(
+                    fleet.states[:, row, :], other.states[:, other_row, :]
+                )
+                assert fleet.n_steps[row] == other.n_steps[other_row]
+                assert fleet.n_rejected[row] == other.n_rejected[other_row]
+
+    def test_finished_rows_are_evaluated_at_full_width(self):
+        rates = np.array([0.5, 60.0])
+        widths = []
+
+        def rhs(t, X, _u):
+            widths.append(X.shape[0])
             return -rates[:, None] * X
 
-        problem = BatchOdeProblem(rhs=rhs, x0=np.ones((n_rows, 1)), t0=0.0, t1=2.0)
-        get_solver("rk45").solve_batch(problem)
-        # No restrict hook: finished rows are still evaluated (and
-        # discarded), so both counters stay in lockstep.
-        assert calls[0] == calls[1]
-
-    def test_compaction_matches_uncompacted_solve(self):
-        rates = np.array([0.4, 1.1, 7.0, 45.0])
-        compactable, _, _ = _compactable_decay_problem(rates)
-        plain = BatchOdeProblem(
-            rhs=lambda t, X, _u: -rates[:, None] * X,
-            x0=np.ones((len(rates), 1)),
-            t0=0.0,
-            t1=2.0,
-        )
-        grid = np.linspace(0.0, 2.0, 31)
-        with_compaction = get_solver("rk45").solve_batch(compactable, output_times=grid)
-        without = get_solver("rk45").solve_batch(plain, output_times=grid)
-        np.testing.assert_array_equal(with_compaction.states, without.states)
-        np.testing.assert_array_equal(with_compaction.n_steps, without.n_steps)
-        np.testing.assert_array_equal(with_compaction.n_rejected, without.n_rejected)
+        problem = BatchOdeProblem(rhs=rhs, x0=np.ones((len(rates), 1)), t0=0.0, t1=2.0)
+        solution = get_solver("rk45").solve_batch(problem)
+        # The tame row finishes long before the stiff one, yet every rhs
+        # call covers both rows (the finished row's results are discarded).
+        assert solution.n_steps[0] < solution.n_steps[1]
+        assert set(widths) == {len(rates)}
 
     def test_model_layer_ragged_fleet_matches_sequential(self, hp1_archive):
         # Per-instance parameters that make row time constants differ by two
-        # orders of magnitude, so compaction kicks in inside simulate_batch.
+        # orders of magnitude, so rows finish at very different step counts.
         models = [FmuModel(hp1_archive, instance_name=f"i{i}") for i in range(3)]
         for model, cp in zip(models, (1.5, 0.15, 0.015)):
             model.set("Cp", cp)
@@ -340,11 +325,11 @@ class TestActiveSetCompaction:
             for name in ("x", "y"):
                 np.testing.assert_array_equal(result[name], sequential[name])
             assert result.solver_stats["n_steps"] == sequential.solver_stats["n_steps"]
+            assert result.solver_stats["n_rejected"] == sequential.solver_stats["n_rejected"]
 
-
-    def test_model_layer_compaction_equals_full_width_solve(self, hp1_archive, monkeypatch):
-        """Narrowing sliced bound parameter values, not rebinding: the
-        compacted fleet equals the same fleet solved at full width."""
+    def test_model_layer_fleet_order_does_not_change_rows(self, hp1_archive):
+        # Parameters are bound per row: reversing the fleet reverses the
+        # results and changes no row's trajectory or step counts.
         models = [FmuModel(hp1_archive, instance_name=f"i{i}") for i in range(4)]
         for model, cp in zip(models, (1.5, 0.15, 0.015, 0.6)):
             model.set("Cp", cp)
@@ -352,30 +337,13 @@ class TestActiveSetCompaction:
         call = dict(
             inputs={"u": (hours, 0.5 + 0.4 * np.sin(hours))}, start_time=0.0, stop_time=10.0
         )
-        kernel = hp1_archive.ode_system.kernel
-        widths = []
-        narrow = type(kernel).derivs_batch_rows
-
-        def recording(self, derivs, rows):
-            widths.append(len(rows))
-            return narrow(self, derivs, rows)
-
-        monkeypatch.setattr(type(kernel), "derivs_batch_rows", recording)
-        compacted = FmuModel.simulate_batch(models, **call)
-        assert widths and min(widths) < len(models)
-
-        solve_batch = DormandPrince45Solver.solve_batch
-
-        def full_width(self, problem, output_times=None):
-            problem.restrict = None
-            return solve_batch(self, problem, output_times)
-
-        monkeypatch.setattr(DormandPrince45Solver, "solve_batch", full_width)
-        full = FmuModel.simulate_batch(models, **call)
-        for a, b in zip(compacted, full):
+        forward = FmuModel.simulate_batch(models, **call)
+        backward = FmuModel.simulate_batch(models[::-1], **call)[::-1]
+        for a, b in zip(forward, backward):
             for name in ("x", "y"):
                 np.testing.assert_array_equal(a[name], b[name])
             assert a.solver_stats["n_steps"] == b.solver_stats["n_steps"]
+            assert a.solver_stats["n_rejected"] == b.solver_stats["n_rejected"]
 
 
 # --------------------------------------------------------------------------- #
@@ -403,6 +371,7 @@ class TestPerRowInputs:
             for name in ("x", "y", "u"):
                 np.testing.assert_array_equal(result[name], sequential[name])
             assert result.solver_stats["n_steps"] == sequential.solver_stats["n_steps"]
+            assert result.solver_stats["n_rejected"] == sequential.solver_stats["n_rejected"]
 
     def test_rk4_rows_match_their_scalar_solves(self, hp1_archive):
         models, inputs = self._fleet(hp1_archive, (1.5, 0.9, 2.4, 1.1))
@@ -413,9 +382,9 @@ class TestPerRowInputs:
         results = FmuModel.simulate_batch(models, inputs=inputs, **kwargs)
         self._assert_rows_match(models, inputs, results, **kwargs)
 
-    def test_rk45_with_active_set_restriction(self, hp1_archive):
+    def test_rk45_ragged_rows_match_their_scalar_solves(self, hp1_archive):
         # Time constants two orders of magnitude apart: rows finish at very
-        # different step counts, so the working set compacts mid-solve.
+        # different step counts.
         models, inputs = self._fleet(hp1_archive, (1.5, 0.15, 0.015))
         kwargs = dict(start_time=0.0, stop_time=10.0)
         results = FmuModel.simulate_batch(models, inputs=inputs, **kwargs)
