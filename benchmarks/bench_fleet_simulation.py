@@ -18,7 +18,7 @@ Run with:  pytest benchmarks/bench_fleet_simulation.py
 
 ``--smoke`` runs a reduced-horizon pass (used by CI to exercise the batched
 path and the equivalence check on every push without timing flakiness); it
-still writes ``BENCH_fleet_simulation.json``, flagged with ``"smoke": true``.
+writes ``BENCH_fleet_simulation.smoke.json``, flagged with ``"smoke": true``.
 """
 
 from __future__ import annotations
@@ -43,6 +43,8 @@ from bench_simulation_kernels import HP5_SOURCE
 from repro.core.session import Session
 
 RECORD_PATH = Path(__file__).resolve().parent / "BENCH_fleet_simulation.json"
+#: Where ``--smoke`` writes, so a smoke run leaves the full-run record alone.
+SMOKE_RECORD_PATH = RECORD_PATH.with_suffix(".smoke.json")
 
 N_INSTANCES = 32
 
@@ -122,9 +124,9 @@ def measure_fleet(hours: float = 100.0, rounds: int = 3) -> dict:
     }
 
 
-def write_record(record: dict) -> Path:
-    RECORD_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return RECORD_PATH
+def write_record(record: dict, path: Path = RECORD_PATH) -> Path:
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def test_fleet_simulation_speedup():
@@ -140,7 +142,7 @@ def smoke() -> None:
     """Exercise (not gate) the batched path: equivalence plus a short timing."""
     record = measure_fleet(hours=20.0, rounds=1)
     record["smoke"] = True
-    write_record(record)
+    write_record(record, SMOKE_RECORD_PATH)
     print(json.dumps(record, indent=2, sort_keys=True))
     print("smoke ok: batched and sequential fleet trajectories agree")
 

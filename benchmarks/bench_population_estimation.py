@@ -21,7 +21,7 @@ Run with:  pytest benchmarks/bench_population_estimation.py
 
 ``--smoke`` runs a reduced-budget pass (used by CI to exercise the batched
 estimation path and the equivalence check on every push without timing
-flakiness); it still writes ``BENCH_population_estimation.json``, flagged
+flakiness); it writes ``BENCH_population_estimation.smoke.json``, flagged
 with ``"smoke": true``.  The smoke pass also calibrates a four-house MI
 fleet in one ``fmu_parest`` call, with the MI optimization on and off, and
 asserts that the lockstep calibration (every instance's pending candidates
@@ -53,6 +53,8 @@ from repro.estimation.objective import SimulationObjective
 from repro.fmi.model import FmuModel
 
 RECORD_PATH = Path(__file__).resolve().parent / "BENCH_population_estimation.json"
+#: Where ``--smoke`` writes, so a smoke run leaves the full-run record alone.
+SMOKE_RECORD_PATH = RECORD_PATH.with_suffix(".smoke.json")
 
 POPULATION = 48
 GENERATIONS = 12
@@ -305,9 +307,9 @@ def measure_mi_fleet(population: int, generations: int, hours: float) -> dict:
     return record
 
 
-def write_record(record: dict) -> Path:
-    RECORD_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return RECORD_PATH
+def write_record(record: dict, path: Path = RECORD_PATH) -> Path:
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def test_population_estimation_speedup():
@@ -338,7 +340,7 @@ def smoke() -> None:
     )
     record["mi_fleet"] = measure_mi_fleet(population=12, generations=3, hours=24.0)
     record["smoke"] = True
-    write_record(record)
+    write_record(record, SMOKE_RECORD_PATH)
     print(json.dumps(record, indent=2, sort_keys=True))
     print("smoke ok: batched and sequential fmu_parest estimates are identical")
     print("smoke ok: lockstep MI fleet outcomes equal one-by-one calibration")

@@ -23,7 +23,7 @@ Run with:  pytest benchmarks/bench_server_tps.py
 
 ``--smoke`` shrinks the per-client workload (used by CI to exercise the
 full client/server/engine path on every push without timing flakiness);
-it still writes ``BENCH_server_tps.json``, flagged with ``"smoke": true``.
+it writes ``BENCH_server_tps.smoke.json``, flagged with ``"smoke": true``.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ from repro.models.heatpump import hp1_source
 from repro.server import serve
 
 RECORD_PATH = Path(__file__).resolve().parent / "BENCH_server_tps.json"
+#: Where ``--smoke`` writes, so a smoke run leaves the full-run record alone.
+SMOKE_RECORD_PATH = RECORD_PATH.with_suffix(".smoke.json")
 
 TOKEN = "bench-s3cret"
 CLIENTS = 8
@@ -204,9 +206,9 @@ def measure_server_tps(
         server.shutdown()
 
 
-def write_record(record: dict) -> Path:
-    RECORD_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return RECORD_PATH
+def write_record(record: dict, path: Path = RECORD_PATH) -> Path:
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def test_server_tps_benchmark():
@@ -225,7 +227,7 @@ def test_server_tps_benchmark():
 def smoke() -> dict:
     record = measure_server_tps(ops_per_client=8, hours=6)
     record["smoke"] = True
-    write_record(record)
+    write_record(record, SMOKE_RECORD_PATH)
     return record
 
 

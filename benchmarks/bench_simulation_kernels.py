@@ -19,10 +19,10 @@ system's hottest workloads:
 * **batched RK4 equivalence** (``--smoke`` only, untimed) - HP1 and random
   test-corpus fleets of 8 solved batched equal per-row ``simulate`` bit for
   bit, and the HP1 per-step kernel reads no parameter column.
-* **scalar == batch of one** (``--smoke`` only, untimed) - for RK45 and
-  Euler, scalar ``simulate`` (Python-float loops) equals a one-row
-  ``simulate_batch`` (numpy loops) bit for bit, step counts included, on
-  HP1 and the same test-corpus models.
+* **scalar == fleet rows** (``--smoke`` only, untimed) - for RK45 and
+  Euler, scalar ``simulate`` (Python-float loops) equals each row of a
+  two-row ``simulate_batch`` fleet of identical rows (numpy loops) bit for
+  bit, step counts included, on HP1 and the same test-corpus models.
 
 It emits ``BENCH_simulation_kernels.json`` next to this file.
 
@@ -328,26 +328,32 @@ def check_batched_rk4(n_rows: int = 8, n_random: int = 3) -> None:
         )
 
 
-def check_scalar_equals_batch_of_one(n_random: int = 3) -> None:
-    """Scalar ``simulate`` equals a one-row ``simulate_batch`` bit for bit.
+def check_scalar_equals_fleet_rows(n_random: int = 3) -> None:
+    """Scalar ``simulate`` equals each row of a two-row fleet bit for bit.
 
-    The scalar loops step in Python floats and the batched loops in numpy,
-    so for RK45 (adaptive, per-row step control) and Euler this pins the
-    two arithmetic paths together - trajectories and step counts - on HP1
-    and the test-corpus models :func:`check_batched_rk4` uses.
+    The scalar loops step in Python floats and the batched loops in numpy
+    (a one-row ``simulate_batch`` takes the scalar loop, so the fleet
+    stacks two identical rows), so for RK45 (adaptive, per-row step
+    control) and Euler this pins the two arithmetic paths together -
+    trajectories and step counts - on HP1 and the test-corpus models
+    :func:`check_batched_rk4` uses.
     """
     (hp1,), hp1_call = _hp1_fleet(1)
     cases = [([hp1], ("x", "y"), hp1_call)] + list(_corpus_fleets(1, n_random))
     for solver in ("rk45", "euler"):
         for (model,), names, call in cases:
-            (batched,) = FmuModel.simulate_batch([model], solver=solver, **call)
+            fleet = FmuModel.simulate_batch([model, model.clone()], solver=solver, **call)
             scalar = model.simulate(solver=solver, **call)
-            for name in names:
-                np.testing.assert_array_equal(
-                    batched[name], scalar[name], err_msg=f"{solver} {name}"
-                )
-            for stat in ("n_steps", "n_rejected"):
-                assert batched.solver_stats[stat] == scalar.solver_stats[stat], (solver, stat)
+            for batched in fleet:
+                assert batched.solver_stats["fleet_size"] == 2
+                for name in names:
+                    np.testing.assert_array_equal(
+                        batched[name], scalar[name], err_msg=f"{solver} {name}"
+                    )
+                for stat in ("n_steps", "n_rejected"):
+                    assert batched.solver_stats[stat] == scalar.solver_stats[stat], (
+                        solver, stat,
+                    )
 
 
 def measure_simulation_kernels() -> dict:
@@ -390,11 +396,11 @@ def smoke() -> None:
     )
     assert np.isfinite(record["parest_error"])
     check_batched_rk4()
-    check_scalar_equals_batch_of_one()
+    check_scalar_equals_fleet_rows()
     print(
         "smoke ok: compiled simulate and calibration ran; cached == uncached; "
         "batched RK4 fleets == per-row simulate; "
-        "RK45/Euler simulate == batch of one"
+        "RK45/Euler simulate == each row of a two-row fleet"
     )
 
 

@@ -15,8 +15,8 @@ Run with:  pytest benchmarks/bench_storage_wal.py
       or:  python benchmarks/bench_storage_wal.py [--smoke]
 
 ``--smoke`` loads 2k rows instead of 50k (used by CI to exercise the
-durable path on every push without timing flakiness); it still writes
-``BENCH_storage_wal.json``, flagged with ``"smoke": true``.
+durable path on every push without timing flakiness); it writes
+``BENCH_storage_wal.smoke.json``, flagged with ``"smoke": true``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from repro.sqldb import Database
 from repro.sqldb.storage import StorageEngine
 
 RECORD_PATH = Path(__file__).resolve().parent / "BENCH_storage_wal.json"
+#: Where ``--smoke`` writes, so a smoke run leaves the full-run record alone.
+SMOKE_RECORD_PATH = RECORD_PATH.with_suffix(".smoke.json")
 
 ROWS = 50_000
 BATCH = 1_000
@@ -117,9 +119,9 @@ def measure_storage_wal(rows: int = ROWS) -> dict:
         shutil.rmtree(workdir, ignore_errors=True)
 
 
-def write_record(record: dict) -> Path:
-    RECORD_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    return RECORD_PATH
+def write_record(record: dict, path: Path = RECORD_PATH) -> Path:
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def test_storage_wal_benchmark():
@@ -135,7 +137,7 @@ def test_storage_wal_benchmark():
 def smoke() -> dict:
     record = measure_storage_wal(rows=2_000)
     record["smoke"] = True
-    write_record(record)
+    write_record(record, SMOKE_RECORD_PATH)
     return record
 
 

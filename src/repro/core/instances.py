@@ -12,7 +12,7 @@ import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.errors import DuplicateInstanceError, PgFmuError, UnknownModelError
+from repro.errors import DuplicateInstanceError, PgFmuError
 from repro.core.catalog import (
     INSTANCE_TABLE,
     MODEL_TABLE,

@@ -22,7 +22,7 @@ from repro.fmi.archive import FmuArchive, read_fmu
 from repro.fmi.dynamics import OdeSystem
 from repro.fmi.model_description import ModelDescription
 from repro.fmi.results import SimulationResult
-from repro.fmi.variables import Causality, ScalarVariable
+from repro.fmi.variables import ScalarVariable
 from repro.solvers import get_solver
 from repro.solvers.base import BatchOdeProblem, OdeProblem, float_rhs
 
@@ -32,21 +32,27 @@ PathLike = Union[str, Path]
 InputSeries = Tuple[Sequence[float], Sequence[float]]
 
 
+def _float_vector(values) -> np.ndarray:
+    """``values`` as a float array; an ndarray is converted without a list."""
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    return np.asarray(values, dtype=float)
+
+
 class _InputInterpolator:
     """Piecewise-linear interpolation of named input time series."""
 
     def __init__(self, series: Mapping[str, InputSeries]):
         self._series: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         for name, (times, values) in series.items():
-            t = np.asarray(list(times), dtype=float)
-            v = np.asarray(list(values), dtype=float)
+            t, v = _float_vector(times), _float_vector(values)
             if t.ndim != 1 or v.ndim != 1 or len(t) != len(v):
                 raise SimulationInputError(
                     f"input series for {name!r} must be two equal-length 1-D sequences"
                 )
             if len(t) == 0:
                 raise SimulationInputError(f"input series for {name!r} is empty")
-            if np.any(np.diff(t) < 0):
+            if (t[1:] < t[:-1]).any():
                 order = np.argsort(t, kind="stable")
                 t, v = t[order], v[order]
             self._series[name] = (t, v)
@@ -63,149 +69,152 @@ class _InputInterpolator:
         return min(starts), max(ends)
 
 
-class _KernelBindings:
-    """Inputs and parameters bound once per ``simulate`` call into the
-    compiled kernel's positional layout.
+def _fault_checked(rhs):
+    """``rhs`` routed through the ``kernel.eval`` fault point in chaos mode.
 
-    The solver's right-hand side then only performs a clamped piecewise-linear
-    interpolation per bound series (plain-Python ``bisect``, which is much
-    cheaper per step than a ``np.interp`` scalar call) and a single kernel
-    invocation - no namespace dict, no per-step rebinding.
+    Without an installed injector ``rhs`` is returned as it is, so the
+    check costs nothing per evaluation.
     """
+    injector = faults.active_injector()
+    if injector is None:
+        return rhs
 
-    __slots__ = ("u", "series")
+    def checked(*args):
+        injector.check_point("kernel.eval")
+        return rhs(*args)
 
-    def __init__(self, kernel, interp: _InputInterpolator, input_starts: Mapping[str, float]):
-        # Constant start values fill the slots; measured series override them.
-        self.u: List[float] = [
-            float(input_starts.get(name, 0.0)) for name in kernel.input_names
-        ]
-        self.series: List[tuple] = []
-        for slot, name in enumerate(kernel.input_names):
-            pair = interp._series.get(name)
-            if pair is not None:
-                times, values = pair
-                self.series.append((slot, times.tolist(), values.tolist(), times, values))
-
-    def input_at(self, t: float) -> List[float]:
-        """The input vector at time ``t`` (clamped like ``np.interp``)."""
-        u = self.u
-        for slot, times, values, _, _ in self.series:
-            if t <= times[0]:
-                u[slot] = values[0]
-            elif t >= times[-1]:
-                u[slot] = values[-1]
-            else:
-                i = bisect.bisect_right(times, t)
-                t_lo, t_hi = times[i - 1], times[i]
-                # Slope-first form: the exact floating-point operation order
-                # of np.interp, so the kernel sees bit-identical input values
-                # to an np.interp-driven interpreted reference run.
-                slope = (values[i] - values[i - 1]) / (t_hi - t_lo)
-                u[slot] = slope * (t - t_lo) + values[i - 1]
-        return u
-
-    def input_matrix(self, times: np.ndarray) -> np.ndarray:
-        """The (n_times, n_inputs) input trajectory for vectorized outputs."""
-        matrix = np.empty((len(times), len(self.u)))
-        for slot, value in enumerate(self.u):
-            matrix[:, slot] = value
-        for slot, _, _, series_times, series_values in self.series:
-            matrix[:, slot] = np.interp(times, series_times, series_values)
-        return matrix
+    return checked
 
 
 class _BoundSeries:
-    """One measured input of a batched fleet on its shared knot grid.
+    """One measured input of a fleet on its shared knot grid.
 
-    ``values``/``slopes`` hold one column per fleet column (one shared
-    column, or one per row), with flat views for the per-row-time path;
-    the knots and interval starts are also kept as lists, which the
-    scalar-time path bisects and reads faster.  Entry ``i`` serves bisect
-    index ``i``: the interval starting at knot ``i - 1``, plus the two
-    clamps, whose signed-zero slopes (``0.0 * (t - t0) <= 0`` before the
-    first knot, ``-0.0 * (t - t_end) >= 0`` after the last) leave the
-    clamped value unchanged when added to it.
+    ``values`` holds one column per fleet column (one shared column, or
+    one per fleet row) and ``slopes`` each knot interval's slope, computed
+    by the two operations ``np.interp`` uses: the value difference, divided
+    by the knot difference.  The knots are also kept as a list, which the
+    scalar-time paths bisect.
     """
 
-    __slots__ = (
-        "slot", "name", "knot_list", "knots", "start_list", "starts",
-        "values", "slopes", "flat_values", "flat_slopes",
-    )
+    __slots__ = ("slot", "name", "knots", "knot_list", "values", "slopes")
 
     def __init__(self, slot: int, name: str, knots: np.ndarray, values: np.ndarray):
         self.slot = slot
         self.name = name
         self.knots = knots
         self.knot_list = knots.tolist()
-        self.starts = np.concatenate([knots[:1], knots])
-        self.start_list = self.starts.tolist()
+        self.values = values
         with np.errstate(divide="ignore", invalid="ignore"):
-            slopes = np.diff(values, axis=0) / np.diff(knots)[:, None]
-        zero = np.zeros((1, values.shape[1]))
-        self.values = np.vstack([values[:1], values])
-        self.slopes = np.vstack([zero, slopes, -zero])
-        self.flat_values, self.flat_slopes = self.values.ravel(), self.slopes.ravel()
+            self.slopes = (values[1:] - values[:-1]) / (knots[1:] - knots[:-1])[:, None]
+
+    def clamped(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Interval starts, values and slopes for per-row times.
+
+        Entry ``i`` serves ``searchsorted`` index ``i``: the interval
+        starting at knot ``i - 1``, plus the two clamps, whose signed-zero
+        slopes (``0.0 * (t - t0) <= 0`` before the first knot, ``-0.0 * (t -
+        t_end) >= 0`` after the last) leave the clamped value unchanged when
+        added to it.  Values and slopes are flattened, so fleet column ``c``
+        of entry ``i`` is at ``i * n_columns + c``.
+        """
+        zero = np.zeros((1, self.values.shape[1]))
+        starts = np.concatenate([self.knots[:1], self.knots])
+        values = np.vstack([self.values[:1], self.values]).ravel()
+        slopes = np.vstack([zero, self.slopes, -zero]).ravel()
+        return starts, values, slopes
 
 
-class _BatchKernelBindings:
-    """Fleet inputs bound once per ``simulate_batch`` call.
+class _FleetBindings:
+    """A fleet's inputs, bound once per simulation.
 
     The measured series share one knot grid.  A fleet that shares one input
     mapping stores each series as a single column that broadcasts to every
     row; per-row mappings store one column per row (``cols`` maps each row
     to its mapping).  Per-instance input *start* values fill the unbound
-    columns, one row per instance.  ``inputs_at`` follows the
-    :class:`~repro.solvers.base.BatchOdeProblem` time contract: a scalar
-    time fills each bound column from one knot interval, an ``(N,)``
-    per-row time vector interpolates each row at its own time.
+    columns, one row per instance.
 
-    There is one interpolation path: a bisect on the shared knot times, then
-    a row-vector lerp in ``np.interp``'s operation order (slope first, then
-    ``slope * (t - t_lo) + v_lo``, the slopes precomputed by the same two
-    operations), so each row sees the input values of
-    :meth:`_KernelBindings.input_at`, the scalar path's interpolation.  A
-    per-row time outside the knots clamps through the clamp entries of
-    :class:`_BoundSeries`; one exactly on the first knot takes the first
-    interval, which agrees with the clamp unless that interval's slope is
-    not finite.
+    Every path interpolates in ``np.interp``'s operation order: a bisect on
+    the shared knots, then ``slope * (t - t_lo) + v_lo`` with the slopes of
+    :class:`_BoundSeries`, so each row of a fleet sees the input values of
+    its one-row simulation.
+
+    * :meth:`input_at` (one-row fleets) gives row 0's input vector as a
+      float list, for the scalar float loop.
+    * :meth:`inputs_at` (fleets of two or more rows) follows the
+      :class:`~repro.solvers.base.BatchOdeProblem` time contract: a scalar
+      time fills each bound column from one knot interval, an ``(N,)``
+      per-row time vector interpolates each row at its own time.  A per-row
+      time outside the knots clamps through :meth:`_BoundSeries.clamped`;
+      one exactly on the first knot takes the first interval, which agrees
+      with the clamp unless that interval's slope is not finite.
+
+    Both reuse one buffer, which the kernel consumes within the same rhs
+    call, and skip a time they have just filled (RK4 evaluates both
+    midpoint stages, and each step's end and the next step's start, at one
+    time).
     """
 
-    __slots__ = ("base", "series", "_width", "_rows", "_buffer", "_columns", "_last_t")
+    __slots__ = (
+        "base", "series", "_last_t", "_u", "_row", "_buffer", "_columns",
+        "_clamped", "_width", "_rows",
+    )
 
     def __init__(
         self,
         kernel,
         interps: Sequence[_InputInterpolator],
-        cols: np.ndarray,
+        cols: List[int],
         input_starts_per_row,
     ):
         n_rows = len(input_starts_per_row)
-        self.base = np.empty((n_rows, kernel.n_inputs))
-        for slot, name in enumerate(kernel.input_names):
-            for row, starts in enumerate(input_starts_per_row):
-                self.base[row, slot] = float(starts.get(name, 0.0))
+        rows = [
+            [float(starts.get(name, 0.0)) for name in kernel.input_names]
+            for starts in input_starts_per_row
+        ]
+        self.base = np.array(rows).reshape(n_rows, kernel.n_inputs)
         per_row = len(interps) > 1
         self.series: List[_BoundSeries] = []
         for slot, name in enumerate(kernel.input_names):
             pair = interps[0]._series.get(name)
             if pair is None:
                 continue
-            values = np.column_stack([interp._series[name][1] for interp in interps])
+            values = np.array([interp._series[name][1] for interp in interps]).T
             self.series.append(
                 _BoundSeries(slot, name, pair[0], values[:, cols] if per_row else values)
             )
+        self._last_t = None
+        if n_rows == 1:
+            # Row 0 as float lists: (slot, knots, slopes, values) per series.
+            self._u = rows[0]
+            self._row = [
+                (s.slot, s.knot_list, s.slopes[:, 0].tolist(), s.values[:, 0].tolist())
+                for s in self.series
+            ]
+            return
+        # The scalar time path writes each bound column in place through a
+        # view of the (N, n_inputs) buffer.
+        self._buffer = self.base.copy()
+        self._columns = [self._buffer[:, series.slot] for series in self.series]
+        self._clamped = [series.clamped() for series in self.series]
         # Series columns: 1 (shared) or one per row.
         self._width = n_rows if per_row else 1
         self._rows = np.arange(n_rows)
-        # One reusable (N, n_inputs) buffer: the kernel consumes the values
-        # within the same rhs call, so per-stage reuse is safe.  The scalar
-        # path writes each bound column in place through a view, and skips
-        # a time it has just filled (RK4 evaluates both midpoint stages,
-        # and each step's end and the next step's start, at one time).
-        self._buffer = self.base.copy()
-        self._columns = [self._buffer[:, series.slot] for series in self.series]
-        self._last_t = None
+
+    def input_at(self, t: float) -> List[float]:
+        """Row 0's input vector at time ``t`` (clamped like ``np.interp``)."""
+        u = self._u
+        if t == self._last_t:
+            return u
+        self._last_t = t
+        for slot, knots, slopes, values in self._row:
+            if t <= knots[0]:
+                u[slot] = values[0]
+            elif t >= knots[-1]:
+                u[slot] = values[-1]
+            else:
+                i = bisect.bisect_right(knots, t) - 1
+                u[slot] = slopes[i] * (t - knots[i]) + values[i]
+        return u
 
     def inputs_at(self, t) -> np.ndarray:
         """The ``(N, n_inputs)`` input matrix at time ``t`` (scalar or per-row)."""
@@ -220,29 +229,27 @@ class _BatchKernelBindings:
                 elif t >= knots[-1]:
                     column[:] = series.values[-1]
                 else:
-                    i = bisect.bisect_right(knots, t)
-                    np.multiply(series.slopes[i], t - series.start_list[i], out=column)
+                    i = bisect.bisect_right(knots, t) - 1
+                    np.multiply(series.slopes[i], t - knots[i], out=column)
                     column += series.values[i]
             return self._buffer
         self._last_t = None
         u = self._buffer
-        for series in self.series:
-            i = np.searchsorted(series.knots, t, side="right")
+        for series, (starts, values, slopes) in zip(self.series, self._clamped):
+            i = series.knots.searchsorted(t, side="right")
             at = i if self._width == 1 else i * self._width + self._rows
-            u[:, series.slot] = (
-                series.flat_slopes[at] * (t - series.starts[i]) + series.flat_values[at]
-            )
+            u[:, series.slot] = slopes[at] * (t - starts[i]) + values[at]
         return u
 
-    def input_tensor(self, grid: np.ndarray, sampled: Mapping[str, np.ndarray]) -> np.ndarray:
+    def input_tensor(self, grid: np.ndarray, measured: Mapping[str, np.ndarray], cols) -> np.ndarray:
         """The ``(N, n_grid, n_inputs)`` input trajectories for vectorized outputs.
 
-        ``sampled`` holds each measured series on ``grid``, one row per
-        fleet row.
+        ``measured`` holds each measured series on ``grid``, one row per
+        input mapping; ``cols`` maps each fleet row to its mapping.
         """
         tensor = np.repeat(self.base[:, None, :], len(grid), axis=1)
         for series in self.series:
-            tensor[:, :, series.slot] = sampled[series.name]
+            tensor[:, :, series.slot] = measured[series.name][cols]
         return tensor
 
 
@@ -397,6 +404,9 @@ class FmuModel:
     ) -> SimulationResult:
         """Simulate the model and return trajectories of states and outputs.
 
+        This is :meth:`simulate_batch`'s pipeline on a one-row fleet, which
+        steps in the solver's scalar float loop.
+
         Parameters
         ----------
         inputs:
@@ -412,81 +422,15 @@ class FmuModel:
             Explicit output grid (overrides ``output_step``).
         solver / solver_options:
             Solver registry name and constructor options.
+
+        The result's ``solver_stats`` are ``solver``, ``n_rhs_evals``,
+        ``n_steps`` and ``n_rejected``.
         """
-        if not self._instantiated:
-            raise FmuStateError("the FMU instance has been terminated")
-        check_active()
-
-        interp = self._build_interpolator(inputs or {})
-        t0, t1 = self._resolve_window(interp, start_time, stop_time)
-        grid = self._resolve_grid(t0, t1, output_step, output_times)
-
-        system = self.ode_system
-        kernel = system.kernel
-        # Inputs and parameters are bound to the kernel's positional layout
-        # once per call, not once per step.
-        bindings = _KernelBindings(kernel, interp, self._input_starts)
-        p = kernel.parameter_vector(self._parameter_values)
-        try:
-            kernel_derivs = kernel._bind_derivs(p)
-        except ZeroDivisionError:
-            raise kernel.division_error() from None
-        input_at = bindings.input_at
-
-        # The scalar solver loops step in float lists, which the compiled
-        # kernel takes and returns as they are.
-        @float_rhs
-        def rhs(t, x):
-            try:
-                return kernel_derivs(t, x, input_at(t))
-            except ZeroDivisionError:
-                raise kernel.division_error() from None
-
-        injector = faults.active_injector()
-        if injector is not None:
-            # Chaos mode only: route every rhs evaluation through the
-            # ``kernel.eval`` fault point (zero cost when no injector is
-            # installed - this wrapper does not exist).
-            inner_rhs = rhs
-
-            @float_rhs
-            def rhs(t, x):  # noqa: F811 - deliberate chaos-mode shadow
-                injector.check_point("kernel.eval")
-                return inner_rhs(t, x)
-
-        x0 = np.array(
-            [self._state_starts[name] for name in system.state_names], dtype=float
+        (result,) = FmuModel._simulate_fleet(
+            [self], inputs, start_time, stop_time, output_step, output_times,
+            solver, solver_options,
         )
-        problem = OdeProblem(rhs=rhs, x0=x0, t0=t0, t1=t1)
-        options = dict(solver_options or {})
-        solution = get_solver(solver, **options).solve(problem, output_times=grid)
-
-        trajectories: Dict[str, np.ndarray] = {}
-        for i, name in enumerate(system.state_names):
-            trajectories[name] = solution.states[:, i]
-        # Output equations evaluated over the whole trajectory in one
-        # vectorized pass: the fleet output kernel with a single row.
-        (outputs,) = kernel.outputs_batch(
-            solution.times,
-            solution.states[None],
-            bindings.input_matrix(solution.times)[None],
-            np.array([p], dtype=float),
-        )
-        trajectories.update(outputs)
-        for name in interp.names():
-            series_times, series_values = interp._series[name]
-            trajectories[name] = np.interp(solution.times, series_times, series_values)
-
-        return SimulationResult(
-            time=solution.times,
-            trajectories=trajectories,
-            solver_stats={
-                "solver": solution.solver_name,
-                "n_rhs_evals": solution.n_rhs_evals,
-                "n_steps": solution.n_steps,
-                "n_rejected": solution.n_rejected,
-            },
-        )
+        return result
 
     @staticmethod
     def simulate_batch(
@@ -498,25 +442,27 @@ class FmuModel:
         solver: str = "rk45",
         solver_options: Optional[dict] = None,
     ) -> List[SimulationResult]:
-        """Simulate a fleet of instances of **one** model in a single batched pass.
+        """Simulate a fleet of instances of **one** model in a single pass.
 
         All ``models`` must wrap the same FMU archive (they are the fleet's
         instances: same equations, per-instance parameter/start values) and
         share the simulation window.  ``inputs`` is either one mapping the
         whole fleet shares or one mapping per model; per-model mappings
         must name the same inputs on the same knot times, and may differ in
-        their values (e.g. each instance's own measured series).  The
-        fleet's states are stacked into an ``(N, d)`` matrix and integrated
-        through one numpy-vectorized right-hand side
+        their values (e.g. each instance's own measured series).  A fleet
+        of two or more rows stacks its states into an ``(N, d)`` matrix and
+        integrates them through one numpy-vectorized right-hand side
         (:meth:`~repro.fmi.kernel.SimulationKernel.derivs_batch` via
-        :meth:`~repro.solvers.base.OdeSolver.solve_batch`): parameters are
-        bound once per call as an ``(N, n_p)`` matrix and output equations
-        are evaluated vectorized over the whole fleet x grid.
+        :meth:`~repro.solvers.base.OdeSolver.solve_batch`); a one-row fleet
+        steps in the scalar float loop, as :meth:`simulate` does.
 
-        Results are returned in ``models`` order and agree with per-instance
-        :meth:`simulate` calls to floating-point rounding (the adaptive RK45
-        batch solver controls errors per row, so every row walks the same
-        step sequence the sequential solver would).
+        Results are returned in ``models`` order and equal per-instance
+        :meth:`simulate` calls bit for bit (the adaptive RK45 batch solver
+        controls errors per row, so every row walks the step sequence the
+        scalar solver would).  Their ``solver_stats`` are :meth:`simulate`'s
+        keys, with per-row step counts and ``n_rhs_evals`` counting
+        vectorized evaluations, plus ``batched=True`` and ``fleet_size``
+        for fleets of two or more rows.
 
         ``output_times`` defaults to the grid :meth:`simulate` uses.  A
         batched integration that fails mid-flight raises the solver's
@@ -528,6 +474,25 @@ class FmuModel:
         models = list(models)
         if not models:
             return []
+        return FmuModel._simulate_fleet(
+            models, inputs, start_time, stop_time, None, output_times,
+            solver, solver_options,
+        )
+
+    @staticmethod
+    def _simulate_fleet(
+        models: List["FmuModel"],
+        inputs,
+        start_time: Optional[float],
+        stop_time: Optional[float],
+        output_step: Optional[float],
+        output_times: Optional[Sequence[float]],
+        solver: str,
+        solver_options: Optional[dict],
+    ) -> List[SimulationResult]:
+        """The pipeline of :meth:`simulate` and :meth:`simulate_batch`: a
+        one-row fleet steps in the solver's scalar float loop, a larger one
+        in its batched loop."""
         lead = models[0]
         for model in models:
             if model._archive.guid != lead._archive.guid:
@@ -542,86 +507,94 @@ class FmuModel:
         check_active()
         interps, cols = lead._build_row_interpolators(inputs, len(models))
         t0, t1 = lead._resolve_window(interps[0], start_time, stop_time)
-        grid = lead._resolve_grid(t0, t1, None, output_times)
+        grid = lead._resolve_grid(t0, t1, output_step, output_times)
 
         system = lead.ode_system
         kernel = system.kernel
         # Bind the whole fleet once: per-row parameter matrix, per-row input
         # start values overlaid with the measured series, stacked initial
         # states.
-        bindings = _BatchKernelBindings(
-            kernel, interps, cols, [model._input_starts for model in models]
-        )
+        bindings = _FleetBindings(kernel, interps, cols, [model._input_starts for model in models])
         P = kernel.parameter_matrix([model._parameter_values for model in models])
         x0 = np.array(
-            [
-                [model._state_starts[name] for name in system.state_names]
-                for model in models
-            ],
+            [[model._state_starts[name] for name in system.state_names] for model in models],
             dtype=float,
         )
+        one_row = len(models) == 1
         try:
-            # The solve's errstate: a dividing fleet yields inf/nan elements,
-            # not warnings, whether it divides at bind time or per step.
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                derivs_batch = kernel._bind_derivs_batch(P)
+            if one_row:
+                step = kernel._bind_derivs(P[0].tolist())
+            else:
+                # The solve's errstate: a dividing fleet yields inf/nan
+                # elements, not warnings, whether it divides at bind time or
+                # per step.
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    step = kernel._bind_derivs_batch(P)
         except ZeroDivisionError:
             raise kernel.division_error() from None
 
-        def rhs(t, X, U):
-            try:
-                return derivs_batch(t, X, U, np.empty_like(X))
-            except ZeroDivisionError:
-                raise kernel.division_error() from None
+        integrator = get_solver(solver, **(solver_options or {}))
+        if one_row:
+            input_at = bindings.input_at
 
-        injector = faults.active_injector()
-        if injector is not None:
-            inner_batch_rhs = rhs
+            def rhs(t, x):
+                try:
+                    return step(t, x, input_at(t))
+                except ZeroDivisionError:
+                    raise kernel.division_error() from None
 
-            def rhs(t, X, U):  # noqa: F811 - deliberate chaos-mode shadow
-                injector.check_point("kernel.eval")
-                return inner_batch_rhs(t, X, U)
+            # The scalar loop steps in float lists, which the compiled
+            # kernel takes and returns as they are.
+            problem = OdeProblem(rhs=float_rhs(_fault_checked(rhs)), x0=x0[0], t0=t0, t1=t1)
+            solution = integrator.solve(problem, output_times=grid)
+            states = solution.states[None]
+            n_steps, n_rejected = [solution.n_steps], [solution.n_rejected]
+            fleet_stats = {}
+        else:
 
-        problem = BatchOdeProblem(rhs=rhs, x0=x0, t0=t0, t1=t1, inputs=bindings.inputs_at)
-        options = dict(solver_options or {})
-        solution = get_solver(solver, **options).solve_batch(
-            problem, output_times=grid
-        )
+            def rhs(t, X, U):
+                try:
+                    return step(t, X, U, np.empty_like(X))
+                except ZeroDivisionError:
+                    raise kernel.division_error() from None
 
-        # Vectorized outputs over the whole fleet x grid in one pass.
+            problem = BatchOdeProblem(
+                rhs=_fault_checked(rhs), x0=x0, t0=t0, t1=t1, inputs=bindings.inputs_at
+            )
+            solution = integrator.solve_batch(problem, output_times=grid)
+            states = np.ascontiguousarray(solution.states.swapaxes(0, 1))
+            n_steps, n_rejected = solution.n_steps, solution.n_rejected
+            fleet_stats = {"batched": True, "fleet_size": len(models)}
+
         # Each measured series on the output grid, one row per input
-        # mapping, sampled with np.interp as the scalar path samples it.
+        # mapping, then the outputs of the whole fleet x grid in one pass.
+        times = solution.times
         measured = {
-            name: np.array(
-                [np.interp(solution.times, *interp._series[name]) for interp in interps]
-            )[cols]
+            name: np.array([np.interp(times, *interp._series[name]) for interp in interps])
             for name in interps[0].names()
         }
-        input_tensor = bindings.input_tensor(solution.times, measured)
-        states = np.ascontiguousarray(solution.states.swapaxes(0, 1))
-        output_rows = kernel.outputs_batch(solution.times, states, input_tensor, P)
+        output_rows = kernel.outputs_batch(
+            times, states, bindings.input_tensor(times, measured, cols), P
+        )
 
         results: List[SimulationResult] = []
-        for row, model in enumerate(models):
-            trajectories: Dict[str, np.ndarray] = {}
-            for j, name in enumerate(system.state_names):
-                # Copy the column out of the (n, N, d) fleet tensor so one
-                # retained result does not pin the whole fleet's solution.
-                trajectories[name] = solution.states[:, row, j].copy()
+        for row, col in enumerate(cols):
+            # Copies, so one retained result does not pin the whole fleet's
+            # solution.
+            trajectories = dict(zip(system.state_names, states[row].T.copy()))
             trajectories.update(output_rows[row])
-            for name, columns in measured.items():
-                trajectories[name] = columns[row].copy()
+            for name, samples in measured.items():
+                trajectories[name] = samples[col].copy()
             results.append(
                 SimulationResult(
-                    time=solution.times,
+                    time=times,
                     trajectories=trajectories,
                     solver_stats={
                         "solver": solution.solver_name,
                         "n_rhs_evals": solution.n_rhs_evals,
-                        "n_steps": int(solution.n_steps[row]),
-                        "n_rejected": int(solution.n_rejected[row]),
-                        "batched": True,
-                        "fleet_size": len(models),
+                        "n_steps": int(n_steps[row]),
+                        "n_rejected": int(n_rejected[row]),
+                        **fleet_stats,
                     },
                 )
             )
@@ -642,7 +615,7 @@ class FmuModel:
 
     def _build_row_interpolators(
         self, inputs, n_rows: int
-    ) -> Tuple[List[_InputInterpolator], np.ndarray]:
+    ) -> Tuple[List[_InputInterpolator], List[int]]:
         """Interpolators for ``simulate_batch``'s ``inputs`` and each row's index.
 
         A shared mapping (or none) gives one interpolator for every row.
@@ -652,7 +625,7 @@ class FmuModel:
         batched interpolation bisects one shared knot grid.
         """
         if inputs is None or isinstance(inputs, abc.Mapping):
-            return [self._build_interpolator(inputs or {})], np.zeros(n_rows, dtype=np.intp)
+            return [self._build_interpolator(inputs or {})], [0] * n_rows
         mappings = list(inputs)
         if len(mappings) != n_rows:
             raise SimulationInputError(
@@ -660,13 +633,13 @@ class FmuModel:
             )
         columns: Dict[int, int] = {}
         interps: List[_InputInterpolator] = []
-        cols = np.empty(n_rows, dtype=np.intp)
-        for row, mapping in enumerate(mappings):
+        cols: List[int] = []
+        for mapping in mappings:
             column = columns.get(id(mapping))
             if column is None:
                 column = columns[id(mapping)] = len(interps)
                 interps.append(self._build_interpolator(mapping or {}))
-            cols[row] = column
+            cols.append(column)
         lead = interps[0]._series
         for interp in interps[1:]:
             if interp._series.keys() != lead.keys() or not all(

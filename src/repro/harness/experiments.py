@@ -21,7 +21,7 @@ from repro.core.session import Session
 from repro.data.classroom import generate_classroom_dataset
 from repro.data.generators import generate_dataset_for
 from repro.data.loaders import load_dataset
-from repro.data.nist import generate_hp0_dataset, generate_hp1_dataset
+from repro.data.nist import generate_hp1_dataset
 from repro.data.synthetic import scale_dataset
 from repro.estimation.metrics import rmse
 from repro.estimation.objective import MeasurementSet

@@ -11,7 +11,7 @@ sufficient for the occupancy-forecasting experiment of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 from scipy import optimize

@@ -10,7 +10,7 @@ target (Table 5 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.errors import ReproError
 from repro.fmi.archive import FmuArchive

@@ -14,7 +14,7 @@ import heapq
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cancellation import active_token, check_active
-from repro.errors import SqlCatalogError, SqlExecutionError, SqlIntegrityError
+from repro.errors import SqlCatalogError, SqlExecutionError
 from repro.sqldb.ast_nodes import (
     AnalyzeStatement,
     CheckpointStatement,
@@ -46,7 +46,6 @@ from repro.sqldb.functions import (
     AGGREGATE_FUNCTIONS,
     CountStarAggregate,
     TABLE_FUNCTIONS,
-    is_aggregate,
 )
 from repro.sqldb.planner.nodes import PlanRuntime, filter_rows
 from repro.sqldb.result import ResultSet

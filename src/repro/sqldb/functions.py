@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import SqlExecutionError
 from repro.sqldb.types import Variant, parse_timestamp

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cancellation import active_token
-from repro.errors import SqlExecutionError
 from repro.sqldb.ast_nodes import (
     Expression,
     FromItem,
@@ -34,7 +33,7 @@ from repro.sqldb.ast_nodes import (
 from repro.sqldb.expressions import EvalContext, evaluate
 from repro.sqldb.planner import cost
 from repro.sqldb.planner.render import render_expression
-from repro.sqldb.rows import make_row, merge_rows
+from repro.sqldb.rows import merge_rows
 from repro.sqldb.table import _key_of
 from repro.sqldb.types import SqlType, Variant
 

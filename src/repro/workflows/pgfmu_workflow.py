@@ -17,10 +17,7 @@ from repro.baseline.workflow import StepTiming, WorkflowResult
 from repro.core.session import Session
 from repro.errors import ReproError
 from repro.estimation.objective import MeasurementSet
-from repro.estimation.metrics import rmse
 from repro.fmi.archive import FmuArchive
-
-import numpy as np
 
 
 class PgFmuWorkflow:

@@ -33,7 +33,6 @@ from repro.data.generators import generate_dataset_for
 from repro.data.loaders import load_dataset
 from repro.data.synthetic import synthetic_family
 from repro.errors import ReproError
-from repro.estimation.metrics import rmse
 from repro.estimation.objective import MeasurementSet
 from repro.models.registry import get_model_spec
 from repro.sqldb.database import Database

@@ -17,9 +17,12 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.errors import FmuFormatError, FmuStateError, SimulationInputError, SolverError
+from repro.fmi import load_fmu
 from repro.fmi.model import FmuModel
-from repro.solvers import get_solver
+from repro.modelica.compiler import compile_model
+from repro.solvers import SOLVER_REGISTRY, get_solver
 from repro.solvers.base import (
     BatchOdeProblem,
     BatchOdeSolution,
@@ -554,6 +557,80 @@ class TestSimulateBatchApi:
             assert result.solver_stats["batched"] is True
             assert result.solver_stats["fleet_size"] == 3
             assert result.solver_stats["n_steps"] > 0
+
+
+# --------------------------------------------------------------------------- #
+# Model layer: one pipeline for a single row and for fleets
+# --------------------------------------------------------------------------- #
+class TestOnePipeline:
+    """``simulate`` is a one-row fleet of ``simulate_batch``'s pipeline: it
+    steps in the scalar float loop, and a fleet of two or more rows in
+    ``solve_batch``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("solver", ALL_SOLVERS)
+    def test_one_row_fleet_is_simulate(
+        self, seed, solver, random_system, random_archive, random_fleet, corpus_inputs,
+        monkeypatch,
+    ):
+        """A one-row ``simulate_batch`` is ``simulate`` bit for bit, stats
+        included, and never reaches ``solve_batch``; two rows do."""
+        system = random_system(seed)
+        archive = random_archive(f"one{seed}", system)
+        (model,) = random_fleet(system, archive, n_rows=1, seed=4000 + seed)
+        call = dict(
+            inputs=corpus_inputs(system), start_time=0.0, stop_time=2.0,
+            output_times=np.linspace(0.0, 2.0, 41), solver=solver,
+        )
+        sequential = model.simulate(**call)
+
+        def refuse(self, problem, output_times=None):
+            raise AssertionError("called solve_batch")
+
+        for cls in SOLVER_REGISTRY.values():
+            monkeypatch.setattr(cls, "solve_batch", refuse)
+        (result,) = FmuModel.simulate_batch([model], **call)
+        assert result.solver_stats == sequential.solver_stats
+        assert "batched" not in result.solver_stats
+        np.testing.assert_array_equal(result.time, sequential.time)
+        assert result.variables == sequential.variables
+        for name in sequential.variables:
+            np.testing.assert_array_equal(result[name], sequential[name], err_msg=name)
+        with pytest.raises(AssertionError, match="called solve_batch"):
+            FmuModel.simulate_batch([model, model.clone()], **call)
+
+    @pytest.mark.parametrize("fleet_size", [None, 1, 2])
+    def test_kernel_eval_fault_point_fires(self, hp1_archive, fleet_size):
+        """The ``kernel.eval`` point guards the one-row float loop and the
+        fleet loop alike (``fleet_size=None`` calls ``simulate``)."""
+        model = FmuModel(hp1_archive)
+        injector = faults.FaultInjector().arm("kernel.eval", nth=3)
+        with faults.activate(injector), pytest.raises(SolverError, match="kernel.eval"):
+            if fleet_size is None:
+                model.simulate(start_time=0.0, stop_time=10.0)
+            else:
+                fleet = [model] + [model.clone() for _ in range(fleet_size - 1)]
+                FmuModel.simulate_batch(fleet, start_time=0.0, stop_time=10.0)
+        assert injector.events == ["kernel.eval"]
+
+    @pytest.mark.parametrize("source", [DIVIDING_SOURCE, BIND_DIVIDING_SOURCE])
+    def test_division_raises_the_typed_error_without_warning(self, source):
+        """A one-row fleet divides on Python floats and raises the kernel's
+        FmuFormatError, as ``simulate`` does, whether it divides per step or
+        once at bind time.  A larger fleet divides on numpy rows and fails
+        its solve with a SolverError naming them (the session recovers with
+        per-instance reruns, see TestSimulateManyBatching); neither warns."""
+        archive = compile_model(source)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FmuFormatError, match="divided by zero"):
+                load_fmu(archive).simulate(start_time=0.0, stop_time=1.0)
+            with pytest.raises(FmuFormatError, match="divided by zero"):
+                FmuModel.simulate_batch([load_fmu(archive)], start_time=0.0, stop_time=1.0)
+            with pytest.raises(SolverError, match=r"rows \[0, 1\]"):
+                FmuModel.simulate_batch(
+                    [load_fmu(archive), load_fmu(archive)], start_time=0.0, stop_time=1.0
+                )
 
 
 # --------------------------------------------------------------------------- #
