@@ -41,6 +41,7 @@ if __name__ == "__main__":  # pragma: no cover - direct invocation path
 from bench_simulation_kernels import HP5_SOURCE
 
 from repro.core.session import Session
+from repro.core.simulate import SIMULATION_SOLVER
 
 RECORD_PATH = Path(__file__).resolve().parent / "BENCH_fleet_simulation.json"
 #: Where ``--smoke`` writes, so a smoke run leaves the full-run record alone.
@@ -94,9 +95,9 @@ def measure_fleet(hours: float = 100.0, rounds: int = 3) -> dict:
         return session.simulate_many(ids, query)
 
     def run_sequential():
-        # The query runs once, then each instance takes the scalar path.
+        # The query runs once, then each instance runs as a one-row fleet.
         prepared = simulator.prepare_inputs(query)
-        return {i: simulator._simulate_prepared(i, prepared) for i in ids}
+        return {i: simulator._simulate_group([i], prepared)[0] for i in ids}
 
     batched_results = run_batched()
     sequential_results = run_sequential()
@@ -116,7 +117,7 @@ def measure_fleet(hours: float = 100.0, rounds: int = 3) -> dict:
         "benchmark": "fleet_simulation",
         "n_instances": N_INSTANCES,
         "hours": hours,
-        "solver": session.simulator.solver,
+        "solver": SIMULATION_SOLVER,
         "max_abs_diff": worst,
         "sequential_s": round(sequential_s, 6),
         "batched_s": round(batched_s, 6),

@@ -57,12 +57,13 @@ def main() -> None:
     batched = session.simulate_many(fleet, query)
     batched_s = time.perf_counter() - started
 
-    # The sequential path: run the query once, then simulate each house on
-    # its own (what simulate_many does for a model with one instance).
+    # The sequential path: run the query once, then simulate each house as
+    # its own one-row fleet (what simulate_many does for a model with one
+    # instance).
     simulator = session.simulator
     started = time.perf_counter()
     prepared = simulator.prepare_inputs(query)
-    sequential = {house: simulator._simulate_prepared(house, prepared) for house in fleet}
+    sequential = {house: simulator._simulate_group([house], prepared)[0] for house in fleet}
     sequential_s = time.perf_counter() - started
 
     worst = max(

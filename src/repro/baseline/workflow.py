@@ -26,11 +26,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import ReproError
 from repro.estimation.estimator import Estimation
-from repro.estimation.metrics import rmse
 from repro.estimation.objective import MeasurementSet
 from repro.fmi.archive import FmuArchive
 from repro.fmi.model import FmuModel, load_fmu
@@ -182,7 +179,7 @@ class PythonWorkflow:
         steps.append(StepTiming("simulate", time.perf_counter() - started))
 
         started = time.perf_counter()
-        self._export_predictions(simulation, measurements)
+        self._export_predictions(simulation)
         steps.append(StepTiming("export_predictions", time.perf_counter() - started))
 
         started = time.perf_counter()
@@ -236,7 +233,7 @@ class PythonWorkflow:
             output_times=measurements.time,
         )
 
-    def _export_predictions(self, simulation, measurements: MeasurementSet) -> None:
+    def _export_predictions(self, simulation) -> None:
         table_name = self.predictions_table
         if self.database.has_table(table_name):
             self.database.drop_table(table_name)
@@ -251,7 +248,7 @@ class PythonWorkflow:
                 primary_key=["time", "varname"],
             )
         )
-        reported = [name for name in simulation.variables if name not in measurements.series or True]
+        reported = simulation.variables
         rows = []
         for i, t in enumerate(simulation.time):
             for name in reported:
@@ -265,23 +262,3 @@ class PythonWorkflow:
         )
         return {row["varname"]: row for row in result.to_dicts()}
 
-
-def validation_rmse(
-    model: FmuModel, measurements: MeasurementSet, observed: str
-) -> float:
-    """Convenience: RMSE of a model simulation against one observed series."""
-    input_names = set(model.input_names())
-    inputs = {
-        name: (measurements.time, measurements.series[name])
-        for name in measurements.variable_names()
-        if name in input_names
-    }
-    result = model.simulate(
-        inputs=inputs,
-        start_time=float(measurements.time[0]),
-        stop_time=float(measurements.time[-1]),
-        output_times=measurements.time,
-    )
-    measured = measurements.series[observed]
-    mask = ~np.isnan(measured)
-    return rmse(measured[mask], result[observed][mask])

@@ -198,10 +198,10 @@ class Session:
         and instances of the same model integrate as a single batched
         ``(N, d)`` solve through one vectorized right-hand side
         (:meth:`~repro.fmi.model.FmuModel.simulate_batch`), which scales
-        sub-linearly in fleet size.  Batched trajectories match the
-        sequential per-instance path within 1e-9; systems that cannot batch
-        fall back to it automatically.  Results are keyed by instance id in
-        input order.
+        sub-linearly in fleet size.  Batched trajectories match one-instance
+        :meth:`simulate` calls within 1e-9; a fleet whose batched solve
+        fails on every rung of the retry ladder is rerun instance by
+        instance.  Results are keyed by instance id in input order.
 
         Parameters
         ----------

@@ -14,16 +14,17 @@ stacked into an ``(N, d)`` matrix and integrated together through one
 numpy-vectorized right-hand side
 (:meth:`repro.fmi.model.FmuModel.simulate_batch`), so the fleet costs one
 solver loop instead of N.  This backs both ``Session.simulate_many`` and
-the array-literal overload of the ``fmu_simulate`` UDF.  A model with a
-single instance in the fleet takes the scalar per-instance path, and so
-does every instance of a fleet whose batched solve fails on every rung of
-the retry ladder: the per-instance rerun reports exactly the error N
-single-instance calls would.
+the array-literal overload of the ``fmu_simulate`` UDF.  One instance
+takes the same path as a one-row fleet, which the FMI runtime steps in the
+solver's scalar loop.  Every fleet solve walks the
+:class:`~repro.solvers.retry.RetryPolicy` ladder; only a fleet of two or
+more whose solve fails on every rung is rerun instance by instance, so the
+rerun reports exactly the error N single-instance calls would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -63,20 +64,22 @@ class _PreparedInputs:
         return bound
 
 
+#: Solver used for simulation; the adaptive solver because simulation
+#: (unlike calibration) runs once and accuracy matters most.
+SIMULATION_SOLVER = "rk45"
+
+#: Degradation ladder applied when an integration raises
+#: :class:`~repro.errors.SolverError`: retry with tightened numerics, then
+#: fall back to a fixed-step solver (see :class:`~repro.solvers.retry.RetryPolicy`).
+_RETRY_POLICY = RetryPolicy()
+
+
 @dataclass
 class Simulator:
     """Implements ``fmu_simulate`` on top of the catalogue and FMI runtime."""
 
     catalog: ModelCatalog
     instances: InstanceManager
-    #: Solver used for simulation; the adaptive solver is the default because
-    #: simulation (unlike calibration) runs once and accuracy matters most.
-    solver: str = "rk45"
-    #: Degradation ladder applied when an integration raises
-    #: :class:`~repro.errors.SolverError`: retry with tightened numerics,
-    #: then fall back to a fixed-step solver (see
-    #: :class:`~repro.solvers.retry.RetryPolicy`).
-    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
 
     # ------------------------------------------------------------------ #
     # Core simulation
@@ -98,9 +101,9 @@ class Simulator:
         time_to: Optional[float] = None,
     ) -> SimulationResult:
         """Simulate an instance and return the full trajectory object."""
-        return self._simulate_prepared(
-            instance_id, self.prepare_inputs(input_sql), time_from, time_to
-        )
+        return self.simulate_many([instance_id], input_sql, time_from, time_to)[
+            str(instance_id)
+        ]
 
     def _bind_call(
         self,
@@ -128,30 +131,6 @@ class Simulator:
                 output_times = measured_time[mask]
         return inputs, start, stop, output_times
 
-    def _simulate_prepared(
-        self,
-        instance_id: str,
-        prepared: _PreparedInputs,
-        time_from: Optional[float] = None,
-        time_to: Optional[float] = None,
-    ) -> SimulationResult:
-        model = self.catalog.runtime_model(instance_id)
-        inputs, start, stop, output_times = self._bind_call(
-            instance_id, model, prepared, time_from, time_to
-        )
-
-        def run(solver_name: str, solver_options: Dict[str, Any]) -> SimulationResult:
-            return model.simulate(
-                inputs=inputs,
-                start_time=start,
-                stop_time=stop,
-                output_times=output_times,
-                solver=solver_name,
-                solver_options=solver_options or None,
-            )
-
-        return self.retry_policy.run(run, self.solver)
-
     def simulate_many(
         self,
         instance_ids: Sequence[str],
@@ -164,15 +143,10 @@ class Simulator:
 
         The measurement query runs once and each distinct input-variable set
         is bound once, instead of once per instance as N sequential
-        ``simulate`` calls would.  Instances are then grouped by model: each
-        group of two or more integrates as one ``(N, d)`` batched solve
-        (:meth:`FmuModel.simulate_batch`; trajectories match the sequential
-        path to floating-point rounding).  A group whose batched solve fails
-        on every rung of the retry ladder is rerun instance by instance,
-        each with its own ladder, so the error raised (or the results
-        returned) are those of N single-instance calls.  Results are keyed
-        by instance id in input order.  Duplicate ids are simulated (and
-        returned) once.
+        ``simulate`` calls would.  Instances are then grouped by model and
+        each group integrates as one fleet solve (see
+        :meth:`_simulate_group`).  Results are keyed by instance id in input
+        order.  Duplicate ids are simulated (and returned) once.
         """
         prepared = self.prepare_inputs(input_sql)
         unique_ids = list(dict.fromkeys(str(i) for i in instance_ids))
@@ -182,40 +156,55 @@ class Simulator:
             groups.setdefault(model_id, []).append(instance_id)
         results: Dict[str, SimulationResult] = {}
         for group_ids in groups.values():
-            if len(group_ids) == 1:
-                results[group_ids[0]] = self._simulate_prepared(
-                    group_ids[0], prepared, time_from, time_to
-                )
-                continue
-            models = [self.catalog.runtime_model(i) for i in group_ids]
-            # Same model => same catalogue defaults and same shared series,
-            # so the window and grid resolved for the first instance hold
-            # for the whole group.
-            inputs, start, stop, output_times = self._bind_call(
-                group_ids[0], models[0], prepared, time_from, time_to
+            results.update(
+                zip(group_ids, self._simulate_group(group_ids, prepared, time_from, time_to))
             )
-            def run_batch(
-                solver_name: str, solver_options: Dict[str, Any]
-            ) -> List[SimulationResult]:
-                return FmuModel.simulate_batch(
-                    models,
-                    inputs=inputs,
-                    start_time=start,
-                    stop_time=stop,
-                    output_times=output_times,
-                    solver=solver_name,
-                    solver_options=solver_options or None,
-                )
-
-            try:
-                fleet = self.retry_policy.run(run_batch, self.solver)
-            except SolverError:
-                fleet = [
-                    self._simulate_prepared(i, prepared, time_from, time_to)
-                    for i in group_ids
-                ]
-            results.update(zip(group_ids, fleet))
         return {instance_id: results[instance_id] for instance_id in unique_ids}
+
+    def _simulate_group(
+        self,
+        instance_ids: List[str],
+        prepared: _PreparedInputs,
+        time_from: Optional[float] = None,
+        time_to: Optional[float] = None,
+    ) -> List[SimulationResult]:
+        """Simulate instances of one model as one fleet down the retry ladder.
+
+        The fleet is one :meth:`FmuModel.simulate_batch` call per rung (a
+        single instance is a one-row fleet).  A fleet of two or more that
+        fails on every rung is rerun instance by instance, each with its
+        own ladder, so the error raised (or the results returned) are those
+        of N single-instance calls.
+        """
+        models = [self.catalog.runtime_model(i) for i in instance_ids]
+        # Same model => same catalogue defaults and same shared series, so
+        # the window and grid resolved for the first instance hold for the
+        # whole group.
+        inputs, start, stop, output_times = self._bind_call(
+            instance_ids[0], models[0], prepared, time_from, time_to
+        )
+
+        def run(solver_name: str, solver_options: Dict[str, Any]) -> List[SimulationResult]:
+            return FmuModel.simulate_batch(
+                models,
+                inputs=inputs,
+                start_time=start,
+                stop_time=stop,
+                output_times=output_times,
+                solver=solver_name,
+                solver_options=solver_options or None,
+            )
+
+        try:
+            return _RETRY_POLICY.run(run, SIMULATION_SOLVER)
+        except SolverError:
+            if len(instance_ids) == 1:
+                raise
+        return [
+            result
+            for instance_id in instance_ids
+            for result in self._simulate_group([instance_id], prepared, time_from, time_to)
+        ]
 
     def simulate_rows(
         self,

@@ -15,10 +15,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import CancelledError, EstimationError, SolverError, TimeoutError
+from repro.errors import CancelledError, EstimationError, TimeoutError
 from repro.estimation import lockstep
 from repro.fmi.model import FmuModel
-from repro.solvers.retry import RetryPolicy
 
 #: Deadline/cancellation errors must never be swallowed as a penalized
 #: candidate: a timed-out calibration aborts, it does not score ``inf``.
@@ -142,18 +141,17 @@ class SimulationObjective:
         Defaults to every measured series that matches a model state or
         output (and is not an input).
     solver / solver_options:
-        Forwarded to :meth:`FmuModel.simulate`.  When ``solver`` is ``None``
-        the objective uses fixed-step RK4 at the measurement resolution,
-        which is accurate for the paper's slow thermal models and an order
-        of magnitude cheaper than the adaptive solver - calibration calls
-        the objective hundreds of times.
-    retry_policy:
-        Optional :class:`~repro.solvers.retry.RetryPolicy` applied when a
-        candidate's simulation raises :class:`~repro.errors.SolverError`:
-        the remaining rungs of the ladder (tightened numerics, fixed-step
-        fallback) are tried before the candidate is penalized with ``inf``.
-        Off by default so pinned estimation results are unchanged; typed
-        timeout/cancellation errors always propagate, never retry.
+        Forwarded to :meth:`FmuModel.simulate_batch`.  When ``solver`` is
+        ``None`` the objective uses fixed-step RK4 at the measurement
+        resolution, which is accurate for the paper's slow thermal models
+        and an order of magnitude cheaper than the adaptive solver -
+        calibration calls the objective hundreds of times.
+
+    Every evaluation, of one candidate or a population, simulates its
+    candidates as one :meth:`FmuModel.simulate_batch` fleet of model
+    clones (one row for a single candidate).  A candidate whose simulation
+    fails - e.g. an unstable pole makes the solver diverge - scores
+    ``inf``; typed timeout/cancellation errors propagate instead.
 
     Simulations start from the measured initial conditions of the observed
     states, and objective values are memoized per *exact* candidate vector:
@@ -174,7 +172,6 @@ class SimulationObjective:
         observed_names: Optional[Sequence[str]] = None,
         solver: Optional[str] = None,
         solver_options: Optional[dict] = None,
-        retry_policy: Optional[RetryPolicy] = None,
     ):
         self.model = model
         self.measurements = measurements
@@ -237,7 +234,6 @@ class SimulationObjective:
             mask = ~missing if missing.any() else None
             self._scored.append((name, mask, measured if mask is None else measured[mask]))
         self.n_evaluations = 0
-        self.retry_policy = retry_policy
         self.n_cache_hits = 0
         self._memo: Dict[bytes, float] = {}
 
@@ -257,30 +253,6 @@ class SimulationObjective:
     # ------------------------------------------------------------------ #
     # Evaluation
     # ------------------------------------------------------------------ #
-    def simulate(
-        self,
-        theta: Sequence[float],
-        solver: Optional[str] = None,
-        solver_options: Optional[dict] = None,
-    ):
-        """Simulate the model with the candidate parameter vector.
-
-        ``solver``/``solver_options`` override the objective's configured
-        solver for this one call (the retry ladder's degraded attempts).
-        """
-        theta = self._candidate(theta)
-        self._apply(self.model, theta)
-        return self.model.simulate(
-            inputs=self.input_series,
-            start_time=float(self.measurements.time[0]),
-            stop_time=float(self.measurements.time[-1]),
-            output_times=self.measurements.time,
-            solver=self.solver if solver is None else solver,
-            solver_options=(
-                self.solver_options if solver_options is None else solver_options
-            ),
-        )
-
     def _candidate(self, theta: Sequence[float]) -> np.ndarray:
         """``theta`` as a float vector, checked against the parameter count."""
         theta = np.asarray(theta, dtype=float)
@@ -305,32 +277,6 @@ class SimulationObjective:
         :class:`~repro.errors.EstimationError`.
         """
         return float(self._score_rows(self._candidate(theta)[None])[0])
-
-    def _evaluate(self, theta: np.ndarray) -> float:
-        self.n_evaluations += 1
-        try:
-            result = self.simulate(theta)
-        except SolverError:
-            if self.retry_policy is None:
-                # A diverging candidate (e.g. an unstable pole) is penalized,
-                # not fatal.
-                return float("inf")
-            try:
-                result = self.retry_policy.run(
-                    lambda name, options: self.simulate(
-                        theta, solver=name, solver_options=options
-                    ),
-                    self.solver,
-                    self.solver_options,
-                    skip_first=True,
-                )
-            except SolverError:
-                return float("inf")
-        except _FATAL_ERRORS:
-            raise
-        except Exception:
-            return float("inf")
-        return self._score(result)
 
     def _score(self, result) -> float:
         """Mean RMSE of a simulation result against the observed series.
@@ -363,9 +309,8 @@ class SimulationObjective:
         one with :meth:`__call__` (see :meth:`_score_rows`).
 
         A batched solve that fails mid-flight is bisected (see
-        :meth:`_evaluate_batch`), so only the diverging candidates degrade
-        to a single evaluation, penalized with ``inf`` exactly as
-        :meth:`__call__` would.
+        :meth:`_evaluate_batch`), so only the diverging candidates are
+        penalized with ``inf``, exactly as :meth:`__call__` would.
         """
         thetas = np.asarray(thetas, dtype=float)
         if thetas.ndim != 2 or thetas.shape[1] != len(self.parameter_names):
@@ -389,8 +334,7 @@ class SimulationObjective:
         * misses are deduplicated, evaluated together and counted in
           :attr:`n_evaluations` once each (inside a lockstep worker they
           join the round's shared solve, see :mod:`repro.estimation.lockstep`);
-        * the model is left holding the last row's candidate values, the
-          state :meth:`simulate`'s side effect leaves.
+        * the model is left holding the last row's candidate values.
         """
         keys = [self._memo_key(theta) for theta in thetas]
         missing: Dict[bytes, int] = {}
@@ -412,19 +356,19 @@ class SimulationObjective:
         raises before the stable rows finish), and a GA population searching
         a wide box routinely contains such candidates - so a failed fleet is
         **bisected** rather than rerun row by row: stable halves still solve
-        batched, and only the genuinely diverging candidates degrade to a
-        single sequential evaluation (which penalizes them with ``inf``,
-        exactly as the sequential path would).  Per-row results are
-        independent of the batch they solve in, so the split does not change
-        any candidate's score.
+        batched, and only a genuinely diverging candidate fails on its own
+        as a one-row fleet, which counts one evaluation and scores ``inf``.
+        Per-row results are independent of the batch they solve in, so the
+        split does not change any candidate's score.
         """
-        if len(thetas) == 1:
-            return np.array([self._evaluate(thetas[0])])
         try:
             results = self._simulate_rows([(self, thetas)])
         except _FATAL_ERRORS:
             raise
         except Exception:
+            if len(thetas) == 1:
+                self.n_evaluations += 1
+                return np.array([float("inf")])
             mid = len(thetas) // 2
             return np.concatenate(
                 [self._evaluate_batch(thetas[:mid]), self._evaluate_batch(thetas[mid:])]

@@ -1,34 +1,29 @@
 """Solver degradation ladder: retry a diverged integration, then fall back.
 
 When a simulation hits a :class:`~repro.errors.SolverError` (divergence,
-step-limit exhaustion, an injected ``solver.step`` fault), a
-:class:`RetryPolicy` describes the ladder of progressively more
-conservative attempts to make before giving up:
+step-limit exhaustion, an injected ``solver.step`` fault),
+:meth:`RetryPolicy.run` walks a ladder of progressively more conservative
+attempts before giving up:
 
-1. the requested solver with the requested options (skipped when the
-   caller already ran it);
+1. the requested solver with the requested options;
 2. the same solver with *tightened* numerics - step sizes and tolerances
-   scaled by :attr:`RetryPolicy.step_factor`, and the adaptive step limit
-   raised so smaller steps do not trip it;
-3. the :attr:`RetryPolicy.fallback_solver` (rk45 -> rk4 by default), a
-   fixed-step method immune to step-controller runaway, with only the
-   options it understands.
+   scaled by :data:`STEP_FACTOR`, and the adaptive step limit raised so
+   smaller steps do not trip it;
+3. the :data:`FALLBACK_SOLVER` (rk45 -> rk4), a fixed-step method immune to
+   step-controller runaway, with only the options it understands.
 
 Only :class:`~repro.errors.SolverError` is retried.  Typed timeout /
 cancellation errors, storage errors, and everything else propagate
 immediately - a deadline must not be burned on doomed retries.
 
-This generalizes the ad-hoc divergence handling the population objective
-already does (bisecting failed fleets): :class:`repro.core.simulate.Simulator`
-applies a default policy to ``fmu_simulate``, and
-:class:`repro.estimation.objective.SimulationObjective` accepts an opt-in
-policy for calibration (off by default, so pinned estimation results are
-unchanged unless a caller asks for resilience).
+:class:`repro.core.simulate.Simulator` applies the ladder to every
+``fmu_simulate`` fleet solve.  Calibration does not use it: the population
+objective penalizes a diverging candidate with ``inf`` (bisecting failed
+fleets down to it), so estimation results never depend on a rescue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SolverError
@@ -37,7 +32,7 @@ from repro.errors import SolverError
 #: adaptive-only options (rtol, atol, max_steps) are dropped on fallback.
 _FIXED_STEP_OPTIONS = ("step", "max_step")
 
-#: Options scaled by ``step_factor`` when tightening an attempt.
+#: Options scaled by :data:`STEP_FACTOR` when tightening an attempt.
 _TIGHTENABLE_OPTIONS = ("step", "max_step", "rtol", "atol")
 
 #: Default tightened tolerances for an adaptive solver invoked with no
@@ -46,39 +41,29 @@ _ADAPTIVE_DEFAULTS = {"rtol": 1e-6, "atol": 1e-8}
 
 _ADAPTIVE_SOLVERS = {"rk45", "cvode"}
 
+#: Multiplier applied to step sizes / tolerances on the tightened attempt
+#: (four times smaller steps) and to the fixed-step fallback's step.
+STEP_FACTOR = 0.25
 
-@dataclass(frozen=True)
+#: Solver of the last rung: a registered fixed-step solver.
+FALLBACK_SOLVER = "rk4"
+
+
 class RetryPolicy:
-    """How to degrade when a solver fails (see module docstring).
-
-    Attributes
-    ----------
-    max_attempts:
-        Cap on the total number of attempts, first try included.
-    step_factor:
-        Multiplier applied to step sizes / tolerances on the tightened
-        attempt (0.25 means four times smaller steps).
-    fallback_solver:
-        Solver name for the last rung (empty/None disables the fallback
-        rung).  Must be a registered fixed-step solver.
-    """
-
-    max_attempts: int = 3
-    step_factor: float = 0.25
-    fallback_solver: Optional[str] = "rk4"
+    """The degradation ladder of the module docstring."""
 
     def attempts(
         self, solver: str, solver_options: Optional[Dict[str, Any]] = None
     ) -> List[Tuple[str, Dict[str, Any]]]:
-        """The ladder of ``(solver_name, options)`` attempts, capped."""
+        """The ladder of ``(solver_name, options)`` attempts."""
         options = dict(solver_options or {})
         ladder: List[Tuple[str, Dict[str, Any]]] = [(solver, options)]
         tightened = self._tighten(solver, options)
         if tightened is not None:
             ladder.append((solver, tightened))
-        if self.fallback_solver and self.fallback_solver != solver:
-            ladder.append((self.fallback_solver, self._fallback_options(options)))
-        return ladder[: max(1, int(self.max_attempts))]
+        if solver != FALLBACK_SOLVER:
+            ladder.append((FALLBACK_SOLVER, self._fallback_options(options)))
+        return ladder
 
     def _tighten(
         self, solver: str, options: Dict[str, Any]
@@ -87,11 +72,11 @@ class RetryPolicy:
         changed = False
         for key in _TIGHTENABLE_OPTIONS:
             if tightened.get(key) is not None:
-                tightened[key] = float(tightened[key]) * self.step_factor
+                tightened[key] = float(tightened[key]) * STEP_FACTOR
                 changed = True
         if not changed and solver in _ADAPTIVE_SOLVERS:
             for key, default in _ADAPTIVE_DEFAULTS.items():
-                tightened[key] = default * self.step_factor
+                tightened[key] = default * STEP_FACTOR
             changed = True
         if not changed:
             # Fixed-step solver at its span-derived default step: there is
@@ -107,7 +92,7 @@ class RetryPolicy:
         fallback: Dict[str, Any] = {}
         for key in _FIXED_STEP_OPTIONS:
             if options.get(key) is not None:
-                fallback[key] = float(options[key]) * self.step_factor
+                fallback[key] = float(options[key]) * STEP_FACTOR
         return fallback
 
     def run(
@@ -115,24 +100,15 @@ class RetryPolicy:
         simulate: Callable[[str, Dict[str, Any]], Any],
         solver: str,
         solver_options: Optional[Dict[str, Any]] = None,
-        skip_first: bool = False,
     ) -> Any:
         """Run ``simulate(solver_name, options)`` down the ladder.
 
-        ``skip_first`` is for callers that already made (and caught) the
-        plain attempt themselves.  Re-raises the *last* attempt's
-        :class:`~repro.errors.SolverError` when every rung fails; anything
-        that is not a :class:`SolverError` propagates immediately.
+        Re-raises the *last* attempt's :class:`~repro.errors.SolverError`
+        when every rung fails; anything that is not a :class:`SolverError`
+        propagates immediately.
         """
-        ladder = self.attempts(solver, solver_options)
-        if skip_first:
-            ladder = ladder[1:]
-        if not ladder:
-            raise SolverError(
-                f"retry ladder for solver {solver!r} is empty (nothing to retry)"
-            )
         last: Optional[SolverError] = None
-        for name, options in ladder:
+        for name, options in self.attempts(solver, solver_options):
             try:
                 return simulate(name, options)
             except SolverError as exc:

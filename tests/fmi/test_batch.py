@@ -652,11 +652,10 @@ class TestSimulateManyBatching:
         session, ids = fleet_session
         query = "SELECT * FROM measurements"
         batched = session.simulate_many(ids, query)
-        # Sequential reference: the scalar per-instance path over inputs
-        # bound once.
+        # Sequential reference: one-row fleets over inputs bound once.
         simulator = session.simulator
         prepared = simulator.prepare_inputs(query)
-        sequential = {i: simulator._simulate_prepared(i, prepared) for i in ids}
+        sequential = {i: simulator._simulate_group([i], prepared)[0] for i in ids}
         assert list(batched) == list(sequential) == ids
         for instance_id in ids:
             assert batched[instance_id].solver_stats.get("batched") is True
@@ -698,6 +697,65 @@ class TestSimulateManyBatching:
         session, ids = fleet_session
         results = session.simulate_many([ids[0]], "SELECT * FROM measurements")
         assert "batched" not in results[ids[0]].solver_stats
+
+    def test_one_instance_equals_fmu_model_simulate(self, fleet_session):
+        """``Session.simulate`` and a one-instance ``fmu_simulate`` are
+        ``FmuModel.simulate`` on the instance's model, bit for bit."""
+        session, ids = fleet_session
+        query = "SELECT * FROM measurements"
+        instance_id = ids[1]
+        model = session.catalog.runtime_model(instance_id)
+        rows = session.database.query_dicts(query + " ORDER BY time")
+        time = np.array([row["time"] for row in rows])
+        reference = model.simulate(
+            inputs={
+                name: (time, np.array([row[name] for row in rows]))
+                for name in model.input_names()
+            },
+            start_time=float(time[0]),
+            stop_time=float(time[-1]),
+            output_times=time,
+        )
+        result = session.simulate(instance_id, query)
+        assert result.solver_stats == reference.solver_stats
+        np.testing.assert_array_equal(result.time, reference.time)
+        assert result.variables == reference.variables
+        for name in reference.variables:
+            np.testing.assert_array_equal(result[name], reference[name], err_msg=name)
+
+        reported = model.state_names() + [
+            name for name in model.output_names() if name not in model.state_names()
+        ]
+        want = [
+            [float(t), instance_id, name, float(reference[name][i])]
+            for i, t in enumerate(reference.time)
+            for name in reported
+        ]
+        got = session.execute(f"SELECT * FROM fmu_simulate('{instance_id}', '{query}')").rows
+        assert [list(row) for row in got] == want
+
+    def test_failing_instance_walks_the_ladder_once(self, session, monkeypatch):
+        """A single diverging instance makes one ``simulate_batch`` call per
+        rung of the rk45 ladder (rk45, tightened rk45, rk4); a failing fleet
+        walks the ladder, then each instance walks its own."""
+        for name in ("A", "B"):
+            session.create(DIVERGING_SOURCE, name)
+        sizes = []
+        real = FmuModel.simulate_batch
+
+        def recording(models, *args, **kwargs):
+            sizes.append(len(models))
+            return real(models, *args, **kwargs)
+
+        monkeypatch.setattr(FmuModel, "simulate_batch", staticmethod(recording))
+        with pytest.raises(SolverError):
+            session.simulate("A")
+        assert sizes == [1, 1, 1]
+        sizes.clear()
+        with pytest.raises(SolverError):
+            session.simulate_many(["A", "B"])
+        # A's own ladder raises, so B is never rerun.
+        assert sizes == [2, 2, 2, 1, 1, 1]
 
     @pytest.mark.parametrize("source", [DIVIDING_SOURCE, BIND_DIVIDING_SOURCE])
     def test_dividing_fleet_raises_the_typed_error_without_warning(self, session, source):

@@ -9,6 +9,7 @@ from repro import faults
 from repro.errors import CancelledError, SolverError, TimeoutError
 from repro.fmi.dynamics import OdeSystem, OutputEquation, StateEquation
 from repro.solvers import RetryPolicy
+from repro.solvers.retry import FALLBACK_SOLVER, STEP_FACTOR
 from tests.conftest import make_random_archive
 
 
@@ -36,29 +37,34 @@ class TestLadder:
         assert fallback == {}
 
     def test_explicit_options_are_tightened(self):
-        ladder = RetryPolicy(step_factor=0.5).attempts(
-            "rk45", {"rtol": 1e-4, "max_step": 2.0}
-        )
+        ladder = RetryPolicy().attempts("rk45", {"rtol": 1e-4, "max_step": 2.0})
         _, tightened = ladder[1]
-        assert tightened["rtol"] == pytest.approx(5e-5)
-        assert tightened["max_step"] == pytest.approx(1.0)
+        assert tightened["rtol"] == pytest.approx(1e-4 * STEP_FACTOR)
+        assert tightened["max_step"] == pytest.approx(2.0 * STEP_FACTOR)
         _, fallback = ladder[2]
-        assert fallback == {"max_step": pytest.approx(1.0)}
+        assert fallback == {"max_step": pytest.approx(2.0 * STEP_FACTOR)}
         assert "rtol" not in fallback
 
     def test_fixed_step_solver_with_default_step_skips_tighten_rung(self):
-        # rk4 without an explicit step derives it from the span at solve
-        # time: there is nothing to scale, so the ladder has no middle rung.
-        ladder = RetryPolicy(fallback_solver="euler").attempts("rk4")
-        assert [name for name, _ in ladder] == ["rk4", "euler"]
+        # A fixed-step solver without an explicit step derives it from the
+        # span at solve time: there is nothing to scale, so the ladder has
+        # no middle rung - and the fallback solver itself has no last rung.
+        ladder = RetryPolicy().attempts("euler")
+        assert [name for name, _ in ladder] == ["euler", FALLBACK_SOLVER]
+        assert [name for name, _ in RetryPolicy().attempts(FALLBACK_SOLVER)] == [
+            FALLBACK_SOLVER
+        ]
 
-    def test_max_attempts_caps_the_ladder(self):
-        ladder = RetryPolicy(max_attempts=2).attempts("rk45")
-        assert [name for name, _ in ladder] == ["rk45", "rk45"]
 
-    def test_no_fallback_rung_when_disabled(self):
-        ladder = RetryPolicy(fallback_solver=None).attempts("rk45")
-        assert [name for name, _ in ladder] == ["rk45", "rk45"]
+    def test_fixed_step_solver_with_explicit_step_is_tightened(self):
+        # An explicit step is a knob to scale: the middle rung quarters it,
+        # adds no adaptive-only option, and the fallback takes the same step.
+        ladder = RetryPolicy().attempts("euler", {"step": 0.1})
+        assert [name for name, _ in ladder] == ["euler", "euler", FALLBACK_SOLVER]
+        first, tightened, fallback = [options for _, options in ladder]
+        assert first == {"step": 0.1}
+        assert tightened == {"step": pytest.approx(0.1 * STEP_FACTOR)}
+        assert fallback == {"step": pytest.approx(0.1 * STEP_FACTOR)}
 
 
 class TestRun:
@@ -96,23 +102,25 @@ class TestRun:
         assert RetryPolicy().run(simulate, "rk45") == "fallback saved it"
         assert calls == ["rk45", "rk45", "rk4"]
 
+    def test_each_rung_receives_its_ladder_options(self):
+        calls = []
+
+        def simulate(name, options):
+            calls.append((name, dict(options)))
+            raise SolverError("diverged")
+
+        options = {"rtol": 1e-4, "max_step": 2.0}
+        with pytest.raises(SolverError):
+            RetryPolicy().run(simulate, "rk45", options)
+        assert calls == RetryPolicy().attempts("rk45", options)
+        assert options == {"rtol": 1e-4, "max_step": 2.0}  # caller's dict untouched
+
     def test_exhausted_ladder_reraises_last_error(self):
         def simulate(name, options):
             raise SolverError(f"diverged with {name}")
 
         with pytest.raises(SolverError, match="rk4"):
             RetryPolicy().run(simulate, "rk45")
-
-    def test_skip_first_starts_at_the_tightened_rung(self):
-        calls = []
-
-        def simulate(name, options):
-            calls.append((name, dict(options)))
-            return "ok"
-
-        RetryPolicy().run(simulate, "rk45", skip_first=True)
-        assert len(calls) == 1
-        assert calls[0][1].get("rtol") is not None  # not the plain attempt
 
     @pytest.mark.parametrize("error", [TimeoutError("t"), CancelledError("c"), ValueError("v")])
     def test_non_solver_errors_propagate_immediately(self, error):
@@ -181,11 +189,13 @@ class TestEndToEnd:
                 )
         assert injector.events == ["solver.step"]
 
-    def test_objective_retry_policy_rescues_candidates(self):
-        """With a transient kernel fault, the objective without a policy
-        penalizes the candidate; with a policy it scores it."""
+    def test_objective_penalizes_a_diverging_candidate(self):
+        """Calibration has no ladder: a candidate whose one-row fleet
+        diverges counts one evaluation and scores ``inf``; a fatal timeout
+        propagates without counting one."""
         from repro.estimation.objective import MeasurementSet, SimulationObjective
         from repro.fmi import load_fmu
+        from repro.fmi.model import FmuModel
 
         archive = make_random_archive("Stable", stable_system())
         time = np.linspace(0.0, 2.0, 21)
@@ -193,21 +203,20 @@ class TestEndToEnd:
             start_time=0.0, stop_time=2.0, output_times=time, solver="rk4"
         )
         measurements = MeasurementSet(time=time, series={"x": reference["x"]})
-
-        def fresh_objective(policy):
-            return SimulationObjective(
-                model=load_fmu(archive),
-                measurements=measurements,
-                parameter_names=["k"],
-                retry_policy=policy,
-            )
-
-        plain = fresh_objective(None)
+        objective = SimulationObjective(
+            model=load_fmu(archive), measurements=measurements, parameter_names=["k"]
+        )
         with faults.activate(faults.FaultInjector().arm("kernel.eval", trips=1)):
-            assert plain([0.5]) == float("inf")
+            assert objective([0.5]) == float("inf")
+        assert objective.n_evaluations == 1
+        assert np.isfinite(objective([0.4]))
+        assert objective.n_evaluations == 2
 
-        resilient = fresh_objective(RetryPolicy())
-        with faults.activate(faults.FaultInjector().arm("kernel.eval", trips=1)):
-            score = resilient([0.5])
-        assert np.isfinite(score)
-        assert score == pytest.approx(0.0, abs=1e-6)
+        def expired(*args, **kwargs):
+            raise TimeoutError("deadline")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FmuModel, "simulate_batch", staticmethod(expired))
+            with pytest.raises(TimeoutError):
+                objective([0.3])
+        assert objective.n_evaluations == 2

@@ -19,6 +19,8 @@ from repro.workflows import (
     run_si_scenario,
 )
 from repro.core import Session
+from repro.core.simulate import Simulator
+from repro.workflows.pgfmu_workflow import PREDICTIONS_TABLE
 from repro.workflows.scenarios import MI_TIMING_REPEATS
 
 # The global-search budget is kept well above the local-search budget so the
@@ -119,7 +121,7 @@ class TestPythonWorkflow:
 
 
 class TestPgFmuWorkflow:
-    def test_produces_comparable_results(self, hp1_week_dataset, tmp_path):
+    def test_produces_comparable_results(self, hp1_week_dataset, tmp_path, monkeypatch):
         spec = get_model_spec("HP1")
         session = Session(
             storage_dir=str(tmp_path / "storage"),
@@ -136,11 +138,25 @@ class TestPgFmuWorkflow:
             instance_id="HP1Instance1",
             observed="x",
         )
+        simulations = []
+        real_simulate_many = Simulator.simulate_many
+
+        def counting(self, *args, **kwargs):
+            simulations.append(args)
+            return real_simulate_many(self, *args, **kwargs)
+
+        monkeypatch.setattr(Simulator, "simulate_many", counting)
         result = workflow.run()
         assert result.configuration == "pgfmu+"
         assert result.training_error < 0.15
         assert result.step_seconds("export_predictions") < 0.01  # nothing to export
         assert result.parameters["Cp"] == pytest.approx(1.49, abs=0.12)
+        # Step 5 stores the trajectory and step 7 aggregates the stored
+        # rows, so the workflow simulates once.
+        assert len(simulations) == 1
+        assert session.database.execute(
+            f"SELECT count(*) FROM {PREDICTIONS_TABLE}"
+        ).scalar() == len(hp1_week_dataset.time) * 2  # HP1 reports x and y
 
 
 # --------------------------------------------------------------------------- #
