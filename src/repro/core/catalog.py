@@ -328,11 +328,9 @@ class ModelCatalog:
         ]
 
     def variable_rows(self, model_id: str) -> List[Dict[str, Any]]:
-        return [
-            row
-            for row in self.database.table(VARIABLE_TABLE).to_dicts()
-            if row["modelid"] == model_id
-        ]
+        """A model's variables, in catalogue order (a ``modelvariable_pkey``
+        prefix walk)."""
+        return self.database.table(VARIABLE_TABLE).pk_prefix_rows([model_id])
 
     def variable_row(self, model_id: str, var_name: str) -> Dict[str, Any]:
         row = self.database.table(VARIABLE_TABLE).lookup_pk([model_id, var_name])
@@ -342,13 +340,23 @@ class ModelCatalog:
             )
         return row
 
+    def instance_value_rows(self, instance_id: str) -> List[Dict[str, Any]]:
+        """An instance's ``modelinstancevalues`` rows, in catalogue order (a
+        ``modelinstancevalues_pkey`` prefix walk); none for an unknown
+        instance."""
+        instance = self.database.table(INSTANCE_TABLE).lookup_pk([instance_id])
+        if instance is None:
+            return []
+        return self.database.table(VALUES_TABLE).pk_prefix_rows(
+            [instance["modelid"], instance_id]
+        )
+
     def instance_values(self, instance_id: str) -> Dict[str, Any]:
         """Per-instance variable values, unwrapped from their variant wrappers."""
         values: Dict[str, Any] = {}
-        for row in self.database.table(VALUES_TABLE).to_dicts():
-            if row["instanceid"] == instance_id:
-                value = row["value"]
-                values[row["varname"]] = value.value if isinstance(value, Variant) else value
+        for row in self.instance_value_rows(instance_id):
+            value = row["value"]
+            values[row["varname"]] = value.value if isinstance(value, Variant) else value
         return values
 
     def set_instance_value(self, instance_id: str, var_name: str, value: Any) -> None:
@@ -363,5 +371,6 @@ class ModelCatalog:
             table.update_where(
                 lambda row: row["instanceid"] == instance_id and row["varname"] == var_name,
                 lambda row: {"value": Variant.wrap(value)},
+                candidate_positions=table.pk_positions_for([model_id, instance_id, var_name]),
             )
         self.invalidate_runtime(instance_id)

@@ -172,13 +172,8 @@ class InstanceManager:
             )
         self.database.table(INSTANCE_TABLE).insert([new_instance_id, model_id, None])
         values_table = self.database.table(VALUES_TABLE)
-        source_values = {
-            row["varname"]: row["value"]
-            for row in values_table.to_dicts()
-            if row["instanceid"] == instance_id
-        }
-        for var_name, value in source_values.items():
-            values_table.insert([model_id, new_instance_id, var_name, value])
+        for row in self.catalog.instance_value_rows(instance_id):
+            values_table.insert([model_id, new_instance_id, row["varname"], row["value"]])
         return new_instance_id
 
     # ------------------------------------------------------------------ #

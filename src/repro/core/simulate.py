@@ -231,10 +231,14 @@ class Simulator:
         results = self.simulate_many(instance_ids, input_sql, time_from, time_to)
         rows: List[List[Any]] = []
         for instance_id, result in results.items():
-            model = self.catalog.runtime_model(instance_id)
-            state_names = list(model.state_names())
+            # The reported names are the model's, so the stored archive
+            # lists them; the runtime model needs no second sync.
+            archive = self.catalog.load_archive(self.catalog.instance_row(instance_id)["modelid"])
+            state_names = list(archive.ode_system.state_names)
             reported = state_names + [
-                name for name in model.output_names() if name not in state_names
+                variable.name
+                for variable in archive.model_description.outputs
+                if variable.name not in state_names
             ]
             for i, t in enumerate(result.time):
                 for name in reported:

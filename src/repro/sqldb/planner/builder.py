@@ -10,12 +10,16 @@ statistics exist (see :mod:`repro.sqldb.planner.cost`):
 3. **Predicate pushdown** - single-table conjuncts move below joins into the
    scans; with OR groups a *derived* per-table predicate is pushed and the
    full WHERE stays as a residual filter.
-4. **Index selection** - ``col = const/param`` conjuncts over the primary
-   key or a secondary index turn scans into point lookups; otherwise an
-   equality prefix on an ordered (B-tree) index's leading columns and/or a
-   range (``BETWEEN``/``<``/``>``) on the column after it become an
+4. **Index selection** - ``col = const/param`` conjuncts over the whole
+   primary key turn scans into point lookups.  Otherwise an equality
+   prefix on an ordered (B-tree) index's leading columns and/or a range
+   (``BETWEEN``/``<``/``>``) on the column after it become an
    :class:`~repro.sqldb.planner.nodes.IndexRangeScan` walk - every primary
-   key has such an index, ``<table>_pkey``.  A walk with no prefix is
+   key has such an index, ``<table>_pkey`` - unless a point lookup on a
+   secondary index is not dominated by it: the walk wins when its prefix
+   covers the lookup's columns and it consumes strictly more conjuncts.
+   In a join, range and equality conjuncts copied across equi-joins (rule
+   6) steer this choice too.  A walk with no prefix is
    dropped when statistics say the interval is too wide to beat a
    sequential scan; for ``$n``-bound intervals that width check runs per
    execution, on the bound values, so one cached plan serves narrow and
@@ -26,9 +30,16 @@ statistics exist (see :mod:`repro.sqldb.planner.cost`):
    back to declared-order row order so results stay bit-identical.
 6. **Hash joins** - inner/left equi-joins on type-compatible base-table
    columns replace nested loops; the estimated-smaller input is hashed.
+   Under a pure-conjunction WHERE, each ``col op const/$n`` conjunct is
+   also copied across every equality ``a.c = b.d`` (WHERE or inner ON,
+   one SQL type) onto the other table's index selection - never onto a
+   LEFT JOIN's nullable side or a LATERAL item, and never evaluated as a
+   filter.
 7. **Top-k** - a LIMIT above an ORDER BY pushes into the sort as a heap
-   selection, and ``ORDER BY col [LIMIT k]`` over a one-column B-tree
-   index drops the sort entirely: the index emits rows in key order.
+   selection, and ``ORDER BY col [LIMIT k]`` drops the sort entirely when
+   ``col`` is the last column of a B-tree index whose earlier columns the
+   walk binds by equality (none for a one-column index): the walk emits
+   rows in key order, backwards for ``DESC``, and stops after the top k.
 
 A database with no statistics (never ``ANALYZE``-d) plans exactly as the
 rule-based engine always did - same shapes, same EXPLAIN text.
@@ -40,6 +51,8 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.sqldb.ast_nodes import (
+    Between,
+    BinaryOp,
     ColumnRef,
     Expression,
     FromItem,
@@ -265,6 +278,81 @@ def _pushdown(
 
 
 # --------------------------------------------------------------------------- #
+# Bounds implied across equi-joins
+# --------------------------------------------------------------------------- #
+def _inner_on_conjuncts(item: FromItem) -> List[Expression]:
+    """The conjuncts of every inner join's ON condition inside ``item``."""
+    if not isinstance(item, Join):
+        return []
+    conjuncts = _inner_on_conjuncts(item.left) + _inner_on_conjuncts(item.right)
+    if item.kind == "inner":
+        conjuncts += split_conjuncts(item.condition)
+    return conjuncts
+
+
+def _retarget(conjunct: Expression, column: ColumnRef, target: ColumnRef) -> Expression:
+    """``conjunct`` (a constant equality or range over ``column``) with
+    ``target`` in place of ``column``."""
+    if isinstance(conjunct, Between):
+        return Between(operand=target, low=conjunct.low, high=conjunct.high)
+    if conjunct.left is column:
+        return BinaryOp(op=conjunct.op, left=target, right=conjunct.right)
+    return BinaryOp(op=conjunct.op, left=conjunct.left, right=target)
+
+
+def _implied_conjuncts(statement: SelectStatement, scope: _Scope) -> Dict[str, List[Expression]]:
+    """Copies of WHERE's ``col op const/$n`` conjuncts across equi-joins,
+    per FROM label (``op``: ``=``, ``<``, ``<=``, ``>``, ``>=``, ``BETWEEN``).
+
+    Given ``a.c = b.d`` - from WHERE or an inner join's ON, over base-table
+    columns of one SQL type other than variant - every result row that
+    satisfies ``a.c op v`` also satisfies ``b.d op v``, so a ``b`` row
+    failing the copy joins no result row.  The copy may therefore narrow
+    ``b``'s index key, as in ``meas m JOIN sim s ON s.time = m.time WHERE
+    m.time BETWEEN $1 AND $2``.  Only a pure-conjunction WHERE is mined,
+    and nothing is copied onto a LEFT JOIN's nullable side or a LATERAL
+    item.
+    """
+    if len(scope.tables) < 2:
+        return {}
+    groups = normalize_dnf(statement.where)
+    if groups is None or len(groups) != 1:
+        return {}
+    where = groups[0]
+    on = [c for item in statement.from_items for c in _inner_on_conjuncts(item)]
+    links: Dict[Tuple[str, str], List[Tuple[str, str]]] = {}
+    for conjunct in where + on:
+        match = column_equality(conjunct)
+        if match is None:
+            continue
+        ends = [scope.resolve_column(ref) for ref in match]
+        if ends[0] is None or ends[1] is None or ends[0][0] == ends[1][0]:
+            continue
+        sql_type = ends[0][1].column(match[0].name).sql_type
+        if _TYPE_CLASS.get(sql_type) is None or ends[1][1].column(match[1].name).sql_type != sql_type:
+            continue
+        first, second = (ends[0][0], match[0].name), (ends[1][0], match[1].name)
+        links.setdefault(first, []).append(second)
+        links.setdefault(second, []).append(first)
+    implied: Dict[str, List[Expression]] = {}
+    if not links:
+        return implied
+    for conjunct in where:
+        match = constant_equality(conjunct) or constant_range(conjunct)
+        if match is None:
+            continue
+        column = match[0]
+        owner = scope.resolve_column(column)
+        if owner is None:
+            continue
+        for label, name in links.get((owner[0], column.name), ()):
+            if label not in scope.unpushable:
+                copy = _retarget(conjunct, column, ColumnRef(name=name, table=label))
+                implied.setdefault(label, []).append(copy)
+    return implied
+
+
+# --------------------------------------------------------------------------- #
 # Scan construction with index selection
 # --------------------------------------------------------------------------- #
 def _equalities(
@@ -424,15 +512,28 @@ def index_access_path(
     """The index leaf that answers a conjunction and the conjuncts it
     consumes, or None for a scan.
 
-    Point lookups are tried first (the primary key, then the declared
-    index whose columns are all equality-bound), then the ordered-index
-    walk of :func:`choose_range_index`.  Shared by SELECT scan planning
-    and the executor's UPDATE/DELETE routing.
+    A primary-key point lookup always wins.  Otherwise the declared index
+    whose columns are all equality-bound is looked up, unless the
+    ordered-index walk of :func:`choose_range_index` dominates it: its
+    equality prefix covers every column of the lookup's index (so it
+    visits a subset of the lookup's rows) and it consumes strictly more
+    conjuncts.  ``house = $1 AND time >= $2`` thus walks ``<table>_pkey``
+    rather than filtering all of the house's rows from a hash index on
+    ``house``.  Shared by SELECT scan planning and the executor's
+    UPDATE/DELETE routing.
     """
     choice = choose_point_index(table, conjuncts, label)
     if choice is None:
         return choose_range_index(table, conjuncts, label, alias)
     index_name, key_columns, key_exprs, consumed = choice
+    if index_name != "PRIMARY KEY":
+        walk = choose_range_index(table, conjuncts, label, alias)
+        if (
+            walk is not None
+            and set(key_columns) <= set(walk[0].prefix_columns)
+            and len(walk[1]) > len(consumed)
+        ):
+            return walk
     lookup = IndexLookup(
         table_name=table.name,
         alias=alias,
@@ -449,13 +550,23 @@ def _build_table_scan(
     conjuncts: List[Expression],
     derived: bool,
     label: str,
+    implied: List[Expression],
 ) -> PlanNode:
+    """One base table's leaf: a scan, or the index leaf for its conjuncts.
+
+    ``implied`` conjuncts (see :func:`_implied_conjuncts`) only steer the
+    index choice: one the leaf consumes narrows its key, and the rest are
+    dropped.  Neither the residual nor the full-scan fallback evaluates
+    them, so they never decide a row the original WHERE would not.
+    """
     table = database.table(item.name)
-    if not conjuncts:
+    if not conjuncts and not implied:
         return Scan(table_name=item.name.lower(), alias=item.alias)
     predicate = conjoin(conjuncts)
     # Derived OR predicates are relaxations, not conjunctions: no index.
-    access = None if derived else index_access_path(table, conjuncts, label, item.alias)
+    access = (
+        None if derived else index_access_path(table, conjuncts + implied, label, item.alias)
+    )
     if access is None:
         return Scan(table_name=item.name.lower(), alias=item.alias, predicate=predicate)
     node, consumed_conjuncts = access
@@ -473,11 +584,14 @@ def _build_item(
     database,
     pushed: Dict[str, List[Expression]],
     derived: Dict[str, bool],
+    implied: Dict[str, List[Expression]],
 ) -> PlanNode:
     label = _item_label(item)
     conjuncts = pushed.get(label, []) if label is not None else []
     if isinstance(item, TableRef):
-        return _build_table_scan(item, database, conjuncts, derived.get(label, False), label)
+        return _build_table_scan(
+            item, database, conjuncts, derived.get(label, False), label, implied.get(label, [])
+        )
     if isinstance(item, FunctionRef):
         node: PlanNode = FunctionScan(item=item)
     elif isinstance(item, SubqueryRef):
@@ -488,8 +602,8 @@ def _build_item(
             subplan = None
         node = SubqueryScan(item=item, subplan=subplan)
     elif isinstance(item, Join):
-        left = _build_item(item.left, database, pushed, derived)
-        right = _build_item(item.right, database, pushed, derived)
+        left = _build_item(item.left, database, pushed, derived, implied)
+        right = _build_item(item.right, database, pushed, derived, implied)
         return NestedLoopJoin(left=left, right=right, kind=item.kind, condition=item.condition)
     else:
         raise TypeError(f"unsupported FROM item: {type(item).__name__}")
@@ -763,9 +877,11 @@ def _rewrite_order_by_index(
     Returns the rewritten source (the Sort node is then never added), or
     None when no B-tree index can produce the requested order.  Only the
     source *leaf* changes; residual Filters above it preserve row order.
-    Only a one-column index qualifies: a multi-column tree breaks ties on
-    the sort column by its later columns, where the executor's stable sort
-    keeps storage order.
+    The sort column must be the index's last column, after the walk's
+    equality prefix (none for a one-column index): inside the prefix's run
+    equal sort values are equal keys, whose rows the tree keeps in storage
+    order, as the executor's stable sort does.  A tree with columns after
+    the sort column would break those ties by the later columns instead.
     """
     column = _order_column_for_rewrite(statement, table.schema, label)
     if column is None:
@@ -779,7 +895,8 @@ def _rewrite_order_by_index(
         leaf = leaf.child
 
     if isinstance(leaf, IndexRangeScan):
-        if table.indexes[leaf.index_name].columns != [column] or leaf.ordered is not None:
+        columns = leaf.prefix_columns + [column]
+        if table.indexes[leaf.index_name].columns != columns or leaf.ordered is not None:
             return None
         rewritten = leaf
     elif isinstance(leaf, Scan):
@@ -834,13 +951,14 @@ def build_select_plan(statement: SelectStatement, database) -> PlanNode:
     cost_order = _cost_join_order(
         from_items, scope, pushed, residual_conjuncts, database
     )
+    implied = _implied_conjuncts(statement, scope)
 
     source: Optional[PlanNode] = None
     if cost_order is not None:
         declared = [_item_label(item) for item in from_items]
         item_by_label = {label: item for label, item in zip(declared, from_items)}
         for label in cost_order:
-            node = _build_item(item_by_label[label], database, pushed, derived)
+            node = _build_item(item_by_label[label], database, pushed, derived, implied)
             node.ordinal_label = label
             if source is None:
                 source = node
@@ -852,7 +970,7 @@ def build_select_plan(statement: SelectStatement, database) -> PlanNode:
                 right: PlanNode = LateralSource(item=item)
                 lateral = True
             else:
-                right = _build_item(item, database, pushed, derived)
+                right = _build_item(item, database, pushed, derived, implied)
                 lateral = False
             if source is None:
                 if lateral:

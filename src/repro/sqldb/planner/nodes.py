@@ -380,18 +380,22 @@ class IndexRangeScan(PlanNode):
       a filtered sequential scan row-for-row) - on ``<table>_pkey``,
       ``house = $1 AND time BETWEEN $2 AND $3`` visits only that house's
       keys in the window;
-    * ``ORDER BY col [DESC] [LIMIT k]`` on a one-column index sets
-      ``ordered`` and drops the Sort node: rows emit in key order (NULLs
-      last, ties in storage order - exactly the executor's stable sort);
+    * ``ORDER BY col [DESC] [LIMIT k]`` sets ``ordered`` and drops the
+      Sort node when ``col`` is the index's last column, after the walk's
+      prefix (none on a one-column index): rows emit in key order within
+      the prefix's run (NULLs last, ties in storage order - exactly the
+      executor's stable sort);
     * with both, the interval walk emits ordered and a pushed ``limit_hint``
-      stops after the top-k rows survive the residual filter.
+      stops after the top-k rows survive the residual filter - on
+      ``<table>_pkey``, ``house = $1 AND time < $2 ORDER BY time DESC
+      LIMIT 10`` reads ten keys backwards from ``$2``.
 
     Runtime safety mirrors :class:`IndexLookup`: a prefix value or bound
     whose type cannot be matched against the index degrades to a full scan
     under ``full_predicate`` (re-sorted when ``ordered``), and one that can
     never admit rows returns the empty result.  So does an ordered walk
-    over an index holding NaN keys, whose place in a sort no walk can
-    reproduce.
+    whose prefix's run holds a NaN in ``col`` (possible in a primary key),
+    whose place in a sort no walk can reproduce.
 
     An unordered walk without a prefix is re-sized on every execution: the
     planner's width rule (:data:`~repro.sqldb.planner.cost.RANGE_SCAN_THRESHOLD`)
@@ -533,10 +537,10 @@ class IndexRangeScan(PlanNode):
         names = table.column_names
         columns = [(name, f"{label}.{name}") for name in names]
         raw = table.raw_rows()
-        mode, index, _prefix, low_value, high_value = self._walk_bounds(table, ctx)
+        mode, index, prefix, low_value, high_value = self._walk_bounds(table, ctx)
         if mode == "empty":
             return columns, []
-        if mode == "scan" or index.holds_nan():
+        if mode == "scan" or index.holds_nan(prefix):
             rows = _scan_rows(label, names, raw)
             if self.full_predicate is not None:
                 rows = filter_rows(rows, self.full_predicate, ctx)
@@ -546,12 +550,12 @@ class IndexRangeScan(PlanNode):
                 rows = rows[:hint]
             return columns, _tag_ordinals(rows, self.ordinal_label)
 
-        # Ordered emission (one-column index): key order (reverse for DESC),
-        # per-key storage order, NULL rows last only when no bound excludes
-        # them.
+        # Ordered emission (``column`` is the index's last column): key
+        # order within the prefix's run (reverse for DESC), per-key storage
+        # order, NULL rows last only when no bound excludes them.
         reverse = self.ordered == "desc"
         if self.lower is None and self.upper is None:
-            positions = index.ordered_positions(reverse=reverse, include_nulls=True)
+            positions = index.ordered_positions(reverse=reverse, prefix=prefix)
         else:
             positions = index.range_positions(
                 low_value,
@@ -559,6 +563,7 @@ class IndexRangeScan(PlanNode):
                 high_value,
                 self.upper_inclusive,
                 reverse=reverse,
+                prefix=prefix,
             )
         hint = self._limit_hint(ctx)
         qualified = [f"{label}.{name}" for name in names]

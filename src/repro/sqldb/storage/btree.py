@@ -10,9 +10,10 @@ the ordered operations the planner needs:
   prefix of the leading columns whose next column falls in a ``[low,
   high]`` interval (either bound optional/exclusive), emitted in key order
   with each key's positions in row order;
-* :meth:`OrderedIndex.ordered_positions` - every indexed position of a
-  one-column index in key order (ascending or descending), optionally
-  followed by the NULL-key rows, which backs ``ORDER BY``/top-k rewrites;
+* :meth:`OrderedIndex.ordered_positions` - every position under an
+  equality prefix in key order of the one column after it (ascending or
+  descending), optionally followed by the NULL-key rows, which backs
+  ``ORDER BY``/top-k rewrites;
 * :meth:`OrderedIndex.verify` - a read-only structural + content audit used
   by the ``VERIFY`` statement.
 
@@ -310,8 +311,13 @@ class BTree:
         low_inclusive: bool = True,
         high: Any = None,
         high_inclusive: bool = True,
-    ) -> Iterator[Tuple[Any, List[int]]]:
-        """``(key, positions)`` pairs with keys inside the interval, ascending."""
+    ) -> List[Tuple[Any, List[int]]]:
+        """``(key, positions)`` pairs with keys inside the interval, ascending.
+
+        Each leaf's share is found by bisection and sliced off whole, so a
+        walk compares keys a logarithmic number of times per leaf rather
+        than once per key.
+        """
         if low is None:
             leaf: Optional[_Leaf] = self._leftmost()
             idx = 0
@@ -322,19 +328,21 @@ class BTree:
                 if low_inclusive
                 else bisect_right(leaf.keys, low)
             )
+        out: List[Tuple[Any, List[int]]] = []
         while leaf is not None:
-            while idx < len(leaf.keys):
-                key = leaf.keys[idx]
-                if high is not None:
-                    if high_inclusive:
-                        if high < key:
-                            return
-                    elif not key < high:
-                        return
-                yield key, _positions(leaf.values[idx])
-                idx += 1
+            keys = leaf.keys
+            if high is None:
+                end = len(keys)
+            elif high_inclusive:
+                end = bisect_right(keys, high, idx)
+            else:
+                end = bisect_left(keys, high, idx)
+            out.extend(zip(keys[idx:end], map(_positions, leaf.values[idx:end])))
+            if end < len(keys):
+                break
             leaf = leaf.next
             idx = 0
+        return out
 
     # -- audit ------------------------------------------------------------
 
@@ -430,6 +438,15 @@ def _key_part(value: Any) -> Any:
     return value
 
 
+def _search_head(prefix: Sequence[Any]) -> Optional[Tuple[Any, ...]]:
+    """The key parts of an equality prefix, or None when a part is NULL or
+    NaN (an equality with either is never true)."""
+    head = tuple([_key_part(value) for value in prefix])
+    if any(isinstance(part, _Marker) for part in head):
+        return None
+    return head
+
+
 class OrderedIndex:
     """An ordered index over one or more columns, backed by :class:`BTree`.
 
@@ -518,10 +535,8 @@ class OrderedIndex:
     def lookup(self, key: Sequence[Any]) -> List[int]:
         """Point lookup on the full key, matching the hash index contract
         (a NULL or NaN part matches nothing)."""
-        parts = tuple([_key_part(value) for value in key])
-        if any(isinstance(part, _Marker) for part in parts):
-            return []
-        return list(self.tree.get(parts))
+        parts = _search_head(key)
+        return [] if parts is None else list(self.tree.get(parts))
 
     def range_positions(
         self,
@@ -545,8 +560,8 @@ class OrderedIndex:
         ``reverse=True`` reverses the *key* order while keeping each key's
         positions in row order - matching a stable descending sort.
         """
-        head = tuple([_key_part(value) for value in prefix])
-        if any(isinstance(part, _Marker) for part in head):
+        head = _search_head(prefix)
+        if head is None:
             return []  # an equality with NULL or NaN is never true
         if low is None:
             start = head or None
@@ -562,30 +577,44 @@ class OrderedIndex:
             stop = head + (_TOP,)
         else:
             stop = head + (NAN_PART,)
-        groups = [positions for _, positions in self.tree.range_items(start, True, stop, False)]
+        return self._walk(start, stop, reverse)
+
+    def _walk(self, start: Any, stop: Any, reverse: bool) -> List[int]:
+        """Positions of the keys in ``[start, stop)``, in key + row order
+        (key order reversed when ``reverse``)."""
+        items = self.tree.range_items(start, True, stop, False)
         if reverse:
-            groups.reverse()
+            items.reverse()
         out: List[int] = []
-        for positions in groups:
+        for _, positions in items:
             out.extend(positions)
         return out
 
-    def holds_nan(self) -> bool:
-        """Whether any key of a one-column index is NaN (ordered emission
-        cannot reproduce how a sort places NaN)."""
-        return self.nan_keys and bool(self.tree.get((NAN_PART,)))
+    def holds_nan(self, prefix: Sequence[Any] = ()) -> bool:
+        """Whether a key is ``prefix`` followed by NaN, where the index has
+        one column after ``prefix`` (ordered emission cannot reproduce how
+        a sort places NaN)."""
+        head = _search_head(prefix)
+        return (
+            self.nan_keys and head is not None and bool(self.tree.get(head + (NAN_PART,)))
+        )
 
-    def ordered_positions(self, reverse: bool = False, include_nulls: bool = True) -> List[int]:
-        """Every non-NULL position of a one-column index in key order; NULL
-        rows appended last.
+    def ordered_positions(
+        self, reverse: bool = False, include_nulls: bool = True, prefix: Sequence[Any] = ()
+    ) -> List[int]:
+        """Every non-NULL position under ``prefix`` in key order of the one
+        column after it; NULL rows appended last.
 
         NULLs sort last in both directions (matching the executor's ORDER BY
         semantics), and ties within a key keep row order - the same
         tie-break a stable sort over the table produces.
         """
-        out = self.range_positions(reverse=reverse)
+        head = _search_head(prefix)
+        if head is None:
+            return []
+        out = self._walk(head or None, head + (NAN_PART,), reverse)
         if include_nulls:
-            out.extend(self.tree.get((NULL_PART,)))
+            out.extend(self.tree.get(head + (NULL_PART,)))
         return out
 
     # -- audit ------------------------------------------------------------

@@ -263,6 +263,22 @@ class Table:
         index = self._pk_index.get(key)
         return [] if index is None else [index]
 
+    def pk_prefix_rows(self, prefix: Sequence[Any]) -> List[Dict[str, Any]]:
+        """Rows whose primary key starts with ``prefix``, as dictionaries in
+        storage order.
+
+        A walk of ``<table>_pkey`` (which every primary key over orderable
+        columns has), so it costs in proportion to the rows returned, not
+        to the table.
+        """
+        index = self.indexes[self.primary_index_name]
+        names = self.column_names
+        rows = self._rows
+        return [
+            dict(zip(names, rows[position]))
+            for position in sorted(index.range_positions(prefix=prefix))
+        ]
+
     # ------------------------------------------------------------------ #
     # Secondary indexes
     # ------------------------------------------------------------------ #

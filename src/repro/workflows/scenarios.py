@@ -92,15 +92,13 @@ class MiScenarioResult:
     #: Per configuration, the seconds of all calibrations' global (GA) and
     #: local stages, summed over the instances.
     stage_seconds: Dict[str, Tuple[float, float]] = field(default_factory=dict)
-
-    @property
-    def speedup_over_python(self) -> float:
-        """How many times faster pgFMU+ is than the Python configuration."""
-        python_time = self.total_seconds.get("python", 0.0)
-        plus_time = self.total_seconds.get("pgfmu+", 0.0)
-        if plus_time <= 0:
-            return float("inf")
-        return python_time / plus_time
+    #: The two timing comparisons, each the median over the timing repeats
+    #: of a ratio within one repeat, which a burst of host load spanning a
+    #: repeat moves less than a ratio of the arms' separate medians:
+    #: pgFMU+'s seconds over pgFMU-'s, and how many times faster pgFMU+ is
+    #: than the Python configuration.
+    plus_over_minus: float = float("nan")
+    speedup_over_python: float = float("nan")
 
     @property
     def mi_ceiling(self) -> float:
@@ -205,8 +203,10 @@ def run_mi_scenario(settings: Optional[ScenarioSettings] = None) -> MiScenarioRe
 
     Each configuration runs :data:`MI_TIMING_REPEATS` times, alternating
     with the others, each time on a fresh database; its reported seconds
-    (total and per stage) are the medians over the repeats.  The seeds are
-    fixed, so every repeat computes the same errors.
+    (total and per stage) are the medians over the repeats, and its
+    ``plus_over_minus`` and ``speedup_over_python`` the medians of
+    per-repeat ratios.  The seeds are fixed, so every repeat computes the
+    same errors.
     """
     settings = settings or ScenarioSettings()
     spec = settings.spec()
@@ -243,6 +243,15 @@ def run_mi_scenario(settings: Optional[ScenarioSettings] = None) -> MiScenarioRe
             )
             for label, arm_runs in runs.items()
         },
+        plus_over_minus=_paired_ratio(runs["pgfmu+"], runs["pgfmu-"]),
+        speedup_over_python=_paired_ratio(runs["python"], runs["pgfmu+"]),
+    )
+
+
+def _paired_ratio(numerator: List[_ArmRun], denominator: List[_ArmRun]) -> float:
+    """Median over the timing repeats of one arm's seconds over another's."""
+    return float(
+        np.median([top.seconds / bottom.seconds for top, bottom in zip(numerator, denominator)])
     )
 
 

@@ -66,6 +66,104 @@ class TestCatalogue:
         assert len(list(storage.glob("*.fmu"))) == 1
 
 
+class TestCatalogueByKey:
+    """Catalogue reads walk the ``<table>_pkey`` prefixes and writes update
+    by key: none of these paths reads a whole catalogue table."""
+
+    @pytest.fixture()
+    def fleet(self, session_with_data):
+        session = session_with_data
+        for k in range(3):
+            session.instance("HP1Instance1").copy(f"HP1Copy{k}")
+        session.create(hp0_source(), "HP0A")
+        session.execute("SELECT fmu_set_initial('HP1Copy1', 'Cp', 1.5)")
+        return session
+
+    @staticmethod
+    def _whole_table_reads(db, instance_id, model_id):
+        """The catalogue rows as read before the key walks: whole tables,
+        filtered in Python."""
+        variables = [
+            row for row in db.table("modelvariable").to_dicts() if row["modelid"] == model_id
+        ]
+        values = {
+            row["varname"]: getattr(row["value"], "value", row["value"])
+            for row in db.table("modelinstancevalues").to_dicts()
+            if row["instanceid"] == instance_id
+        }
+        return variables, values
+
+    @pytest.fixture()
+    def forbid_whole_table_reads(self, monkeypatch):
+        """Call it to make every later ``Table.to_dicts`` call raise."""
+        from repro.sqldb.table import Table
+
+        def refuse(self):
+            raise AssertionError(f"to_dicts() read all of {self.name!r}")
+
+        return lambda: monkeypatch.setattr(Table, "to_dicts", refuse)
+
+    def test_reads_match_whole_table_filters(self, fleet, forbid_whole_table_reads):
+        catalog, db = fleet.catalog, fleet.database
+        expected = {}
+        for instance_id in ("HP1Instance1", "HP1Copy1", "HP0A", "missing"):
+            model_id = db.table("modelinstance").lookup_pk([instance_id])
+            model_id = model_id["modelid"] if model_id else "nomodel"
+            expected[instance_id] = (model_id, self._whole_table_reads(db, instance_id, model_id))
+        assert expected["HP1Copy1"][1][1]["Cp"] == 1.5
+        assert expected["missing"][1] == ([], {})
+
+        forbid_whole_table_reads()
+        for instance_id, (model_id, (variables, values)) in expected.items():
+            assert catalog.variable_rows(model_id) == variables
+            got = catalog.instance_values(instance_id)
+            assert got == values and list(got) == list(values)
+
+    def test_writes_and_runtime_models_go_by_key(
+        self, fleet, forbid_whole_table_reads, monkeypatch
+    ):
+        from repro.sqldb.table import Table
+
+        forbid_whole_table_reads()
+        catalog = fleet.catalog
+        seen = []
+        original = Table.update_where
+
+        def spy(self, predicate, updater, candidate_positions=None):
+            seen.append(candidate_positions)
+            return original(self, predicate, updater, candidate_positions=candidate_positions)
+
+        monkeypatch.setattr(Table, "update_where", spy)
+        catalog.set_instance_value("HP1Copy2", "R", 0.25)
+        assert len(seen) == 1 and len(seen[0]) == 1  # the one keyed row
+        assert catalog.instance_values("HP1Copy2")["R"] == 0.25
+        assert catalog.instance_values("HP1Copy0")["R"] != 0.25
+        assert catalog.runtime_model("HP1Copy2").get("R") == 0.25
+        fleet.instance("HP1Copy2").copy("HP1Copy3")
+        assert catalog.instance_values("HP1Copy3") == catalog.instance_values("HP1Copy2")
+
+    def test_fmu_simulate_loads_each_runtime_model_once(
+        self, fleet, forbid_whole_table_reads, monkeypatch
+    ):
+        from repro.core.catalog import ModelCatalog
+
+        forbid_whole_table_reads()
+        calls = []
+        original = ModelCatalog.runtime_model
+
+        def counting(self, instance_id):
+            calls.append(instance_id)
+            return original(self, instance_id)
+
+        monkeypatch.setattr(ModelCatalog, "runtime_model", counting)
+        rows = fleet.execute(
+            "SELECT * FROM fmu_simulate('{HP1Instance1, HP1Copy1, HP1Copy1}', "
+            "'SELECT * FROM measurements WHERE time < 24')"
+        ).rows
+        assert sorted(calls) == ["HP1Copy1", "HP1Instance1"]
+        assert {row[1] for row in rows} == {"HP1Instance1", "HP1Copy1"}
+
+
 # --------------------------------------------------------------------------- #
 # Instance management
 # --------------------------------------------------------------------------- #

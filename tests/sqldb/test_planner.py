@@ -453,6 +453,63 @@ COMPOSITE_TEMPLATES = [
     "SELECT * FROM readings WHERE site = '{city}'",
 ]
 
+#: One or more templates per composite-key planner rule: (1) a prefix walk
+#: beside a hash index on the prefix column (``meter``), (2) ``ORDER BY``
+#: the last key column under an equality prefix, with NULL (``readings.x``
+#: in ``(site, x)``) and NaN (``readings.time``, ``meter.time`` in the
+#: primary keys) in the order column, and (3) range bounds copied across
+#: an equi-join, beside LEFT JOIN, OR-WHERE and mixed-type joins that must
+#: not copy them (in :data:`JOIN_RULE_TEMPLATES`).
+KEY_RULE_TEMPLATES = [
+    # (1) prefix walk vs. point lookup on the prefix column
+    "SELECT * FROM meter WHERE house = {h} AND time BETWEEN {t1} AND {t2}",
+    "SELECT time, v FROM meter WHERE house = {h} AND time >= {t1} AND v > {n}",
+    "SELECT count(*), avg(v), max(v) FROM meter WHERE house = {h} AND time < {t2}",
+    "SELECT * FROM meter WHERE house = {h}",
+    "SELECT time FROM meter WHERE house = {h} AND v < {m}",
+    # (2) ORDER BY the key column after the prefix
+    "SELECT time, v FROM meter WHERE house = {h} AND time < {t2} "
+    "ORDER BY time DESC LIMIT {k} OFFSET {o}",
+    "SELECT time, v FROM meter WHERE house = {h} AND time >= {t1} ORDER BY time LIMIT {k}",
+    "SELECT time, v FROM meter WHERE house = {h} AND time > {t1} AND v > {n} "
+    "ORDER BY time DESC LIMIT {k}",
+    "SELECT time, x FROM readings WHERE house = {h} ORDER BY time DESC LIMIT {k} OFFSET {o}",
+    "SELECT time, x FROM readings WHERE house = {h} ORDER BY time LIMIT {k}",
+    "SELECT * FROM readings WHERE house = {h} ORDER BY time",
+    "SELECT * FROM readings WHERE house = {h} AND time <= {t2} ORDER BY time DESC",
+    "SELECT x, house FROM readings WHERE site = '{city}' ORDER BY x DESC LIMIT {k} OFFSET {o}",
+    "SELECT x, house FROM readings WHERE site = '{city}' ORDER BY x",
+    "SELECT x, time FROM readings WHERE site = '{city}' AND x > {n} ORDER BY x DESC LIMIT {k}",
+    "SELECT x FROM readings WHERE site = '{city}' AND x BETWEEN {n} AND {m} "
+    "ORDER BY x LIMIT {k} OFFSET {o}",
+]
+
+#: Rule (3) of :data:`KEY_RULE_TEMPLATES`: the naive pipeline runs these
+#: joins as nested loops, so they run over fewer seeds.
+JOIN_RULE_TEMPLATES = [
+    "SELECT r.time, r.x, m.v FROM readings r JOIN meter m "
+    "ON m.house = r.house AND m.time = r.time "
+    "WHERE r.house = {h} AND r.time BETWEEN {t1} AND {t2}",
+    "SELECT count(*), avg(m.v) FROM readings r JOIN meter m ON m.time = r.time "
+    "WHERE r.time BETWEEN {t1} AND {t2} AND m.house = {h}",
+    "SELECT * FROM readings r, meter m "
+    "WHERE r.house = m.house AND r.time = m.time AND m.time < {t2} AND r.house = {h}",
+    "SELECT m.time, m.v, r.x FROM meter m JOIN readings r ON r.house = m.house "
+    "AND r.time = m.time WHERE {t1} < m.time AND m.house = {h} AND r.x > {n}",
+    "SELECT r.time, m.v FROM readings r LEFT JOIN meter m "
+    "ON m.house = r.house AND m.time = r.time WHERE r.house = {h} AND r.time >= {t1}",
+    "SELECT m.time, r.x FROM meter m LEFT JOIN readings r ON r.time = m.time "
+    "AND r.house = m.house WHERE m.house = {h} AND m.time < {t2}",
+    "SELECT r.time, m.v FROM readings r JOIN meter m "
+    "ON m.house = r.house AND m.time = r.time WHERE r.time < {t1} OR r.house = {h}",
+    "SELECT p.name, r.time FROM readings r JOIN people p ON p.age = r.x "
+    "WHERE r.x BETWEEN {n} AND {m} AND r.house = {h}",
+    "SELECT v.vid, r.time FROM readings r JOIN visits v ON v.day = r.house "
+    "WHERE r.house = {h} AND r.time < {t1}",
+    "SELECT v.vid, r.x FROM visits v JOIN readings r ON r.time = v.day "
+    "WHERE v.day < {t1} AND r.house = {h}",
+]
+
 CORPUS_CITIES = ["aalborg", "aarhus", "odense", "esbjerg", "ribe"]
 
 #: Numeric template placeholders; the ``$n``-bound corpus binds each one.
@@ -542,16 +599,36 @@ def _build_corpus_db(seed: int, stats_mode: str) -> Database:
             site = None if readings_rng.random() < 0.1 else readings_rng.choice(CORPUS_CITIES)
             db.execute("INSERT INTO readings VALUES ($1, $2, $3, $4)", [house, time, x, site])
 
+    # Meter rows pair up with readings on (house, time); the hash index on
+    # the primary key's leading column competes with the key's walk.
+    meter_rng = random.Random(0x3E7E + seed)
+    meter = [(house, float(time)) for house in range(3) for time in range(16)]
+    meter_rng.shuffle(meter)
+    meter += [(1, float("nan")), (2, float("nan"))]
+    db.execute(
+        "CREATE TABLE meter (house integer, time double precision, "
+        "v double precision, PRIMARY KEY (house, time))"
+    )
+    db.execute("CREATE INDEX idx_meter_house ON meter (house)")
+
+    def insert_meter(start, stop):
+        for house, time in meter[start:stop]:
+            v = None if meter_rng.random() < 0.1 else float(meter_rng.randint(18, 45))
+            db.execute("INSERT INTO meter VALUES ($1, $2, $3)", [house, time, v])
+
     insert_people(0, 15)
     insert_visits(0, 45)
     insert_readings(0, 60)
+    insert_meter(0, 25)
     if stats_mode == "stale":
         db.execute("ANALYZE")
     insert_people(15, 30)
     insert_visits(45, 90)
     insert_readings(60, len(readings))
+    insert_meter(25, len(meter))
     db.execute("DELETE FROM visits WHERE vid < 5")
     db.execute("DELETE FROM readings WHERE house = 2 AND time < 3")
+    db.execute("DELETE FROM meter WHERE house = 0 AND time > 12")
     if stats_mode == "fresh":
         db.execute("ANALYZE")
     return db
@@ -637,6 +714,41 @@ class TestRandomizedCorpus:
                 f"seed={seed} stats={stats_mode}: {param_sql} {params}"
             )
             assert bound_planned == planned, f"{param_sql} {params} vs {sql}"
+
+    @staticmethod
+    def _check_key_rule_templates(templates, seed, stats_mode):
+        db = _build_corpus_db(seed, stats_mode)
+        rng = random.Random(0x5EED + seed)
+        for template in templates:
+            values = dict(
+                h=rng.randint(-1, 3),
+                t1=rng.randint(-2, 20),
+                t2=rng.randint(3, 26),
+                n=rng.randint(18, 40),
+                m=rng.randint(30, 50),
+                k=rng.randint(1, 12),
+                o=rng.randint(0, 4),
+                city=rng.choice(CORPUS_CITIES + ["ghosttown"]),
+            )
+            sql = template.format(**values)
+            planned, naive = _run_both(db, sql)
+            assert planned == naive, f"seed={seed} stats={stats_mode}: {sql}"
+            param_sql, params = _parameterized(template, values)
+            bound_planned, bound_naive = _run_both(db, param_sql, params)
+            assert bound_planned == bound_naive, (
+                f"seed={seed} stats={stats_mode}: {param_sql} {params}"
+            )
+            assert bound_planned == planned, f"{param_sql} {params} vs {sql}"
+
+    @pytest.mark.parametrize("stats_mode", ["none", "fresh", "stale"])
+    @pytest.mark.parametrize("seed", CORPUS_SEEDS[:10], ids=lambda s: f"seed{s:02d}")
+    def test_key_rule_corpus_matches_naive(self, seed, stats_mode):
+        self._check_key_rule_templates(KEY_RULE_TEMPLATES, seed, stats_mode)
+
+    @pytest.mark.parametrize("stats_mode", ["none", "fresh", "stale"])
+    @pytest.mark.parametrize("seed", CORPUS_SEEDS[:3], ids=lambda s: f"seed{s:02d}")
+    def test_join_rule_corpus_matches_naive(self, seed, stats_mode):
+        self._check_key_rule_templates(JOIN_RULE_TEMPLATES, seed, stats_mode)
 
     @pytest.mark.parametrize("stats_mode", ["none", "fresh", "stale"])
     def test_parameterized_range_bounds_match_naive(self, stats_mode):
@@ -963,6 +1075,45 @@ class TestDmlIndexRouting:
             "SELECT count(*) FROM sims WHERE instance_id = 'I2'"
         ).scalar() == 21
 
+    def test_update_and_delete_route_through_a_dominating_walk(self, monkeypatch):
+        from repro.sqldb.table import Table
+
+        db = _meas_db()
+        db.execute("CREATE INDEX meas_house ON meas (house)")
+        update = "UPDATE meas SET x = 0 WHERE house = $1 AND time < $2"
+        delete = "DELETE FROM meas WHERE house = $1 AND time >= $2 AND u > 0.5"
+        for sql in (update, delete):
+            assert "IndexRangeScan meas USING meas_pkey (house = $1 AND time" in (
+                plan_text(db, sql)
+            )
+        seen = {}
+        original_update, original_delete = Table.update_where, Table.delete_where
+
+        def spy_update(self, predicate, updater, candidate_positions=None):
+            seen["update"] = candidate_positions
+            return original_update(
+                self, predicate, updater, candidate_positions=candidate_positions
+            )
+
+        def spy_delete(self, predicate, candidate_positions=None):
+            seen["delete"] = candidate_positions
+            return original_delete(self, predicate, candidate_positions=candidate_positions)
+
+        monkeypatch.setattr(Table, "update_where", spy_update)
+        monkeypatch.setattr(Table, "delete_where", spy_delete)
+        assert db.execute(update, [1, 10]).rowcount == 10
+        assert len(seen["update"]) == 10  # the walk's rows, not house 1's 48
+        deleted = db.execute(delete, [2, 40]).rowcount
+        assert len(seen["delete"]) == 8
+
+        # The same statements through a full scan leave the same rows.
+        plain = _meas_db()
+        plain.table("meas").indexes.clear()
+        assert plain.execute(update, [1, 10]).rowcount == 10
+        assert plain.execute(delete, [2, 40]).rowcount == deleted > 0
+        everything = "SELECT * FROM meas ORDER BY house, time"
+        assert db.execute(everything).rows == plain.execute(everything).rows
+
     def test_routed_dml_matches_scan_semantics(self):
         """The same statements against an indexed and an unindexed copy of a
         table must leave identical contents behind."""
@@ -1190,6 +1341,109 @@ class TestCompositePrimaryKey:
         assert all(row[1] == "ok" for row in db.verify())
 
 
+def _pair_db() -> Database:
+    """``_meas_db`` plus a ``sim`` table on the same ``(house, time)`` key,
+    each with a hash index on ``house`` beside its ``_pkey``."""
+    db = _meas_db()
+    db.execute(
+        "CREATE TABLE sim (house integer, time double precision, "
+        "x double precision, PRIMARY KEY (house, time))"
+    )
+    db.insert_rows(
+        "sim", [[h, float(t), 20.0 + h + t / 90.0] for h in range(6) for t in range(48)]
+    )
+    db.execute("CREATE INDEX meas_house ON meas (house)")
+    db.execute("CREATE INDEX sim_house ON sim (house)")
+    return db
+
+
+PAIR_AGG_SQL = "SELECT count(*), avg(x) FROM meas WHERE house = $1 AND time >= $2"
+PAIR_TOPK_SQL = (
+    "SELECT time, x FROM meas WHERE house = $1 AND time < $2 ORDER BY time DESC LIMIT 10"
+)
+PAIR_JOIN_SQL = (
+    "SELECT count(*), avg(abs(s.x - m.x)) FROM meas m JOIN sim s "
+    "ON s.house = m.house AND s.time = m.time "
+    "WHERE m.house = $1 AND m.time BETWEEN $2 AND $3"
+)
+
+
+class TestCompositeKeyGolden:
+    """EXPLAIN snapshots of the three composite-key rules, without and
+    with statistics: a prefix walk replacing a hash lookup on the prefix
+    column, ``ORDER BY ... LIMIT`` walking the key backwards, and a range
+    bound copied across an equi-join onto the other table's key."""
+
+    def test_snapshots_without_statistics(self):
+        db = _pair_db()
+        assert plan_text(db, PAIR_AGG_SQL) == (
+            "Aggregate\n"
+            "->  IndexRangeScan meas USING meas_pkey (house = $1 AND time >= $2)"
+        )
+        assert plan_text(db, PAIR_TOPK_SQL) == (
+            "Limit (limit=10)\n"
+            "->  Project (time, x)\n"
+            "  ->  IndexRangeScan meas USING meas_pkey (house = $1 AND time < $2) "
+            "ORDER BY time DESC (top-k)"
+        )
+        assert plan_text(db, PAIR_JOIN_SQL) == (
+            "Aggregate\n"
+            "->  HashJoin inner (m.house = s.house, m.time = s.time)\n"
+            "  ->  IndexRangeScan meas AS m USING meas_pkey "
+            "(house = $1 AND time >= $2 AND time <= $3)\n"
+            "  ->  IndexRangeScan sim AS s USING sim_pkey "
+            "(house = $1 AND time >= $2 AND time <= $3)"
+        )
+
+    def test_snapshots_with_statistics(self):
+        db = _pair_db()
+        db.execute("ANALYZE")
+        assert plan_text(db, PAIR_AGG_SQL) == (
+            "Aggregate\n"
+            "->  IndexRangeScan meas USING meas_pkey (house = $1 AND time >= $2) (rows=16)"
+        )
+        assert plan_text(db, PAIR_TOPK_SQL) == (
+            "Limit (limit=10)\n"
+            "->  Project (time, x)\n"
+            "  ->  IndexRangeScan meas USING meas_pkey (house = $1 AND time < $2) "
+            "ORDER BY time DESC (top-k) (rows=16)"
+        )
+        # The copied bounds narrow sim's walk but not its estimate, which
+        # counts only sim's own conjuncts (none here).
+        assert plan_text(db, PAIR_JOIN_SQL) == (
+            "Aggregate\n"
+            "->  HashJoin inner (m.house = s.house, m.time = s.time) (build=left) (rows=96)\n"
+            "  ->  IndexRangeScan meas AS m USING meas_pkey "
+            "(house = $1 AND time >= $2 AND time <= $3) (rows=16)\n"
+            "  ->  IndexRangeScan sim AS s USING sim_pkey "
+            "(house = $1 AND time >= $2 AND time <= $3) (rows=288)"
+        )
+
+    def test_walks_visit_only_the_window(self, monkeypatch):
+        db = _pair_db()
+        emitted = []
+        original = IndexRangeScan.execute
+
+        def counting(self, rt, outer_row=None):
+            columns, rows = original(self, rt, outer_row)
+            emitted.append((self.index_name, len(rows)))
+            return columns, rows
+
+        monkeypatch.setattr(IndexRangeScan, "execute", counting)
+        for sql, params, expected in (
+            (PAIR_AGG_SQL, [2, 40.0], [("meas_pkey", 8)]),
+            (PAIR_TOPK_SQL, [2, 30.0], [("meas_pkey", 10)]),
+            (PAIR_JOIN_SQL, [2, 10.0, 14.0], [("meas_pkey", 5), ("sim_pkey", 5)]),
+        ):
+            emitted.clear()
+            planned, naive = _run_both(db, sql, params)
+            assert planned == naive, sql
+            assert emitted == expected, sql
+        assert db.execute(PAIR_TOPK_SQL, [2, 30.0]).rows[:2] == [
+            [29.0, 22.29], [28.0, 22.28]
+        ]
+
+
 class TestCompositeBtree:
     def test_declared_multi_column_btree_walks_its_prefix(self):
         db = _meas_db()
@@ -1211,9 +1465,17 @@ class TestCompositeBtree:
         assert "USING meas_pkey" in plan_text(db, "SELECT * FROM meas WHERE house = 1 AND time < 9")
         assert "USING meas_time (time < 9)" in plan_text(db, "SELECT * FROM meas WHERE time < 9")
         db.execute("CREATE INDEX meas_house ON meas (house)")
-        # A point lookup is still tried first.
-        assert "IndexLookup meas USING meas_house" in plan_text(
+        # The walk's prefix covers the lookup's index and it consumes one
+        # conjunct more, so it replaces the point lookup ...
+        assert "IndexRangeScan meas USING meas_pkey (house = 1 AND time < 9)" in plan_text(
             db, "SELECT * FROM meas WHERE house = 1 AND time < 9"
+        )
+        # ... but on a tie the lookup stays.
+        assert "IndexLookup meas USING meas_house (house = 1)" in plan_text(
+            db, "SELECT * FROM meas WHERE house = 1"
+        )
+        assert "IndexLookup meas USING meas_house (house = 1) (filter: x > 20)" in plan_text(
+            db, "SELECT * FROM meas WHERE house = 1 AND x > 20"
         )
 
     def test_non_orderable_column_is_refused(self):

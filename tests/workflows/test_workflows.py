@@ -177,8 +177,10 @@ class TestScenarios:
         outcome = run_mi_scenario(settings)
         # pgFMU+ skips the global search for the warm-started instances, so it
         # must be measurably faster than both other configurations (a small
-        # tolerance absorbs machine-load jitter on loaded CI machines).
-        assert outcome.total_seconds["pgfmu+"] < outcome.total_seconds["pgfmu-"] * 1.05
+        # tolerance absorbs machine-load jitter on loaded CI machines).  Both
+        # comparisons are paired per timing repeat, so host load that spans
+        # one repeat slows both arms of it alike.
+        assert outcome.plus_over_minus < 1.05
         assert outcome.speedup_over_python > 1.15
         assert outcome.mi_hits == 2  # both follow-up instances warm-started
         averages = outcome.average_errors
