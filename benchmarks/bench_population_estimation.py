@@ -4,7 +4,7 @@
 generations full model simulations per calibrated instance.  With
 population batching, every GA generation (and every local-search
 finite-difference stencil) is scored as **one** ``(pop, d)`` batched fleet
-solve through :meth:`repro.fmi.model.FmuModel.simulate_batch` - roughly an
+solve through :meth:`repro.fmi.model.FmuModel.simulate_fleet` - roughly an
 order of magnitude fewer solver invocations per calibration.
 
 This benchmark calibrates a five-zone heat pump instance end to end through
@@ -138,20 +138,14 @@ def _run_parest(population: int, generations: int, hours: float, batch: bool):
     session = _build_session(population, generations, hours)
 
     solve_calls = {"sequential": 0, "batched": 0}
-    real_simulate = FmuModel.simulate
-    real_simulate_batch = FmuModel.simulate_batch
+    real_simulate_fleet = FmuModel.simulate_fleet
 
-    def counting_simulate(self, *args, **kwargs):
-        solve_calls["sequential"] += 1
-        return real_simulate(self, *args, **kwargs)
-
-    def counting_simulate_batch(models, *args, **kwargs):
-        solve_calls["batched"] += 1
-        return real_simulate_batch(models, *args, **kwargs)
+    def counting_simulate_fleet(rows, *args, **kwargs):
+        solve_calls["batched" if len(rows) > 1 else "sequential"] += 1
+        return real_simulate_fleet(rows, *args, **kwargs)
 
     real_evaluate_population = SimulationObjective.evaluate_population
-    FmuModel.simulate = counting_simulate
-    FmuModel.simulate_batch = staticmethod(counting_simulate_batch)
+    FmuModel.simulate_fleet = staticmethod(counting_simulate_fleet)
     if not batch:
         SimulationObjective.evaluate_population = _score_rows
     try:
@@ -161,8 +155,7 @@ def _run_parest(population: int, generations: int, hours: float, batch: bool):
         )
         elapsed = time.perf_counter() - started
     finally:
-        FmuModel.simulate = real_simulate
-        FmuModel.simulate_batch = staticmethod(real_simulate_batch)
+        FmuModel.simulate_fleet = staticmethod(real_simulate_fleet)
         SimulationObjective.evaluate_population = real_evaluate_population
     return elapsed, outcomes[0], solve_calls
 
@@ -249,20 +242,16 @@ def measure_mi_fleet(population: int, generations: int, hours: float) -> dict:
     """Lockstep vs one-by-one calibration of the MI fleet, MI on and off.
 
     Asserts every outcome field is equal, and reports wall time and solver
-    calls (scalar ``simulate`` plus ``simulate_batch``) of both runs.
+    calls (``simulate_fleet`` calls, one-row fleets included) of both runs.
     """
     instance_ids = [f"HP5House{k}" for k in range(len(FLEET))]
     input_sqls = [f"SELECT * FROM m{k}" for k in range(len(FLEET))]
     calls = {"n": 0}
-    real_simulate, real_simulate_batch = FmuModel.simulate, FmuModel.simulate_batch
+    real_simulate_fleet = FmuModel.simulate_fleet
 
-    def counting_simulate(self, *args, **kwargs):
+    def counting_simulate_fleet(rows, *args, **kwargs):
         calls["n"] += 1
-        return real_simulate(self, *args, **kwargs)
-
-    def counting_simulate_batch(models, *args, **kwargs):
-        calls["n"] += 1
-        return real_simulate_batch(models, *args, **kwargs)
+        return real_simulate_fleet(rows, *args, **kwargs)
 
     def timed(run):
         calls["n"] = 0
@@ -271,8 +260,7 @@ def measure_mi_fleet(population: int, generations: int, hours: float) -> dict:
         return outcomes, time.perf_counter() - started, calls["n"]
 
     record = {"houses": len(FLEET)}
-    FmuModel.simulate = counting_simulate
-    FmuModel.simulate_batch = staticmethod(counting_simulate_batch)
+    FmuModel.simulate_fleet = staticmethod(counting_simulate_fleet)
     try:
         for use_mi in (True, False):
             session = _build_session(population, generations, hours, FLEET)
@@ -301,8 +289,7 @@ def measure_mi_fleet(population: int, generations: int, hours: float) -> dict:
                 "one_by_one_solver_calls": alone_calls,
             }
     finally:
-        FmuModel.simulate = real_simulate
-        FmuModel.simulate_batch = staticmethod(real_simulate_batch)
+        FmuModel.simulate_fleet = staticmethod(real_simulate_fleet)
     assert record["mi_on"]["warm_started"] == 2
     return record
 

@@ -180,27 +180,41 @@ class InstanceManager:
     # Deletion
     # ------------------------------------------------------------------ #
     def delete_instance(self, instance_id: str) -> str:
-        """Delete a model instance and its values."""
-        self.catalog.instance_row(instance_id)  # raises if unknown
-        self.database.table(VALUES_TABLE).delete_where(
-            lambda row: row["instanceid"] == instance_id
-        )
-        self.database.table(INSTANCE_TABLE).delete_where(
-            lambda row: row["instanceid"] == instance_id
+        """Delete a model instance and its values (by key: only its own rows
+        are visited)."""
+        model_id = self.catalog.instance_row(instance_id)["modelid"]  # raises if unknown
+        self._delete_values(model_id, instance_id)
+        instances = self.database.table(INSTANCE_TABLE)
+        instances.delete_where(
+            lambda row: row["instanceid"] == instance_id,
+            candidate_positions=instances.pk_positions_for([instance_id]),
         )
         self.catalog.invalidate_runtime(instance_id)
         return instance_id
+
+    def _delete_values(self, model_id: str, instance_id: str) -> None:
+        """Delete an instance's ``modelinstancevalues`` rows, one
+        ``modelinstancevalues_pkey`` prefix."""
+        values = self.database.table(VALUES_TABLE)
+        values.delete_where(
+            lambda row: row["instanceid"] == instance_id,
+            candidate_positions=values.pk_prefix_positions([model_id, instance_id]),
+        )
 
     def delete_model(self, model_id: str) -> str:
         """Delete a model, all of its instances, and its stored FMU."""
         self.catalog.model_row(model_id)  # raises if unknown
         for instance_id in self.catalog.instances_of(model_id):
             self.delete_instance(instance_id)
-        self.database.table(VARIABLE_TABLE).delete_where(
-            lambda row: row["modelid"] == model_id
+        variables = self.database.table(VARIABLE_TABLE)
+        variables.delete_where(
+            lambda row: row["modelid"] == model_id,
+            candidate_positions=variables.pk_prefix_positions([model_id]),
         )
-        self.database.table(MODEL_TABLE).delete_where(
-            lambda row: row["modelid"] == model_id
+        models = self.database.table(MODEL_TABLE)
+        models.delete_where(
+            lambda row: row["modelid"] == model_id,
+            candidate_positions=models.pk_positions_for([model_id]),
         )
         self.catalog.remove_archive(model_id)
         return model_id
@@ -275,8 +289,8 @@ class InstanceManager:
             row["varname"]: row["initialvalue"]
             for row in self.catalog.variable_rows(model_id)
         }
+        self._delete_values(model_id, instance_id)
         values_table = self.database.table(VALUES_TABLE)
-        values_table.delete_where(lambda row: row["instanceid"] == instance_id)
         for var_name, value in defaults.items():
             values_table.insert([model_id, instance_id, var_name, value])
         self.catalog.invalidate_runtime(instance_id)

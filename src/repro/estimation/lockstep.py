@@ -111,7 +111,7 @@ def score_together(requests: Sequence[Request]) -> List[np.ndarray]:
         objective, thetas = requests[0]
         return [objective._evaluate_batch(thetas)]
     try:
-        results = requests[0][0]._simulate_rows(requests)
+        fleet = requests[0][0]._simulate_rows(requests)
     except _FATAL_ERRORS:
         raise
     except Exception:
@@ -120,7 +120,7 @@ def score_together(requests: Sequence[Request]) -> List[np.ndarray]:
     for objective, thetas in requests:
         stop = start + len(thetas)
         objective.n_evaluations += len(thetas)
-        scores.append(np.array([objective._score(result) for result in results[start:stop]]))
+        scores.append(objective._score_fleet(fleet, start, stop))
         start = stop
     return scores
 

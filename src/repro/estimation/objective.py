@@ -9,7 +9,6 @@ trajectories of the observed variables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -17,7 +16,8 @@ import numpy as np
 
 from repro.errors import CancelledError, EstimationError, TimeoutError
 from repro.estimation import lockstep
-from repro.fmi.model import FmuModel
+from repro.fmi.model import FleetRows, FmuModel
+from repro.fmi.results import FleetResult
 
 #: Deadline/cancellation errors must never be swallowed as a penalized
 #: candidate: a timed-out calibration aborts, it does not score ``inf``.
@@ -148,10 +148,11 @@ class SimulationObjective:
         calibration calls the objective hundreds of times.
 
     Every evaluation, of one candidate or a population, simulates its
-    candidates as one :meth:`FmuModel.simulate_batch` fleet of model
-    clones (one row for a single candidate).  A candidate whose simulation
-    fails - e.g. an unstable pole makes the solver diverge - scores
-    ``inf``; typed timeout/cancellation errors propagate instead.
+    candidates as one :meth:`FmuModel.simulate_fleet` fleet, each candidate
+    a row of its parameter matrix (one row for a single candidate), and
+    scores every row in one pass over the fleet's arrays.  A candidate
+    whose simulation fails - e.g. an unstable pole makes the solver diverge
+    - scores ``inf``; typed timeout/cancellation errors propagate instead.
 
     Simulations start from the measured initial conditions of the observed
     states, and objective values are memoized per *exact* candidate vector:
@@ -233,6 +234,9 @@ class SimulationObjective:
                 continue
             mask = ~missing if missing.any() else None
             self._scored.append((name, mask, measured if mask is None else measured[mask]))
+        # Fleet rows set the candidate, then the initial states (_apply).
+        self._row_names = self.parameter_names + list(self.initial_state_values)
+        self._initial_row = np.array(list(self.initial_state_values.values()), dtype=float)
         self.n_evaluations = 0
         self.n_cache_hits = 0
         self._memo: Dict[bytes, float] = {}
@@ -278,22 +282,30 @@ class SimulationObjective:
         """
         return float(self._score_rows(self._candidate(theta)[None])[0])
 
-    def _score(self, result) -> float:
-        """Mean RMSE of a simulation result against the observed series.
+    def _score_fleet(self, fleet, start: int, stop: int) -> np.ndarray:
+        """Mean RMSE of fleet rows ``start:stop`` against the observed series.
 
-        Each series' RMSE is :func:`~repro.estimation.metrics.rmse` over its
-        non-NaN samples, with the masks precomputed: the same operations in
-        the same order, so the score is bit-identical.
+        ``fleet[name]`` gives a variable's ``(N, T)`` trajectories.  Each
+        series' RMSE is :func:`~repro.estimation.metrics.rmse` over its
+        non-NaN samples, with the masks precomputed, and a non-finite RMSE
+        counts as ``inf``.  Every row is scored in one pass: the reductions
+        run along the last axis of C-contiguous arrays, which numpy sums row
+        by row exactly as it sums a row on its own, so each score is
+        bit-identical to scoring that row's one-row simulation alone.
         """
         errors = []
         with np.errstate(over="ignore", invalid="ignore"):
             for name, mask, measured in self._scored:
-                simulated = result[name] if mask is None else result[name][mask]
-                error = float(np.sqrt(np.mean((measured - simulated) ** 2)))
-                errors.append(error if math.isfinite(error) else float("inf"))
+                simulated = fleet[name][start:stop]
+                if mask is not None:
+                    # A boolean column selection comes back Fortran-ordered.
+                    simulated = simulated[:, mask]
+                simulated = np.ascontiguousarray(simulated)
+                error = np.sqrt(np.mean((measured - simulated) ** 2, axis=1))
+                errors.append(np.where(np.isfinite(error), error, np.inf))
         if not errors:
-            return float("inf")
-        return float(np.mean(errors))
+            return np.full(stop - start, np.inf)
+        return np.mean(np.stack(errors, axis=1), axis=1)
 
     # ------------------------------------------------------------------ #
     # Population evaluation (batched fleet solve)
@@ -303,8 +315,8 @@ class SimulationObjective:
 
         The population's inputs, measurement window and output grid are
         bound once and all cache-missing candidates integrate as a single
-        batched fleet solve (:meth:`FmuModel.simulate_batch` over one clone
-        per candidate), instead of one simulation per candidate.  Results,
+        batched fleet solve (:meth:`FmuModel.simulate_fleet`, one row per
+        candidate), instead of one simulation per candidate.  Results,
         counters and the model's final state match scoring the rows one by
         one with :meth:`__call__` (see :meth:`_score_rows`).
 
@@ -362,7 +374,7 @@ class SimulationObjective:
         split does not change any candidate's score.
         """
         try:
-            results = self._simulate_rows([(self, thetas)])
+            fleet = self._simulate_rows([(self, thetas)])
         except _FATAL_ERRORS:
             raise
         except Exception:
@@ -374,27 +386,27 @@ class SimulationObjective:
                 [self._evaluate_batch(thetas[:mid]), self._evaluate_batch(thetas[mid:])]
             )
         self.n_evaluations += len(thetas)
-        return np.array([self._score(result) for result in results])
+        return self._score_fleet(fleet, 0, len(thetas))
 
     @staticmethod
-    def _simulate_rows(requests) -> list:
+    def _simulate_rows(requests) -> FleetResult:
         """One batched fleet solve over ``(objective, thetas)`` requests.
 
-        Each candidate row is a clone of its objective's model carrying the
-        candidate, driven by that objective's measured inputs; the requests
-        share the window, output grid and solver settings of the first (the
-        lockstep scorer groups only such requests).
+        Each candidate is a row of the fleet: its objective's model with the
+        candidate and the measured initial states set (as :meth:`_apply`
+        would set them), driven by that objective's measured inputs.  The
+        requests share the window, output grid and solver settings of the
+        first (the lockstep scorer groups only such requests).
         """
         lead = requests[0][0]
-        candidates, inputs = [], []
+        blocks, inputs = [], []
         for objective, thetas in requests:
-            for theta in thetas:
-                candidate = objective.model.clone()
-                objective._apply(candidate, theta)
-                candidates.append(candidate)
-                inputs.append(objective.input_series)
-        return FmuModel.simulate_batch(
-            candidates,
+            initial = np.tile(objective._initial_row, (len(thetas), 1))
+            values = np.hstack([thetas, initial])
+            blocks.append(objective.model.fleet_rows(objective._row_names, values))
+            inputs.extend([objective.input_series] * len(thetas))
+        return FmuModel.simulate_fleet(
+            FleetRows.stack(blocks),
             inputs=inputs,
             start_time=float(lead.measurements.time[0]),
             stop_time=float(lead.measurements.time[-1]),

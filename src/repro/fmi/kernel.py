@@ -740,7 +740,7 @@ class SimulationKernel:
         states: np.ndarray,
         inputs: np.ndarray,
         P: np.ndarray,
-    ) -> List[Dict[str, np.ndarray]]:
+    ) -> Dict[str, np.ndarray]:
         """Evaluate all output equations over a whole fleet x grid in one pass.
 
         Parameters
@@ -754,9 +754,10 @@ class SimulationKernel:
         P:
             ``(N, n_params)`` per-row parameter values in kernel order.
 
-        Returns one ``{output name: (n,) trajectory}`` dict per row.  A row
-        whose vectorized values are not all finite is re-evaluated point by
-        point on Python floats, so a division by zero raises
+        Returns ``{output name: (N, n) trajectories}``, each a C-contiguous
+        array of its own.  A row whose vectorized values are not all finite
+        is re-evaluated point by point on Python floats, so a division by
+        zero raises
         :class:`~repro.errors.FmuFormatError` as the interpreted reference
         does, and legitimate infinities are kept.
         """
@@ -772,18 +773,16 @@ class SimulationKernel:
                 values = self._outputs_batch(
                     flat_t, flat_x, flat_u, flat_p, flat_t.shape[0]
                 )
+            # _bcast gives every output a fresh array, never a view.
             columns = [column.reshape(n_rows, n_times) for column in values]
             finite = np.ones(n_rows, dtype=bool)
             for column in columns:
                 finite &= np.isfinite(column).all(axis=1)
-            # Copies, not views: a row slice would pin the whole fleet x grid
-            # column in memory through its .base.
-            return [
-                dict(zip(self.output_names, (column[r].copy() for column in columns)))
-                if finite[r]
-                else self._outputs_pointwise(times, states[r], inputs[r], P[r])
-                for r in range(n_rows)
-            ]
+            for r in np.flatnonzero(~finite):
+                pointwise = self._outputs_pointwise(times, states[r], inputs[r], P[r])
+                for column, name in zip(columns, self.output_names):
+                    column[r] = pointwise[name]
+            return dict(zip(self.output_names, columns))
         except ZeroDivisionError:
             raise self.division_error() from None
 

@@ -21,7 +21,7 @@ from repro.errors import FmuStateError, FmuVariableError, SimulationInputError
 from repro.fmi.archive import FmuArchive, read_fmu
 from repro.fmi.dynamics import OdeSystem
 from repro.fmi.model_description import ModelDescription
-from repro.fmi.results import SimulationResult
+from repro.fmi.results import FleetResult, SimulationResult
 from repro.fmi.variables import ScalarVariable
 from repro.solvers import get_solver
 from repro.solvers.base import BatchOdeProblem, OdeProblem, float_rhs
@@ -93,7 +93,7 @@ class _BoundSeries:
     one per fleet row) and ``slopes`` each knot interval's slope, computed
     by the two operations ``np.interp`` uses: the value difference, divided
     by the knot difference.  The knots are also kept as a list, which the
-    scalar-time paths bisect.
+    one-row path bisects.
     """
 
     __slots__ = ("slot", "name", "knots", "knot_list", "values", "slopes")
@@ -123,6 +123,28 @@ class _BoundSeries:
         slopes = np.vstack([zero, self.slopes, -zero]).ravel()
         return starts, values, slopes
 
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        """The ``(T, n_columns)`` values at shared ``times``.
+
+        A time at or before the first knot takes the first value, one at or
+        after the last knot the last value; any other time ``t`` bisects to
+        the interval ``i`` with ``knots[i] <= t < knots[i + 1]``
+        (``searchsorted(side="right")``, as ``bisect_right``) and takes
+        ``slopes[i] * (t - knots[i]) + values[i]``.  An interval of
+        duplicate knots (an infinite slope) is never selected.
+        """
+        knots, values = self.knots, self.values
+        sampled = np.empty((len(times), values.shape[1]))
+        first = times <= knots[0]
+        last = ~first & (times >= knots[-1])
+        inner = ~(first | last)
+        sampled[first] = values[0]
+        sampled[last] = values[-1]
+        t = times[inner]
+        i = knots.searchsorted(t, side="right") - 1
+        sampled[inner] = self.slopes[i] * (t - knots[i])[:, None] + values[i]
+        return sampled
+
 
 class _FleetBindings:
     """A fleet's inputs, bound once per simulation.
@@ -130,8 +152,8 @@ class _FleetBindings:
     The measured series share one knot grid.  A fleet that shares one input
     mapping stores each series as a single column that broadcasts to every
     row; per-row mappings store one column per row (``cols`` maps each row
-    to its mapping).  Per-instance input *start* values fill the unbound
-    columns, one row per instance.
+    to its mapping).  ``base`` holds the per-instance input *start* values,
+    one row per instance, which fill the unbound columns.
 
     Every path interpolates in ``np.interp``'s operation order: a bisect on
     the shared knots, then ``slope * (t - t_lo) + v_lo`` with the slopes of
@@ -139,24 +161,22 @@ class _FleetBindings:
     its one-row simulation.
 
     * :meth:`input_at` (one-row fleets) gives row 0's input vector as a
-      float list, for the scalar float loop.
-    * :meth:`inputs_at` (fleets of two or more rows) follows the
-      :class:`~repro.solvers.base.BatchOdeProblem` time contract: a scalar
-      time fills each bound column from one knot interval, an ``(N,)``
-      per-row time vector interpolates each row at its own time.  A per-row
-      time outside the knots clamps through :meth:`_BoundSeries.clamped`;
-      one exactly on the first knot takes the first interval, which agrees
-      with the clamp unless that interval's slope is not finite.
-
-    Both reuse one buffer, which the kernel consumes within the same rhs
-    call, and skip a time they have just filled (RK4 evaluates both
-    midpoint stages, and each step's end and the next step's start, at one
-    time).
+      float list, for the scalar float loop; it reuses one list and skips a
+      time it has just filled (RK4 evaluates both midpoint stages, and each
+      step's end and the next step's start, at one time).
+    * :meth:`sample` gives the ``(T, N, n_inputs)`` matrices at a vector of
+      shared times: the fixed-step solvers sample every stage time in this
+      one call (see :class:`~repro.solvers.base.BatchOdeProblem`).
+    * Calling the bindings with an ``(N,)`` per-row time vector (the
+      adaptive solver) interpolates each row at its own time, into one
+      reused buffer.  A time outside the knots clamps through
+      :meth:`_BoundSeries.clamped`; one exactly on the first knot takes the
+      first interval, which agrees with the clamp unless that interval's
+      slope is not finite.
     """
 
     __slots__ = (
-        "base", "series", "_last_t", "_u", "_row", "_buffer", "_columns",
-        "_clamped", "_width", "_rows",
+        "base", "series", "_last_t", "_u", "_row", "_buffer", "_clamped", "_width", "_rows",
     )
 
     def __init__(
@@ -164,14 +184,10 @@ class _FleetBindings:
         kernel,
         interps: Sequence[_InputInterpolator],
         cols: List[int],
-        input_starts_per_row,
+        base: np.ndarray,
     ):
-        n_rows = len(input_starts_per_row)
-        rows = [
-            [float(starts.get(name, 0.0)) for name in kernel.input_names]
-            for starts in input_starts_per_row
-        ]
-        self.base = np.array(rows).reshape(n_rows, kernel.n_inputs)
+        n_rows = len(base)
+        self.base = base
         per_row = len(interps) > 1
         self.series: List[_BoundSeries] = []
         for slot, name in enumerate(kernel.input_names):
@@ -182,19 +198,16 @@ class _FleetBindings:
             self.series.append(
                 _BoundSeries(slot, name, pair[0], values[:, cols] if per_row else values)
             )
-        self._last_t = None
         if n_rows == 1:
             # Row 0 as float lists: (slot, knots, slopes, values) per series.
-            self._u = rows[0]
+            self._last_t = None
+            self._u = base[0].tolist()
             self._row = [
                 (s.slot, s.knot_list, s.slopes[:, 0].tolist(), s.values[:, 0].tolist())
                 for s in self.series
             ]
             return
-        # The scalar time path writes each bound column in place through a
-        # view of the (N, n_inputs) buffer.
-        self._buffer = self.base.copy()
-        self._columns = [self._buffer[:, series.slot] for series in self.series]
+        self._buffer = base.copy()
         self._clamped = [series.clamped() for series in self.series]
         # Series columns: 1 (shared) or one per row.
         self._width = n_rows if per_row else 1
@@ -216,24 +229,15 @@ class _FleetBindings:
                 u[slot] = slopes[i] * (t - knots[i]) + values[i]
         return u
 
-    def inputs_at(self, t) -> np.ndarray:
-        """The ``(N, n_inputs)`` input matrix at time ``t`` (scalar or per-row)."""
-        if not isinstance(t, np.ndarray):
-            if t == self._last_t:
-                return self._buffer
-            self._last_t = t
-            for column, series in zip(self._columns, self.series):
-                knots = series.knot_list
-                if t <= knots[0]:
-                    column[:] = series.values[0]
-                elif t >= knots[-1]:
-                    column[:] = series.values[-1]
-                else:
-                    i = bisect.bisect_right(knots, t) - 1
-                    np.multiply(series.slopes[i], t - knots[i], out=column)
-                    column += series.values[i]
-            return self._buffer
-        self._last_t = None
+    def sample(self, times: np.ndarray) -> np.ndarray:
+        """The ``(T, N, n_inputs)`` input matrices at shared ``times``."""
+        sampled = np.repeat(self.base[None], len(times), axis=0)
+        for series in self.series:
+            sampled[:, :, series.slot] = series.sample(times)
+        return sampled
+
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        """The ``(N, n_inputs)`` input matrix at per-row times ``t``."""
         u = self._buffer
         for series, (starts, values, slopes) in zip(self.series, self._clamped):
             i = series.knots.searchsorted(t, side="right")
@@ -251,6 +255,51 @@ class _FleetBindings:
         for series in self.series:
             tensor[:, :, series.slot] = measured[series.name][cols]
         return tensor
+
+
+class FleetRows:
+    """The per-row start values of a fleet of one model, as matrices.
+
+    ``parameters`` is ``(N, n_p)`` in kernel order, ``states`` the ``(N,
+    d)`` initial states and ``inputs`` the ``(N, n_u)`` input start values;
+    ``model`` is the instance whose archive, default experiment and input
+    declarations the fleet uses.  Built by :meth:`FmuModel.fleet_rows` and
+    concatenated with :meth:`stack`.
+    """
+
+    __slots__ = ("model", "parameters", "states", "inputs")
+
+    def __init__(
+        self, model: "FmuModel", parameters: np.ndarray, states: np.ndarray, inputs: np.ndarray
+    ):
+        self.model = model
+        self.parameters = parameters
+        self.states = states
+        self.inputs = inputs
+
+    def __len__(self) -> int:
+        return len(self.parameters)
+
+    @staticmethod
+    def stack(blocks: Sequence["FleetRows"]) -> "FleetRows":
+        """The rows of ``blocks`` in order, as one fleet of their common model."""
+        lead = blocks[0].model
+        for block in blocks:
+            model = block.model
+            if model._archive.guid != lead._archive.guid:
+                raise SimulationInputError(
+                    "simulate_batch requires instances of one model; got "
+                    f"{model.model_name!r} (guid {model.guid!r}) alongside "
+                    f"{lead.model_name!r} (guid {lead.guid!r})"
+                )
+        if len(blocks) == 1:
+            return blocks[0]
+        return FleetRows(
+            lead,
+            np.vstack([block.parameters for block in blocks]),
+            np.vstack([block.states for block in blocks]),
+            np.vstack([block.inputs for block in blocks]),
+        )
 
 
 class FmuModel:
@@ -346,19 +395,21 @@ class FmuModel:
 
     def set(self, name: str, value: float) -> None:
         """Set a parameter, state start value, or input start value."""
+        self._values_of(name)[name] = float(value)
+
+    def _values_of(self, name: str) -> Dict[str, float]:
+        """The value dictionary :meth:`set` writes ``name`` into."""
         var = self.model_description.variable(name)
-        value = float(value)
         if var.is_parameter:
-            self._parameter_values[name] = value
-        elif var.is_input:
-            self._input_starts[name] = value
-        elif name in self._state_starts or var.is_state:
-            self._state_starts[name] = value
-        else:
-            raise FmuStateError(
-                f"variable {name!r} has causality {var.causality.value!r} and "
-                "cannot be assigned a value"
-            )
+            return self._parameter_values
+        if var.is_input:
+            return self._input_starts
+        if name in self._state_starts or var.is_state:
+            return self._state_starts
+        raise FmuStateError(
+            f"variable {name!r} has causality {var.causality.value!r} and "
+            "cannot be assigned a value"
+        )
 
     def set_many(self, values: Mapping[str, float]) -> None:
         """Set several variables at once."""
@@ -374,9 +425,9 @@ class FmuModel:
         current parameter, state-start and input-start values.
 
         Cloning shares the archive (and therefore the compiled kernel) -
-        only the per-instance value dictionaries are copied.  The
-        estimation layer uses this to stage a whole population of candidate
-        parameter vectors as a fleet for :meth:`simulate_batch`.
+        only the per-instance value dictionaries are copied.  (To simulate
+        many variants of one instance, :meth:`fleet_rows` builds them as
+        rows of a fleet without a clone per row.)
         """
         # Built without __init__: its reset() would fill value dictionaries
         # that are replaced right away.
@@ -388,6 +439,45 @@ class FmuModel:
         twin._input_starts = dict(self._input_starts)
         twin._instantiated = True
         return twin
+
+    def fleet_rows(self, names: Sequence[str] = (), values=None) -> FleetRows:
+        """This instance as rows of a fleet for :meth:`simulate_fleet`.
+
+        Without ``values``, one row carrying the instance's current values.
+        With an ``(n, len(names))`` matrix, ``n`` rows: row ``i`` carries
+        what setting each ``names[j]`` to ``values[i, j]`` with :meth:`set`
+        would make of this instance, which itself stays unchanged (a
+        calibration's candidate population, without a clone per candidate).
+        """
+        if not self._instantiated:
+            raise FmuStateError("the FMU instance has been terminated")
+        system = self.ode_system
+        kernel = system.kernel
+        parameters = kernel.parameter_matrix([self._parameter_values])
+        states = np.array(
+            [[self._state_starts[name] for name in system.state_names]], dtype=float
+        ).reshape(1, len(system.state_names))
+        inputs = np.array(
+            [[float(self._input_starts.get(name, 0.0)) for name in kernel.input_names]]
+        ).reshape(1, kernel.n_inputs)
+        if values is None:
+            return FleetRows(self, parameters, states, inputs)
+        values = np.asarray(values, dtype=float)
+        blocks = (parameters, states, inputs)
+        rows = FleetRows(self, *(np.repeat(block, len(values), axis=0) for block in blocks))
+        columns = (
+            (self._parameter_values, rows.parameters, kernel.parameter_names),
+            (self._state_starts, rows.states, system.state_names),
+            (self._input_starts, rows.inputs, kernel.input_names),
+        )
+        for j, name in enumerate(names):
+            target = self._values_of(name)
+            for store, matrix, order in columns:
+                # A name the kernel does not read is stored by set() but
+                # never simulated.
+                if store is target and name in order:
+                    matrix[:, order.index(name)] = values[:, j]
+        return rows
 
     # ------------------------------------------------------------------ #
     # Simulation
@@ -404,8 +494,8 @@ class FmuModel:
     ) -> SimulationResult:
         """Simulate the model and return trajectories of states and outputs.
 
-        This is :meth:`simulate_batch`'s pipeline on a one-row fleet, which
-        steps in the solver's scalar float loop.
+        This is :meth:`simulate_fleet` on a one-row fleet, which steps in
+        the solver's scalar float loop.
 
         Parameters
         ----------
@@ -426,10 +516,10 @@ class FmuModel:
         The result's ``solver_stats`` are ``solver``, ``n_rhs_evals``,
         ``n_steps`` and ``n_rejected``.
         """
-        (result,) = FmuModel._simulate_fleet(
-            [self], inputs, start_time, stop_time, output_step, output_times,
+        (result,) = FmuModel.simulate_fleet(
+            self.fleet_rows(), inputs, start_time, stop_time, output_step, output_times,
             solver, solver_options,
-        )
+        ).results()
         return result
 
     @staticmethod
@@ -474,53 +564,44 @@ class FmuModel:
         models = list(models)
         if not models:
             return []
-        return FmuModel._simulate_fleet(
-            models, inputs, start_time, stop_time, None, output_times,
-            solver, solver_options,
-        )
+        rows = FleetRows.stack([model.fleet_rows() for model in models])
+        return FmuModel.simulate_fleet(
+            rows, inputs, start_time, stop_time, None, output_times, solver, solver_options,
+        ).results()
 
     @staticmethod
-    def _simulate_fleet(
-        models: List["FmuModel"],
-        inputs,
-        start_time: Optional[float],
-        stop_time: Optional[float],
-        output_step: Optional[float],
-        output_times: Optional[Sequence[float]],
-        solver: str,
-        solver_options: Optional[dict],
-    ) -> List[SimulationResult]:
-        """The pipeline of :meth:`simulate` and :meth:`simulate_batch`: a
-        one-row fleet steps in the solver's scalar float loop, a larger one
-        in its batched loop."""
-        lead = models[0]
-        for model in models:
-            if model._archive.guid != lead._archive.guid:
-                raise SimulationInputError(
-                    "simulate_batch requires instances of one model; got "
-                    f"{model.model_name!r} (guid {model.guid!r}) alongside "
-                    f"{lead.model_name!r} (guid {lead.guid!r})"
-                )
-            if not model._instantiated:
-                raise FmuStateError("the FMU instance has been terminated")
+    def simulate_fleet(
+        rows: FleetRows,
+        inputs=None,
+        start_time: Optional[float] = None,
+        stop_time: Optional[float] = None,
+        output_step: Optional[float] = None,
+        output_times: Optional[Sequence[float]] = None,
+        solver: str = "rk45",
+        solver_options: Optional[dict] = None,
+    ) -> FleetResult:
+        """Simulate the rows of a fleet and return its trajectories as arrays.
 
+        The one pipeline under :meth:`simulate` and :meth:`simulate_batch`,
+        which split its :class:`~repro.fmi.results.FleetResult` into one
+        :class:`SimulationResult` per row; arguments are theirs, with
+        ``rows`` (:meth:`fleet_rows`, :meth:`FleetRows.stack`) in place of
+        the instances.  A one-row fleet steps in the solver's scalar float
+        loop, a larger one in its batched loop.
+        """
+        lead = rows.model
         check_active()
-        interps, cols = lead._build_row_interpolators(inputs, len(models))
+        interps, cols = lead._build_row_interpolators(inputs, len(rows))
         t0, t1 = lead._resolve_window(interps[0], start_time, stop_time)
         grid = lead._resolve_grid(t0, t1, output_step, output_times)
 
         system = lead.ode_system
         kernel = system.kernel
-        # Bind the whole fleet once: per-row parameter matrix, per-row input
-        # start values overlaid with the measured series, stacked initial
-        # states.
-        bindings = _FleetBindings(kernel, interps, cols, [model._input_starts for model in models])
-        P = kernel.parameter_matrix([model._parameter_values for model in models])
-        x0 = np.array(
-            [[model._state_starts[name] for name in system.state_names] for model in models],
-            dtype=float,
-        )
-        one_row = len(models) == 1
+        # Bind the whole fleet once: per-row input start values overlaid
+        # with the measured series, per-row parameters, stacked states.
+        bindings = _FleetBindings(kernel, interps, cols, rows.inputs)
+        P, x0 = rows.parameters, rows.states
+        one_row = len(rows) == 1
         try:
             if one_row:
                 step = kernel._bind_derivs(P[0].tolist())
@@ -547,7 +628,7 @@ class FmuModel:
             # kernel takes and returns as they are.
             problem = OdeProblem(rhs=float_rhs(_fault_checked(rhs)), x0=x0[0], t0=t0, t1=t1)
             solution = integrator.solve(problem, output_times=grid)
-            states = solution.states[None]
+            states = solution.states[:, None]
             n_steps, n_rejected = [solution.n_steps], [solution.n_rejected]
             fleet_stats = {}
         else:
@@ -559,46 +640,43 @@ class FmuModel:
                     raise kernel.division_error() from None
 
             problem = BatchOdeProblem(
-                rhs=_fault_checked(rhs), x0=x0, t0=t0, t1=t1, inputs=bindings.inputs_at
+                rhs=_fault_checked(rhs), x0=x0, t0=t0, t1=t1, inputs=bindings
             )
             solution = integrator.solve_batch(problem, output_times=grid)
-            states = np.ascontiguousarray(solution.states.swapaxes(0, 1))
+            states = solution.states
             n_steps, n_rejected = solution.n_steps, solution.n_rejected
-            fleet_stats = {"batched": True, "fleet_size": len(models)}
+            fleet_stats = {"batched": True, "fleet_size": len(rows)}
 
         # Each measured series on the output grid, one row per input
         # mapping, then the outputs of the whole fleet x grid in one pass.
+        # ``states`` is (T, N, d); each state's (N, T) trajectories are rows
+        # of one C-contiguous copy.
         times = solution.times
         measured = {
             name: np.array([np.interp(times, *interp._series[name]) for interp in interps])
             for name in interps[0].names()
         }
-        output_rows = kernel.outputs_batch(
-            times, states, bindings.input_tensor(times, measured, cols), P
+        trajectories = dict(
+            zip(system.state_names, np.ascontiguousarray(states.transpose(2, 1, 0)))
         )
-
-        results: List[SimulationResult] = []
-        for row, col in enumerate(cols):
-            # Copies, so one retained result does not pin the whole fleet's
-            # solution.
-            trajectories = dict(zip(system.state_names, states[row].T.copy()))
-            trajectories.update(output_rows[row])
-            for name, samples in measured.items():
-                trajectories[name] = samples[col].copy()
-            results.append(
-                SimulationResult(
-                    time=times,
-                    trajectories=trajectories,
-                    solver_stats={
-                        "solver": solution.solver_name,
-                        "n_rhs_evals": solution.n_rhs_evals,
-                        "n_steps": int(n_steps[row]),
-                        "n_rejected": int(n_rejected[row]),
-                        **fleet_stats,
-                    },
-                )
+        trajectories.update(
+            kernel.outputs_batch(
+                times, states.swapaxes(0, 1), bindings.input_tensor(times, measured, cols), P
             )
-        return results
+        )
+        return FleetResult(
+            time=times,
+            trajectories=trajectories,
+            inputs=measured,
+            input_rows=cols,
+            solver_stats={
+                "solver": solution.solver_name,
+                "n_rhs_evals": solution.n_rhs_evals,
+                "n_steps": n_steps,
+                "n_rejected": n_rejected,
+                **fleet_stats,
+            },
+        )
 
     # ------------------------------------------------------------------ #
     # Helpers

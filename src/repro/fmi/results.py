@@ -76,3 +76,49 @@ class SimulationResult:
 
     def __len__(self) -> int:
         return len(self.time)
+
+
+@dataclass
+class FleetResult:
+    """Trajectories of a whole simulated fleet, as arrays with one row per
+    instance (see :meth:`repro.fmi.model.FmuModel.simulate_fleet`).
+
+    * ``fleet["x"]`` - variable ``x``'s ``(N, T)`` trajectories, C-contiguous.
+    * ``trajectories`` - every state's and output's ``(N, T)`` array.
+    * ``inputs`` / ``input_rows`` - each measured input on the grid, one row
+      per input mapping, and each instance's mapping.
+    * ``solver_stats`` - :class:`SimulationResult`'s keys, with per-row
+      ``n_steps`` and ``n_rejected`` arrays.
+    * :meth:`results` - one :class:`SimulationResult` per instance.
+    """
+
+    time: np.ndarray
+    trajectories: Dict[str, np.ndarray]
+    inputs: Dict[str, np.ndarray]
+    input_rows: List[int]
+    solver_stats: dict
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        if name in self.inputs:
+            return self.inputs[name][self.input_rows]
+        try:
+            return self.trajectories[name]
+        except KeyError:
+            raise FmuVariableError(f"simulation result has no variable {name!r}") from None
+
+    def results(self) -> List[SimulationResult]:
+        """One :class:`SimulationResult` per instance, in fleet order."""
+        stats = self.solver_stats
+        results = []
+        for row, col in enumerate(self.input_rows):
+            # Copies, so one retained result does not pin the whole fleet.
+            trajectories = {name: values[row].copy() for name, values in self.trajectories.items()}
+            for name, values in self.inputs.items():
+                trajectories[name] = values[col].copy()
+            row_stats = dict(
+                stats, n_steps=int(stats["n_steps"][row]), n_rejected=int(stats["n_rejected"][row])
+            )
+            results.append(
+                SimulationResult(time=self.time, trajectories=trajectories, solver_stats=row_stats)
+            )
+        return results

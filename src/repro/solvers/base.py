@@ -124,7 +124,11 @@ class BatchOdeProblem:
     inputs:
         Optional callable mapping time (same scalar-or-vector contract as
         ``rhs``) to the ``(N, n_u)`` input matrix.  When omitted an empty
-        ``(N, 0)`` matrix is passed to ``rhs``.
+        ``(N, 0)`` matrix is passed to ``rhs``.  Fixed-step solvers sample
+        every stage time before their loop (:func:`_sample_inputs`): an
+        ``inputs`` object with a ``sample(times)`` method, returning the
+        ``(T, N, n_u)`` matrices at a vector of shared times, is sampled in
+        that one call; a plain callable is called once per time.
 
     Solvers always evaluate ``rhs`` at full fleet width: an adaptive batch
     solver whose rows finish at different times keeps evaluating finished
@@ -365,6 +369,23 @@ def _fixed_steps(t0: float, t1: float, h: float) -> Tuple[List[float], List[floa
         times.append(t)
         steps.append(h_eff)
     return times, steps
+
+
+def _sample_inputs(problem: "BatchOdeProblem", times: Sequence[float]) -> np.ndarray:
+    """The ``(T, N, n_u)`` input matrices of a fixed-step fleet at ``times``.
+
+    Sampled once, before the step loop, which then indexes one matrix per
+    stage.  Input-less problems get an empty ``(T, N, 0)`` array.  A plain
+    ``inputs`` callable may reuse one buffer across calls, so each matrix
+    it returns is copied.
+    """
+    inputs = problem.inputs
+    if inputs is None:
+        return np.empty((len(times), problem.n_rows, 0))
+    sample = getattr(inputs, "sample", None)
+    if sample is not None:
+        return sample(np.asarray(times, dtype=float))
+    return np.array([np.array(inputs(t), dtype=float) for t in times])
 
 
 def _sample_shared(grid: np.ndarray, times: np.ndarray, states: np.ndarray) -> np.ndarray:

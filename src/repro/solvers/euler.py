@@ -14,7 +14,6 @@ from repro.solvers.base import (
     OdeProblem,
     OdeSolution,
     OdeSolver,
-    _batch_stage_function,
     _check_step,
     _finite,
     _float_solution,
@@ -22,6 +21,7 @@ from repro.solvers.base import (
     _step_guard,
     _CHECK_INTERVAL,
     _fixed_steps,
+    _sample_inputs,
     _sample_shared,
 )
 
@@ -90,7 +90,9 @@ class EulerSolver(OdeSolver):
         All rows share the fixed step size, so the time grid is common and
         each step is a single vectorized rhs evaluation; per-row arithmetic
         is identical to :meth:`solve`, so batched trajectories match the
-        sequential ones to floating-point rounding.
+        sequential ones to floating-point rounding.  The inputs are sampled
+        at every step time before the loop, and each step writes ``X + h *
+        dX`` through one scratch buffer into the trajectory.
         """
         grid = self._normalized_output_times(problem, output_times)
         h = self._step_size(problem)
@@ -100,19 +102,21 @@ class EulerSolver(OdeSolver):
         times, steps = _fixed_steps(problem.t0, problem.t1, h)
         states = np.empty((len(times), problem.n_rows, problem.n_states))
         states[0] = problem.x0
-        X = problem.x0.copy()
-        f = _batch_stage_function(problem)
+        term = np.empty_like(problem.x0)
+        rhs = problem.rhs
+        X = states[0]
         token, injector, watch = _step_guard()
         checks_left = _CHECK_INTERVAL
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            inputs = _sample_inputs(problem, times[:-1])
             for n, h_eff in enumerate(steps, start=1):
                 if watch:
                     checks_left -= 1
                     if checks_left == 0:
                         checks_left = _CHECK_INTERVAL
                         _check_step(token, injector)
-                dX = f(times[n - 1], X)
-                X = X + h_eff * dX
+                dX = rhs(times[n - 1], X, inputs[n - 1])
+                X = np.add(X, np.multiply(h_eff, dX, out=term), out=states[n])
                 # Scalar pre-check + exact fallback over the whole fleet (see
                 # _finite); callers fall back to per-row integration to
                 # pinpoint the diverging instance.
@@ -121,7 +125,6 @@ class EulerSolver(OdeSolver):
                     raise SolverError(
                         f"Euler integration diverged at t={times[n]} (rows {bad.tolist()})"
                     )
-                states[n] = X
 
         n_steps = len(steps)
         steps_per_row = np.full(problem.n_rows, n_steps, dtype=int)

@@ -263,8 +263,8 @@ class Table:
         index = self._pk_index.get(key)
         return [] if index is None else [index]
 
-    def pk_prefix_rows(self, prefix: Sequence[Any]) -> List[Dict[str, Any]]:
-        """Rows whose primary key starts with ``prefix``, as dictionaries in
+    def pk_prefix_positions(self, prefix: Sequence[Any]) -> List[int]:
+        """Positions of the rows whose primary key starts with ``prefix``, in
         storage order.
 
         A walk of ``<table>_pkey`` (which every primary key over orderable
@@ -272,12 +272,14 @@ class Table:
         to the table.
         """
         index = self.indexes[self.primary_index_name]
+        return sorted(index.range_positions(prefix=prefix))
+
+    def pk_prefix_rows(self, prefix: Sequence[Any]) -> List[Dict[str, Any]]:
+        """Rows whose primary key starts with ``prefix``, as dictionaries in
+        storage order (see :meth:`pk_prefix_positions`)."""
         names = self.column_names
         rows = self._rows
-        return [
-            dict(zip(names, rows[position]))
-            for position in sorted(index.range_positions(prefix=prefix))
-        ]
+        return [dict(zip(names, rows[position])) for position in self.pk_prefix_positions(prefix)]
 
     # ------------------------------------------------------------------ #
     # Secondary indexes

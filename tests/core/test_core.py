@@ -142,6 +142,51 @@ class TestCatalogueByKey:
         fleet.instance("HP1Copy2").copy("HP1Copy3")
         assert catalog.instance_values("HP1Copy3") == catalog.instance_values("HP1Copy2")
 
+    def test_deletes_visit_only_their_own_rows(self, fleet, forbid_whole_table_reads, monkeypatch):
+        """``fmu_delete_model``, ``fmu_reset`` and ``fmu_delete_instance``
+        test only the rows they delete: no other instance's (or model's)
+        catalogue row reaches the delete predicate."""
+        from repro.sqldb.table import Table
+
+        db = fleet.database
+        hp0_model = db.table("modelinstance").lookup_pk(["HP0A"])["modelid"]
+        n_instances = len(db.table("modelinstance"))
+        tested = []
+        original = Table.delete_where
+
+        def spy(self, predicate, candidate_positions=None):
+            def recording(row):
+                tested.append((self.name, row.get("instanceid"), row["modelid"]))
+                return predicate(row)
+
+            return original(self, recording, candidate_positions=candidate_positions)
+
+        monkeypatch.setattr(Table, "delete_where", spy)
+        # instances_of still reads the whole instance table (no key on modelid).
+        fleet.execute(f"SELECT fmu_delete_model('{hp0_model}')")
+        assert {model for _, _, model in tested} == {hp0_model}
+        assert {table for table, _, _ in tested} == {
+            "modelinstancevalues", "modelinstance", "modelvariable", "model"
+        }
+        assert len(db.table("modelinstance")) == n_instances - 1
+
+        forbid_whole_table_reads()
+        fleet.execute("SELECT fmu_set_initial('HP1Copy1', 'R', 0.25)")
+        tested.clear()
+        fleet.execute("SELECT fmu_reset('HP1Copy1')")
+        assert {(table, instance) for table, instance, _ in tested} == {
+            ("modelinstancevalues", "HP1Copy1")
+        }
+        assert fleet.catalog.instance_values("HP1Copy1")["R"] == 1.5
+        tested.clear()
+        fleet.execute("SELECT fmu_delete_instance('HP1Copy2')")
+        assert {(table, instance) for table, instance, _ in tested} == {
+            ("modelinstancevalues", "HP1Copy2"), ("modelinstance", "HP1Copy2")
+        }
+        assert db.table("modelinstance").lookup_pk(["HP1Copy2"]) is None
+        assert fleet.catalog.instance_values("HP1Copy2") == {}
+        assert fleet.catalog.instance_values("HP1Copy0")
+
     def test_fmu_simulate_loads_each_runtime_model_once(
         self, fleet, forbid_whole_table_reads, monkeypatch
     ):

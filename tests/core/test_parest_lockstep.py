@@ -120,21 +120,16 @@ def _assert_same(tmp_path, houses, bounds=None, calls=None, **kwargs):
 
 @pytest.fixture()
 def solves(monkeypatch):
-    """Records every solver call: the fleet size of each ``simulate_batch``
-    and a 1 for each scalar ``simulate``."""
+    """Records the fleet size of every solve (each ``simulate_fleet`` call,
+    one-row fleets included)."""
     sizes = []
-    real_batch, real_simulate = FmuModel.simulate_batch, FmuModel.simulate
+    real = FmuModel.simulate_fleet
 
-    def batch(models, *args, **kwargs):
-        sizes.append(len(models))
-        return real_batch(models, *args, **kwargs)
+    def fleet(rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return real(rows, *args, **kwargs)
 
-    def simulate(self, *args, **kwargs):
-        sizes.append(1)
-        return real_simulate(self, *args, **kwargs)
-
-    monkeypatch.setattr(FmuModel, "simulate_batch", staticmethod(batch))
-    monkeypatch.setattr(FmuModel, "simulate", simulate)
+    monkeypatch.setattr(FmuModel, "simulate_fleet", staticmethod(fleet))
     return sizes
 
 
@@ -158,16 +153,16 @@ class TestLockstepEquivalence:
         # R * Cp down to 4e-4 h against a 1 h RK4 step: many candidates blow
         # up, so merged fleets fail and every request bisects on its own.
         failed = []
-        real = FmuModel.simulate_batch
+        real = FmuModel.simulate_fleet
 
-        def recording(models, *args, **kwargs):
+        def recording(rows, *args, **kwargs):
             try:
-                return real(models, *args, **kwargs)
+                return real(rows, *args, **kwargs)
             except SolverError:
-                failed.append(len(models))
+                failed.append(len(rows))
                 raise
 
-        monkeypatch.setattr(FmuModel, "simulate_batch", staticmethod(recording))
+        monkeypatch.setattr(FmuModel, "simulate_fleet", staticmethod(recording))
         bounds = {"Cp": (0.02, 0.3), "R": (0.02, 0.3)}
         _assert_same(tmp_path, FAR + NEAR[:1], bounds=bounds, use_mi_optimization=False)
         assert max(failed) > FAST_GA_OPTIONS["population_size"]
@@ -208,15 +203,15 @@ class TestLockstepFailures:
         session = _fleet(tmp_path, FAR + NEAR[:1], "deadline")
         token = cancellation.CancelToken()
         calls = []
-        real = FmuModel.simulate_batch
+        real = FmuModel.simulate_fleet
 
-        def expiring(models, *args, **kwargs):
-            calls.append(len(models))
+        def expiring(rows, *args, **kwargs):
+            calls.append(len(rows))
             if len(calls) == 3:
                 token.deadline = time.monotonic()  # fires at the next check
-            return real(models, *args, **kwargs)
+            return real(rows, *args, **kwargs)
 
-        monkeypatch.setattr(FmuModel, "simulate_batch", staticmethod(expiring))
+        monkeypatch.setattr(FmuModel, "simulate_fleet", staticmethod(expiring))
         with cancellation.activate(token), pytest.raises(TimeoutError):
             session.estimator.estimate(*_args(FAR + NEAR[:1]), use_mi_optimization=False)
         assert len(calls) == 3

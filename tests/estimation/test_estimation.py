@@ -167,6 +167,12 @@ def _rmse_reference_score(objective, result) -> float:
     return float(np.mean(errors)) if errors else float("inf")
 
 
+def _one_row_score(objective, result) -> float:
+    """The objective's score of one simulation result, as a one-row fleet."""
+    fleet = {name: result[name][None] for name in result.variables}
+    return float(objective._score_fleet(fleet, 0, 1)[0])
+
+
 class TestObjectiveScore:
     """The precomputed-mask score equals the masked ``rmse`` formula bit for bit."""
 
@@ -195,7 +201,7 @@ class TestObjectiveScore:
                 result = self._result(
                     x=holed + rng.normal(0.0, 0.3, 97), y=rng.normal(3.0, 1.0, 97)
                 )
-                score = objective._score(result)
+                score = _one_row_score(objective, result)
                 assert np.isfinite(score)
                 assert score == _rmse_reference_score(objective, result)
 
@@ -205,14 +211,14 @@ class TestObjectiveScore:
             simulated = np.linspace(15.0, 25.0, 97)
             simulated[40] = bad
             result = self._result(x=simulated, y=np.ones(97))
-            score = objective._score(result)
+            score = _one_row_score(objective, result)
             assert score == _rmse_reference_score(objective, result) == float("inf")
 
     def test_all_nan_observations_score_inf(self):
         objective = self._objective({"x": np.full(97, np.nan), "y": np.full(97, np.nan)})
         result = self._result(x=np.ones(97), y=np.ones(97))
-        assert objective._score(result) == _rmse_reference_score(objective, result)
-        assert objective._score(result) == float("inf")
+        assert _one_row_score(objective, result) == _rmse_reference_score(objective, result)
+        assert _one_row_score(objective, result) == float("inf")
 
 
 # --------------------------------------------------------------------------- #

@@ -158,14 +158,14 @@ class TestPopulationBatchFallbacks:
 
         sequential = run(False)
 
-        real_simulate_batch = FmuModel.simulate_batch
+        real_simulate_fleet = FmuModel.simulate_fleet
 
-        def failing_simulate_batch(models, *args, **kwargs):
-            if len(models) > 2:
+        def failing_simulate_fleet(rows, *args, **kwargs):
+            if len(rows) > 2:
                 raise SolverError("injected mid-generation failure")
-            return real_simulate_batch(models, *args, **kwargs)
+            return real_simulate_fleet(rows, *args, **kwargs)
 
-        monkeypatch.setattr(FmuModel, "simulate_batch", staticmethod(failing_simulate_batch))
+        monkeypatch.setattr(FmuModel, "simulate_fleet", staticmethod(failing_simulate_fleet))
         batched = run(True)
         _assert_bit_identical(batched, sequential, "injected SolverError")
 
@@ -173,14 +173,14 @@ class TestPopulationBatchFallbacks:
         """Guard against the batched path silently sequentializing."""
         measurements = self._hp1_measurements(hp1_week_dataset)
         fleet_sizes = []
-        real_simulate_batch = FmuModel.simulate_batch
+        real_simulate_fleet = FmuModel.simulate_fleet
 
-        def recording_simulate_batch(models, *args, **kwargs):
-            fleet_sizes.append(len(models))
-            return real_simulate_batch(models, *args, **kwargs)
+        def recording_simulate_fleet(rows, *args, **kwargs):
+            fleet_sizes.append(len(rows))
+            return real_simulate_fleet(rows, *args, **kwargs)
 
         monkeypatch.setattr(
-            FmuModel, "simulate_batch", staticmethod(recording_simulate_batch)
+            FmuModel, "simulate_fleet", staticmethod(recording_simulate_fleet)
         )
         estimation = Estimation(
             load_fmu(build_hp1_archive()),

@@ -97,16 +97,16 @@ class TestBatchKernel:
         inputs = rng.uniform(-1.0, 1.0, (n_rows, n_times, len(kernel.input_names)))
         P = kernel.parameter_matrix([None] * n_rows)
         batched = kernel.outputs_batch(times, states, inputs, P)
-        assert len(batched) == n_rows
         for row in range(n_rows):
             for k in range(n_times):
                 single = system.evaluate_outputs(
                     times[k], states[row, k],
                     dict(zip(kernel.input_names, inputs[row, k])), {},
                 )
-                assert set(batched[row]) == set(single)
+                assert set(batched) == set(single)
                 for name, value in single.items():
-                    assert batched[row][name][k] == pytest.approx(value, abs=1e-12)
+                    assert batched[name].shape == (n_rows, n_times)
+                    assert batched[name][row, k] == pytest.approx(value, abs=1e-12)
 
     def test_parameter_matrix_layout(self, hp1_archive):
         kernel = hp1_archive.ode_system.kernel

@@ -27,13 +27,13 @@ from repro.fmi.model import FmuModel
 
 def _outputs_at(kernel, t, x, u, p):
     """The kernel's outputs at one point: a fleet of one row, one time."""
-    (row,) = kernel.outputs_batch(
+    outputs = kernel.outputs_batch(
         np.array([t]),
         np.asarray(x, dtype=float).reshape(1, 1, -1),
         np.array(u, dtype=float).reshape(1, 1, len(u)),
         np.array([p], dtype=float).reshape(1, len(p)),
     )
-    return {name: values[0] for name, values in row.items()}
+    return {name: values[0, 0] for name, values in outputs.items()}
 
 
 # --------------------------------------------------------------------------- #
@@ -161,9 +161,12 @@ class TestKernelCodegen:
             [[rng.uniform(-1, 1) for _ in system.inputs] for _ in range(n)]
         ).reshape(n, len(system.inputs))
         p = kernel.parameter_vector()
-        (vectorized,) = kernel.outputs_batch(
-            times, states[None], inputs[None], np.array([p])
-        )
+        vectorized = {
+            name: values[0]
+            for name, values in kernel.outputs_batch(
+                times, states[None], inputs[None], np.array([p])
+            ).items()
+        }
         assert set(vectorized) == set(system.output_names)
         for k in range(n):
             scalar = system.evaluate_outputs(
@@ -272,12 +275,12 @@ class TestKernelSemanticsEdgeCases:
             outputs=[OutputEquation("y", "x * 10.0")],
             parameters={},
         ).kernel
-        (values,) = kernel.outputs_batch(
+        values = kernel.outputs_batch(
             np.array([0.0]), np.array([[[1e308]]]), np.empty((1, 1, 0)), np.empty((1, 0))
         )
         # Multiplication overflow is silent inf in Python floats too; the
         # pointwise fallback must return it rather than raise.
-        assert np.isinf(values["y"][0])
+        assert np.isinf(values["y"][0, 0])
 
     def test_variable_named_after_constant_shadows_it(self):
         """A model variable named 'e' (e.g. emissivity) must shadow the math
@@ -319,7 +322,7 @@ class TestKernelSemanticsEdgeCases:
             parameters={},
         )
         states = np.linspace(0.0, 1.0, 5).reshape(5, 1)
-        (outputs,) = system.kernel.outputs_batch(
+        outputs = system.kernel.outputs_batch(
             np.linspace(0.0, 1.0, 5), states[None], np.empty((1, 5, 0)), np.empty((1, 0))
         )
         assert not np.shares_memory(outputs["y"], states)

@@ -216,7 +216,7 @@ class TestEndToEnd:
             raise TimeoutError("deadline")
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(FmuModel, "simulate_batch", staticmethod(expired))
+            patch.setattr(FmuModel, "simulate_fleet", staticmethod(expired))
             with pytest.raises(TimeoutError):
                 objective([0.3])
         assert objective.n_evaluations == 2
