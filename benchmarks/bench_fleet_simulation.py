@@ -1,17 +1,15 @@
-"""Batched fleet simulation vs. the sequential per-instance path (not a paper table).
+"""Batched fixed-step fleet simulation vs. per-instance solves (not a paper table).
 
-``Session.simulate_many`` stacks a same-model fleet's states into an
-``(N, d)`` matrix and integrates all instances through one numpy-vectorized
-right-hand side (:meth:`repro.fmi.model.FmuModel.simulate_batch`); the
-pre-batching path integrated them one compiled-kernel solve at a time.
-This benchmark times both paths on a 32-instance fleet of the five-zone
-heat pump model under the default adaptive RK45 solver (the
-``fmu_simulate`` instance-array shape), after asserting the two paths'
-trajectories agree within 1e-9.  Target: >= 1.5x at N=32.  The sequential
-arm steps each instance in plain Python floats, so the batched path now
-reads ~2.1x (1.8-2.4x over ten runs on a 2-vCPU host); the floor sits
-below the lowest of those readings, to catch a batched-path regression
-without failing on host noise.
+``FmuModel.simulate_batch`` with a fixed-step solver stacks a same-model
+fleet's states into an ``(N, d)`` matrix and integrates all instances
+through one numpy-vectorized right-hand side; per-instance
+``FmuModel.simulate`` steps each instance in the solver's scalar float
+loop.  This benchmark times both on a 32-instance fleet of the five-zone
+heat pump model under RK4 (calibration's solver, whose candidate rows are
+such a fleet), after asserting that the two paths' trajectories agree
+within 1e-9 (they are bit-identical).  Target: >= 1.5x at N=32.  The
+adaptive RK45 solver has no batched loop: its fleets step row by row, so
+for RK45 the two paths are one.
 
 Run with:  pytest benchmarks/bench_fleet_simulation.py
       or:  python benchmarks/bench_fleet_simulation.py [--smoke]
@@ -40,68 +38,66 @@ if __name__ == "__main__":  # pragma: no cover - direct invocation path
 
 from bench_simulation_kernels import HP5_SOURCE
 
-from repro.core.session import Session
-from repro.core.simulate import SIMULATION_SOLVER
+from repro.fmi.model import FmuModel
+from repro.modelica.compiler import compile_model
 
 RECORD_PATH = Path(__file__).resolve().parent / "BENCH_fleet_simulation.json"
 #: Where ``--smoke`` writes, so a smoke run leaves the full-run record alone.
 SMOKE_RECORD_PATH = RECORD_PATH.with_suffix(".smoke.json")
 
 N_INSTANCES = 32
+SOLVER = "rk4"
+#: The input knots' spacing (hours), as calibration steps on its data grid.
+STEP = 0.25
 
 
-def _build_fleet_session(hours: float) -> tuple:
-    """A session with a 32-instance HP5 fleet and a measurement table."""
-    session = Session(register_ml=False)
-    cur = session.cursor()
-    cur.execute("CREATE TABLE m (time double precision, u double precision)")
+def _build_fleet(hours: float) -> tuple:
+    """A 32-instance HP5 fleet and the simulate arguments its rows share."""
+    archive = compile_model(HP5_SOURCE)
+    models = []
+    for i in range(N_INSTANCES):
+        model = FmuModel(archive, instance_name=f"HP5Fleet{i}")
+        if i:
+            model.set("Cp1", 1.0 + 0.02 * i)
+            model.set("R12", 0.9 + 0.01 * i)
+            model.set("x1", 18.0 + 0.1 * i)
+        models.append(model)
     grid = np.linspace(0.0, hours, int(hours * 4) + 1)
-    cur.executemany(
-        "INSERT INTO m VALUES ($1, $2)",
-        [[float(t), float(0.5 + 0.4 * np.sin(t / 5.0))] for t in grid],
+    call = dict(
+        inputs={"u": (grid, 0.5 + 0.4 * np.sin(grid / 5.0))},
+        start_time=0.0,
+        stop_time=hours,
+        output_times=grid,
+        solver=SOLVER,
+        solver_options={"step": STEP},
     )
-    base = session.create(HP5_SOURCE, "HP5Fleet0")
-    ids = [str(base)]
-    for i in range(1, N_INSTANCES):
-        clone = base.copy(f"HP5Fleet{i}")
-        clone.set_initial("Cp1", 1.0 + 0.02 * i)
-        clone.set_initial("R12", 0.9 + 0.01 * i)
-        clone.set_initial("x1", 18.0 + 0.1 * i)
-        ids.append(str(clone))
-    return session, ids
+    return models, call
 
 
-def _assert_equivalent(batched: dict, sequential: dict, atol: float = 1e-9) -> float:
+def _assert_equivalent(models: list, batched: list, sequential: list, atol: float = 1e-9) -> float:
     worst = 0.0
-    for instance_id, result in sequential.items():
-        for name in result.variables:
-            diff = float(np.max(np.abs(batched[instance_id][name] - result[name])))
+    for model, fleet_row, single in zip(models, batched, sequential):
+        for name in single.variables:
+            diff = float(np.max(np.abs(fleet_row[name] - single[name])))
             worst = max(worst, diff)
             np.testing.assert_allclose(
-                batched[instance_id][name], result[name], rtol=0, atol=atol,
+                fleet_row[name], single[name], rtol=0, atol=atol,
                 err_msg=f"batched and sequential trajectories differ for "
-                        f"{instance_id}/{name}",
+                        f"{model.instance_name}/{name}",
             )
     return worst
 
 
 def measure_fleet(hours: float = 100.0, rounds: int = 3) -> dict:
-    session, ids = _build_fleet_session(hours)
-    query = "SELECT * FROM m"
-
-    simulator = session.simulator
+    models, call = _build_fleet(hours)
 
     def run_batched():
-        return session.simulate_many(ids, query)
+        return FmuModel.simulate_batch(models, **call)
 
     def run_sequential():
-        # The query runs once, then each instance runs as a one-row fleet.
-        prepared = simulator.prepare_inputs(query)
-        return {i: simulator._simulate_group([i], prepared)[0] for i in ids}
+        return [model.simulate(**call) for model in models]
 
-    batched_results = run_batched()
-    sequential_results = run_sequential()
-    worst = _assert_equivalent(batched_results, sequential_results)
+    worst = _assert_equivalent(models, run_batched(), run_sequential())
 
     # Symmetric, interleaved best-of-N timing (see bench_simulation_kernels):
     # alternating the two paths keeps CPU frequency drift off the ratio.
@@ -117,7 +113,8 @@ def measure_fleet(hours: float = 100.0, rounds: int = 3) -> dict:
         "benchmark": "fleet_simulation",
         "n_instances": N_INSTANCES,
         "hours": hours,
-        "solver": SIMULATION_SOLVER,
+        "solver": SOLVER,
+        "step": STEP,
         "max_abs_diff": worst,
         "sequential_s": round(sequential_s, 6),
         "batched_s": round(batched_s, 6),

@@ -1,12 +1,15 @@
-"""Batched fleet simulation: 32 instances, one vectorized integration pass.
+"""Fleet simulation: 32 instances of one model in one call.
 
 A fleet of 32 houses shares one heat pump model; each house has its own
-parameter values.  ``Session.simulate_many`` stacks the whole fleet's
-states into an ``(N, d)`` matrix and integrates them through one
-numpy-vectorized right-hand side, instead of running N sequential solver
-loops - this script times both paths, shows the identical trajectories,
-drives the same batch through the ``fmu_simulate`` array-literal SQL form,
-and finishes by calibrating part of the fleet.
+parameter values.  ``Session.simulate_many`` runs the input query once,
+binds its series once and simulates the whole fleet in one FMI call.  Under
+the default adaptive RK45 solver each house then steps in the solver's
+scalar float loop (a fixed-step solver would stack the fleet's states into
+an ``(N, d)`` matrix and step them together, as calibration does with each
+GA generation).  This script times the fleet call against one call per
+house, shows the identical trajectories, drives the same fleet through the
+``fmu_simulate`` array-literal SQL form, and finishes by calibrating part
+of the fleet.
 
 Run with:  python examples/fleet_simulation.py
 """
@@ -49,7 +52,7 @@ def main() -> None:
         fleet.append(house)
 
     # ---------------------------------------------------------------- #
-    # Object layer: batched vs. sequential timings
+    # Object layer: one fleet call vs. one call per house
     # ---------------------------------------------------------------- #
     query = "SELECT * FROM measurements"
 
@@ -71,13 +74,13 @@ def main() -> None:
         for house in batched
     )
     print(f"simulate_many over {FLEET_SIZE} houses:")
-    print(f"  sequential per-instance path: {sequential_s * 1000:7.1f} ms")
-    print(f"  batched (N, d) fleet path:    {batched_s * 1000:7.1f} ms")
-    print(f"  speedup: {sequential_s / batched_s:.1f}x, "
-          f"max |batched - sequential| = {worst:.2e}")
+    print(f"  one call per house: {sequential_s * 1000:7.1f} ms")
+    print(f"  one fleet call:     {batched_s * 1000:7.1f} ms")
+    print(f"  ratio: {sequential_s / batched_s:.1f}x, "
+          f"max |fleet - per house| = {worst:.2e}")
 
     stats = batched[str(fleet[0])].solver_stats
-    print(f"  solver: {stats['solver']}, fleet_size={stats['fleet_size']}, "
+    print(f"  solver: {stats['solver']}, "
           f"accepted steps for House1: {stats['n_steps']}")
 
     # ---------------------------------------------------------------- #

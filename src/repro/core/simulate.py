@@ -7,16 +7,16 @@ the simulation window, integrates the model, and emits the results as a long
 table ``(simulationTime, instanceId, varName, value)`` - one row per time
 step and variable, the shape the paper's Table 4 shows.
 
-For fleets, :meth:`Simulator.simulate_many` amortizes the per-call overhead
-twice over: the ``input_sql`` query is executed and its series bound
-**once**, and instances of the same model are *batched* - their states are
-stacked into an ``(N, d)`` matrix and integrated together through one
-numpy-vectorized right-hand side
-(:meth:`repro.fmi.model.FmuModel.simulate_batch`), so the fleet costs one
-solver loop instead of N.  This backs both ``Session.simulate_many`` and
-the array-literal overload of the ``fmu_simulate`` UDF.  One instance
-takes the same path as a one-row fleet, which the FMI runtime steps in the
-solver's scalar loop.  Every fleet solve walks the
+For fleets, :meth:`Simulator.simulate_many` amortizes the per-call overhead:
+the ``input_sql`` query is executed and its series bound **once**, and
+instances of the same model simulate as one fleet in one
+:meth:`repro.fmi.model.FmuModel.simulate_batch` call.  Under the adaptive
+:data:`SIMULATION_SOLVER` the FMI runtime steps each row in the solver's
+scalar float loop; a fixed-step solver (the ladder's last rung) stacks
+the rows into an ``(N, d)`` matrix and steps them together.  This backs
+both ``Session.simulate_many`` and the array-literal overload of the
+``fmu_simulate`` UDF.  One instance takes the same path as a one-row
+fleet.  Every fleet solve walks the
 :class:`~repro.solvers.retry.RetryPolicy` ladder; only a fleet of two or
 more whose solve fails on every rung is rerun instance by instance, so the
 rerun reports exactly the error N single-instance calls would.

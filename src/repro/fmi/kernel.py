@@ -13,10 +13,10 @@ simulation runs through them:
   ``outputs_batch(times, states, inputs, P)`` - the same equations with one
   *row per model instance*: states are an ``(N, d)`` matrix, inputs an
   ``(N, n_u)`` matrix and parameters an ``(N, n_p)`` matrix, so a whole
-  fleet integrates through one numpy-vectorized right-hand-side call
-  (``t`` may be a scalar shared by all rows, or a per-row vector for
-  solvers whose rows are at different times).  A single simulation
-  evaluates its outputs as a batch of one,
+  fixed-step fleet integrates through one numpy-vectorized
+  right-hand-side call at a time ``t`` shared by all rows.  Every
+  simulation evaluates its outputs this way (a single one as a batch of
+  one),
 
 and compiles them under the same sandbox rules as the interpreted
 expressions: an empty ``__builtins__`` and only the whitelisted math
@@ -718,8 +718,7 @@ class SimulationKernel:
         Parameters
         ----------
         t:
-            Scalar time shared by all rows, or an ``(N,)`` vector of per-row
-            times (adaptive batch solvers advance rows independently).
+            Time, shared by all rows.
         X / U / P:
             ``(N, n_states)`` states, ``(N, n_inputs)`` inputs and
             ``(N, n_params)`` parameters, one row per instance.

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 from collections import abc
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -86,6 +86,28 @@ def _fault_checked(rhs):
     return checked
 
 
+def _row_rhs(kernel, parameters: np.ndarray, input_at: Callable[[float], List[float]]):
+    """One fleet row's right-hand side for a solver's scalar float loop.
+
+    The kernel is bound to the row's ``parameters`` here, and each call
+    resolves the row's inputs with ``input_at``; the compiled kernel takes
+    and returns float lists as they are.  A division by zero, at bind time
+    or in a step, raises the kernel's typed error.
+    """
+    try:
+        step = kernel._bind_derivs(parameters.tolist())
+    except ZeroDivisionError:
+        raise kernel.division_error() from None
+
+    def rhs(t, x):
+        try:
+            return step(t, x, input_at(t))
+        except ZeroDivisionError:
+            raise kernel.division_error() from None
+
+    return float_rhs(_fault_checked(rhs))
+
+
 class _BoundSeries:
     """One measured input of a fleet on its shared knot grid.
 
@@ -93,7 +115,7 @@ class _BoundSeries:
     one per fleet row) and ``slopes`` each knot interval's slope, computed
     by the two operations ``np.interp`` uses: the value difference, divided
     by the knot difference.  The knots are also kept as a list, which the
-    one-row path bisects.
+    scalar float loop bisects.
     """
 
     __slots__ = ("slot", "name", "knots", "knot_list", "values", "slopes")
@@ -106,22 +128,6 @@ class _BoundSeries:
         self.values = values
         with np.errstate(divide="ignore", invalid="ignore"):
             self.slopes = (values[1:] - values[:-1]) / (knots[1:] - knots[:-1])[:, None]
-
-    def clamped(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Interval starts, values and slopes for per-row times.
-
-        Entry ``i`` serves ``searchsorted`` index ``i``: the interval
-        starting at knot ``i - 1``, plus the two clamps, whose signed-zero
-        slopes (``0.0 * (t - t0) <= 0`` before the first knot, ``-0.0 * (t -
-        t_end) >= 0`` after the last) leave the clamped value unchanged when
-        added to it.  Values and slopes are flattened, so fleet column ``c``
-        of entry ``i`` is at ``i * n_columns + c``.
-        """
-        zero = np.zeros((1, self.values.shape[1]))
-        starts = np.concatenate([self.knots[:1], self.knots])
-        values = np.vstack([self.values[:1], self.values]).ravel()
-        slopes = np.vstack([zero, self.slopes, -zero]).ravel()
-        return starts, values, slopes
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """The ``(T, n_columns)`` values at shared ``times``.
@@ -155,29 +161,19 @@ class _FleetBindings:
     to its mapping).  ``base`` holds the per-instance input *start* values,
     one row per instance, which fill the unbound columns.
 
-    Every path interpolates in ``np.interp``'s operation order: a bisect on
+    Both paths interpolate in ``np.interp``'s operation order: a bisect on
     the shared knots, then ``slope * (t - t_lo) + v_lo`` with the slopes of
     :class:`_BoundSeries`, so each row of a fleet sees the input values of
     its one-row simulation.
 
-    * :meth:`input_at` (one-row fleets) gives row 0's input vector as a
-      float list, for the scalar float loop; it reuses one list and skips a
-      time it has just filled (RK4 evaluates both midpoint stages, and each
-      step's end and the next step's start, at one time).
+    * :meth:`row_inputs` gives one row's input function for the scalar
+      float loop (one-row fleets, and each row of an adaptive fleet).
     * :meth:`sample` gives the ``(T, N, n_inputs)`` matrices at a vector of
       shared times: the fixed-step solvers sample every stage time in this
       one call (see :class:`~repro.solvers.base.BatchOdeProblem`).
-    * Calling the bindings with an ``(N,)`` per-row time vector (the
-      adaptive solver) interpolates each row at its own time, into one
-      reused buffer.  A time outside the knots clamps through
-      :meth:`_BoundSeries.clamped`; one exactly on the first knot takes the
-      first interval, which agrees with the clamp unless that interval's
-      slope is not finite.
     """
 
-    __slots__ = (
-        "base", "series", "_last_t", "_u", "_row", "_buffer", "_clamped", "_width", "_rows",
-    )
+    __slots__ = ("base", "series", "_per_row")
 
     def __init__(
         self,
@@ -186,9 +182,8 @@ class _FleetBindings:
         cols: List[int],
         base: np.ndarray,
     ):
-        n_rows = len(base)
         self.base = base
-        per_row = len(interps) > 1
+        per_row = self._per_row = len(interps) > 1
         self.series: List[_BoundSeries] = []
         for slot, name in enumerate(kernel.input_names):
             pair = interps[0]._series.get(name)
@@ -198,36 +193,38 @@ class _FleetBindings:
             self.series.append(
                 _BoundSeries(slot, name, pair[0], values[:, cols] if per_row else values)
             )
-        if n_rows == 1:
-            # Row 0 as float lists: (slot, knots, slopes, values) per series.
-            self._last_t = None
-            self._u = base[0].tolist()
-            self._row = [
-                (s.slot, s.knot_list, s.slopes[:, 0].tolist(), s.values[:, 0].tolist())
-                for s in self.series
-            ]
-            return
-        self._buffer = base.copy()
-        self._clamped = [series.clamped() for series in self.series]
-        # Series columns: 1 (shared) or one per row.
-        self._width = n_rows if per_row else 1
-        self._rows = np.arange(n_rows)
 
-    def input_at(self, t: float) -> List[float]:
-        """Row 0's input vector at time ``t`` (clamped like ``np.interp``)."""
-        u = self._u
-        if t == self._last_t:
+    def row_inputs(self, row: int) -> Callable[[float], List[float]]:
+        """Row ``row``'s input vector at a time, as a float list.
+
+        Times clamp like ``np.interp``.  The function reuses one list and
+        skips a time it has just filled (RK4 evaluates both midpoint stages,
+        and each step's end and the next step's start, at one time).
+        """
+        u = self.base[row].tolist()
+        column = row if self._per_row else 0
+        bound = [
+            (s.slot, s.knot_list, s.slopes[:, column].tolist(), s.values[:, column].tolist())
+            for s in self.series
+        ]
+        last_t = None
+
+        def input_at(t: float) -> List[float]:
+            nonlocal last_t
+            if t == last_t:
+                return u
+            last_t = t
+            for slot, knots, slopes, values in bound:
+                if t <= knots[0]:
+                    u[slot] = values[0]
+                elif t >= knots[-1]:
+                    u[slot] = values[-1]
+                else:
+                    i = bisect.bisect_right(knots, t) - 1
+                    u[slot] = slopes[i] * (t - knots[i]) + values[i]
             return u
-        self._last_t = t
-        for slot, knots, slopes, values in self._row:
-            if t <= knots[0]:
-                u[slot] = values[0]
-            elif t >= knots[-1]:
-                u[slot] = values[-1]
-            else:
-                i = bisect.bisect_right(knots, t) - 1
-                u[slot] = slopes[i] * (t - knots[i]) + values[i]
-        return u
+
+        return input_at
 
     def sample(self, times: np.ndarray) -> np.ndarray:
         """The ``(T, N, n_inputs)`` input matrices at shared ``times``."""
@@ -235,15 +232,6 @@ class _FleetBindings:
         for series in self.series:
             sampled[:, :, series.slot] = series.sample(times)
         return sampled
-
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        """The ``(N, n_inputs)`` input matrix at per-row times ``t``."""
-        u = self._buffer
-        for series, (starts, values, slopes) in zip(self.series, self._clamped):
-            i = series.knots.searchsorted(t, side="right")
-            at = i if self._width == 1 else i * self._width + self._rows
-            u[:, series.slot] = slopes[at] * (t - starts[i]) + values[at]
-        return u
 
     def input_tensor(self, grid: np.ndarray, measured: Mapping[str, np.ndarray], cols) -> np.ndarray:
         """The ``(N, n_grid, n_inputs)`` input trajectories for vectorized outputs.
@@ -539,25 +527,27 @@ class FmuModel:
         share the simulation window.  ``inputs`` is either one mapping the
         whole fleet shares or one mapping per model; per-model mappings
         must name the same inputs on the same knot times, and may differ in
-        their values (e.g. each instance's own measured series).  A fleet
-        of two or more rows stacks its states into an ``(N, d)`` matrix and
-        integrates them through one numpy-vectorized right-hand side
+        their values (e.g. each instance's own measured series).  The
+        fleet runs through :meth:`simulate_fleet`: a fixed-step solver
+        integrates two or more rows as one ``(N, d)`` state matrix through
+        a numpy-vectorized right-hand side
         (:meth:`~repro.fmi.kernel.SimulationKernel.derivs_batch` via
-        :meth:`~repro.solvers.base.OdeSolver.solve_batch`); a one-row fleet
-        steps in the scalar float loop, as :meth:`simulate` does.
+        :meth:`~repro.solvers.base.OdeSolver.solve_batch`); the adaptive
+        solver, and any one-row fleet, steps each row in the scalar float
+        loop, as :meth:`simulate` does.
 
         Results are returned in ``models`` order and equal per-instance
-        :meth:`simulate` calls bit for bit (the adaptive RK45 batch solver
-        controls errors per row, so every row walks the step sequence the
-        scalar solver would).  Their ``solver_stats`` are :meth:`simulate`'s
-        keys, with per-row step counts and ``n_rhs_evals`` counting
-        vectorized evaluations, plus ``batched=True`` and ``fleet_size``
-        for fleets of two or more rows.
+        :meth:`simulate` calls bit for bit, step counts included.  Their
+        ``solver_stats`` are :meth:`simulate`'s keys with the row's own
+        ``n_steps``/``n_rejected``; ``n_rhs_evals`` is the fleet's: the
+        vectorized evaluations of a batched solve, plus ``batched=True``
+        and ``fleet_size``, or the sum over the rows of a row-by-row one.
 
         ``output_times`` defaults to the grid :meth:`simulate` uses.  A
-        batched integration that fails mid-flight raises the solver's
-        :class:`~repro.errors.SolverError`, whose divergence and step-limit
-        messages name the failing rows.  Callers decide how to recover: the
+        fleet whose integration fails raises the solver's
+        :class:`~repro.errors.SolverError`: a batched solve's divergence
+        message names the failing rows, a row-by-row solve raises the first
+        failing row's own error.  Callers decide how to recover: the
         simulator reruns the fleet instance by instance, the calibration
         objective bisects its population.
         """
@@ -586,8 +576,11 @@ class FmuModel:
         which split its :class:`~repro.fmi.results.FleetResult` into one
         :class:`SimulationResult` per row; arguments are theirs, with
         ``rows`` (:meth:`fleet_rows`, :meth:`FleetRows.stack`) in place of
-        the instances.  A one-row fleet steps in the solver's scalar float
-        loop, a larger one in its batched loop.
+        the instances.  A fixed-step solver steps a fleet of two or more
+        rows in its batched loop.  An adaptive solver steps each row in its
+        scalar float loop, with the row's own parameters and inputs, as a
+        one-row fleet of any solver does; the outputs of every row are then
+        evaluated in one vectorized pass.
         """
         lead = rows.model
         check_active()
@@ -601,37 +594,33 @@ class FmuModel:
         # with the measured series, per-row parameters, stacked states.
         bindings = _FleetBindings(kernel, interps, cols, rows.inputs)
         P, x0 = rows.parameters, rows.states
-        one_row = len(rows) == 1
-        try:
-            if one_row:
-                step = kernel._bind_derivs(P[0].tolist())
-            else:
+        integrator = get_solver(solver, **(solver_options or {}))
+        if len(rows) == 1 or integrator.adaptive:
+            solutions = [
+                integrator.solve(
+                    OdeProblem(
+                        rhs=_row_rhs(kernel, P[row], bindings.row_inputs(row)),
+                        x0=x0[row], t0=t0, t1=t1,
+                    ),
+                    output_times=grid,
+                )
+                for row in range(len(rows))
+            ]
+            solution = solutions[0]
+            states = np.stack([one.states for one in solutions], axis=1)
+            n_rhs_evals = sum(one.n_rhs_evals for one in solutions)
+            n_steps = [one.n_steps for one in solutions]
+            n_rejected = [one.n_rejected for one in solutions]
+            fleet_stats = {}
+        else:
+            try:
                 # The solve's errstate: a dividing fleet yields inf/nan
                 # elements, not warnings, whether it divides at bind time or
                 # per step.
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     step = kernel._bind_derivs_batch(P)
-        except ZeroDivisionError:
-            raise kernel.division_error() from None
-
-        integrator = get_solver(solver, **(solver_options or {}))
-        if one_row:
-            input_at = bindings.input_at
-
-            def rhs(t, x):
-                try:
-                    return step(t, x, input_at(t))
-                except ZeroDivisionError:
-                    raise kernel.division_error() from None
-
-            # The scalar loop steps in float lists, which the compiled
-            # kernel takes and returns as they are.
-            problem = OdeProblem(rhs=float_rhs(_fault_checked(rhs)), x0=x0[0], t0=t0, t1=t1)
-            solution = integrator.solve(problem, output_times=grid)
-            states = solution.states[:, None]
-            n_steps, n_rejected = [solution.n_steps], [solution.n_rejected]
-            fleet_stats = {}
-        else:
+            except ZeroDivisionError:
+                raise kernel.division_error() from None
 
             def rhs(t, X, U):
                 try:
@@ -644,6 +633,7 @@ class FmuModel:
             )
             solution = integrator.solve_batch(problem, output_times=grid)
             states = solution.states
+            n_rhs_evals = solution.n_rhs_evals
             n_steps, n_rejected = solution.n_steps, solution.n_rejected
             fleet_stats = {"batched": True, "fleet_size": len(rows)}
 
@@ -671,7 +661,7 @@ class FmuModel:
             input_rows=cols,
             solver_stats={
                 "solver": solution.solver_name,
-                "n_rhs_evals": solution.n_rhs_evals,
+                "n_rhs_evals": n_rhs_evals,
                 "n_steps": n_steps,
                 "n_rejected": n_rejected,
                 **fleet_stats,

@@ -87,8 +87,8 @@ class FleetResult:
     * ``trajectories`` - every state's and output's ``(N, T)`` array.
     * ``inputs`` / ``input_rows`` - each measured input on the grid, one row
       per input mapping, and each instance's mapping.
-    * ``solver_stats`` - :class:`SimulationResult`'s keys, with per-row
-      ``n_steps`` and ``n_rejected`` arrays.
+    * ``solver_stats`` - :class:`SimulationResult`'s keys, with one
+      ``n_steps`` and one ``n_rejected`` entry per row.
     * :meth:`results` - one :class:`SimulationResult` per instance.
     """
 

@@ -9,10 +9,13 @@ The solver interface is deliberately tiny so that the FMI runtime
 (:mod:`repro.fmi.model`) can swap solvers via the ``solver`` simulation option
 without caring about their internals.
 
-Every registered solver also integrates *fleets*: its ``solve_batch`` steps an ``(N, d)``
-state matrix through a batched right-hand side ``F(t, X, U) -> (N, d)``
-(see :class:`~repro.solvers.base.BatchOdeProblem`), which is how
-``Session.simulate_many`` scales sub-linearly in the number of instances.
+The fixed-step solvers also integrate *fleets*: their ``solve_batch`` steps
+an ``(N, d)`` state matrix through a batched right-hand side
+``F(t, X, U) -> (N, d)`` (see :class:`~repro.solvers.base.BatchOdeProblem`),
+which is how a calibration round scores a whole population in one solve.
+The adaptive solver (``OdeSolver.adaptive``) has one loop, :meth:`solve`:
+its rows pick their own steps, so the FMI runtime solves an adaptive fleet
+row by row.
 """
 
 from repro.solvers.base import (
@@ -24,7 +27,6 @@ from repro.solvers.base import (
     solve_ode,
 )
 from repro.solvers.euler import EulerSolver
-from repro.solvers.retry import RetryPolicy
 from repro.solvers.rk4 import RungeKutta4Solver
 from repro.solvers.rk45 import DormandPrince45Solver
 
@@ -34,6 +36,9 @@ SOLVER_REGISTRY = {
     "rk45": DormandPrince45Solver,
     "cvode": DormandPrince45Solver,  # alias: the paper's stack defaults to CVode
 }
+
+# The retry ladder reads the registry, so it is imported once that exists.
+from repro.solvers.retry import RetryPolicy  # noqa: E402
 
 
 def get_solver(name, **options):

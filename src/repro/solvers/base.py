@@ -10,9 +10,11 @@ Two problem shapes are supported:
 * :class:`BatchOdeProblem` - a *fleet* of ``N`` instances stacked into an
   ``(N, d)`` state matrix sharing one integration window, solved by
   :meth:`OdeSolver.solve_batch`.  The right-hand side is evaluated once per
-  step for the whole fleet (one numpy-vectorized call instead of ``N``
-  scalar ones); each concrete solver implements ``solve_batch`` with
-  matrix stepping.
+  stage for the whole fleet (one numpy-vectorized call instead of ``N``
+  scalar ones).  Only the fixed-step solvers implement ``solve_batch``:
+  their rows share every step time.  An :attr:`OdeSolver.adaptive` solver
+  picks each row's steps from that row's error, so the FMI runtime solves
+  its fleets row by row with :meth:`OdeSolver.solve`.
 """
 
 from __future__ import annotations
@@ -56,11 +58,10 @@ def _check_step(token, injector) -> None:
 
 RhsFunction = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
 InputFunction = Callable[[float], np.ndarray]
-#: Batched right-hand side ``F(t, X, U) -> (N, d)``; ``t`` is a scalar shared
-#: by all rows or an ``(N,)`` per-row time vector.
-BatchRhsFunction = Callable[[object, np.ndarray, np.ndarray], np.ndarray]
-#: Batched input function ``U(t) -> (N, n_u)`` under the same time contract.
-BatchInputFunction = Callable[[object], np.ndarray]
+#: Batched right-hand side ``F(t, X, U) -> (N, d)`` at a time shared by all rows.
+BatchRhsFunction = Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+#: Batched input function ``U(t) -> (N, n_u)`` at a shared time.
+BatchInputFunction = Callable[[float], np.ndarray]
 
 
 @dataclass
@@ -114,25 +115,19 @@ class BatchOdeProblem:
     ----------
     rhs:
         Batched right-hand side ``F(t, X, U) -> dX/dt`` over the ``(N, d)``
-        state matrix.  ``t`` is a scalar when all rows are at the same time
-        (fixed-step solvers) or an ``(N,)`` vector when rows advance
-        independently (adaptive solvers).
+        state matrix at a time ``t`` shared by all rows.
     x0:
         ``(N, d)`` matrix of initial states.
     t0, t1:
         Shared integration interval; ``t1`` must be strictly greater.
     inputs:
-        Optional callable mapping time (same scalar-or-vector contract as
-        ``rhs``) to the ``(N, n_u)`` input matrix.  When omitted an empty
-        ``(N, 0)`` matrix is passed to ``rhs``.  Fixed-step solvers sample
-        every stage time before their loop (:func:`_sample_inputs`): an
-        ``inputs`` object with a ``sample(times)`` method, returning the
-        ``(T, N, n_u)`` matrices at a vector of shared times, is sampled in
-        that one call; a plain callable is called once per time.
-
-    Solvers always evaluate ``rhs`` at full fleet width: an adaptive batch
-    solver whose rows finish at different times keeps evaluating finished
-    rows and discards their results.
+        Optional callable mapping a shared time to the ``(N, n_u)`` input
+        matrix.  When omitted an empty ``(N, 0)`` matrix is passed to
+        ``rhs``.  The solvers sample every stage time before their loop
+        (:func:`_sample_inputs`): an ``inputs`` object with a
+        ``sample(times)`` method, returning the ``(T, N, n_u)`` matrices at a
+        vector of shared times, is sampled in that one call; a plain
+        callable is called once per time.
     """
 
     rhs: BatchRhsFunction
@@ -224,8 +219,7 @@ class OdeSolution:
 class BatchOdeSolution:
     """Dense batched solver output: ``(n, N, d)`` states sampled at ``times``.
 
-    Step statistics are per-row arrays (each row of an adaptive solve
-    accepts/rejects its own steps); ``n_rhs_evals`` counts *vectorized*
+    Step statistics are per-row arrays; ``n_rhs_evals`` counts *vectorized*
     right-hand-side evaluations, each of which covers the whole fleet.
     """
 
@@ -331,28 +325,6 @@ def _float_solution(
     return OdeSolution(times=grid, states=dense.sample(grid), **stats)
 
 
-def _batch_stage_function(problem: "BatchOdeProblem"):
-    """The solver-facing batched right-hand side with inputs resolved.
-
-    Mirrors :func:`_stage_function` for the fleet case: input-less problems
-    share one empty ``(N, 0)`` matrix, and ``t`` passes through under the
-    scalar-or-vector contract of :class:`BatchOdeProblem`.
-    """
-    rhs, inputs = problem.rhs, problem.inputs
-    if inputs is None:
-        empty_u = np.empty((problem.n_rows, 0))
-
-        def f(t, X):
-            return rhs(t, X, empty_u)
-
-    else:
-
-        def f(t, X):
-            return rhs(t, X, inputs(t))
-
-    return f
-
-
 def _fixed_steps(t0: float, t1: float, h: float) -> Tuple[List[float], List[float]]:
     """The times and step sizes of a fixed-step loop over ``[t0, t1]``.
 
@@ -404,79 +376,21 @@ def _sample_shared(grid: np.ndarray, times: np.ndarray, states: np.ndarray) -> n
     return sampled
 
 
-class BatchTrajectoryRecorder:
-    """Per-row trajectory storage for the adaptive batched solver.
-
-    Accepted steps scatter into the rows that accepted them
-    (:meth:`append_rows`), so rows grow at their own pace.  Buffers double
-    in size when the fullest row reaches capacity.  (Fixed-step solvers
-    know their step count up front and write a preallocated trajectory
-    instead, see :func:`_fixed_steps`.)
-    """
-
-    __slots__ = ("_times", "_states", "_counts")
-
-    def __init__(self, n_rows: int, n_states: int, capacity: int = 512):
-        capacity = max(2, int(capacity))
-        self._times = np.empty((capacity, int(n_rows)))
-        self._states = np.empty((capacity, int(n_rows), int(n_states)))
-        self._counts = np.zeros(int(n_rows), dtype=np.intp)
-
-    def _grow_if_full(self) -> None:
-        capacity = self._times.shape[0]
-        if int(self._counts.max(initial=0)) < capacity:
-            return
-        grown_times = np.empty((2 * capacity,) + self._times.shape[1:])
-        grown_times[:capacity] = self._times
-        self._times = grown_times
-        grown_states = np.empty((2 * capacity,) + self._states.shape[1:])
-        grown_states[:capacity] = self._states
-        self._states = grown_states
-
-    def append_rows(self, rows: np.ndarray, t_rows: np.ndarray, x_rows: np.ndarray) -> None:
-        """Scatter accepted steps: ``t_rows``/``x_rows`` align with ``rows``."""
-        if rows.size == 0:
-            return
-        self._grow_if_full()
-        positions = self._counts[rows]
-        self._times[positions, rows] = t_rows
-        self._states[positions, rows] = x_rows
-        self._counts[rows] += 1
-
-    @property
-    def counts(self) -> np.ndarray:
-        """Number of recorded points per row."""
-        return self._counts
-
-    def sample(self, grid: np.ndarray) -> np.ndarray:
-        """Interpolate every row's trajectory onto ``grid`` as ``(n, N, d)``.
-
-        Each row is interpolated over its own recorded times with
-        ``np.interp`` (clamping outside the solved interval), exactly as
-        :meth:`OdeSolution.sample` does for a scalar solve - so a batched
-        row samples bit-identically to the sequential solve that recorded
-        the same points.
-        """
-        grid = np.asarray(grid, dtype=float)
-        n_rows, n_states = self._states.shape[1], self._states.shape[2]
-        sampled = np.empty((grid.size, n_rows, n_states))
-        for row in range(n_rows):
-            count = int(self._counts[row])
-            row_times = self._times[:count, row]
-            for j in range(n_states):
-                sampled[:, row, j] = np.interp(grid, row_times, self._states[:count, row, j])
-        return sampled
-
-
 class OdeSolver:
     """Base class for ODE solvers.
 
-    Subclasses implement :meth:`solve` and :meth:`solve_batch` and set
-    :attr:`name`.  Construction
-    options common to all solvers are the output grid control parameters.
+    Subclasses implement :meth:`solve`, set :attr:`name`, and, if they step
+    at a fixed size, implement :meth:`solve_batch`.  Construction options
+    common to all solvers are the output grid control parameters.
     """
 
     name = "base"
+    #: Whether the solver picks its step sizes from a per-solve error
+    #: estimate.  The rows of an adaptive fleet take different steps, so the
+    #: FMI runtime solves them one by one; a fixed-step solver steps a whole
+    #: fleet at once through :meth:`solve_batch`.  The retry ladder also
+    #: reads it (:mod:`repro.solvers.retry`).
+    adaptive = False
 
     def __init__(self, max_step: Optional[float] = None):
         self.max_step = max_step
@@ -501,8 +415,8 @@ class OdeSolver:
     ) -> BatchOdeSolution:
         """Integrate a fleet problem and return a :class:`BatchOdeSolution`.
 
-        Parameters are as for :meth:`solve`; every registered solver
-        overrides this with matrix stepping over the ``(N, d)`` fleet.
+        Parameters are as for :meth:`solve`; the fixed-step solvers
+        override this with matrix stepping over the ``(N, d)`` fleet.
         """
         raise NotImplementedError
 

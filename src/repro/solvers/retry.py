@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SolverError
+from repro.solvers import SOLVER_REGISTRY
 
 #: Options understood by the fixed-step fallback solvers (rk4, euler);
 #: adaptive-only options (rtol, atol, max_steps) are dropped on fallback.
@@ -39,7 +40,8 @@ _TIGHTENABLE_OPTIONS = ("step", "max_step", "rtol", "atol")
 #: explicit options (there is nothing to scale, so tighten from these).
 _ADAPTIVE_DEFAULTS = {"rtol": 1e-6, "atol": 1e-8}
 
-_ADAPTIVE_SOLVERS = {"rk45", "cvode"}
+#: Registry names of the adaptive solvers (:attr:`~repro.solvers.base.OdeSolver.adaptive`).
+_ADAPTIVE_SOLVERS = {name for name, cls in SOLVER_REGISTRY.items() if cls.adaptive}
 
 #: Multiplier applied to step sizes / tolerances on the tightened attempt
 #: (four times smaller steps) and to the fixed-step fallback's step.

@@ -15,13 +15,9 @@ import numpy as np
 
 from repro.errors import SolverError
 from repro.solvers.base import (
-    BatchOdeProblem,
-    BatchOdeSolution,
-    BatchTrajectoryRecorder,
     OdeProblem,
     OdeSolution,
     OdeSolver,
-    _batch_stage_function,
     _check_step,
     _finite,
     _float_solution,
@@ -30,8 +26,7 @@ from repro.solvers.base import (
     _CHECK_INTERVAL,
 )
 
-# Dormand-Prince Butcher tableau (RK45, FSAL), as Python floats for the
-# scalar loop; the batched loop uses the numpy forms below.
+# Dormand-Prince Butcher tableau (RK45, FSAL), as Python floats.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     (),
@@ -46,18 +41,6 @@ _A = (
 # the FSAL stage.
 _B5 = _A[6] + (0.0,)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-
-# Batched stage combinations are computed as elementwise multiply + axis-0
-# sum rather than a BLAS dot: BLAS gemv kernels round differently depending
-# on the matrix width (column blocking, FMA), so a dot over an (i, N*d)
-# stage block would disagree in the last ulp with the scalar loop's fold -
-# which desynchronizes the batched solver's per-row step sequence from the
-# scalar one.  numpy's axis-0 sum of at most 7 stages adds them left to
-# right, exactly the scalar loop's fold, whatever the trailing width.
-# Coefficients are precomputed as (i, 1, 1) broadcast-ready columns.
-_A_COLS_BATCH = [np.array(_A[_i]).reshape(-1, 1, 1) for _i in range(7)]
-_B5_COL_BATCH = np.array(_B5).reshape(-1, 1, 1)
-_B4_COL_BATCH = np.array(_B4).reshape(-1, 1, 1)
 
 
 def _numpy_sum(values: list) -> float:
@@ -129,9 +112,16 @@ class DormandPrince45Solver(OdeSolver):
     max_steps:
         Safety limit on the number of accepted steps before the solver gives
         up with a :class:`~repro.errors.SolverError`.
+
+    The solver is :attr:`~repro.solvers.base.OdeSolver.adaptive`: it has no
+    fleet loop of its own, and the FMI runtime steps the rows of a fleet one
+    by one through :meth:`solve`.
     """
 
     name = "rk45"
+    adaptive = True
+    # benchmarks/suite/tracer.py wraps each solver class's own solve_batch.
+    solve_batch = OdeSolver.solve_batch
 
     def __init__(
         self,
@@ -251,123 +241,4 @@ class DormandPrince45Solver(OdeSolver):
 
         return _float_solution(
             self.name, grid, times, states, n_evals, n_steps, n_rejected
-        )
-
-    def solve_batch(
-        self,
-        problem: BatchOdeProblem,
-        output_times: Optional[Sequence[float]] = None,
-    ) -> BatchOdeSolution:
-        """Integrate a fleet with **per-row** adaptive error control.
-
-        Every row carries its own time, step size and accept/reject state,
-        and the step controller applies the scalar :meth:`solve` arithmetic
-        row-wise - so each row walks the same step sequence the sequential
-        solver would, and batched trajectories match sequential ones to
-        floating-point rounding.  Each iteration evaluates the six
-        Dormand-Prince stages for the *whole fleet* in one vectorized
-        rhs call.  The iteration count is the maximum of the per-row step
-        counts, not their sum - the fleet finishes when its slowest row does.
-        Rows that have reached ``t1`` are still evaluated but their results
-        are discarded, which keeps the hot loop free of per-row branching.
-        """
-        grid = self._normalized_output_times(problem, output_times)
-        f = _batch_stage_function(problem)
-        n_rows, n_states = problem.n_rows, problem.n_states
-        span = problem.t1 - problem.t0
-        t1 = problem.t1
-        h0 = span / 100.0
-        if self.max_step is not None:
-            h0 = min(h0, self.max_step)
-
-        recorder = BatchTrajectoryRecorder(n_rows, n_states)
-        recorder.append_rows(np.arange(n_rows), np.full(n_rows, problem.t0), problem.x0)
-        n_steps = np.zeros(n_rows, dtype=int)
-        n_rejected = np.zeros(n_rows, dtype=int)
-
-        t = np.full(n_rows, problem.t0)
-        h = np.full(n_rows, h0)
-        X = problem.x0.copy()
-        # Stacked stages: K[i] is the i-th stage derivative for every row.
-        # K[0] is rewritten only for rows that accept (FSAL), so a rejected
-        # row retries with the same first stage.
-        stages = np.empty((7, n_rows, n_states))
-        n_evals = 1
-
-        token, injector, watch = _step_guard()
-        checks_left = _CHECK_INTERVAL
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            stages[0] = f(t, X)
-            while True:
-                if watch:
-                    checks_left -= 1
-                    if checks_left == 0:
-                        checks_left = _CHECK_INTERVAL
-                        _check_step(token, injector)
-                active = t < t1 - 1e-14
-                if not active.any():
-                    break
-                attempts = n_steps + n_rejected
-                if np.any(attempts[active] > self.max_steps):
-                    row = int(np.where(active & (attempts > self.max_steps))[0][0])
-                    raise SolverError(
-                        f"RK45 exceeded {self.max_steps} steps "
-                        f"(row {row}, t={t[row]}, interval ends at {t1})"
-                    )
-                # The scalar solver clamps h before the stages and feeds the
-                # clamped value into the controller; replicate that row-wise.
-                h_eff = np.minimum(h, t1 - t)
-                if self.max_step is not None:
-                    h_eff = np.minimum(h_eff, self.max_step)
-
-                for i in range(1, 7):
-                    xi = X + h_eff[:, None] * (_A_COLS_BATCH[i] * stages[:i]).sum(axis=0)
-                    stages[i] = f(t + _C[i] * h_eff, xi)
-                n_evals += 6
-
-                x5 = X + h_eff[:, None] * (_B5_COL_BATCH * stages).sum(axis=0)
-                x4 = X + h_eff[:, None] * (_B4_COL_BATCH * stages).sum(axis=0)
-
-                scale = self.atol + self.rtol * np.maximum(np.abs(X), np.abs(x5))
-                err = np.sqrt(np.mean(((x5 - x4) / scale) ** 2, axis=1))
-
-                accept = active & ((err <= 1.0) | (h_eff <= 1e-12 * span))
-                if accept.any():
-                    rows = np.where(accept)[0]
-                    t = np.where(accept, t + h_eff, t)
-                    X = np.where(accept[:, None], x5, X)
-                    stages[0][rows] = stages[6][rows]  # FSAL, per accepted row
-                    accepted_states = X[rows]
-                    if not np.isfinite(accepted_states).all():
-                        bad = rows[~np.isfinite(accepted_states).all(axis=1)]
-                        raise SolverError(
-                            f"RK45 integration diverged (rows {bad.tolist()})"
-                        )
-                    recorder.append_rows(rows, t[rows], accepted_states)
-                    n_steps[rows] += 1
-                n_rejected[active & ~accept] += 1
-
-                # Row-wise standard controller, computed with *scalar* pow:
-                # numpy's vectorized power ufunc rounds differently from the
-                # scalar pow in ~5% of inputs, and a 1-ulp difference in the
-                # factor desynchronizes the batched step sequence from the
-                # sequential one.  Python floats hit the same libm pow the
-                # scalar solver does (Python max/min also clamp a nan error
-                # from a diverging trial step to 0.2 the same way).  One pow
-                # per row per attempt is far off the hot path.
-                factor = np.array(
-                    [
-                        5.0 if e == 0.0 else min(5.0, max(0.2, 0.9 * e ** (-0.2)))
-                        for e in err.tolist()
-                    ]
-                )
-                h = np.where(active, h_eff * factor, h)
-
-        return BatchOdeSolution(
-            times=grid,
-            states=recorder.sample(grid),
-            n_rhs_evals=n_evals,
-            n_steps=n_steps,
-            n_rejected=n_rejected,
-            solver_name=self.name,
         )

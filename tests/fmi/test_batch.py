@@ -1,11 +1,12 @@
-"""Batched fleet simulation tests: kernels, solvers, model and session layer.
+"""Fleet simulation tests: kernels, solvers, model and session layer.
 
 The randomized corpus (drawn from the shared factory in
 ``tests/conftest.py``) builds fleets of instances with per-instance
-parameters and start values, then asserts that batched trajectories match
-per-instance compiled runs within 1e-9 for every solver - including RK45,
-whose batched variant controls errors per row so each row walks the same
-step sequence the sequential solver would.
+parameters and start values, then asserts that every row of a fleet equals
+its instance's one-row ``simulate`` bit for bit, step counts included, for
+every solver.  Fixed-step fleets (Euler, RK4) step all rows at once in the
+solver's batched loop; an RK45 fleet steps each row in the scalar float
+loop, so its rows are one-row solves by construction.
 """
 
 from __future__ import annotations
@@ -23,16 +24,13 @@ from repro.fmi import load_fmu
 from repro.fmi.model import FmuModel
 from repro.modelica.compiler import compile_model
 from repro.solvers import SOLVER_REGISTRY, get_solver
-from repro.solvers.base import (
-    BatchOdeProblem,
-    BatchOdeSolution,
-    BatchTrajectoryRecorder,
-    OdeProblem,
-    OdeSolver,
-)
+from repro.solvers.base import BatchOdeProblem, BatchOdeSolution, OdeProblem, OdeSolver
 from repro.solvers.euler import EulerSolver
+from repro.solvers.rk45 import DormandPrince45Solver
 
 ALL_SOLVERS = ("euler", "rk4", "rk45")
+#: The solvers with a batched fleet loop (``solve_batch``).
+FIXED_STEP_SOLVERS = ("euler", "rk4")
 
 #: ``der(x) = x / (k - 1)`` with ``k = 1``: every rhs evaluation divides by zero.
 DIVIDING_SOURCE = """
@@ -115,19 +113,6 @@ class TestBatchKernel:
         assert P[0, kernel.parameter_names.index("Cp")] == 9.0
         np.testing.assert_array_equal(P[1], kernel.parameter_vector(None))
 
-    def test_per_row_time_vector_broadcasts(self, hp1_archive):
-        kernel = hp1_archive.ode_system.kernel
-        n_rows = 3
-        P = kernel.parameter_matrix([None] * n_rows)
-        X = np.full((n_rows, kernel.n_states), 20.0)
-        U = np.full((n_rows, kernel.n_inputs), 0.5)
-        t_rows = np.array([0.0, 1.0, 2.0])
-        batched = kernel.derivs_batch(t_rows, X, U, P)
-        for row in range(n_rows):
-            scalar = kernel.derivs(float(t_rows[row]), X[row], list(U[row]), tuple(P[row]))
-            np.testing.assert_array_equal(batched[row], scalar)
-
-
 # --------------------------------------------------------------------------- #
 # Solver layer
 # --------------------------------------------------------------------------- #
@@ -143,7 +128,7 @@ def _linear_batch_problem(n_rows: int = 4):
 
 
 class TestBatchSolvers:
-    @pytest.mark.parametrize("name", ALL_SOLVERS)
+    @pytest.mark.parametrize("name", FIXED_STEP_SOLVERS)
     def test_solve_batch_matches_row_solves(self, name):
         problem, rates = _linear_batch_problem()
         grid = np.linspace(0.0, 2.0, 21)
@@ -164,24 +149,15 @@ class TestBatchSolvers:
             )
             np.testing.assert_array_equal(batched.states[:, row, :], scalar.states)
             assert int(batched.n_steps[row]) == scalar.n_steps
-            if name == "rk45":
-                assert int(batched.n_rejected[row]) == scalar.n_rejected
-
-    def test_rk45_rows_step_at_their_own_pace(self):
-        # A stiff row needs more accepted steps than a tame one.
-        rates = np.array([0.5, 40.0])
-
-        def rhs(t, X, _u):
-            return -rates[:, None] * X
-
-        problem = BatchOdeProblem(rhs=rhs, x0=np.ones((2, 1)), t0=0.0, t1=2.0)
-        solution = get_solver("rk45").solve_batch(problem)
-        assert int(solution.n_steps[1]) > int(solution.n_steps[0])
 
     def test_base_class_solve_batch_is_abstract(self):
         problem, _ = _linear_batch_problem()
         with pytest.raises(NotImplementedError):
             OdeSolver().solve_batch(problem)
+        # The adaptive solver has no fleet loop: it inherits the stub.
+        assert DormandPrince45Solver.adaptive and not EulerSolver.adaptive
+        with pytest.raises(NotImplementedError):
+            DormandPrince45Solver().solve_batch(problem)
 
     def test_batch_divergence_raises(self):
         def rhs(t, X, _u):
@@ -203,113 +179,14 @@ class TestBatchSolvers:
                 rhs=lambda t, X, u: X, x0=np.array([[np.nan]]), t0=0.0, t1=1.0
             )
 
-    def test_recorder_scatter_and_sample(self):
-        every_row = np.array([0, 1])
-        recorder = BatchTrajectoryRecorder(2, 1, capacity=2)
-        recorder.append_rows(every_row, np.array([0.0, 0.0]), np.array([[0.0], [10.0]]))
-        # Row 0 accepts twice, row 1 once; growth is exercised by capacity=2.
-        recorder.append_rows(np.array([0]), np.array([1.0]), np.array([[1.0]]))
-        recorder.append_rows(np.array([0, 1]), np.array([2.0, 2.0]), np.array([[2.0], [12.0]]))
-        assert recorder.counts.tolist() == [3, 2]
-        sampled = recorder.sample(np.array([0.0, 1.0, 2.0]))
-        np.testing.assert_allclose(sampled[:, 0, 0], [0.0, 1.0, 2.0])
-        np.testing.assert_allclose(sampled[:, 1, 0], [10.0, 11.0, 12.0])
-        # Appending to every row after the counts diverged scatters each
-        # row at its own position, not everything at row 0's.
-        recorder.append_rows(np.array([0]), np.array([3.0]), np.array([[3.0]]))
-        recorder.append_rows(every_row, np.array([4.0, 4.0]), np.array([[4.0], [14.0]]))
-        assert recorder.counts.tolist() == [5, 3]
-        sampled = recorder.sample(np.array([4.0]))
-        np.testing.assert_allclose(sampled[0, :, 0], [4.0, 14.0])
-
 
 # --------------------------------------------------------------------------- #
-# RK45 fleets whose rows finish at different times
+# RK45 fleets whose rows take different step counts
 # --------------------------------------------------------------------------- #
-def _decay_fleet(rates: np.ndarray, rhs=None) -> BatchOdeProblem:
-    """Per-row exponential decays ``x' = -rate * x`` from ``x(0) = 1``."""
-    if rhs is None:
-        def rhs(t, X, _u):
-            return -rates[:, None] * X
-
-    return BatchOdeProblem(rhs=rhs, x0=np.ones((len(rates), 1)), t0=0.0, t1=2.0)
-
-
-def _scalar_decay(rate: float, grid: np.ndarray):
-    problem = OdeProblem(rhs=lambda t, x, u: -rate * x, x0=np.ones(1), t0=0.0, t1=2.0)
-    return get_solver("rk45").solve(problem, output_times=grid)
-
-
 class TestRaggedRk45Fleet:
     def test_batch_problem_has_no_row_narrowing_hook(self):
         names = [field.name for field in dataclasses.fields(BatchOdeProblem)]
         assert names == ["rhs", "x0", "t0", "t1", "inputs"]
-
-    def test_one_slow_row_stays_bit_exact(self):
-        # Rows 0/1 are tame and finish in few steps; row 2 is stiff and
-        # keeps the solve alive long after they are done.
-        rates = np.array([0.5, 0.8, 60.0])
-        grid = np.linspace(0.0, 2.0, 21)
-        batched = get_solver("rk45").solve_batch(_decay_fleet(rates), output_times=grid)
-        for row, rate in enumerate(rates):
-            scalar = _scalar_decay(rate, grid)
-            np.testing.assert_array_equal(batched.states[:, row, :], scalar.states)
-            assert int(batched.n_steps[row]) == scalar.n_steps
-            assert int(batched.n_rejected[row]) == scalar.n_rejected
-
-    def test_finished_rows_results_are_discarded(self):
-        # Once a row has made as many attempts as its scalar solve, every
-        # later rhs value for it is nan: none of that may reach its result.
-        rates = np.array([0.5, 60.0])
-        grid = np.linspace(0.0, 2.0, 21)
-        scalars = [_scalar_decay(rate, grid) for rate in rates]
-        # Call 0 is the initial stage; each attempt makes six more calls.
-        last_call = np.array([6 * (s.n_steps + s.n_rejected) for s in scalars])
-        calls = [0]
-
-        def rhs(t, X, _u):
-            dX = -rates[:, None] * X
-            dX[calls[0] > last_call] = np.nan
-            calls[0] += 1
-            return dX
-
-        batched = get_solver("rk45").solve_batch(_decay_fleet(rates, rhs), output_times=grid)
-        assert calls[0] > last_call[0] + 1  # the tame row really was poisoned
-        for row, scalar in enumerate(scalars):
-            np.testing.assert_array_equal(batched.states[:, row, :], scalar.states)
-            assert int(batched.n_steps[row]) == scalar.n_steps
-            assert int(batched.n_rejected[row]) == scalar.n_rejected
-
-    def test_rows_do_not_depend_on_their_neighbours(self):
-        rates = np.array([0.4, 1.1, 7.0, 45.0])
-        grid = np.linspace(0.0, 2.0, 31)
-        solver = get_solver("rk45")
-        fleet = solver.solve_batch(_decay_fleet(rates), output_times=grid)
-        reversed_fleet = solver.solve_batch(_decay_fleet(rates[::-1].copy()), output_times=grid)
-        for row, rate in enumerate(rates):
-            alone = solver.solve_batch(_decay_fleet(rates[row:row + 1]), output_times=grid)
-            mirrored = len(rates) - 1 - row
-            for other, other_row in ((alone, 0), (reversed_fleet, mirrored)):
-                np.testing.assert_array_equal(
-                    fleet.states[:, row, :], other.states[:, other_row, :]
-                )
-                assert fleet.n_steps[row] == other.n_steps[other_row]
-                assert fleet.n_rejected[row] == other.n_rejected[other_row]
-
-    def test_finished_rows_are_evaluated_at_full_width(self):
-        rates = np.array([0.5, 60.0])
-        widths = []
-
-        def rhs(t, X, _u):
-            widths.append(X.shape[0])
-            return -rates[:, None] * X
-
-        problem = BatchOdeProblem(rhs=rhs, x0=np.ones((len(rates), 1)), t0=0.0, t1=2.0)
-        solution = get_solver("rk45").solve_batch(problem)
-        # The tame row finishes long before the stiff one, yet every rhs
-        # call covers both rows (the finished row's results are discarded).
-        assert solution.n_steps[0] < solution.n_steps[1]
-        assert set(widths) == {len(rates)}
 
     def test_model_layer_ragged_fleet_matches_sequential(self, hp1_archive):
         # Per-instance parameters that make row time constants differ by two
@@ -424,16 +301,29 @@ class TestPerRowInputs:
 # --------------------------------------------------------------------------- #
 # Model layer: randomized fleet corpus
 # --------------------------------------------------------------------------- #
+#: Input knots that start with a duplicate: the first interval has an
+#: infinite slope, and a time on the first knot must take the first value.
+DUPLICATE_FIRST_KNOT = np.array([0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
+
+
 class TestSimulateBatchCorpus:
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("solver", ALL_SOLVERS)
-    def test_fleet_matches_sequential_within_1e9(
-        self, seed, solver, random_system, random_archive, random_fleet, corpus_inputs
+    @pytest.mark.parametrize("knots", ["corpus", "duplicate_first_knot"])
+    def test_fleet_rows_equal_their_one_row_simulate(
+        self, seed, solver, knots, random_system, random_archive, random_fleet, corpus_inputs
     ):
         system = random_system(seed)
         archive = random_archive(f"batch{seed}", system)
         models = random_fleet(system, archive, n_rows=4, seed=3000 + seed)
-        inputs = corpus_inputs(system)
+        if knots == "corpus":
+            inputs = corpus_inputs(system)
+        else:
+            # Values by knot index, so the two values on knot 0 differ.
+            inputs = {
+                name: (DUPLICATE_FIRST_KNOT, np.sin(np.arange(6.0) + i))
+                for i, name in enumerate(system.inputs)
+            } or None
         grid = np.linspace(0.0, 2.0, 41)
         batched = FmuModel.simulate_batch(
             models, inputs=inputs, start_time=0.0, stop_time=2.0,
@@ -445,10 +335,12 @@ class TestSimulateBatchCorpus:
                 output_times=grid, solver=solver,
             )
             for name in list(system.state_names) + list(system.output_names):
-                np.testing.assert_allclose(
-                    result[name], sequential[name], rtol=0, atol=1e-9,
+                np.testing.assert_array_equal(
+                    result[name], sequential[name],
                     err_msg=f"seed={seed} solver={solver} variable={name}",
                 )
+            for stat in ("n_steps", "n_rejected"):
+                assert result.solver_stats[stat] == sequential.solver_stats[stat], stat
 
     @pytest.mark.parametrize(
         "derivative",
@@ -551,12 +443,28 @@ class TestSimulateBatchApi:
         hours = np.linspace(0.0, 10.0, 11)
         inputs = {"u": (hours, np.full(11, 0.5))}
         results = FmuModel.simulate_batch(
-            models, inputs=inputs, start_time=0.0, stop_time=10.0
+            models, inputs=inputs, start_time=0.0, stop_time=10.0, solver="rk4"
         )
         for result in results:
             assert result.solver_stats["batched"] is True
             assert result.solver_stats["fleet_size"] == 3
             assert result.solver_stats["n_steps"] > 0
+
+    def test_row_by_row_stats_reported(self, hp1_archive):
+        """An RK45 fleet reports each row's own step counts, the rhs
+        evaluations summed over its rows, and no batched keys."""
+        models = [FmuModel(hp1_archive, instance_name=f"i{i}") for i in range(3)]
+        for model, cp in zip(models, (1.5, 0.15, 0.015)):
+            model.set("Cp", cp)
+        call = dict(
+            inputs={"u": (np.linspace(0.0, 10.0, 11), np.full(11, 0.5))},
+            start_time=0.0, stop_time=10.0,
+        )
+        results = FmuModel.simulate_batch(models, **call)
+        singles = [model.simulate(**call) for model in models]
+        total = sum(single.solver_stats["n_rhs_evals"] for single in singles)
+        for result, single in zip(results, singles):
+            assert result.solver_stats == dict(single.solver_stats, n_rhs_evals=total)
 
 
 # --------------------------------------------------------------------------- #
@@ -564,8 +472,8 @@ class TestSimulateBatchApi:
 # --------------------------------------------------------------------------- #
 class TestOnePipeline:
     """``simulate`` is a one-row fleet of ``simulate_batch``'s pipeline: it
-    steps in the scalar float loop, and a fleet of two or more rows in
-    ``solve_batch``."""
+    steps in the scalar float loop, as every row of an RK45 fleet does; a
+    fixed-step fleet of two or more rows steps in ``solve_batch``."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("solver", ALL_SOLVERS)
@@ -574,7 +482,8 @@ class TestOnePipeline:
         monkeypatch,
     ):
         """A one-row ``simulate_batch`` is ``simulate`` bit for bit, stats
-        included, and never reaches ``solve_batch``; two rows do."""
+        included, and never reaches ``solve_batch``; two rows do, unless the
+        solver is adaptive."""
         system = random_system(seed)
         archive = random_archive(f"one{seed}", system)
         (model,) = random_fleet(system, archive, n_rows=1, seed=4000 + seed)
@@ -596,41 +505,49 @@ class TestOnePipeline:
         assert result.variables == sequential.variables
         for name in sequential.variables:
             np.testing.assert_array_equal(result[name], sequential[name], err_msg=name)
-        with pytest.raises(AssertionError, match="called solve_batch"):
+        if solver in FIXED_STEP_SOLVERS:
+            with pytest.raises(AssertionError, match="called solve_batch"):
+                FmuModel.simulate_batch([model, model.clone()], **call)
+        else:
             FmuModel.simulate_batch([model, model.clone()], **call)
 
+    @pytest.mark.parametrize("solver", ["rk45", "rk4"])
     @pytest.mark.parametrize("fleet_size", [None, 1, 2])
-    def test_kernel_eval_fault_point_fires(self, hp1_archive, fleet_size):
-        """The ``kernel.eval`` point guards the one-row float loop and the
+    def test_kernel_eval_fault_point_fires(self, hp1_archive, fleet_size, solver):
+        """The ``kernel.eval`` point guards the float loop and the batched
         fleet loop alike (``fleet_size=None`` calls ``simulate``)."""
         model = FmuModel(hp1_archive)
+        call = dict(start_time=0.0, stop_time=10.0, solver=solver)
         injector = faults.FaultInjector().arm("kernel.eval", nth=3)
         with faults.activate(injector), pytest.raises(SolverError, match="kernel.eval"):
             if fleet_size is None:
-                model.simulate(start_time=0.0, stop_time=10.0)
+                model.simulate(**call)
             else:
                 fleet = [model] + [model.clone() for _ in range(fleet_size - 1)]
-                FmuModel.simulate_batch(fleet, start_time=0.0, stop_time=10.0)
+                FmuModel.simulate_batch(fleet, **call)
         assert injector.events == ["kernel.eval"]
 
     @pytest.mark.parametrize("source", [DIVIDING_SOURCE, BIND_DIVIDING_SOURCE])
     def test_division_raises_the_typed_error_without_warning(self, source):
-        """A one-row fleet divides on Python floats and raises the kernel's
-        FmuFormatError, as ``simulate`` does, whether it divides per step or
-        once at bind time.  A larger fleet divides on numpy rows and fails
-        its solve with a SolverError naming them (the session recovers with
-        per-instance reruns, see TestSimulateManyBatching); neither warns."""
+        """A fleet stepping in the float loop (one row, or RK45 rows)
+        divides on Python floats and raises the kernel's FmuFormatError, as
+        ``simulate`` does, whether it divides per step or once at bind time.
+        A batched fixed-step fleet divides on numpy rows and fails its solve
+        with a SolverError naming them (the session recovers with
+        per-instance reruns, see TestSimulateManyBatching); none warns."""
         archive = compile_model(source)
+        pair = [load_fmu(archive), load_fmu(archive)]
+        window = dict(start_time=0.0, stop_time=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(FmuFormatError, match="divided by zero"):
-                load_fmu(archive).simulate(start_time=0.0, stop_time=1.0)
+                load_fmu(archive).simulate(**window)
             with pytest.raises(FmuFormatError, match="divided by zero"):
-                FmuModel.simulate_batch([load_fmu(archive)], start_time=0.0, stop_time=1.0)
+                FmuModel.simulate_batch([load_fmu(archive)], **window)
+            with pytest.raises(FmuFormatError, match="divided by zero"):
+                FmuModel.simulate_batch(pair, **window)
             with pytest.raises(SolverError, match=r"rows \[0, 1\]"):
-                FmuModel.simulate_batch(
-                    [load_fmu(archive), load_fmu(archive)], start_time=0.0, stop_time=1.0
-                )
+                FmuModel.simulate_batch(pair, solver="euler", **window)
 
 
 # --------------------------------------------------------------------------- #
@@ -658,7 +575,10 @@ class TestSimulateManyBatching:
         sequential = {i: simulator._simulate_group([i], prepared)[0] for i in ids}
         assert list(batched) == list(sequential) == ids
         for instance_id in ids:
-            assert batched[instance_id].solver_stats.get("batched") is True
+            stats = batched[instance_id].solver_stats
+            assert "batched" not in stats  # rk45 fleets step row by row
+            for stat in ("n_steps", "n_rejected"):
+                assert stats[stat] == sequential[instance_id].solver_stats[stat]
             for name in sequential[instance_id].variables:
                 np.testing.assert_allclose(
                     batched[instance_id][name],
