@@ -21,11 +21,17 @@ three query shapes through both executors:
   literal, vs. the naive full scan;
 * **routed delete** - ``DELETE … WHERE house = $1 AND time < $2`` testing
   only the rows the same walk visits (checked against the naive result,
-  not compared in time).
+  not compared in time);
+* **table-function join** - a typed table UDF shaped like
+  ``fmu_simulate``'s output (one house's long-format rows) joined on time
+  to a table of that house's measurements, as pgFMU's
+  simulation-vs-measurement analysis does: a hash join over the declared
+  column types vs. the naive nested loop.
 
 Emits ``BENCH_query_planner.json`` next to this file; the planned path must
 be at least 5x faster on the selective-filter and equi-join shapes, 10x on
-the B-tree range scan and the composite walk, and 3x on the ordered top-k.
+the B-tree range scan, the composite walk and the table-function join, and
+3x on the ordered top-k.
 
 Run with:  pytest benchmarks/bench_query_planner.py
       or:  python benchmarks/bench_query_planner.py [--smoke]
@@ -70,6 +76,17 @@ COMPOSITE_PARAMS = [7, 60.0, 83.0]
 COMPOSITE_LITERAL_SQL = (
     "SELECT time, value FROM meas WHERE house = 7 AND time BETWEEN 60 AND 83"
 )
+UDF_JOIN_SQL = (
+    "SELECT count(*), avg(abs(s.value - m.value)) FROM sim_output(7) s "
+    "JOIN house_meas m ON m.time = s.simulationtime WHERE s.varname = 'x'"
+)
+#: ``fmu_simulate``'s declared output columns.
+SIM_OUTPUT_COLUMNS = [
+    "simulationtime double precision",
+    "instanceid text",
+    "varname text",
+    "value double precision",
+]
 DELETE_SQL = "DELETE FROM meas WHERE house = $1 AND time < $2"
 DELETE_PARAMS = [3, 50.0]
 
@@ -102,6 +119,21 @@ def _build_database(n_instances: int = N_INSTANCES, rows_per_instance: int = ROW
             for t in range(rows_per_instance)
             for house in range(n_instances)
         ],
+    )
+    # One house's measurements, and its simulation: two variables per time
+    # step, like fmu_simulate's rows for an HP1 instance (the function
+    # returns the same rows on every call).
+    db.execute("CREATE TABLE house_meas (time double precision PRIMARY KEY, value double precision)")
+    db.insert_rows(
+        "house_meas", [[float(t), rng.uniform(15.0, 25.0)] for t in range(rows_per_instance)]
+    )
+    sim_output = [
+        [float(t), "HP1Instance7", name, rng.uniform(15.0, 25.0)]
+        for t in range(rows_per_instance)
+        for name in ("x", "y")
+    ]
+    db.register_table_udf(
+        "sim_output", lambda _db, _house: sim_output, SIM_OUTPUT_COLUMNS, min_args=1, max_args=1
     )
     db.execute("CREATE INDEX idx_sims_instance ON sims (instance_id)")
     db.execute("CREATE INDEX idx_sims_time ON sims USING BTREE (time)")
@@ -174,6 +206,7 @@ def measure_query_planner(
         "plan_ordered_topk": db.explain(ORDER_SQL),
         "plan_composite_walk": db.explain(COMPOSITE_SQL),
         "plan_composite_walk_literal": db.explain(COMPOSITE_LITERAL_SQL),
+        "plan_udf_join": db.explain(UDF_JOIN_SQL),
     }
     record.update(_compare(db, "selective_filter", FILTER_SQL, ["HP1Instance42"]))
     record.update(_compare(db, "equi_join", JOIN_SQL))
@@ -182,6 +215,7 @@ def measure_query_planner(
     record.update(_compare(db, "ordered_topk", ORDER_SQL))
     record.update(_compare(db, "composite_walk", COMPOSITE_SQL, COMPOSITE_PARAMS))
     record.update(_compare(db, "composite_walk_literal", COMPOSITE_LITERAL_SQL))
+    record.update(_compare(db, "udf_join", UDF_JOIN_SQL))
     record.update(_routed_delete(db))
     return record
 
@@ -204,6 +238,7 @@ def test_query_planner_speedups():
     assert "ORDER BY time" in record["plan_ordered_topk"]  # sort eliminated
     assert "rows=" in record["plan_range_scan"]  # ANALYZE statistics rendered
     _assert_composite_plans(record)
+    _assert_udf_join_plan(record)
     # ... and deliver the acceptance-criteria speedups on 50k-row inputs.
     assert record["selective_filter_speedup"] >= 5.0
     assert record["equi_join_speedup"] >= 5.0
@@ -211,6 +246,8 @@ def test_query_planner_speedups():
     assert record["composite_walk_speedup"] >= 10.0
     assert record["composite_walk_literal_speedup"] >= 10.0
     assert record["ordered_topk_speedup"] >= 3.0
+    # Ten full runs on a shared 2-vCPU host read 130x-217x (median ~182x).
+    assert record["udf_join_speedup"] >= 10.0
     # Top-k avoids the full sort; any improvement is acceptable, it just
     # must not regress.
     assert record["topk_speedup"] >= 1.0
@@ -225,6 +262,11 @@ def _assert_composite_plans(record: dict) -> None:
     ) in record["plan_routed_delete"]
 
 
+def _assert_udf_join_plan(record: dict) -> None:
+    assert "HashJoin inner (s.simulationtime = m.time)" in record["plan_udf_join"]
+    assert "NestedLoopJoin" not in record["plan_udf_join"]
+
+
 def smoke() -> dict:
     """Exercise every planned shape on a tiny build; no gates, no record."""
     record = measure_query_planner(n_instances=10, rows_per_instance=120)
@@ -232,6 +274,7 @@ def smoke() -> dict:
     assert "IndexRangeScan" in record["plan_range_scan"]
     assert "ORDER BY time" in record["plan_ordered_topk"]
     _assert_composite_plans(record)
+    _assert_udf_join_plan(record)
     return record
 
 

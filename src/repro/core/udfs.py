@@ -22,6 +22,10 @@ Set-returning UDFs
     ``fmu_variables``, ``fmu_get``, ``fmu_simulate``, ``fmu_models``,
     ``fmu_instances``, and ``fmu_extensions`` (installed extensions; an
     fmu-namespace alias of the engine's built-in ``installed_extensions()``).
+    Each declares the SQL type of every output column (``variant`` for the
+    catalogue's mixed-type values), so the planner can hash-join their
+    output with tables - ``fmu_simulate(...) s JOIN meas m ON m.time =
+    s.simulationtime``.
 
 ``fmu_simulate`` additionally accepts an **array literal of instance ids**
 (``SELECT * FROM fmu_simulate('{A, B, C}', ...)``): the batch overload runs
@@ -155,7 +159,8 @@ def pgfmu_extension(session) -> Extension:
     # ------------------------------------------------------------------ #
     # Set-returning UDFs
     # ------------------------------------------------------------------ #
-    @table_udf(columns=["instanceid", "varname", "vartype", "initialvalue", "minvalue", "maxvalue"],
+    @table_udf(columns=["instanceid text", "varname text", "vartype text",
+                        "initialvalue variant", "minvalue variant", "maxvalue variant"],
                min_args=1, max_args=1,
                description="Variables and parameters of a model instance")
     def fmu_variables(_db, instance_id: str) -> List[List[Any]]:
@@ -171,13 +176,15 @@ def pgfmu_extension(session) -> Extension:
             for row in session.instances.variables(instance_id)
         ]
 
-    @table_udf(columns=["initialvalue", "minvalue", "maxvalue"], min_args=2, max_args=2,
+    @table_udf(columns=["initialvalue variant", "minvalue variant", "maxvalue variant"],
+               min_args=2, max_args=2,
                description="Initial/min/max values of one variable")
     def fmu_get(_db, instance_id: str, var_name: str) -> List[List[Any]]:
         values = session.instances.get(instance_id, var_name)
         return [[values["initialvalue"], values["minvalue"], values["maxvalue"]]]
 
-    @table_udf(columns=["simulationtime", "instanceid", "varname", "value"],
+    @table_udf(columns=["simulationtime double precision", "instanceid text",
+                        "varname text", "value double precision"],
                min_args=1, max_args=4,
                description="Simulate one instance, or an array literal of instances in one shared pass")
     def fmu_simulate(
@@ -203,7 +210,8 @@ def pgfmu_extension(session) -> Extension:
             return session.simulator.simulate_rows_many(ids, input_sql, time_from, time_to)
         return session.simulator.simulate_rows(text, input_sql, time_from, time_to)
 
-    @table_udf(columns=["modelid", "modelname", "fmureference", "defaultstarttime", "defaultendtime"],
+    @table_udf(columns=["modelid text", "modelname text", "fmureference text",
+                        "defaultstarttime double precision", "defaultendtime double precision"],
                min_args=0, max_args=0,
                description="All models registered in the catalogue")
     def fmu_models(_db) -> List[List[Any]]:
@@ -213,13 +221,13 @@ def pgfmu_extension(session) -> Extension:
             for r in rows
         ]
 
-    @table_udf(columns=["instanceid", "modelid"], min_args=0, max_args=0,
+    @table_udf(columns=["instanceid text", "modelid text"], min_args=0, max_args=0,
                description="All model instances registered in the catalogue")
     def fmu_instances(_db) -> List[List[Any]]:
         rows = session.database.table("modelinstance").to_dicts()
         return [[r["instanceid"], r["modelid"]] for r in rows]
 
-    @table_udf(columns=["extname", "extversion", "n_udfs", "description"],
+    @table_udf(columns=["extname text", "extversion text", "n_udfs integer", "description text"],
                min_args=0, max_args=0,
                description="All extensions installed on this database")
     def fmu_extensions(db) -> List[List[Any]]:

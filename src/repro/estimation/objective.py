@@ -205,6 +205,8 @@ class SimulationObjective:
             for name in measurements.variable_names()
             if name in input_names
         }
+        # Bound once: every fleet this objective simulates reads them.
+        self._bound_inputs = model.bind_inputs(self.input_series)
         if solver is None:
             step = float(np.median(np.diff(measurements.time)))
             self.solver = "rk4"
@@ -404,7 +406,7 @@ class SimulationObjective:
             initial = np.tile(objective._initial_row, (len(thetas), 1))
             values = np.hstack([thetas, initial])
             blocks.append(objective.model.fleet_rows(objective._row_names, values))
-            inputs.extend([objective.input_series] * len(thetas))
+            inputs.extend([objective._bound_inputs] * len(thetas))
         return FmuModel.simulate_fleet(
             FleetRows.stack(blocks),
             inputs=inputs,

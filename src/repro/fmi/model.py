@@ -576,7 +576,8 @@ class FmuModel:
         which split its :class:`~repro.fmi.results.FleetResult` into one
         :class:`SimulationResult` per row; arguments are theirs, with
         ``rows`` (:meth:`fleet_rows`, :meth:`FleetRows.stack`) in place of
-        the instances.  A fixed-step solver steps a fleet of two or more
+        the instances, and any input mapping may be one bound ahead by
+        :meth:`bind_inputs`.  A fixed-step solver steps a fleet of two or more
         rows in its batched loop.  An adaptive solver steps each row in its
         scalar float loop, with the row's own parameters and inputs, as a
         one-row fleet of any solver does; the outputs of every row are then
@@ -671,7 +672,16 @@ class FmuModel:
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-    def _build_interpolator(self, inputs: Mapping[str, InputSeries]) -> _InputInterpolator:
+    def bind_inputs(self, inputs: Mapping[str, InputSeries]) -> _InputInterpolator:
+        """``inputs`` checked against this model's inputs and bound once.
+
+        The result can stand in for the mapping in :meth:`simulate_fleet`'s
+        ``inputs``, so a caller that simulates the same measured series
+        many times (a calibration objective) copies and sorts them once.
+        Bound inputs are returned as they are.
+        """
+        if isinstance(inputs, _InputInterpolator):
+            return inputs
         known_inputs = set(self.input_names())
         unknown = set(inputs) - known_inputs
         if unknown:
@@ -690,10 +700,11 @@ class FmuModel:
         Per-row mappings give one interpolator per distinct mapping object
         (a calibration's candidate rows all pass the same one); they must
         bind the same input names on identical knot times, because the
-        batched interpolation bisects one shared knot grid.
+        batched interpolation bisects one shared knot grid.  A mapping
+        already bound by :meth:`bind_inputs` is used as it is.
         """
-        if inputs is None or isinstance(inputs, abc.Mapping):
-            return [self._build_interpolator(inputs or {})], [0] * n_rows
+        if inputs is None or isinstance(inputs, (abc.Mapping, _InputInterpolator)):
+            return [self.bind_inputs(inputs or {})], [0] * n_rows
         mappings = list(inputs)
         if len(mappings) != n_rows:
             raise SimulationInputError(
@@ -706,7 +717,7 @@ class FmuModel:
             column = columns.get(id(mapping))
             if column is None:
                 column = columns[id(mapping)] = len(interps)
-                interps.append(self._build_interpolator(mapping or {}))
+                interps.append(self.bind_inputs(mapping or {}))
             cols.append(column)
         lead = interps[0]._series
         for interp in interps[1:]:

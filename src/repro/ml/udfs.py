@@ -161,7 +161,8 @@ def _rebuild_arima(database: Database, output_table: str) -> ArimaModel:
     return model
 
 
-@table_udf(name="arima_forecast", columns=["step", "value"], min_args=2, max_args=2,
+@table_udf(name="arima_forecast", columns=["step integer", "value double precision"],
+           min_args=2, max_args=2,
            description="Forecast future values from a trained ARIMA model")
 def _arima_forecast(database: Database, output_table: str, steps: int) -> List[List[Any]]:
     """Forecast ``steps`` values from a trained ARIMA model."""
@@ -170,7 +171,8 @@ def _arima_forecast(database: Database, output_table: str, steps: int) -> List[L
     return [[i + 1, float(value)] for i, value in enumerate(forecast)]
 
 
-@table_udf(name="arima_predict", columns=["row_index", "value"], min_args=1, max_args=1,
+@table_udf(name="arima_predict", columns=["row_index integer", "value double precision"],
+           min_args=1, max_args=1,
            description="In-sample predictions of a trained ARIMA model")
 def _arima_predict(database: Database, output_table: str) -> List[List[Any]]:
     """In-sample one-step-ahead predictions of a trained ARIMA model."""
@@ -229,7 +231,8 @@ def _rebuild_logregr(database: Database, output_table: str) -> tuple:
     return model, feature_names, entries
 
 
-@table_udf(name="logregr_predict", columns=["row_index", "probability", "prediction"],
+@table_udf(name="logregr_predict",
+           columns=["row_index integer", "probability double precision", "prediction integer"],
            min_args=2, max_args=2,
            description="Predict class probabilities with a trained logistic regression")
 def _logregr_predict(database: Database, output_table: str, source_table: str) -> List[List[Any]]:

@@ -19,7 +19,8 @@ the layered public API builds on:
 The facade also owns the query-planning machinery: a secondary-index
 catalogue (``CREATE INDEX``/``DROP INDEX``), and a plan cache - plans hang
 off the statement objects of the SQL-text statement cache and are
-invalidated by bumping :attr:`catalog_version` on any DDL or rollback.
+invalidated by bumping :attr:`catalog_version` on any DDL or rollback, or
+the UDF registry's version on any UDF registration.
 """
 
 from __future__ import annotations
@@ -177,7 +178,7 @@ class Database:
         self.udfs.register_table(
             "installed_extensions",
             _installed_extensions,
-            columns=["extname", "extversion", "n_udfs", "description"],
+            columns=["extname text", "extversion text", "n_udfs integer", "description text"],
             min_args=0,
             max_args=0,
             description="All extensions installed on this database",
@@ -370,23 +371,21 @@ class Database:
         """The (cached) plan for a parsed SELECT statement.
 
         Statements are cached by SQL text (:meth:`_parse_cached`), and each
-        statement object carries its plan tagged with the database identity
-        and :attr:`catalog_version` - so plans are effectively keyed on SQL
-        text and invalidated by any DDL, index change, or rollback.  The
-        per-statement attachment also makes correlated subqueries (planned
-        once, executed per outer row) cheap.
+        statement object carries its plan tagged with the database identity,
+        :attr:`catalog_version` and the UDF registry's version (plans read
+        table functions' declared column types) - so plans are effectively
+        keyed on SQL text and invalidated by any DDL, index change, UDF
+        registration or rollback.  The per-statement attachment also makes
+        correlated subqueries (planned once, executed per outer row) cheap.
         """
         from repro.sqldb.planner.builder import build_select_plan
 
+        versions = (self.catalog_version, self.udfs.version)
         cached = getattr(statement, "plan_cache_entry", None)
-        if (
-            cached is not None
-            and cached[0] is self
-            and cached[1] == self.catalog_version
-        ):
+        if cached is not None and cached[0] is self and cached[1] == versions:
             return cached[2]
         plan = build_select_plan(statement, self)
-        statement.plan_cache_entry = (self, self.catalog_version, plan)
+        statement.plan_cache_entry = (self, versions, plan)
         return plan
 
     def explain(self, sql: str, params: Optional[Sequence[Any]] = None) -> str:
@@ -896,7 +895,11 @@ class Database:
         max_args: Optional[int] = None,
         description: str = "",
     ) -> None:
-        """Register a set-returning UDF; ``func(db, *args)`` returns rows."""
+        """Register a set-returning UDF; ``func(db, *args)`` returns rows.
+
+        ``columns`` entries are names, optionally typed as ``"name type"``
+        (see :func:`~repro.sqldb.udf.table_udf`).
+        """
         self.udfs.register_table(
             name, func, columns, min_args=min_args, max_args=max_args, description=description
         )

@@ -3,8 +3,10 @@
 Rule pipeline, with cost-based decisions layered on top wherever ANALYZE
 statistics exist (see :mod:`repro.sqldb.planner.cost`):
 
-1. **Scope analysis** - map FROM aliases to base-table schemas, note which
-   sources have statically unknown columns (functions, subqueries, LATERAL).
+1. **Scope analysis** - map FROM aliases to base-table schemas and to the
+   declared output columns of fully typed table functions, note which
+   sources have statically unknown columns (untyped functions, subqueries,
+   LATERAL).
 2. **WHERE normalization** - flatten into OR-of-AND groups
    (:func:`~repro.sqldb.planner.predicates.normalize_dnf`).
 3. **Predicate pushdown** - single-table conjuncts move below joins into the
@@ -28,8 +30,10 @@ statistics exist (see :mod:`repro.sqldb.planner.cost`):
    estimated cardinality when every table has statistics; a
    :class:`~repro.sqldb.planner.nodes.JoinOrderRestore` re-sorts the output
    back to declared-order row order so results stay bit-identical.
-6. **Hash joins** - inner/left equi-joins on type-compatible base-table
-   columns replace nested loops; the estimated-smaller input is hashed.
+6. **Hash joins** - inner/left equi-joins on type-compatible columns of
+   base tables and typed table functions replace nested loops; the
+   estimated-smaller input is hashed.  A table function's key values are
+   checked against their declared types as the join reads them.
    Under a pure-conjunction WHERE, each ``col op const/$n`` conjunct is
    also copied across every equality ``a.c = b.d`` (WHERE or inner ON,
    one SQL type) onto the other table's index selection - never onto a
@@ -95,12 +99,13 @@ from repro.sqldb.planner.predicates import (
     normalize_dnf,
     split_conjuncts,
 )
+from repro.sqldb.schema import ColumnDefinition, TableSchema
 from repro.sqldb.types import SqlType
 
 #: Hash the left input instead when it is estimated this much smaller.
 BUILD_FLIP_RATIO = 0.8
 
-#: Marker for an unqualified column name visible from several base tables.
+#: Marker for an unqualified column name visible from several known relations.
 _MULTI = object()
 
 #: Hashability classes: two join key columns may hash-join only when their
@@ -118,7 +123,13 @@ _TYPE_CLASS = {
 
 @dataclass
 class _Scope:
-    """What the planner statically knows about a SELECT's FROM clause."""
+    """What the planner statically knows about a SELECT's FROM clause.
+
+    ``tables`` maps each known relation's label to its schema: base tables
+    and non-LATERAL calls of fully typed table functions.  Only base tables
+    are in ``table_names``, so only they reach index choice, statistics and
+    the bounds copied across equi-joins.
+    """
 
     tables: Dict[str, object] = dataclass_field(default_factory=dict)  # alias -> TableSchema
     table_names: Dict[str, str] = dataclass_field(default_factory=dict)  # alias -> table name
@@ -131,7 +142,7 @@ class _Scope:
     unpushable: Set[str] = dataclass_field(default_factory=set)
 
     def resolve_column(self, ref: ColumnRef) -> Optional[Tuple[str, object]]:
-        """Resolve a column ref to ``(alias, TableSchema)`` of a base table."""
+        """Resolve a column ref to ``(alias, TableSchema)`` of a known relation."""
         if ref.table is not None:
             schema = self.tables.get(ref.table)
             if schema is not None and schema.has_column(ref.name):
@@ -163,6 +174,30 @@ def _item_label(item: FromItem) -> Optional[str]:
     return None
 
 
+def _function_relation(item: FunctionRef, label: str, database) -> Optional[TableSchema]:
+    """The output schema of a call to a fully typed table UDF, or None.
+
+    Column names follow the executor: ``AS f(a, b)`` renames the columns
+    and a one-column function aliased ``AS f`` is named ``f``.  A call with
+    an alias count the executor will refuse, or with duplicate output
+    names, stays unknown.
+    """
+    udf = database.udfs.table(item.call.name)
+    if udf is None or not udf.typed:
+        return None
+    names = list(udf.columns)
+    if item.column_aliases:
+        names = [name.lower() for name in item.column_aliases]
+    elif item.alias and len(names) == 1:
+        names = [label]
+    if len(names) != len(udf.columns) or len(set(names)) != len(names):
+        return None
+    return TableSchema(
+        name=label,
+        columns=[ColumnDefinition(name, sql_type) for name, sql_type in zip(names, udf.column_types)],
+    )
+
+
 def _collect_scope(from_items: List[FromItem], database) -> _Scope:
     scope = _Scope()
 
@@ -177,11 +212,16 @@ def _collect_scope(from_items: List[FromItem], database) -> _Scope:
             if lateral or nullable:
                 scope.unpushable.add(label)
         if isinstance(item, TableRef) and not lateral:
-            schema = database.table(item.name).schema
-            scope.tables[label] = schema
+            scope.tables[label] = database.table(item.name).schema
             scope.table_names[label] = item.name.lower()
-        else:
+            return
+        relation = None
+        if isinstance(item, FunctionRef) and not lateral:
+            relation = _function_relation(item, label, database)
+        if relation is None:
             scope.has_unknown = True
+        else:
+            scope.tables[label] = relation
 
     for item in from_items:
         walk(item, _item_is_lateral(item), False)
@@ -311,9 +351,10 @@ def _implied_conjuncts(statement: SelectStatement, scope: _Scope) -> Dict[str, L
     ``b``'s index key, as in ``meas m JOIN sim s ON s.time = m.time WHERE
     m.time BETWEEN $1 AND $2``.  Only a pure-conjunction WHERE is mined,
     and nothing is copied onto a LEFT JOIN's nullable side or a LATERAL
-    item.
+    item.  Table-function columns take no part: their types are declared,
+    not enforced on every row.
     """
-    if len(scope.tables) < 2:
+    if len(scope.table_names) < 2:
         return {}
     groups = normalize_dnf(statement.where)
     if groups is None or len(groups) != 1:
@@ -326,7 +367,12 @@ def _implied_conjuncts(statement: SelectStatement, scope: _Scope) -> Dict[str, L
         if match is None:
             continue
         ends = [scope.resolve_column(ref) for ref in match]
-        if ends[0] is None or ends[1] is None or ends[0][0] == ends[1][0]:
+        if (
+            ends[0] is None
+            or ends[1] is None
+            or ends[0][0] == ends[1][0]
+            or not {ends[0][0], ends[1][0]} <= scope.table_names.keys()
+        ):
             continue
         sql_type = ends[0][1].column(match[0].name).sql_type
         if _TYPE_CLASS.get(sql_type) is None or ends[1][1].column(match[1].name).sql_type != sql_type:
@@ -555,9 +601,10 @@ def _build_table_scan(
     """One base table's leaf: a scan, or the index leaf for its conjuncts.
 
     ``implied`` conjuncts (see :func:`_implied_conjuncts`) only steer the
-    index choice: one the leaf consumes narrows its key, and the rest are
-    dropped.  Neither the residual nor the full-scan fallback evaluates
-    them, so they never decide a row the original WHERE would not.
+    index choice: one the leaf consumes narrows its key (and its row
+    estimate), and the rest are dropped.  Neither the residual nor the
+    full-scan fallback evaluates them, so they never decide a row the
+    original WHERE would not.
     """
     table = database.table(item.name)
     if not conjuncts and not implied:
@@ -573,6 +620,7 @@ def _build_table_scan(
     consumed = {id(conjunct) for conjunct in consumed_conjuncts}
     node.residual = conjoin([c for c in conjuncts if id(c) not in consumed])
     node.full_predicate = predicate
+    node.copied = [c for c in implied if id(c) in consumed]
     return node
 
 
@@ -634,34 +682,43 @@ def _plan_aliases(node: PlanNode) -> Optional[Set[str]]:
     return None
 
 
+#: One hash-join key pair: ``(left_key, right_key, left_check, right_check)``,
+#: where a check is the declared type a table-function key's values must
+#: fit (None for a base-table column, whose values are coerced on write).
+_KeyPair = Tuple[Expression, Expression, Optional[SqlType], Optional[SqlType]]
+
+
 def _cross_side_equality(
     conjunct: Expression,
     scope: _Scope,
     left_aliases: Set[str],
     right_aliases: Set[str],
-) -> Optional[Tuple[Expression, Expression]]:
+) -> Optional[_KeyPair]:
     """Match a hash-join-eligible equality across two subtrees.
 
-    Returns ``(left_key, right_key)`` when the conjunct is
-    ``column = column`` over base tables on opposite sides with
-    hash-compatible declared types; None otherwise.
+    Returns the key pair when the conjunct is ``column = column`` over
+    known relations (base tables, typed table functions) on opposite sides
+    with hash-compatible declared types; None otherwise.
     """
     match = column_equality(conjunct)
     if match is None:
         return None
+    labels, classes, checks = [], [], []
+    for ref in match:
+        owner = scope.resolve_column(ref)
+        if owner is None:
+            return None
+        sql_type = owner[1].column(ref.name).sql_type
+        labels.append(owner[0])
+        classes.append(_TYPE_CLASS.get(sql_type))
+        checks.append(None if owner[0] in scope.table_names else sql_type)
+    if classes[0] is None or classes[0] != classes[1]:
+        return None
     first, second = match
-    first_owner = scope.resolve_column(first)
-    second_owner = scope.resolve_column(second)
-    if first_owner is None or second_owner is None:
-        return None
-    first_class = _TYPE_CLASS.get(first_owner[1].column(first.name).sql_type)
-    second_class = _TYPE_CLASS.get(second_owner[1].column(second.name).sql_type)
-    if first_class is None or first_class != second_class:
-        return None
-    if first_owner[0] in left_aliases and second_owner[0] in right_aliases:
-        return first, second
-    if first_owner[0] in right_aliases and second_owner[0] in left_aliases:
-        return second, first
+    if labels[0] in left_aliases and labels[1] in right_aliases:
+        return first, second, checks[0], checks[1]
+    if labels[0] in right_aliases and labels[1] in left_aliases:
+        return second, first, checks[1], checks[0]
     return None
 
 
@@ -714,19 +771,18 @@ def _hash_join_rewrite(node: PlanNode, scope: _Scope) -> PlanNode:
     if left_aliases is None or right_aliases is None:
         return node
 
-    left_keys: List[Expression] = []
-    right_keys: List[Expression] = []
+    pairs: List[_KeyPair] = []
     residual: List[Expression] = []
     for conjunct in split_conjuncts(node.condition):
         keys = _cross_side_equality(conjunct, scope, left_aliases, right_aliases)
         if keys is not None:
-            left_keys.append(keys[0])
-            right_keys.append(keys[1])
+            pairs.append(keys)
         else:
             residual.append(conjunct)
 
-    if not left_keys:
+    if not pairs:
         return node
+    left_keys, right_keys, left_checks, right_checks = (list(part) for part in zip(*pairs))
     return HashJoin(
         left=node.left,
         right=node.right,
@@ -734,6 +790,8 @@ def _hash_join_rewrite(node: PlanNode, scope: _Scope) -> PlanNode:
         left_keys=left_keys,
         right_keys=right_keys,
         residual=conjoin(residual),
+        left_checks=left_checks,
+        right_checks=right_checks,
     )
 
 

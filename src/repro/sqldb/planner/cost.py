@@ -274,9 +274,11 @@ def annotate_plan(plan, database) -> Optional[int]:
             )
             return node.estimated_rows
         if isinstance(node, (IndexLookup, IndexRangeScan)):
+            # Conjuncts copied across an equi-join narrow the key as much
+            # as the leaf's own ones, so they narrow the estimate too.
             stats = alias_stats.get(node.label)
             node.estimated_rows = estimate_filtered_rows(
-                stats, split_conjuncts(node.full_predicate), node.label
+                stats, split_conjuncts(node.full_predicate) + node.copied, node.label
             )
             return node.estimated_rows
         if isinstance(node, HashJoin):

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cancellation import active_token
+from repro.errors import SqlExecutionError
 from repro.sqldb.ast_nodes import (
     Expression,
     FromItem,
@@ -35,7 +36,7 @@ from repro.sqldb.planner import cost
 from repro.sqldb.planner.render import render_expression
 from repro.sqldb.rows import merge_rows
 from repro.sqldb.table import _key_of
-from repro.sqldb.types import SqlType, Variant
+from repro.sqldb.types import SqlType, Variant, fits_type_class
 
 #: (display_name, lookup_key) pairs describing the visible columns of a scope.
 ScopeColumns = List[Tuple[str, str]]
@@ -197,6 +198,8 @@ class IndexLookup(PlanNode):
     ``residual`` is the remainder of the pushed predicate; ``full_predicate``
     (residual plus the consumed equalities) drives the safety fallback when a
     runtime key value cannot be matched against the index's key type.
+    ``copied`` holds the conjuncts copied across an equi-join that this
+    leaf's key consumed: never evaluated, they narrow the row estimate.
     """
 
     table_name: str
@@ -206,6 +209,7 @@ class IndexLookup(PlanNode):
     key_exprs: List[Expression]
     residual: Optional[Expression] = None
     full_predicate: Optional[Expression] = None
+    copied: List[Expression] = field(default_factory=list)
     estimated_rows: Optional[int] = None
     ordinal_label: Optional[str] = None
 
@@ -423,6 +427,7 @@ class IndexRangeScan(PlanNode):
     upper_between: bool = False
     residual: Optional[Expression] = None
     full_predicate: Optional[Expression] = None
+    copied: List[Expression] = field(default_factory=list)  # as IndexLookup's
     ordered: Optional[str] = None  # None | 'asc' | 'desc'
     hint_limit: Optional[Expression] = None
     hint_offset: Optional[Expression] = None
@@ -744,6 +749,13 @@ class HashJoin(PlanNode):
     pair.  Probe order preserves the nested-loop output order (left-major,
     right insertion order per key), so planned and naive results match
     row-for-row.
+
+    ``left_checks``/``right_checks`` hold, per key, the declared type of a
+    table-function column (None for a base-table column): hashing matches
+    ``=`` only within a type class, so every such key value is checked
+    against its declaration and one that breaks it raises
+    :class:`~repro.errors.SqlExecutionError` instead of joining
+    differently from the nested loop.
     """
 
     left: PlanNode
@@ -754,6 +766,8 @@ class HashJoin(PlanNode):
     residual: Optional[Expression] = None
     build_side: str = "right"  # which input is hashed; the other probes
     estimated_rows: Optional[int] = None
+    left_checks: List[Optional[SqlType]] = field(default_factory=list)
+    right_checks: List[Optional[SqlType]] = field(default_factory=list)
 
     def describe(self) -> str:
         keys = ", ".join(
@@ -777,14 +791,18 @@ class HashJoin(PlanNode):
 
         null_right = {key: None for _, key in right_columns}
         null_right.update({name: None for name, _ in right_columns})
+        left_checks = _active_checks(self.left_checks)
+        right_checks = _active_checks(self.right_checks)
 
         if self.build_side == "left":
-            rows = self._execute_build_left(left_rows, right_rows, null_right, ctx)
+            rows = self._execute_build_left(
+                left_rows, right_rows, null_right, ctx, left_checks, right_checks
+            )
             return columns, rows
 
         buckets: Dict[Tuple, List[dict]] = {}
         for right_row in right_rows:
-            key = _join_key(self.right_keys, right_row, ctx)
+            key = _join_key(self.right_keys, right_row, ctx, right_checks)
             if key is None:
                 continue  # NULL keys can never satisfy an equality
             buckets.setdefault(key, []).append(right_row)
@@ -798,7 +816,7 @@ class HashJoin(PlanNode):
                 if tick == 0:
                     tick = CANCEL_CHECK_EVERY
                     token.check()
-            key = _join_key(self.left_keys, left_row, ctx)
+            key = _join_key(self.left_keys, left_row, ctx, left_checks)
             matched = False
             if key is not None:
                 for right_row in buckets.get(key, ()):
@@ -816,6 +834,8 @@ class HashJoin(PlanNode):
         right_rows: List[dict],
         null_right: dict,
         ctx: EvalContext,
+        left_checks: Optional[List[Optional[SqlType]]],
+        right_checks: Optional[List[Optional[SqlType]]],
     ) -> List[dict]:
         """Hash the (smaller) left input and probe with the right input.
 
@@ -826,7 +846,7 @@ class HashJoin(PlanNode):
         """
         buckets: Dict[Tuple, List[int]] = {}
         for ordinal, left_row in enumerate(left_rows):
-            key = _join_key(self.left_keys, left_row, ctx)
+            key = _join_key(self.left_keys, left_row, ctx, left_checks)
             if key is None:
                 continue
             buckets.setdefault(key, []).append(ordinal)
@@ -840,7 +860,7 @@ class HashJoin(PlanNode):
                 if tick == 0:
                     tick = CANCEL_CHECK_EVERY
                     token.check()
-            key = _join_key(self.right_keys, right_row, ctx)
+            key = _join_key(self.right_keys, right_row, ctx, right_checks)
             if key is None:
                 continue
             for ordinal in buckets.get(key, ()):
@@ -898,10 +918,28 @@ class JoinOrderRestore(PlanNode):
         return columns, rows
 
 
-def _join_key(exprs: List[Expression], row: dict, ctx: EvalContext) -> Optional[Tuple]:
+def _active_checks(checks: List[Optional[SqlType]]) -> Optional[List[Optional[SqlType]]]:
+    """``checks`` when any key has a declared type to check, else None."""
+    return checks if any(check is not None for check in checks) else None
+
+
+def _join_key(
+    exprs: List[Expression],
+    row: dict,
+    ctx: EvalContext,
+    checks: Optional[List[Optional[SqlType]]],
+) -> Optional[Tuple]:
     parts = []
-    for expr in exprs:
+    for position, expr in enumerate(exprs):
         value = evaluate(expr, row, ctx)
+        if checks is not None:
+            declared = checks[position]
+            if declared is not None and not fits_type_class(value, declared):
+                raise SqlExecutionError(
+                    f"table function column {render_expression(expr)} is declared "
+                    f"{declared.value} but returned {value!r} ({type(value).__name__}); "
+                    f"a hash join cannot compare it as declared"
+                )
         if isinstance(value, Variant):
             value = value.value
         if value is None:

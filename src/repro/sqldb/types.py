@@ -136,6 +136,29 @@ def parse_timestamp(value: Any) -> _dt.datetime:
     raise SqlTypeError(f"cannot parse timestamp from {value!r}")
 
 
+#: Python types a value of each hashable SQL type may take, for values
+#: that are not coerced on their way in (table-function output): every
+#: numeric type compares as a number, text as ``str``.
+_CLASS_VALUE_TYPES = {
+    SqlType.INTEGER: (int, float),
+    SqlType.DOUBLE: (int, float),
+    SqlType.BOOLEAN: (int, float),
+    SqlType.TEXT: (str,),
+    SqlType.TIMESTAMP: (_dt.datetime,),
+}
+
+
+def fits_type_class(value: Any, sql_type: SqlType) -> bool:
+    """Whether ``value`` is NULL or belongs to ``sql_type``'s class.
+
+    ``bool`` counts as numeric (it is an ``int``, and ``=`` treats ``True``
+    as 1).  Any value fits a type that is never hashed (``variant``,
+    ``bytea``, arrays); a :class:`Variant` wrapper fits no other.
+    """
+    expected = _CLASS_VALUE_TYPES.get(sql_type)
+    return value is None or expected is None or isinstance(value, expected)
+
+
 def coerce(value: Any, sql_type: SqlType) -> Any:
     """Coerce a Python value to the representation of ``sql_type``.
 

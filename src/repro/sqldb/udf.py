@@ -6,7 +6,10 @@ pgFMU (like MADlib) integrates with the database by registering functions:
   (``SELECT fmu_create(...)``, nested calls, WHERE clauses);
 * *table UDFs* (set-returning functions) return rows with a fixed output
   schema and appear in FROM (``SELECT * FROM fmu_variables('HP1Instance1')``),
-  including LATERAL usage.
+  including LATERAL usage.  Like PostgreSQL's ``RETURNS TABLE (...)``, each
+  output column may declare its SQL type (``"simulationtime double
+  precision"``); the planner can then hash-join a fully typed function's
+  output with base tables (see :func:`table_udf`).
 
 Both kinds receive the owning :class:`~repro.sqldb.database.Database` as
 their first argument, which is how pgFMU's functions execute the user-supplied
@@ -26,7 +29,33 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import SqlCatalogError
+from repro.errors import SqlCatalogError, SqlTypeError
+from repro.sqldb.types import SqlType
+
+
+def parse_output_columns(
+    udf_name: str, columns: Sequence[str]
+) -> Tuple[List[str], List[Optional[SqlType]]]:
+    """Split a table UDF's ``"name [type]"`` column entries.
+
+    Returns the lower-cased names and, per column, the declared type
+    (parsed like a ``CREATE TABLE`` column type) or None for a bare name.
+    """
+    names: List[str] = []
+    types: List[Optional[SqlType]] = []
+    for entry in columns:
+        parts = entry.split(None, 1)
+        if not parts:
+            raise SqlCatalogError(f"table UDF {udf_name!r} declares an empty column")
+        names.append(parts[0].lower())
+        if len(parts) == 1:
+            types.append(None)
+            continue
+        try:
+            types.append(SqlType.parse(parts[1]))
+        except SqlTypeError as exc:
+            raise SqlCatalogError(f"table UDF {udf_name!r}, column {parts[0]!r}: {exc}") from None
+    return names, types
 
 
 def _first_docstring_line(func: Callable) -> str:
@@ -39,8 +68,9 @@ class UdfSpec:
     """Immutable declaration of one UDF, as attached by the decorators.
 
     ``kind`` is ``"scalar"`` or ``"table"``; table UDFs carry their fixed
-    output ``columns``.  The spec is pure data - it binds to a concrete
-    database only when an :class:`Extension` containing it is installed.
+    output ``columns`` (``"name"`` or ``"name type"`` entries).  The spec
+    is pure data - it binds to a concrete database only when an
+    :class:`Extension` containing it is installed.
     """
 
     name: str
@@ -54,8 +84,10 @@ class UdfSpec:
     def __post_init__(self):
         if self.kind not in ("scalar", "table"):
             raise SqlCatalogError(f"UDF {self.name!r}: unknown kind {self.kind!r}")
-        if self.kind == "table" and not self.columns:
-            raise SqlCatalogError(f"table UDF {self.name!r} must declare output columns")
+        if self.kind == "table":
+            if not self.columns:
+                raise SqlCatalogError(f"table UDF {self.name!r} must declare output columns")
+            parse_output_columns(self.name, self.columns)
 
 
 def scalar_udf(
@@ -91,7 +123,26 @@ def table_udf(
     max_args: Optional[int] = None,
     description: str = "",
 ) -> Callable[[Callable], Callable]:
-    """Declare a function as a set-returning UDF with a fixed output schema."""
+    """Declare a function as a set-returning UDF with a fixed output schema.
+
+    Each entry of ``columns`` is an output column name, optionally followed
+    by its SQL type as ``CREATE TABLE`` spells it: ``["simulationtime double
+    precision", "instanceid text", ...]``.  A bare name stays untyped
+    (``variant``), and a function with any untyped column plans as an
+    opaque source, exactly as before types existed.
+
+    When every column declares a type, the planner treats a non-LATERAL
+    call as a relation with known columns: unqualified names resolve to
+    it, and an equality between one of its columns and a column of the
+    same type class (numeric, text, timestamp) becomes a hash-join key.
+    The declaration is a contract the function must keep: each value is
+    NULL or of its column's class (``int``/``float``/``bool`` for numeric
+    types, ``str`` for text, ``datetime`` for timestamps).  Values are not
+    converted as rows are produced; a hash join checks its key values and
+    raises :class:`~repro.errors.SqlExecutionError` on a value that breaks
+    its declaration, rather than silently matching differently from the
+    nested loop's ``=``.
+    """
 
     def decorator(func: Callable) -> Callable:
         func.__udf_spec__ = UdfSpec(
@@ -217,7 +268,13 @@ class ScalarUdf:
 
 @dataclass
 class TableUdf:
-    """A set-returning user-defined function with a fixed output schema."""
+    """A set-returning user-defined function with a fixed output schema.
+
+    ``columns`` is given as ``"name [type]"`` entries (see
+    :func:`table_udf`) and holds the bare names after construction;
+    ``column_types`` holds each declared type (``variant`` for an untyped
+    column) and ``typed`` says whether every column declared one.
+    """
 
     name: str
     func: Callable[..., Sequence[Sequence[Any]]]
@@ -225,12 +282,16 @@ class TableUdf:
     min_args: int = 0
     max_args: Optional[int] = None
     description: str = ""
+    column_types: List[SqlType] = field(init=False)
+    typed: bool = field(init=False)
 
     def __post_init__(self):
         self.name = self.name.lower()
-        self.columns = [c.lower() for c in self.columns]
         if not self.columns:
             raise SqlCatalogError(f"table UDF {self.name!r} must declare output columns")
+        self.columns, types = parse_output_columns(self.name, self.columns)
+        self.typed = all(sql_type is not None for sql_type in types)
+        self.column_types = [sql_type or SqlType.VARIANT for sql_type in types]
 
     def check_arity(self, n_args: int) -> None:
         if n_args < self.min_args or (self.max_args is not None and n_args > self.max_args):

@@ -287,6 +287,22 @@ class TestPerRowInputs:
         for a, b in zip(shared, listed):
             np.testing.assert_array_equal(a["x"], b["x"])
 
+    def test_bound_inputs_stand_in_for_their_mappings(self, hp1_archive):
+        models, inputs = self._fleet(hp1_archive, (1.5, 0.9, 2.4))
+        bound = [models[0].bind_inputs(mapping) for mapping in inputs]
+        kwargs = dict(start_time=0.0, stop_time=10.0, solver="rk4", solver_options={"step": 0.5})
+        for given in (bound, bound[0]):
+            expected = FmuModel.simulate_batch(
+                models, inputs=inputs if given is bound else inputs[0], **kwargs
+            )
+            for a, b in zip(FmuModel.simulate_batch(models, inputs=given, **kwargs), expected):
+                np.testing.assert_array_equal(a["x"], b["x"])
+        shifted = models[0].bind_inputs({"u": (self.HOURS + 0.5, inputs[1]["u"][1])})
+        with pytest.raises(SimulationInputError, match="same knot times"):
+            FmuModel.simulate_batch(models[:2], inputs=[bound[0], shifted], stop_time=10.0)
+        with pytest.raises(SimulationInputError, match="no input variables named"):
+            models[0].bind_inputs({"ghost": (self.HOURS, self.HOURS)})
+
     def test_mappings_must_share_names_and_knots(self, hp1_archive):
         models, inputs = self._fleet(hp1_archive, (1.5, 0.9))
         shifted = {"u": (self.HOURS + 0.5, inputs[1]["u"][1])}

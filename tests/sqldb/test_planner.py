@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from repro.errors import SqlCatalogError
+from repro.errors import SqlCatalogError, SqlExecutionError
 from repro.sqldb import Database, connect
 from repro.sqldb.planner.nodes import IndexRangeScan
 from repro.sqldb.storage.btree import OrderedIndex
@@ -934,7 +934,8 @@ class TestExplainGolden:
         )
         # A plan built before the drop still runs: the missing index sends
         # it to the full-scan fallback with identical rows.
-        statement.plan_cache_entry = (analyzed_db, analyzed_db.catalog_version, cached)
+        versions = (analyzed_db.catalog_version, analyzed_db.udfs.version)
+        statement.plan_cache_entry = (analyzed_db, versions, cached)
         assert analyzed_db.plan_select(statement) is cached
         assert analyzed_db.execute(sql, [20, 22]).rows == expected
         planned, naive = _run_both(analyzed_db, sql, [20, 22])
@@ -1408,15 +1409,15 @@ class TestCompositeKeyGolden:
             "  ->  IndexRangeScan meas USING meas_pkey (house = $1 AND time < $2) "
             "ORDER BY time DESC (top-k) (rows=16)"
         )
-        # The copied bounds narrow sim's walk but not its estimate, which
-        # counts only sim's own conjuncts (none here).
+        # The copied bounds narrow sim's walk and its estimate alike, so
+        # the two equal inputs keep the default build side.
         assert plan_text(db, PAIR_JOIN_SQL) == (
             "Aggregate\n"
-            "->  HashJoin inner (m.house = s.house, m.time = s.time) (build=left) (rows=96)\n"
+            "->  HashJoin inner (m.house = s.house, m.time = s.time) (rows=5)\n"
             "  ->  IndexRangeScan meas AS m USING meas_pkey "
             "(house = $1 AND time >= $2 AND time <= $3) (rows=16)\n"
             "  ->  IndexRangeScan sim AS s USING sim_pkey "
-            "(house = $1 AND time >= $2 AND time <= $3) (rows=288)"
+            "(house = $1 AND time >= $2 AND time <= $3) (rows=16)"
         )
 
     def test_walks_visit_only_the_window(self, monkeypatch):
@@ -1536,3 +1537,263 @@ class TestRangeRoutedDml:
                 db.execute(sql, params)
             contents.append(db.execute("SELECT * FROM meas ORDER BY house, time").rows)
         assert contents[0] == contents[1]
+
+
+# --------------------------------------------------------------------------- #
+# Typed table functions: declared output types make equi-joins hashable
+# --------------------------------------------------------------------------- #
+FEED_COLUMNS = ["pid integer", "city text", "score double precision"]
+FEED_CITIES = ["aalborg", "odense", "ghosttown", "aarhus"]
+
+
+def _people_feed(_db, n):
+    """``n`` rows keyed on people ids: repeated keys, integral floats that
+    must equal integer ids (``1 = 1.0``), NULL keys and an unknown city."""
+    rows = []
+    for i in range(int(n)):
+        pid = None if i % 7 == 3 else (i * 3) % 23
+        if pid is not None and i % 2:
+            pid = float(pid)
+        city = None if i % 5 == 4 else FEED_CITIES[i % 4]
+        rows.append([pid, city, round(18 + i * 1.5, 1)])
+    return rows
+
+
+def _register_feed(db: Database, columns=FEED_COLUMNS) -> None:
+    db.register_table_udf("people_feed", _people_feed, columns, min_args=1, max_args=1)
+
+
+#: Planned-vs-naive templates over the typed ``people_feed(n)`` beside the
+#: base tables of :class:`TestEquivalence`; ``{f}``/``{g}`` size the feed.
+TYPED_UDF_TEMPLATES = [
+    # Inner and LEFT equi-joins, the function on either side.
+    "SELECT p.name, f.score FROM people p JOIN people_feed({f}) f ON f.pid = p.id",
+    "SELECT f.pid, f.score, p.name FROM people_feed({f}) f JOIN people p ON p.id = f.pid",
+    "SELECT p.name, f.score FROM people p LEFT JOIN people_feed({f}) f ON f.pid = p.id",
+    "SELECT f.pid, c.region FROM people_feed({f}) f LEFT JOIN cities c ON c.city = f.city",
+    "SELECT c.region, count(*) FROM people_feed({f}) f JOIN cities c ON c.city = f.city "
+    "GROUP BY c.region ORDER BY c.region",
+    "SELECT p.name, f.score FROM people p JOIN people_feed({f}) f "
+    "ON f.pid = p.id AND f.score > {n}",
+    "SELECT count(*), avg(f.score) FROM people_feed({f}) f JOIN people p ON p.id = f.pid "
+    "WHERE p.city = '{city}'",
+    "SELECT p.name, f.score FROM people p, people_feed({f}) f "
+    "WHERE p.id = f.pid AND p.age > {n}",
+    "SELECT a.pid, b.score FROM people_feed({f}) a JOIN people_feed({g}) b ON a.pid = b.pid",
+    # Unqualified names resolve to the function's columns.
+    "SELECT name, score FROM people_feed({f}) f JOIN people p ON pid = id WHERE score > {n}",
+    "SELECT name, region FROM people, people_feed({f}), cities "
+    "WHERE id = pid AND cities.city = people.city",
+    # Ambiguous unqualified names fail (or not, on empty input) both ways;
+    # the first joins on qualified names, the second cannot.
+    "SELECT * FROM people_feed({f}) f JOIN cities c ON f.city = c.city WHERE city = '{city}'",
+    "SELECT f.pid FROM people_feed({f}) f JOIN cities c ON city = c.city",
+    # Different type classes never hash.
+    "SELECT p.name FROM people p JOIN people_feed({f}) f ON f.city = p.id",
+    # LATERAL: re-expanded per outer row, stays a nested loop.
+    "SELECT p.name, f.score FROM people p, LATERAL people_feed(p.id) f WHERE f.pid = p.id",
+]
+
+
+class TestTypedTableUdfs:
+    """Fully typed table UDFs join base tables (and each other) by hashing."""
+
+    @pytest.fixture()
+    def feed_db(self):
+        db = _build_corpus_db(0, "none")
+        _register_feed(db)
+        return db
+
+    @pytest.mark.parametrize("stats_mode", ["none", "fresh"])
+    def test_typed_udf_corpus_matches_naive(self, stats_mode):
+        db = _build_corpus_db(1, stats_mode)
+        _register_feed(db)
+        rng = random.Random(0xFEED)
+        for template in TYPED_UDF_TEMPLATES:
+            for _ in range(4):
+                sql = template.format(
+                    f=rng.randint(0, 30),
+                    g=rng.randint(0, 30),
+                    n=rng.randint(18, 50),
+                    city=rng.choice(FEED_CITIES),
+                )
+                planned, naive = _run_both(db, sql)
+                assert planned == naive, f"stats={stats_mode}: {sql}"
+
+    def test_equi_joins_plan_as_hash_joins(self, feed_db):
+        for template in TYPED_UDF_TEMPLATES[:12]:
+            sql = template.format(f=5, g=6, n=30, city="aalborg")
+            assert "HashJoin" in plan_text(feed_db, sql), sql
+            assert "NestedLoopJoin" not in plan_text(feed_db, sql), sql
+        for template in TYPED_UDF_TEMPLATES[12:]:
+            sql = template.format(f=5, g=6, n=30, city="aalborg")
+            assert "HashJoin" not in plan_text(feed_db, sql), sql
+
+    def test_lateral_call_stays_a_nested_loop(self, feed_db):
+        assert plan_text(feed_db, TYPED_UDF_TEMPLATES[-1]) == (
+            "Project (p.name, f.score)\n"
+            "->  Filter (f.pid = p.id)\n"
+            "  ->  NestedLoopJoin cross LATERAL\n"
+            "    ->  Scan people AS p\n"
+            "    ->  LateralSource"
+        )
+
+    def test_untyped_udf_plans_as_before(self, feed_db):
+        sql = TYPED_UDF_TEMPLATES[0].format(f=5)
+        _register_feed(feed_db, ["pid", "city", "score"])
+        assert plan_text(feed_db, sql) == (
+            "Project (p.name, f.score)\n"
+            "->  NestedLoopJoin inner (f.pid = p.id)\n"
+            "  ->  Scan people AS p\n"
+            "  ->  FunctionScan people_feed(...) AS f"
+        )
+        # One untyped column leaves the whole function opaque.
+        _register_feed(feed_db, ["pid integer", "city", "score double precision"])
+        assert "NestedLoopJoin inner (f.pid = p.id)" in plan_text(feed_db, sql)
+
+    def test_column_aliases_rename_the_typed_columns(self, feed_db):
+        sql = "SELECT p.name FROM people p JOIN people_feed(9) AS f(k, town, s) ON f.k = p.id"
+        assert "HashJoin inner (p.id = f.k)" in plan_text(feed_db, sql)
+        planned, naive = _run_both(feed_db, sql)
+        assert planned == naive and len(planned[1]) > 0
+        # An alias count the executor refuses leaves the call opaque.
+        bad = "SELECT p.name FROM people p JOIN people_feed(9) AS f(k) ON f.k = p.id"
+        assert "NestedLoopJoin" in plan_text(feed_db, bad)
+        assert _run_both(feed_db, bad) == (("error", "SqlCatalogError"),) * 2
+
+    def test_reregistering_with_other_types_replans(self, feed_db):
+        sql = TYPED_UDF_TEMPLATES[0].format(f=9)
+        expected = feed_db.execute(sql).rows
+        statement = feed_db._parse_cached(sql)
+        hashed = feed_db.plan_select(statement)
+        assert feed_db.plan_select(statement) is hashed
+        assert "HashJoin" in hashed.node_names()
+
+        _register_feed(feed_db, ["pid", "city", "score"])
+        untyped = feed_db.plan_select(statement)
+        assert "HashJoin" not in untyped.node_names()
+        assert feed_db.execute(sql).rows == expected
+
+        # pid as text: a text key never hashes against an integer id.
+        _register_feed(feed_db, ["pid text", "city text", "score double precision"])
+        assert "HashJoin" not in feed_db.plan_select(statement).node_names()
+
+        _register_feed(feed_db)
+        assert "HashJoin" in feed_db.plan_select(statement).node_names()
+        assert feed_db.execute(sql).rows == expected
+
+    def test_rollback_of_a_registration_replans(self, feed_db):
+        sql = TYPED_UDF_TEMPLATES[0].format(f=9)
+        _register_feed(feed_db, ["pid", "city", "score"])
+        statement = feed_db._parse_cached(sql)
+        assert "HashJoin" not in feed_db.plan_select(statement).node_names()
+        feed_db.begin()
+        _register_feed(feed_db)
+        assert "HashJoin" in feed_db.plan_select(statement).node_names()
+        feed_db.rollback()
+        assert "HashJoin" not in feed_db.plan_select(statement).node_names()
+
+    def test_declaration_errors(self, feed_db):
+        with pytest.raises(SqlCatalogError, match="unknown SQL type"):
+            _register_feed(feed_db, ["pid integer", "city textual", "score double precision"])
+
+
+def _mistyped_feed(_db):
+    """Declared ``(pid integer, city text)``, but one pid is the string
+    ``'2'`` - which ``=`` equals to 2 and a hash never would - and one city
+    a number."""
+    return [[1, "aalborg"], ["2", "aarhus"], [3.0, 5], [None, "odense"]]
+
+
+class TestMistypedTableUdf:
+    """A value that breaks its declared type never changes a join silently:
+    the hash join raises where the nested loop would have matched it."""
+
+    @pytest.fixture()
+    def bad_db(self):
+        db = _build_corpus_db(2, "none")
+        db.register_table_udf(
+            "mistyped_feed", _mistyped_feed, ["pid integer", "city text"], max_args=0
+        )
+        return db
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            # the function hashed (build side), then probing
+            "SELECT p.name FROM people p JOIN mistyped_feed() f ON f.pid = p.id",
+            "SELECT f.pid, p.name FROM mistyped_feed() f JOIN people p ON p.id = f.pid",
+            "SELECT p.name FROM people p LEFT JOIN mistyped_feed() f ON f.pid = p.id",
+            "SELECT p.name FROM people p, mistyped_feed() f WHERE p.id = f.pid",
+            "SELECT c.region FROM mistyped_feed() f JOIN cities c ON c.city = f.city",
+        ],
+    )
+    def test_hash_join_raises_on_a_mistyped_key(self, bad_db, sql):
+        assert "HashJoin" in plan_text(bad_db, sql)
+        with pytest.raises(SqlExecutionError, match="declared"):
+            bad_db.execute(sql)
+        bad_db.planner_enabled = False
+        try:
+            naive = bad_db.execute(sql).rows
+        finally:
+            bad_db.planner_enabled = True
+        assert naive  # the nested loop's '=' matched rows a hash would miss
+
+    def test_mistyped_values_pass_through_outside_joins(self, bad_db):
+        assert bad_db.execute("SELECT * FROM mistyped_feed()").rows == _mistyped_feed(bad_db)
+        # Filters compare with '=' as the nested loop does: '2' = 2.
+        planned, naive = _run_both(bad_db, "SELECT * FROM mistyped_feed() f WHERE f.pid = 2")
+        assert planned == naive == (["pid", "city"], [["2", "aarhus"]])
+
+
+#: pgfmu_day's analysis step: one house's simulated x against its measured x.
+ANALYSIS_SQL = (
+    "SELECT count(*), avg(s.value), avg(abs(s.value - m.x)) "
+    "FROM sim_output('i1', 'SELECT time, u FROM meas WHERE house = 1 AND time < 12') s "
+    "JOIN meas m ON m.time = s.simulationtime WHERE m.house = 1 AND s.varname = 'x'"
+)
+
+
+def _sim_output(db, instance, input_sql):
+    """Shaped like ``fmu_simulate``: long-format rows over the input times."""
+    rows = []
+    for time, u in db.execute(input_sql).rows:
+        rows.append([float(time), instance, "x", 20.0 + u + time / 10.0])
+        rows.append([float(time), instance, "y", u])
+    return rows
+
+
+class TestSimulationJoinGolden:
+    def _db(self) -> Database:
+        db = Database()
+        db.execute(
+            "CREATE TABLE meas (house integer, time double precision, x double precision, "
+            "y double precision, u double precision, PRIMARY KEY (house, time))"
+        )
+        db.insert_rows(
+            "meas",
+            [[h, float(t), 20.0 + t / 10.0, 0.0, 0.5] for t in range(24) for h in range(3)],
+        )
+        db.execute("CREATE INDEX meas_house ON meas (house)")
+        db.register_table_udf(
+            "sim_output",
+            _sim_output,
+            ["simulationtime double precision", "instanceid text", "varname text",
+             "value double precision"],
+            min_args=2,
+            max_args=2,
+        )
+        return db
+
+    def test_analysis_statement_hash_joins(self):
+        db = self._db()
+        assert plan_text(db, ANALYSIS_SQL) == (
+            "Aggregate\n"
+            "->  HashJoin inner (s.simulationtime = m.time)\n"
+            "  ->  Filter (s.varname = 'x')\n"
+            "    ->  FunctionScan sim_output(...) AS s\n"
+            "  ->  IndexLookup meas AS m USING meas_house (house = 1)"
+        )
+        planned, naive = _run_both(db, ANALYSIS_SQL)
+        assert planned == naive
+        assert planned[1][0][0] == 12 and planned[1][0][1] == pytest.approx(21.05)
