@@ -10,6 +10,9 @@ Quantifies what ``repro.connect(path=...)`` costs and buys:
   replaying the full WAL (no checkpoint taken) and once from the page-store
   snapshot a checkpoint left behind.  The gap is why checkpoints exist: the
   snapshot load is bounded by table size, the replay by *history* size.
+  After each reopen, outside the timed region, ``VERIFY`` must report
+  every page chain, the WAL and every rebuilt index (``m_pkey`` included)
+  ``ok``.
 
 Run with:  pytest benchmarks/bench_storage_wal.py
       or:  python benchmarks/bench_storage_wal.py [--smoke]
@@ -64,6 +67,13 @@ def _count(db: Database) -> int:
     return db.execute("SELECT count(*) FROM m").scalar()
 
 
+def _verify(db: Database, label: str) -> None:
+    """Fail on any ``VERIFY`` row that is not ``ok``."""
+    bad = [row for row in db.execute("VERIFY").rows if row[1] != "ok"]
+    if bad:
+        raise AssertionError(f"{label}: VERIFY reported {bad!r}")
+
+
 def measure_storage_wal(rows: int = ROWS) -> dict:
     """Time the three insert paths and the two recovery paths."""
     data = _rows(rows)
@@ -81,6 +91,7 @@ def measure_storage_wal(rows: int = ROWS) -> dict:
         db = Database(storage=StorageEngine(wal_path))
         replay_open_s = time.perf_counter() - started
         assert _count(db) == rows, "WAL replay lost rows"
+        _verify(db, "WAL replay")
         db.storage.close()
 
         # WAL + CHECKPOINT: snapshot to the page store, reset the log.
@@ -96,6 +107,7 @@ def measure_storage_wal(rows: int = ROWS) -> dict:
         db = Database(storage=StorageEngine(ckpt_path))
         snapshot_open_s = time.perf_counter() - started
         assert _count(db) == rows, "snapshot recovery lost rows"
+        _verify(db, "snapshot recovery")
         db.storage.close()
 
         return {

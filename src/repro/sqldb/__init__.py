@@ -5,7 +5,8 @@ extension plugs into.  It implements, from scratch, the slice of SQL the
 paper's queries and workflows exercise:
 
 * DDL: ``CREATE TABLE`` (with PRIMARY KEY / NOT NULL / REFERENCES), ``DROP
-  TABLE``, ``CREATE INDEX`` / ``DROP INDEX`` (secondary hash indexes).
+  TABLE``, ``CREATE INDEX`` / ``DROP INDEX`` (hash and ``USING BTREE``
+  indexes; each primary key is backed by its own ``<table>_pkey``).
 * DML: ``INSERT`` (VALUES and ``INSERT ... SELECT``), ``UPDATE``, ``DELETE``.
 * Queries: ``SELECT`` with expressions, aliases, ``WHERE``, ``GROUP BY`` +
   aggregates, ``HAVING``, ``ORDER BY``, ``LIMIT``/``OFFSET``, ``DISTINCT``,

@@ -731,10 +731,10 @@ class Database:
         return rows
 
     def _verify_indexes(self) -> List[List[str]]:
-        """Audit in-memory ordered indexes against their tables' rows.
+        """Audit in-memory indexes against their tables' rows.
 
-        One ``[index:table.name, ok|corrupt, detail]`` row per ordered
-        index.  Corruption (for example from an interrupted node write) is
+        One ``[index:table.name, ok|corrupt, detail]`` row per index.
+        Corruption (for example from an interrupted node write) is
         reported, never raised, matching the VERIFY contract - so a damaged
         index is surfaced here instead of silently mis-answering queries.
         """
@@ -743,10 +743,7 @@ class Database:
             table = self._tables[table_name]
             for index_name in sorted(table.indexes):
                 index = table.indexes[index_name]
-                audit = getattr(index, "verify", None)
-                if audit is None:
-                    continue
-                problem = audit(table.raw_rows())
+                problem = index.verify(table.raw_rows())
                 label = f"index:{table_name}.{index_name}"
                 if problem is None:
                     rows.append([label, "ok", f"{index.kind} index consistent"])

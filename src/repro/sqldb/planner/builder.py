@@ -406,7 +406,7 @@ def _equalities(
 ) -> Dict[str, Tuple[Expression, Expression]]:
     """``column -> (conjunct, value)`` for the first ``col = const/param``
     conjunct on each column of this scan whose type the index key
-    classification understands."""
+    classification understands (a hashable class, or ``bytea``)."""
     equalities: Dict[str, Tuple[Expression, Expression]] = {}
     for conjunct in conjuncts:
         match = constant_equality(conjunct)
@@ -417,7 +417,8 @@ def _equalities(
             continue
         if not schema.has_column(column.name) or column.name in equalities:
             continue
-        if _TYPE_CLASS.get(schema.column(column.name).sql_type) is None:
+        sql_type = schema.column(column.name).sql_type
+        if _TYPE_CLASS.get(sql_type) is None and sql_type is not SqlType.BYTEA:
             continue
         equalities[column.name] = (conjunct, value)
     return equalities
@@ -429,8 +430,8 @@ def choose_point_index(
     """Pick an index satisfiable by ``col = const/param`` conjuncts.
 
     Returns ``(index_name, key_columns, key_exprs, consumed_conjuncts)``
-    where ``index_name`` is ``"PRIMARY KEY"`` or a secondary index name, or
-    None when no index covers the conjuncts.
+    or None when no index covers the conjuncts.  A fully bound primary key
+    (``<table>_pkey``) beats every other index.
     """
     schema = table.schema
     equalities = _equalities(schema, conjuncts, label)
@@ -441,7 +442,7 @@ def choose_point_index(
     index_name = None
     key_columns: List[str] = []
     if usable(schema.primary_key):
-        index_name = "PRIMARY KEY"
+        index_name = table.primary_index_name
         key_columns = list(schema.primary_key)
     else:
         for index in table.indexes.values():
@@ -572,7 +573,7 @@ def index_access_path(
     if choice is None:
         return choose_range_index(table, conjuncts, label, alias)
     index_name, key_columns, key_exprs, consumed = choice
-    if index_name != "PRIMARY KEY":
+    if index_name != table.primary_index_name:
         walk = choose_range_index(table, conjuncts, label, alias)
         if (
             walk is not None

@@ -192,8 +192,9 @@ class Scan(PlanNode):
 
 @dataclass
 class IndexLookup(PlanNode):
-    """Hash-index point lookup: ``col = const`` resolved through the PK index
-    or a secondary index instead of a full scan.
+    """Index point lookup: ``col = const`` on every column of an index
+    (``<table>_pkey`` or a declared one) resolved through it instead of a
+    full scan.
 
     ``residual`` is the remainder of the pushed predicate; ``full_predicate``
     (residual plus the consumed equalities) drives the safety fallback when a
@@ -204,7 +205,7 @@ class IndexLookup(PlanNode):
 
     table_name: str
     alias: Optional[str]
-    index_name: str  # "PRIMARY KEY" or a secondary index name
+    index_name: str
     key_columns: List[str]
     key_exprs: List[Expression]
     residual: Optional[Expression] = None
@@ -243,13 +244,11 @@ class IndexLookup(PlanNode):
         was dropped since planning).
         """
         kind, key_parts = _key_parts(self.key_columns, self.key_exprs, table, ctx)
-        index = None if self.index_name == "PRIMARY KEY" else table.indexes.get(self.index_name)
-        if kind == "scan" or (self.index_name != "PRIMARY KEY" and index is None):
+        index = table.indexes.get(self.index_name)
+        if kind == "scan" or index is None:
             return None
         if kind == "empty":
             return []
-        if index is None:
-            return table.pk_positions_for(key_parts)
         return index.lookup(key_parts)
 
 
@@ -322,6 +321,10 @@ def _index_key_part(value: Any, sql_type: SqlType) -> Tuple[str, Any]:
         if isinstance(value, _dt.datetime):
             return "key", value
         return "empty", None
+    if sql_type is SqlType.BYTEA:
+        if isinstance(value, (bytes, bytearray, memoryview)):
+            return "key", bytes(value)
+        return "empty", None  # bytes never equal a value of another type
     return "scan", None  # VARIANT and anything exotic
 
 

@@ -231,7 +231,10 @@ class BTree:
 
     def _split_leaf(self, node: _Leaf) -> Tuple[Any, _Leaf]:
         faults.check(NODE_WRITE_POINT)
-        mid = len(node.keys) // 2
+        # The rightmost node of a level keeps its left part full, as
+        # PostgreSQL splits its rightmost page: keys inserted in ascending
+        # order then pack the tree as a bulk load does.
+        mid = len(node.keys) - 1 if node.next is None else len(node.keys) // 2
         right = _Leaf()
         right.keys = node.keys[mid:]
         right.values = node.values[mid:]
@@ -243,7 +246,10 @@ class BTree:
 
     def _split_inner(self, node: _Inner) -> Tuple[Any, _Inner]:
         faults.check(NODE_WRITE_POINT)
-        mid = len(node.keys) // 2
+        last = node.children[-1]
+        while isinstance(last, _Inner):
+            last = last.children[-1]
+        mid = len(node.keys) - 2 if last.next is None else len(node.keys) // 2
         sep = node.keys[mid]
         right = _Inner()
         right.keys = node.keys[mid + 1 :]
@@ -530,13 +536,30 @@ class OrderedIndex:
     def clear(self) -> None:
         self.tree = BTree()
 
+    def key_count(self) -> int:
+        return self.tree.size
+
     # -- lookup -----------------------------------------------------------
 
     def lookup(self, key: Sequence[Any]) -> List[int]:
         """Point lookup on the full key, matching the hash index contract
-        (a NULL or NaN part matches nothing)."""
-        parts = _search_head(key)
-        return [] if parts is None else list(self.tree.get(parts))
+        (a NULL or NaN part matches nothing, nor does a value that does not
+        compare with the column's).  The list is read-only.
+
+        A key of plain values is searched as is, as :meth:`key_for_row`
+        stores it; only a NULL, NaN or ``Variant`` part is converted.
+        """
+        parts = tuple(key)
+        for part in parts:
+            if part is None or part.__class__ is Variant or part != part:
+                parts = _search_head(parts)
+                if parts is None:
+                    return []
+                break
+        try:
+            return self.tree.get(parts)
+        except TypeError:
+            return []
 
     def range_positions(
         self,

@@ -5,9 +5,10 @@ serves its first query:
 
 1. **Snapshot** - if the page-store header points at a catalog, rebuild
    every table from it: schema payload, rows blob, declared index
-   definitions (the primary-key map, the ``<table>_pkey`` B-tree derived
-   from the schema and the declared hash and B-tree indexes are rebuilt
-   from rows - index contents are never persisted).
+   definitions, loaded through :meth:`Table.restore` as a rollback does
+   (``<table>_pkey``, derived from the schema, and the declared hash and
+   B-tree indexes are rebuilt from rows - index contents are never
+   persisted; rows that repeat a primary key are refused).
 2. **Base check** - the WAL must start with a CHECKPOINT frame matching
    the header's checkpoint id (or contain none at all when no checkpoint
    was ever taken).  A mismatch means the process died between the header
@@ -31,7 +32,7 @@ from repro.sqldb.schema import TableSchema
 from repro.sqldb.stats import TableStats
 from repro.sqldb.storage import wal as walmod
 from repro.sqldb.storage.engine import deserialize_rows
-from repro.sqldb.table import Table, build_index
+from repro.sqldb.table import Table, TableState
 
 
 def recover(engine, database) -> None:
@@ -68,32 +69,26 @@ def _load_snapshot(engine, database) -> int:
                 raise SqlStorageError(
                     f"corrupt table schema in checkpoint catalog: {exc!r}"
                 ) from exc
-            table = Table(schema)
+            rows: List[list] = []
             rows_page = int(entry.get("rows_page", 0))
             if rows_page:
-                blob = pager.read_chain(rows_page)
-                table._rows = deserialize_rows(blob)
+                rows = deserialize_rows(pager.read_chain(rows_page))
                 roots.append(rows_page)
-            if len(table._rows) != int(entry.get("row_count", len(table._rows))):
+            if len(rows) != int(entry.get("row_count", len(rows))):
                 raise SqlStorageError(
                     f"checkpoint of table {schema.name!r} holds "
-                    f"{len(table._rows)} rows, catalog says {entry['row_count']}"
+                    f"{len(rows)} rows, catalog says {entry['row_count']}"
                 )
-            for index_def in entry.get("indexes", []):
-                positions = [schema.column_position(c) for c in index_def["columns"]]
-                index = build_index(
-                    index_def["name"],
-                    index_def["columns"],
-                    positions,
-                    index_def.get("kind", "hash"),
-                )
-                table.indexes[index.name] = index
-                database._indexes[index.name] = schema.name
-            table._rebuild_pk_index()
-            table._rebuild_indexes()
+            index_defs = [
+                (d["name"].lower(), d["columns"], d.get("kind", "hash"))
+                for d in entry.get("indexes", [])
+            ]
             stats_payload = entry.get("stats")
-            if stats_payload is not None:
-                table.stats = TableStats.from_payload(stats_payload)
+            stats = TableStats.from_payload(stats_payload) if stats_payload is not None else None
+            table = Table(schema)
+            table.restore(TableState(schema, rows, index_defs, stats))
+            for name, _, _ in index_defs:
+                database._indexes[name] = schema.name
             database._register_table(table)
     pager.set_live_chains(roots)
     engine._live_roots = roots
@@ -158,7 +153,6 @@ def _replay_wal(engine, database) -> int:
 
     if applied:
         for table in database._tables.values():
-            table._rebuild_pk_index()
             table._rebuild_indexes()
         database._bump_catalog_version()
     if keep_end < file_size:
@@ -210,11 +204,7 @@ def _apply_ddl(database, ddl: Dict[str, Any]) -> None:
             del database._indexes[index_name]
     elif op == "create_index":
         table = database._tables[ddl["table"]]
-        positions = [table.schema.column_position(c) for c in ddl["columns"]]
-        index = build_index(
-            ddl["name"], ddl["columns"], positions, ddl.get("kind", "hash")
-        )
-        table.indexes[index.name] = index  # contents rebuilt after replay
+        index = table.add_index(ddl["name"], ddl["columns"], ddl.get("kind", "hash"))
         database._indexes[index.name] = ddl["table"]
     elif op == "drop_index":
         table_name = database._indexes.pop(ddl["name"], None)

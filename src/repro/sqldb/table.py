@@ -22,17 +22,12 @@ ORDERABLE_TYPES = (
 
 
 def primary_index_name(schema: TableSchema) -> Optional[str]:
-    """Name of the ordered index backing ``schema``'s primary key.
+    """Name of the index backing ``schema``'s primary key, or None.
 
-    Like PostgreSQL, every primary key gets ``<table>_pkey``, provided all
-    its columns are :data:`ORDERABLE_TYPES`; otherwise None.  The index is
+    Like PostgreSQL, every primary key gets ``<table>_pkey``.  The index is
     derived from the schema, never declared or dropped on its own.
     """
-    if schema.primary_key and all(
-        schema.column(column).sql_type in ORDERABLE_TYPES for column in schema.primary_key
-    ):
-        return f"{schema.name}_pkey"
-    return None
+    return f"{schema.name}_pkey" if schema.primary_key else None
 
 
 def _key_of(value: Any) -> Any:
@@ -41,6 +36,8 @@ def _key_of(value: Any) -> Any:
         value = value.value
     if isinstance(value, float) and value.is_integer():
         return int(value)
+    if isinstance(value, list):
+        return tuple(value)  # a double precision[] value
     return value
 
 
@@ -116,9 +113,28 @@ class SecondaryIndex:
     def clear(self) -> None:
         self.map = {}
 
+    def key_count(self) -> int:
+        return len(self.map)
+
     def lookup(self, key_values: Sequence[Any]) -> List[int]:
-        key = tuple(_key_of(v) for v in key_values)
+        """Positions holding the full key ``key_values`` (read-only); a NULL
+        or NaN part matches nothing."""
+        key = tuple([_key_of(v) for v in key_values])
+        if None in key or any(part != part for part in key):
+            return []
         return self.map.get(key, [])
+
+    def verify(self, rows: Sequence[Sequence[Any]]) -> Optional[str]:
+        """A problem description when the map is not a fresh grouping of
+        ``rows``, else None.  Never raises."""
+        try:
+            fresh = SecondaryIndex(self.name, self.columns, self.positions)
+            fresh.rebuild(rows)
+            if fresh.map != self.map:
+                return "index entries disagree with table rows"
+        except Exception as exc:  # noqa: BLE001 - verify must never raise
+            return f"verify failed: {exc!r}"
+        return None
 
 
 def build_index(
@@ -139,25 +155,24 @@ def build_index(
 class Table:
     """An in-memory heap table with a primary-key index and secondary indexes.
 
-    The table owns its rows (lists aligned with the schema's column order)
-    and maintains a hash index over the primary key for O(1) uniqueness
-    checks and full-key point lookups.  A primary key over orderable
-    columns is also backed by an ordered index, ``<table>_pkey``, kept in
-    :attr:`indexes` beside the declared ones (so every write path below
-    maintains it), which serves equality-prefix and range walks the way
-    PostgreSQL's primary-key B-tree does.  Every write costs in
+    The table owns its rows (lists aligned with the schema's column order).
+    Its primary key has one index, ``<table>_pkey``, kept in :attr:`indexes`
+    beside the declared ones (so every write path below maintains it): it
+    answers the uniqueness checks and full-key lookups and, over orderable
+    columns, is a B-tree that also serves equality-prefix and range walks
+    the way PostgreSQL's primary-key B-tree does.  Every write costs in
     proportion to the rows it touches, not to the table: INSERT adds one
     entry per index; UPDATE replaces each matched row at its position and
-    moves an index entry only where that index's key changed; DELETE
-    compacts the rows and remaps the surviving positions in the PK map and
-    every index (a B-tree is bulk-loaded from its already-sorted pairs).
+    moves an index entry only where that index's key changed.  DELETE is
+    the exception: it compacts the rows and remaps the surviving positions
+    in every index (a B-tree is bulk-loaded from its already-sorted pairs).
     Each index key keeps its positions in ascending row order.
 
     **Rows are replaced, never mutated.**  A row list, once stored, is
     never changed in place: UPDATE stores a fresh list at the position.
-    :meth:`snapshot` therefore copies only the list of rows (and the PK
-    map), sharing every row with the live table, and a rolled-back
-    transaction gets exactly its pre-image back.
+    :meth:`snapshot` therefore copies only the list of rows, sharing every
+    row with the live table, and a rolled-back transaction gets exactly
+    its pre-image back.
 
     ``write_hook`` (when set by the owning database) is invoked before any
     mutation; the database uses it to take lazy copy-on-write transaction
@@ -175,7 +190,6 @@ class Table:
     def __init__(self, schema: TableSchema):
         self.schema = schema
         self._rows: List[list] = []
-        self._pk_index: Dict[Tuple, int] = {}
         self.indexes: Dict[str, Any] = {}
         self.primary_index_name: Optional[str] = None
         self._add_primary_index()
@@ -215,15 +229,10 @@ class Table:
     # ------------------------------------------------------------------ #
     # Primary key helpers
     # ------------------------------------------------------------------ #
-    def _pk_key(self, row: Sequence[Any]) -> Optional[Tuple]:
-        positions = self.schema.pk_positions
-        if not positions:
-            return None
-        return tuple(_key_of(row[i]) for i in positions)
-
     def _add_primary_index(self) -> None:
         """Set :attr:`primary_index_name` from the schema and install that
-        index, empty (see :func:`primary_index_name`).
+        index, empty (see :func:`primary_index_name`): a B-tree when every
+        key column is orderable, else a hash index.
 
         It admits NaN key parts, as the primary key always has; no range
         or equality ever matches them.
@@ -231,45 +240,41 @@ class Table:
         name = self.primary_index_name = primary_index_name(self.schema)
         if name is None:
             return
-        from repro.sqldb.storage.btree import OrderedIndex
+        columns = list(self.schema.primary_key)
+        positions = self.schema.pk_positions
+        if all(self.schema.column(column).sql_type in ORDERABLE_TYPES for column in columns):
+            from repro.sqldb.storage.btree import OrderedIndex
 
-        self.indexes[name] = OrderedIndex(
-            name, list(self.schema.primary_key), self.schema.pk_positions, nan_keys=True
-        )
+            self.indexes[name] = OrderedIndex(name, columns, positions, nan_keys=True)
+        else:
+            self.indexes[name] = SecondaryIndex(name, columns, positions)
 
-    def _rebuild_pk_index(self) -> None:
-        self._pk_index = {}
-        for i, row in enumerate(self._rows):
-            key = self._pk_key(row)
-            if key is None:
-                continue
-            if key in self._pk_index:
-                raise SqlIntegrityError(
-                    f"duplicate primary key {key!r} in table {self.name!r}"
-                )
-            self._pk_index[key] = i
+    def _check_key(self, pkey: Any, row: Sequence[Any], vacated: Set[int] = frozenset()) -> None:
+        """Refuse ``row``'s primary key when a part is NULL or a row outside
+        ``vacated`` holds it."""
+        values = [row[i] for i in pkey.positions]
+        if any(value is None for value in values):
+            raise SqlIntegrityError(f"primary key of table {self.name!r} must not contain NULL")
+        if any(position not in vacated for position in pkey.lookup(values)):
+            key = tuple([_key_of(value) for value in values])
+            raise SqlIntegrityError(f"duplicate primary key {key!r} in table {self.name!r}")
 
     def lookup_pk(self, key_values: Sequence[Any]) -> Optional[Dict[str, Any]]:
         """Point lookup by primary key; returns a dict row or None."""
-        key = tuple(_key_of(v) for v in key_values)
-        index = self._pk_index.get(key)
-        if index is None:
-            return None
-        return dict(zip(self.column_names, self._rows[index]))
+        positions = self.pk_positions_for(key_values)
+        return dict(zip(self.column_names, self._rows[positions[0]])) if positions else None
 
     def pk_positions_for(self, key_values: Sequence[Any]) -> List[int]:
         """Row positions matching a full primary-key value (0 or 1 entries)."""
-        key = tuple(_key_of(v) for v in key_values)
-        index = self._pk_index.get(key)
-        return [] if index is None else [index]
+        return self.indexes[self.primary_index_name].lookup(key_values)
 
     def pk_prefix_positions(self, prefix: Sequence[Any]) -> List[int]:
         """Positions of the rows whose primary key starts with ``prefix``, in
         storage order.
 
-        A walk of ``<table>_pkey`` (which every primary key over orderable
-        columns has), so it costs in proportion to the rows returned, not
-        to the table.
+        A walk of ``<table>_pkey`` (a B-tree for a key over orderable
+        columns), so it costs in proportion to the rows returned, not to
+        the table.
         """
         index = self.indexes[self.primary_index_name]
         return sorted(index.range_positions(prefix=prefix))
@@ -322,8 +327,14 @@ class Table:
         ]
 
     def _rebuild_indexes(self) -> None:
+        """Rebuild every index from the rows; rows that repeat a primary key
+        raise (checked row by row only when ``<table>_pkey`` has fewer keys)."""
         for index in self.indexes.values():
             index.rebuild(self._rows)
+        pkey = self.indexes.get(self.primary_index_name)
+        if pkey is not None and pkey.key_count() != len(self._rows):
+            for position, row in enumerate(self._rows):
+                self._check_key(pkey, row, {position})
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -340,23 +351,14 @@ class Table:
     ) -> list:
         """Insert one row (after type coercion and constraint checks)."""
         row = self.schema.coerce_row(values, column_names)
-        key = self._pk_key(row)
-        if key is not None:
-            if any(part is None for part in key):
-                raise SqlIntegrityError(
-                    f"primary key of table {self.name!r} must not contain NULL"
-                )
-            if key in self._pk_index:
-                raise SqlIntegrityError(
-                    f"duplicate primary key {key!r} in table {self.name!r}"
-                )
+        pkey = self.indexes.get(self.primary_index_name)
+        if pkey is not None:
+            self._check_key(pkey, row)
         if fk_check is not None:
             fk_check(dict(zip(self.column_names, row)))
         self._before_write()
         self._rows.append(row)
         position = len(self._rows) - 1
-        if key is not None:
-            self._pk_index[key] = position
         added = []
         try:
             for index in self.indexes.values():
@@ -368,8 +370,6 @@ class Table:
             # insert so the typed error surfaces with no visible mutation.
             for index in added:
                 index.discard(row, position)
-            if key is not None:
-                self._pk_index.pop(key, None)
             self._rows.pop()
             raise
         if self.stats is not None:
@@ -417,11 +417,6 @@ class Table:
             start = position + 1
         kept.extend(rows[start:])
         self._rows = kept
-        self._pk_index = {
-            key: new
-            for key, position in self._pk_index.items()
-            if (new := remap[position]) is not None
-        }
         self.indexes = indexes
         if self.stats is not None:
             self.stats.note_removed(len(doomed))
@@ -459,47 +454,39 @@ class Table:
                 updated_pairs.append((position, [row_dict[name] for name in names]))
         if not updated_pairs:
             return 0
-        pk_moves = self._pk_moves(updated_pairs, assigned)
+        self._check_key_moves(updated_pairs, assigned)
         self._before_write()
         self._move_index_entries(updated_pairs, assigned)
-        for old_key, _, _ in pk_moves:
-            del self._pk_index[old_key]
-        for _, new_key, position in pk_moves:
-            self._pk_index[new_key] = position
         for position, new_row in updated_pairs:
             rows[position] = new_row
         if self.log_sink is not None:
             self.log_sink.log_update(self.name, updated_pairs)
         return len(updated_pairs)
 
-    def _pk_moves(
+    def _check_key_moves(
         self, updated_pairs: Sequence[Tuple[int, list]], assigned: Set[int]
-    ) -> List[Tuple[Tuple, Tuple, int]]:
-        """``(old key, new key, position)`` for each row whose primary key
-        the UPDATE changes, after checking the statement's keys as a whole:
-        no NULL part, and no new key held by a row that keeps it or claimed
+    ) -> None:
+        """Check the primary keys an UPDATE changes as a whole: no NULL
+        part, and no new key held by a row that keeps its own or claimed
         twice (so ``SET id = id + 1`` over consecutive ids succeeds)."""
-        if assigned.isdisjoint(self.schema.pk_positions):
-            return []
-        moves = []
-        for position, new_row in updated_pairs:
-            old_key = self._pk_key(self._rows[position])
-            new_key = self._pk_key(new_row)
-            if new_key != old_key:
-                moves.append((old_key, new_key, position))
-        vacated = {old_key for old_key, _, _ in moves}
+        pkey = self.indexes.get(self.primary_index_name)
+        if pkey is None or assigned.isdisjoint(pkey.positions):
+            return
+        rows = self._rows
+        moves = [
+            (position, new_row)
+            for position, new_row in updated_pairs
+            if pkey.key_for_row(new_row) != pkey.key_for_row(rows[position])
+        ]
+        vacated = {position for position, _ in moves}
         claimed: Set[Tuple] = set()
-        for _, new_key, _ in moves:
-            if any(part is None for part in new_key):
-                raise SqlIntegrityError(
-                    f"primary key of table {self.name!r} must not contain NULL"
-                )
-            if new_key in claimed or (new_key in self._pk_index and new_key not in vacated):
-                raise SqlIntegrityError(
-                    f"duplicate primary key {new_key!r} in table {self.name!r}"
-                )
-            claimed.add(new_key)
-        return moves
+        for _, new_row in moves:
+            self._check_key(pkey, new_row, vacated)
+            key = tuple([_key_of(new_row[i]) for i in pkey.positions])
+            if key in claimed:
+                raise SqlIntegrityError(f"duplicate primary key {key!r} in table {self.name!r}")
+            if all(part == part for part in key):  # a NaN part never collides
+                claimed.add(key)
 
     def _move_index_entries(
         self, updated_pairs: Sequence[Tuple[int, list]], assigned: Set[int]
@@ -534,7 +521,6 @@ class Table:
         if self.stats is not None:
             self.stats.note_removed(len(self._rows))
         self._rows = []
-        self._pk_index = {}
         for index in self.indexes.values():
             index.clear()
         if self.log_sink is not None:
@@ -553,16 +539,15 @@ class Table:
         return TableState(
             schema=self.schema,
             rows=list(self._rows),
-            pk_index=dict(self._pk_index),
             index_defs=self.index_definitions(),
             stats=self.stats.copy() if self.stats is not None else None,
         )
 
     def restore(self, state: "TableState") -> None:
-        """Restore contents captured by :meth:`snapshot` (indexes are rebuilt)."""
+        """Restore contents captured by :meth:`snapshot` or loaded from a
+        checkpoint (indexes are rebuilt, see :meth:`_rebuild_indexes`)."""
         self.schema = state.schema
         self._rows = list(state.rows)
-        self._pk_index = dict(state.pk_index)
         self.indexes = {}
         self._add_primary_index()
         for name, columns, kind in state.index_defs:
@@ -582,21 +567,19 @@ class Table:
 
 class TableState:
     """A table's pre-image for transaction rollback: its own list of rows
-    (the rows themselves shared with the table), PK map, index definitions
-    and statistics."""
+    (the rows themselves shared with the table), index definitions and
+    statistics."""
 
-    __slots__ = ("schema", "rows", "pk_index", "index_defs", "stats")
+    __slots__ = ("schema", "rows", "index_defs", "stats")
 
     def __init__(
         self,
         schema: TableSchema,
         rows: List[list],
-        pk_index: Dict[Tuple, int],
         index_defs: Optional[List[Tuple[str, List[str], str]]] = None,
         stats: Optional[TableStats] = None,
     ):
         self.schema = schema
         self.rows = rows
-        self.pk_index = pk_index
         self.index_defs = index_defs or []
         self.stats = stats

@@ -74,6 +74,27 @@ class TestBTreeOracle:
         assert [key for key, _ in tree.items()] == list(range(count))
         assert tree.get(count // 2) == [count // 2]
 
+    def test_ascending_inserts_pack_the_tree(self):
+        # Rightmost nodes split unevenly, so a key range loaded in order is
+        # as shallow and its leaves as full as a bulk load's.
+        tree = BTree()
+        count = NODE_CAPACITY**2 + 5
+        for i in range(count):
+            tree.insert(i, i)
+        assert tree.audit() is None
+        leaves = []
+        leaf = tree._leftmost()
+        while leaf is not None:
+            leaves.append(len(leaf.keys))
+            leaf = leaf.next
+        assert all(size == NODE_CAPACITY for size in leaves[:-1])
+        packed = BTree.from_sorted(list(range(count)), [[i] for i in range(count)])
+
+        def depth(node):
+            return 1 + (depth(node.children[0]) if hasattr(node, "children") else 0)
+
+        assert depth(tree.root) == depth(packed.root)
+
     def test_range_items_windows(self):
         rng = random.Random(0x5EED)
         tree = BTree()

@@ -45,11 +45,11 @@ class TestPlanShapes:
 
     def test_primary_key_point_lookup(self, fleet_db):
         text = plan_text(fleet_db, "SELECT * FROM instances WHERE instance_id = 'I3'")
-        assert "IndexLookup instances USING PRIMARY KEY" in text
+        assert "IndexLookup instances USING instances_pkey" in text
 
     def test_parameter_point_lookup(self, fleet_db):
         text = plan_text(fleet_db, "SELECT * FROM instances WHERE instance_id = $1")
-        assert "IndexLookup instances USING PRIMARY KEY (instance_id = $1)" in text
+        assert "IndexLookup instances USING instances_pkey (instance_id = $1)" in text
 
     def test_secondary_index_lookup_with_residual(self, fleet_db):
         fleet_db.execute("CREATE INDEX idx_sims_instance ON sims (instance_id)")
@@ -1030,7 +1030,7 @@ class TestDmlIndexRouting:
     def test_explain_shows_pk_lookup_for_update(self, fleet_db):
         text = plan_text(fleet_db, "UPDATE instances SET model = 'X' WHERE instance_id = 'I3'")
         assert "Update on instances" in text
-        assert "IndexLookup instances USING PRIMARY KEY (instance_id = 'I3')" in text
+        assert "IndexLookup instances USING instances_pkey (instance_id = 'I3')" in text
 
     def test_explain_shows_secondary_index_for_delete(self, fleet_db):
         fleet_db.execute("CREATE INDEX idx_sims_instance ON sims (instance_id)")
@@ -1276,9 +1276,11 @@ class TestCompositePrimaryKey:
         assert ["index:meas.meas_pkey", "ok", "btree index consistent"] in db.verify()
         db.execute("CREATE TABLE loose (k integer, v text)")
         db.execute("CREATE TABLE variant_key (k variant PRIMARY KEY)")
-        assert db.index_names() == ["meas_pkey"]
+        db.execute("INSERT INTO variant_key VALUES (1), ('a')")
+        assert db.index_names() == ["meas_pkey", "variant_key_pkey"]
+        assert ["index:variant_key.variant_key_pkey", "ok", "hash index consistent"] in db.verify()
         db.execute("DROP TABLE meas")
-        assert db.index_names() == []
+        assert db.index_names() == ["variant_key_pkey"]
 
     def test_nan_key_part_is_kept_but_never_matched(self):
         db = _meas_db(houses=2, hours=4)
@@ -1517,7 +1519,9 @@ class TestRangeRoutedDml:
         db.execute("DELETE FROM meas WHERE house = 2 AND time < 'abc'")
         assert seen["candidates"] is None
 
-    def test_routed_dml_matches_scan_semantics(self):
+    def test_routed_dml_matches_scan_semantics(self, monkeypatch):
+        from repro.sqldb.executor import Executor
+
         statements = [
             ("DELETE FROM meas WHERE house = $1 AND time < $2", [1, 7]),
             ("UPDATE meas SET time = time + 100 WHERE house = $1 AND time >= $2", [2, 40]),
@@ -1532,7 +1536,8 @@ class TestRangeRoutedDml:
         for routed in (True, False):
             db = _meas_db()
             if not routed:
-                db.table("meas").indexes.clear()
+                # The scan arm: every statement tests every row.
+                monkeypatch.setattr(Executor, "_dml_candidate_positions", lambda *args: None)
             for sql, params in statements:
                 db.execute(sql, params)
             contents.append(db.execute("SELECT * FROM meas ORDER BY house, time").rows)

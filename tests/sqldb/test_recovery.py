@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro.errors import InjectedCrash
+from repro.errors import InjectedCrash, SqlIntegrityError
 from repro.sqldb import Database, FaultInjector, StorageEngine
 from repro.sqldb.storage.wal import scan_wal
 
@@ -233,6 +233,24 @@ class TestRecoveryBasics:
         # The recovered index actually serves point lookups.
         assert again.execute("SELECT id FROM t WHERE tag = 'a'").rows == [[1]]
         again.storage.close()
+
+    @pytest.mark.parametrize("key_type", ["integer", "variant"])
+    def test_checkpoint_repeating_a_key_is_refused(self, tmp_path, key_type):
+        # A checkpoint stores rows, not index contents: reopening rebuilds
+        # t_pkey (a B-tree, or a hash index for a variant key) and must
+        # refuse rows that repeat a key.
+        path = tmp_path / "a.db"
+        db = reopen(path)
+        db.execute(f"CREATE TABLE t (id {key_type} PRIMARY KEY, v double precision, tag text)")
+        db.execute("INSERT INTO t VALUES (1, 1.5, 'a'), (2, 2.5, 'b')")
+        rows = db.table("t").raw_rows()
+        rows.append(list(rows[0]))
+        db.checkpoint()
+        db.storage.close()
+        engine = StorageEngine(path)
+        with pytest.raises(SqlIntegrityError, match="duplicate primary key"):
+            Database(storage=engine)
+        engine.close()
 
 
 # --------------------------------------------------------------------------- #
